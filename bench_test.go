@@ -15,10 +15,12 @@ import (
 
 	"github.com/snapml/snap"
 	"github.com/snapml/snap/internal/codec"
+	"github.com/snapml/snap/internal/dataset"
 	"github.com/snapml/snap/internal/experiments"
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
+	"github.com/snapml/snap/internal/model"
 	"github.com/snapml/snap/internal/weights"
 )
 
@@ -203,6 +205,76 @@ func BenchmarkSymEigen(b *testing.B) {
 		}
 	}
 }
+
+// digitsMLP is the paper's testbed model and one node's share of the
+// digit corpus (a single gradient shard), the input of the MLP
+// benchmarks below.
+func digitsMLP() (model.Model, linalg.Vector, []dataset.Sample) {
+	train, _ := dataset.SyntheticDigits(dataset.DigitsConfig{Train: 200, Test: 1, Side: 28}, rand.New(rand.NewSource(8)))
+	m := model.NewMLP(28*28, 30, 10)
+	return m, m.InitParams(9), train.Samples
+}
+
+// BenchmarkMLPGradient measures one 784-30-10 backprop sample (forward
+// pass, loss and gradient terms) through model.GradientLossTo.
+func BenchmarkMLPGradient(b *testing.B) {
+	m, p, batch := digitsMLP()
+	dst := linalg.NewVector(len(p))
+	var sc model.GradScratch
+	var loss float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loss = model.GradientLossTo(m, dst, p, batch, &sc, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
+	benchSink = loss
+}
+
+// BenchmarkMLPLoss measures one 784-30-10 forward pass plus
+// cross-entropy through Model.Loss.
+func BenchmarkMLPLoss(b *testing.B) {
+	m, p, batch := digitsMLP()
+	var loss float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loss = m.Loss(p, batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
+	benchSink = loss
+}
+
+// BenchmarkSparseDots4 measures the four-row gathered dot product at the
+// MLP's first-layer shape: 784-wide rows, about one input in six
+// non-zero.
+func BenchmarkSparseDots4(b *testing.B) {
+	rng := rand.New(rand.NewSource(10))
+	rows := make([][]float64, 4)
+	for r := range rows {
+		rows[r] = make([]float64, 784)
+		for i := range rows[r] {
+			rows[r][i] = rng.NormFloat64()
+		}
+	}
+	x := make([]float64, 784)
+	for i := range x {
+		if rng.Intn(6) == 0 {
+			x[i] = rng.Float64()
+		}
+	}
+	idx, val := make([]int, len(x)), make([]float64, len(x))
+	n := linalg.Compact(idx, val, x)
+	idx, val = idx[:n], val[:n]
+	var z0, z1, z2, z3 float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		z0, z1, z2, z3 = linalg.SparseDots4From(0, 0, 0, 0, rows[0], rows[1], rows[2], rows[3], idx, val)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/nonzero")
+	benchSink = z0 + z1 + z2 + z3
+}
+
+// benchSink keeps the compiler from discarding a benchmarked result.
+var benchSink float64
 
 // BenchmarkExtraRound measures one full simulated SNAP round (broadcast,
 // integrate, EXTRA step) on a 20-node network.

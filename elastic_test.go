@@ -28,11 +28,12 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	const (
 		founders = 4
 		total    = 5
-		// In-process rounds run in ~1ms while the heartbeats that feed the
-		// coordinator's apply-boundary estimate tick every second, so the
-		// join can land tens of rounds after its nominal boundary. The
+		// In-process rounds run in ~0.25ms while the heartbeats that feed
+		// the coordinator's apply-boundary estimate tick every second, so
+		// the join (started once the 20ms poll below sees round 5) lands
+		// around round 60-130 rather than at its nominal boundary. The
 		// horizon leaves plenty of joint rounds after even a late apply.
-		horizon = 100
+		horizon = 1000
 		alpha   = 0.1
 		seed    = 7
 	)

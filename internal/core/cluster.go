@@ -428,8 +428,10 @@ func (c *Cluster) Run() (*Result, error) {
 			cfg.OnIteration(round, c)
 		}
 
-		// Phase 3: evaluate.
-		loss := c.aggregateLoss()
+		// Phase 3: evaluate. The loss is the objective at the iterates
+		// the round started from (each engine's gradient pass left it
+		// behind); consensus and accuracy are measured on the new ones.
+		loss := c.roundLoss()
 		consensus := c.consensusResidual()
 		acc := math.NaN()
 		if cfg.Test != nil && (round%cfg.EvalEvery == 0 || round == cfg.MaxIterations-1) {
@@ -472,11 +474,23 @@ func (c *Cluster) Run() (*Result, error) {
 	return res, nil
 }
 
-// aggregateLoss returns Σ_i f_i(x_i), the paper's objective (1).
+// aggregateLoss returns Σ_i f_i(x_i), the paper's objective (1), at the
+// current iterates: one forward pass over every partition.
 func (c *Cluster) aggregateLoss() float64 {
 	var total float64
 	for _, e := range c.engines {
 		total += e.LocalLoss()
+	}
+	return total
+}
+
+// roundLoss returns the same objective one step earlier, Σ_i f_i(x_i^k)
+// at the iterates the last round's gradients were taken at, from the
+// values those gradient passes computed anyway.
+func (c *Cluster) roundLoss() float64 {
+	var total float64
+	for _, e := range c.engines {
+		total += e.GradientLoss()
 	}
 	return total
 }

@@ -155,6 +155,7 @@ type Engine struct {
 	batchBuf []dataset.Sample // reusable mini-batch buffer
 	gradSc   model.GradScratch
 	gradSecs float64 // last ComputeGradient duration, folded into MComputeSeconds by StepMix
+	gradLoss float64 // f_i at the iterate the last ComputeGradient differentiated
 
 	// forceFull makes the next BuildUpdate transmit the complete
 	// parameter vector regardless of policy — set after a neighbor
@@ -246,6 +247,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		mix:      linalg.NewVector(p),
 		next:     linalg.NewVector(p),
 		lastSent: cfg.Init.Clone(),
+		gradLoss: math.NaN(),
 	}
 	e.upd.Indices = make([]int, 0, p)
 	e.upd.Values = make([]float64, 0, p)
@@ -378,10 +380,28 @@ func (e *Engine) ParamsInto(dst linalg.Vector) linalg.Vector {
 func (e *Engine) Restarts() int { return e.restarts }
 
 // LocalLoss evaluates the node's objective f_i at its current iterate over
-// the full local partition.
+// the full local partition: one extra forward pass over the data, for
+// callers that need the exact value now (final results, external
+// evaluation). The round loops read GradientLoss instead.
 func (e *Engine) LocalLoss() float64 {
 	return e.cfg.Model.Loss(e.x, e.cfg.Data.Samples)
 }
+
+// GradientLoss returns f_i(x^k), the node's objective over its full local
+// partition at the iterate the last ComputeGradient differentiated — the
+// iterate the round started from, one StepMix behind LocalLoss. The
+// gradient's forward pass yields it at no extra cost. NaN before the
+// first ComputeGradient. Like the gradient scratch it must be read in
+// order with ComputeGradient (after the round's barrier).
+//
+//snap:alloc-free
+func (e *Engine) GradientLoss() float64 { return e.gradLoss }
+
+// timed reports whether anyone consumes the engine's phase timings; with
+// neither an observer nor a tracer the round path reads no clock.
+//
+//snap:alloc-free
+func (e *Engine) timed() bool { return e.cfg.Obs != nil || e.cfg.Trace != nil }
 
 // BuildUpdate produces the frame this node broadcasts for the given round,
 // returning the update (before encoding) so callers can account sizes.
@@ -540,7 +560,11 @@ func (e *Engine) Integrate(updates []*codec.Update) error {
 }
 
 // ComputeGradient evaluates ∇f_i(x^{k+1}) into the engine's gradient
-// scratch for round (which selects the mini-batch when BatchSize > 0).
+// scratch for round (which selects the mini-batch when BatchSize > 0)
+// and leaves f_i(x^{k+1}) over the full partition for GradientLoss: a
+// by-product of the same forward pass on a full batch, a second pass
+// inside this same window when a mini-batch was sampled.
+//
 // It reads only the iterate and the local partition and writes only the
 // gradient scratch — state disjoint from BeginIntegrate/IngestFrame and
 // from BuildUpdate (which read/write the neighbor views and the sent
@@ -552,16 +576,23 @@ func (e *Engine) Integrate(updates []*codec.Update) error {
 //
 //snap:alloc-free
 func (e *Engine) ComputeGradient(round int) {
-	start := time.Now()
-	batch := e.cfg.Data.Samples
-	if bs := e.cfg.BatchSize; bs > 0 && bs < len(batch) {
-		e.batchBuf = e.cfg.Data.BatchInto(e.batchBuf, round, bs)
-		batch = e.batchBuf
+	var start time.Time
+	if e.timed() {
+		start = time.Now()
 	}
-	model.GradientTo(e.cfg.Model, e.grad, e.x, batch, &e.gradSc, e.cfg.GradWorkers)
-	end := time.Now()
-	e.gradSecs = end.Sub(start).Seconds()
-	e.cfg.Trace.Span(round, trace.SpanGrad, start, end)
+	data := e.cfg.Data.Samples
+	if bs := e.cfg.BatchSize; bs > 0 && bs < len(data) {
+		e.batchBuf = e.cfg.Data.BatchInto(e.batchBuf, round, bs)
+		model.GradientTo(e.cfg.Model, e.grad, e.x, e.batchBuf, &e.gradSc, e.cfg.GradWorkers)
+		e.gradLoss = e.cfg.Model.Loss(e.x, data)
+	} else {
+		e.gradLoss = model.GradientLossTo(e.cfg.Model, e.grad, e.x, data, &e.gradSc, e.cfg.GradWorkers)
+	}
+	if e.timed() {
+		end := time.Now()
+		e.gradSecs = end.Sub(start).Seconds()
+		e.cfg.Trace.Span(round, trace.SpanGrad, start, end)
+	}
 }
 
 // StepMix completes the EXTRA iteration from the gradient ComputeGradient
@@ -575,7 +606,10 @@ func (e *Engine) ComputeGradient(round int) {
 //snap:alloc-free
 //snap:returns-borrowed
 func (e *Engine) StepMix(round int) linalg.Vector {
-	start := time.Now()
+	var start time.Time
+	if e.timed() {
+		start = time.Now()
+	}
 	// mix = Σ_j w_ij·x_j^{k+1} (including the self term). The fused kernel
 	// accumulates neighbors in slot (= sorted id) order, bitwise-matching
 	// the sequential Scale-then-AXPY loop it replaced.
@@ -597,7 +631,9 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 		e.next.AXPYInPlace(e.cfg.Alpha, e.gPrev)
 	}
 
-	e.cfg.Trace.Span(round, trace.SpanMix, start, time.Now())
+	if e.cfg.Trace != nil {
+		e.cfg.Trace.Span(round, trace.SpanMix, start, time.Now())
+	}
 
 	// Rotate the scratch vectors instead of allocating: the old x becomes
 	// x^k, the freshly built iterate becomes x^{k+1}, and the old x^k
@@ -609,7 +645,9 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	// Compute seconds stay CPU time (gradient + mixing), not wall time:
 	// under pipelining the two halves are separated by the gather window,
 	// and counting that wait would double-book it against MGatherWait.
-	e.met.compute.Observe(e.gradSecs + time.Since(start).Seconds())
+	if e.cfg.Obs != nil {
+		e.met.compute.Observe(e.gradSecs + time.Since(start).Seconds())
+	}
 
 	if e.ape != nil && e.ape.AfterIteration() {
 		// Stage transition: publish the new schedule point and, when the

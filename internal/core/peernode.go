@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,12 +56,6 @@ type PeerNodeConfig struct {
 	// identical either way (DESIGN.md §14); the knob exists for A/B
 	// measurement and as a diagnostic fallback, not as a tuning option.
 	Sequential bool
-	// EvalEvery computes the local loss every this many rounds (default 1;
-	// set larger for expensive models — a full-partition objective pass
-	// costs about half a gradient and runs on the round's critical path).
-	// Skipped rounds report the last evaluated value, mirroring
-	// ClusterConfig.EvalEvery.
-	EvalEvery int
 	// ConnectTimeout bounds cluster formation (default 10s).
 	ConnectTimeout time.Duration
 	// Logf, when set, receives diagnostic messages about tolerated faults
@@ -148,6 +143,9 @@ type PeerNode struct {
 	// decoded and ingested one at a time, so one Update suffices where
 	// the batch path needs a pooled slice.
 	decUpd codec.Update
+	// heavyGrad marks this node's gradient as heavy compute, which takes
+	// a process-wide slot (see heavyGradSlots).
+	heavyGrad bool
 
 	met roundMetrics
 }
@@ -196,6 +194,23 @@ func newRoundMetrics(o *obs.Observer) roundMetrics {
 	}
 }
 
+// heavyGradCost is the gradient size, in parameters × local samples, from
+// which a node's gradient counts as heavy compute: about a third of a
+// millisecond of uninterruptible work (Go preempts a running goroutine
+// only after 10 ms). Below it, queueing for a slot would cost more than
+// the compute it orders.
+const heavyGradCost = 1 << 20
+
+// heavyGradSlots bounds how many heavy gradients the PeerNodes of one
+// process compute at once: one fewer than the Ps the process started
+// with, at least one. A process that hosts one node — the deployment the
+// paper describes — never waits for a slot. A process that hosts a whole
+// cluster (tests, examples, snapbench) on fewer cores than nodes would
+// otherwise put a gradient on every P: the round loops and frame readers
+// then queue behind whole gradients, and which node gets which P when
+// decides the round time (DESIGN.md §14).
+var heavyGradSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
+
 // NewPeerNode builds the engine and starts listening. Call Connect before
 // Run.
 func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
@@ -230,6 +245,7 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 		}
 	}
 	pn := &PeerNode{cfg: cfg, engine: eng, peer: peer, met: newRoundMetrics(cfg.Obs)}
+	pn.heavyGrad = cfg.Engine.Model.NumParams()*cfg.Engine.Data.Len() >= heavyGradCost
 	pn.epoch.Store(int64(cfg.Epoch))
 	pn.met.epoch.Set(float64(cfg.Epoch))
 	peer.SetReconnectHandler(func(nid int) {
@@ -252,11 +268,24 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 // cancellation).
 func (pn *PeerNode) gradWorker() {
 	for round := range pn.gradCmd {
-		pn.engine.ComputeGradient(round)
+		pn.computeGradient(round)
 		pn.gradFinished = time.Now()
 		pn.gradRunning.Store(false)
 		pn.gradDone <- struct{}{}
 	}
+}
+
+// computeGradient is Engine.ComputeGradient inside a heavy-gradient slot
+// when this node's gradient needs one. The slot is held for the
+// computation only, so a holder never waits on another node.
+func (pn *PeerNode) computeGradient(round int) {
+	if !pn.heavyGrad {
+		pn.engine.ComputeGradient(round)
+		return
+	}
+	heavyGradSlots <- struct{}{}
+	pn.engine.ComputeGradient(round)
+	<-heavyGradSlots
 }
 
 func (pn *PeerNode) logf(format string, args ...any) {
@@ -305,8 +334,10 @@ func (pn *PeerNode) Connect(neighborAddrs map[int]string) error {
 }
 
 // Run executes rounds [StartRound, rounds) and returns the per-iteration
-// trace (loss is this node's local objective; global metrics are the
-// caller's concern since no single node sees the whole cluster). rounds
+// trace (loss is this node's local objective at the iterate the round
+// started from — the by-product of the round's gradient pass, see
+// Engine.GradientLoss; global metrics are the caller's concern since no
+// single node sees the whole cluster). rounds
 // is the cluster-wide round horizon, not a count: a node that joined at
 // StartRound 20 with rounds = 40 executes 20 rounds.
 //
@@ -322,11 +353,6 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 	result := &metrics.Trace{}
 	tr := pn.cfg.Tracer
 	fullFrame := int64(codec.FullFrameBytes(pn.cfg.Engine.Model.NumParams(), pn.cfg.Engine.Float32Wire))
-	evalEvery := pn.cfg.EvalEvery
-	if evalEvery <= 0 {
-		evalEvery = 1
-	}
-	lastLoss := math.NaN() // reported on rounds that skip the eval
 	startRound := pn.cfg.StartRound
 	if pn.cfg.Control != nil {
 		// A joiner that was slow between admission and Run may find the
@@ -453,13 +479,7 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 		}
 		pn.peer.ForgetRound(round)
 
-		// The full-partition objective pass is the priciest non-training
-		// work on the round path; honor the eval cadence and carry the
-		// last value forward between evaluations.
-		if round%evalEvery == 0 || math.IsNaN(lastLoss) {
-			lastLoss = pn.engine.LocalLoss()
-		}
-		loss := lastLoss
+		loss := pn.engine.GradientLoss()
 		roundBytes := pn.peer.BytesSent() - bytesBefore
 		roundEnd := time.Now()
 		roundSec := roundEnd.Sub(roundStart).Seconds()
@@ -623,7 +643,8 @@ func (pn *PeerNode) roundTailSequential(round int, tr *trace.Tracer) (linalg.Vec
 	pn.met.integrate.Observe(end.Sub(t).Seconds())
 	tr.Phase(round, trace.PhaseIntegrate, t, end)
 	pn.emitIntegrate(round, len(inbox))
-	return pn.engine.Step(round), nil
+	pn.computeGradient(round)
+	return pn.engine.StepMix(round), nil
 }
 
 // noteCorruptFrame records a dropped undecodable frame (counter, fault

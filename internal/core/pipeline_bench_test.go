@@ -83,10 +83,7 @@ func benchDelayedRounds(b *testing.B, sequential bool) {
 			ListenAddr:   "127.0.0.1:0",
 			RoundTimeout: 30 * time.Second,
 			Sequential:   sequential,
-			// The benchmark measures the round loop, not the objective
-			// telemetry; push the loss eval off the critical path.
-			EvalEvery: 1 << 30,
-			Faults:    faults,
+			Faults:       faults,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -1,0 +1,165 @@
+package linalg
+
+import "math"
+
+// Row kernels: the inner loops of the models' forward and backward
+// passes — dot products of parameter rows against one input and the
+// matching rank-one gradient updates — in a dense form and an
+// index-gathered form for inputs whose non-zeros were compacted into
+// (idx, val) by Compact.
+//
+// Contract (DESIGN.md §10): every accumulator is summed strictly left to
+// right starting from the value the caller seeds it with, exactly as the
+// naive loop `z := seed; for i := range x { z += a[i] * x[i] }` does, so
+// each kernel is bitwise-identical to that loop. The speed comes from
+// running four such chains side by side (four rows against one shared
+// operand): a floating-point add must wait for the previous add of its
+// own chain, but not for the other three. No sum is ever split across
+// several accumulators or reordered.
+//
+// The dense kernels panic on a length mismatch like the rest of the
+// package; the gathered ones panic when an index falls outside a row.
+
+// Dots4From returns the four sums z_r + Σ_i a_r[i]·x[i], each summed left
+// to right: four rows against one shared x (four hidden units against one
+// input, or four samples against one weight vector). One row from a zero
+// seed is Vector.Dot.
+//
+//snap:alloc-free
+func Dots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3, x []float64) (float64, float64, float64, float64) {
+	checkLen(a0, x)
+	checkLen(a1, x)
+	checkLen(a2, x)
+	checkLen(a3, x)
+	for i, xi := range x {
+		z0 += a0[i] * xi
+		z1 += a1[i] * xi
+		z2 += a2[i] * xi
+		z3 += a3[i] * xi
+	}
+	return z0, z1, z2, z3
+}
+
+// Compact writes the non-zero entries of x, in order, to val and their
+// positions to idx, and returns how many there are. idx and val must be
+// at least as long as x. Dropping an exact zero (of either sign) from a
+// dot product or a rank-one update does not change a bit of the result
+// as long as the other factor is finite (w·0 = ±0, and z + ±0 = z), with
+// one exception no consumer can observe: a running sum that is exactly
+// −0 stays −0 where the dense loop would have turned it into +0.
+//
+//snap:alloc-free
+func Compact(idx []int, val, x []float64) int {
+	idx, val = idx[:len(x)], val[:len(x)]
+	n := 0
+	for i, xi := range x {
+		// Store first, then advance only past a non-zero: which entries
+		// are zero is data the branch predictor cannot learn, and the
+		// test on the bits (sign shifted out, so ±0 → 0 and NaN stays)
+		// compiles to a conditional move instead of a jump.
+		idx[n], val[n] = i, xi
+		if math.Float64bits(xi)<<1 != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// SparseDots4From is Dots4From over a compacted x: the four sums
+// z_r + Σ_k a_r[idx[k]]·val[k], each summed left to right.
+//
+//snap:alloc-free
+func SparseDots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3 []float64, idx []int, val []float64) (float64, float64, float64, float64) {
+	val = val[:len(idx)]
+	for k, j := range idx {
+		v := val[k]
+		z0 += a0[j] * v
+		z1 += a1[j] * v
+		z2 += a2[j] * v
+		z3 += a3[j] * v
+	}
+	return z0, z1, z2, z3
+}
+
+// SparseAXPY sets dst[idx[k]] += c·val[k] for every k. idx must not
+// repeat an index (Compact's never does), so the elements are
+// independent and each receives exactly one addition.
+//
+//snap:alloc-free
+func SparseAXPY(dst []float64, c float64, idx []int, val []float64) {
+	val = val[:len(idx)]
+	for k, j := range idx {
+		dst[j] += c * val[k]
+	}
+}
+
+// SparseAXPYs4 is four SparseAXPY calls sharing one walk over (idx, val):
+// d_r[idx[k]] += c_r·val[k]. The four destinations must not overlap.
+//
+//snap:alloc-free
+func SparseAXPYs4(d0, d1, d2, d3 []float64, c0, c1, c2, c3 float64, idx []int, val []float64) {
+	val = val[:len(idx)]
+	for k, j := range idx {
+		v := val[k]
+		d0[j] += c0 * v
+		d1[j] += c1 * v
+		d2[j] += c2 * v
+		d3[j] += c3 * v
+	}
+}
+
+// AffineTo sets out[r] = b[r] + Σ_i w[r·cols+i]·x[i] for the row-major
+// len(out)×len(x) matrix w, every row summed left to right from its
+// bias. Rows run four at a time; a last block of fewer than four repeats
+// the final row, so it costs one four-chain pass instead of up to three
+// single-chain ones.
+//
+//snap:alloc-free
+func AffineTo(out, w, b, x []float64) {
+	rows, cols := len(out), len(x)
+	checkLen(out, b)
+	if len(w) != rows*cols {
+		panic("linalg: AffineTo matrix size mismatch")
+	}
+	for r := 0; r < rows; r += 4 {
+		r1, r2, r3 := min(r+1, rows-1), min(r+2, rows-1), min(r+3, rows-1)
+		out[r], out[r1], out[r2], out[r3] = Dots4From(b[r], b[r1], b[r2], b[r3],
+			w[r*cols:(r+1)*cols], w[r1*cols:(r1+1)*cols], w[r2*cols:(r2+1)*cols], w[r3*cols:(r3+1)*cols], x)
+	}
+}
+
+// SparseAffineTo is AffineTo for a compacted x: out[r] = b[r] +
+// Σ_k w[r·cols+idx[k]]·val[k].
+//
+//snap:alloc-free
+func SparseAffineTo(out, w, b []float64, cols int, idx []int, val []float64) {
+	rows := len(out)
+	checkLen(out, b)
+	if len(w) != rows*cols {
+		panic("linalg: SparseAffineTo matrix size mismatch")
+	}
+	for r := 0; r < rows; r += 4 {
+		r1, r2, r3 := min(r+1, rows-1), min(r+2, rows-1), min(r+3, rows-1)
+		out[r], out[r1], out[r2], out[r3] = SparseDots4From(b[r], b[r1], b[r2], b[r3],
+			w[r*cols:(r+1)*cols], w[r1*cols:(r1+1)*cols], w[r2*cols:(r2+1)*cols], w[r3*cols:(r3+1)*cols], idx, val)
+	}
+}
+
+// SparseOuterAdd adds the rank-one update d·xᵀ of a compacted x to the
+// row-major len(d)×cols matrix w: w[r·cols+idx[k]] += d[r]·val[k].
+//
+//snap:alloc-free
+func SparseOuterAdd(w []float64, cols int, d []float64, idx []int, val []float64) {
+	rows := len(d)
+	if len(w) != rows*cols {
+		panic("linalg: SparseOuterAdd matrix size mismatch")
+	}
+	r := 0
+	for ; r+4 <= rows; r += 4 {
+		SparseAXPYs4(w[r*cols:(r+1)*cols], w[(r+1)*cols:(r+2)*cols], w[(r+2)*cols:(r+3)*cols], w[(r+3)*cols:(r+4)*cols],
+			d[r], d[r+1], d[r+2], d[r+3], idx, val)
+	}
+	for ; r < rows; r++ {
+		SparseAXPY(w[r*cols:(r+1)*cols], d[r], idx, val)
+	}
+}

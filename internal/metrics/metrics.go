@@ -103,8 +103,12 @@ func (l *CostLedger) Reset() {
 
 // IterationStat is one row of a training trace.
 type IterationStat struct {
-	Round     int
-	Loss      float64 // aggregate training loss
+	Round int
+	// Loss is the aggregate training loss. The SNAP drivers (core.Cluster,
+	// core.PeerNode) report the objective at the iterates the round
+	// started from — the by-product of the round's gradient pass
+	// (DESIGN.md §10); the baselines evaluate after the step.
+	Loss      float64
 	Accuracy  float64 // test accuracy (NaN if not evaluated this round)
 	Consensus float64 // max pairwise parameter disagreement across nodes
 	RoundCost float64 // hop-weighted bytes this round

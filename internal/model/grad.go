@@ -10,21 +10,30 @@ import (
 
 // BatchAccumulator is the optional fast-gradient capability: a model that
 // can split its gradient into a batch-independent term plus a sum of
-// per-sample terms accumulated into a caller-owned buffer. GradientTo
-// uses it to compute gradients without allocating and — for large
-// batches — in parallel. All four built-in models implement it.
+// per-sample terms accumulated into a caller-owned buffer, and hands back
+// the per-sample losses its forward pass computed on the way.
+// GradientLossTo uses it to compute gradients without allocating and —
+// for large batches — in parallel. All four built-in models implement it.
 type BatchAccumulator interface {
 	Model
 	// RegGradTo overwrites dst with the batch-independent gradient term
 	// (the regularizer ∇r(params); all zeros for unregularized models).
+	// The matching loss term r(params) is Loss on an empty batch.
 	//snap:alloc-free
 	RegGradTo(dst, params linalg.Vector)
-	// AccumGrad adds the unscaled per-sample loss-gradient terms of
-	// batch to dst: dst += Σ_s ∇ℓ(params; s). The 1/m mean scaling is
-	// applied once by GradientTo, not per sample. Implementations must
-	// be safe for concurrent calls with disjoint dst buffers.
+	// ScratchSize returns how many F and I slots of a Scratch one
+	// AccumGrad or PredictInto call needs (0, 0 for the linear models,
+	// whose score is a single dot product).
 	//snap:alloc-free
-	AccumGrad(dst, params linalg.Vector, batch []dataset.Sample)
+	ScratchSize() (floats, ints int)
+	// AccumGrad adds the unscaled per-sample loss-gradient terms of
+	// batch to dst, dst += Σ_s ∇ℓ(params; s), and returns the unscaled
+	// data loss Σ_s ℓ(params; s), summed in batch order. The 1/m mean
+	// scaling is applied once by GradientLossTo, not per sample.
+	// Implementations must be safe for concurrent calls with disjoint
+	// dst and sc.
+	//snap:alloc-free
+	AccumGrad(dst, params linalg.Vector, batch []dataset.Sample, sc *Scratch) float64
 }
 
 // GradShardSize is the fixed shard width of the sharded gradient path.
@@ -34,20 +43,32 @@ type BatchAccumulator interface {
 // threshold: batches of at most one shard always run serially.
 const GradShardSize = 256
 
-// GradScratch holds the per-shard partial-sum buffers GradientTo needs.
-// One scratch belongs to one gradient consumer (e.g. one engine) and is
+// GradScratch holds the per-shard buffers GradientLossTo needs. One
+// scratch belongs to one gradient consumer (e.g. one engine) and is
 // reused across calls; the zero value is ready to use.
 type GradScratch struct {
-	partials []linalg.Vector
+	shards []gradShard
+}
+
+// gradShard is one shard's partial gradient sum, partial loss sum and
+// the workspace the model's per-sample pass runs in.
+type gradShard struct {
+	partial linalg.Vector
+	loss    float64
+	work    Scratch
 }
 
 //snap:allocs-amortized
-func (sc *GradScratch) ensure(shards, p int) {
-	if len(sc.partials) > 0 && len(sc.partials[0]) != p {
-		sc.partials = sc.partials[:0]
+func (sc *GradScratch) ensure(shards, p, floats, ints int) {
+	for len(sc.shards) < shards {
+		sc.shards = append(sc.shards, gradShard{})
 	}
-	for len(sc.partials) < shards {
-		sc.partials = append(sc.partials, linalg.NewVector(p))
+	for k := range sc.shards[:shards] {
+		sh := &sc.shards[k]
+		if len(sh.partial) != p {
+			sh.partial = linalg.NewVector(p)
+		}
+		sh.work.ensure(floats, ints)
 	}
 }
 
@@ -81,43 +102,59 @@ func (sc *GradScratch) accumShard(acc BatchAccumulator, params linalg.Vector, ba
 	if hi > len(batch) {
 		hi = len(batch)
 	}
-	buf := sc.partials[k]
-	buf.Fill(0)
-	acc.AccumGrad(buf, params, batch[lo:hi])
+	sh := &sc.shards[k]
+	sh.partial.Fill(0)
+	sh.loss = acc.AccumGrad(sh.partial, params, batch[lo:hi], &sh.work)
 }
 
-// GradientTo computes ∇Loss(params) on batch into dst and returns dst.
-//
-// For models implementing BatchAccumulator the batch is cut into
-// fixed-width shards (GradShardSize samples), each shard's unscaled term
-// sum is accumulated into a dedicated scratch buffer, and the shard
-// partials are combined by a fixed-shape pairwise tree reduction before
-// the 1/m scaling is applied. Because both the shard boundaries and the
-// reduction tree depend only on len(batch), the result is
-// bitwise-identical whether the shards are computed serially or by any
-// number of workers — workers (≤1 = serial) only sets the parallelism
-// cap. Single-shard batches always run serially and allocation-free.
-//
-// Models without the capability fall back to Model.Gradient (one
-// allocation, serial).
+// GradientTo computes ∇Loss(params) on batch into dst and returns dst:
+// GradientLossTo for callers that have no use for the loss.
 //
 //snap:alloc-free
 func GradientTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *GradScratch, workers int) linalg.Vector {
+	GradientLossTo(m, dst, params, batch, sc, workers)
+	return dst
+}
+
+// GradientLossTo computes ∇Loss(params) on batch into dst and returns
+// Loss(params, batch), which the gradient's forward pass yields as a
+// by-product.
+//
+// For models implementing BatchAccumulator the batch is cut into
+// fixed-width shards (GradShardSize samples), each shard's unscaled term
+// sums (gradient and loss) are accumulated into dedicated scratch, and
+// the shard partials are combined by a fixed-shape pairwise tree
+// reduction before the 1/m scaling is applied. Because both the shard
+// boundaries and the reduction tree depend only on len(batch), the
+// result is bitwise-identical whether the shards are computed serially
+// or by any number of workers — workers (≤1 = serial) only sets the
+// parallelism cap. Single-shard batches always run serially and
+// allocation-free, and their loss equals Model.Loss bit for bit; over
+// several shards the tree sums the same terms in a different order than
+// Loss's single left-to-right pass, so the two agree to rounding only.
+//
+// Models without the capability fall back to Model.Gradient and
+// Model.Loss (one allocation, two passes, serial).
+//
+//snap:alloc-free
+func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *GradScratch, workers int) float64 {
 	acc, ok := m.(BatchAccumulator)
 	if !ok {
 		copy(dst, m.Gradient(params, batch))
-		return dst
+		return m.Loss(params, batch)
 	}
 	acc.RegGradTo(dst, params)
+	reg := acc.Loss(params, nil)
 	if len(batch) == 0 {
-		return dst
+		return reg
 	}
 	shards := (len(batch) + GradShardSize - 1) / GradShardSize
 	if sc == nil {
 		//snaplint:ignore allocfree nil-scratch fallback allocates once per caller, not per round
 		sc = &GradScratch{}
 	}
-	sc.ensure(shards, len(dst))
+	floats, ints := acc.ScratchSize()
+	sc.ensure(shards, len(dst), floats, ints)
 	if workers > shards {
 		workers = shards
 	}
@@ -136,8 +173,10 @@ func GradientTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *
 	// cannot perturb float summation order.
 	for stride := 1; stride < shards; stride *= 2 {
 		for i := 0; i+stride < shards; i += 2 * stride {
-			sc.partials[i].AddInPlace(sc.partials[i+stride])
+			sc.shards[i].partial.AddInPlace(sc.shards[i+stride].partial)
+			sc.shards[i].loss += sc.shards[i+stride].loss
 		}
 	}
-	return dst.AXPYInPlace(1/float64(len(batch)), sc.partials[0])
+	dst.AXPYInPlace(1/float64(len(batch)), sc.shards[0].partial)
+	return reg + sc.shards[0].loss/float64(len(batch))
 }

@@ -120,18 +120,35 @@ func (p plainModel) RegGradTo() {}
 func (p plainModel) AccumGrad() {}
 
 // TestGradientToSerialAllocFree pins the hot-path budget: with a warm
-// scratch, the serial sharded gradient of an accumulator model performs
-// zero allocations.
+// scratch, the serial sharded gradient (and the loss it yields) performs
+// zero allocations, for every built-in model.
 func TestGradientToSerialAllocFree(t *testing.T) {
-	m := NewLinearSVM(24)
-	params := m.InitParams(2)
-	batch := gradTestBatch(2*GradShardSize, 24, 2, 6)
-	dst := linalg.NewVector(24)
-	var sc GradScratch
-	GradientTo(m, dst, params, batch, &sc, 1) // warm the scratch
-	if n := testing.AllocsPerRun(50, func() {
-		GradientTo(m, dst, params, batch, &sc, 1)
-	}); n != 0 {
-		t.Errorf("serial GradientTo allocated %v times per run, want 0", n)
+	for _, tc := range predictModels() {
+		params := tc.m.InitParams(2)
+		batch := gradTestBatch(2*GradShardSize, tc.features, 2, 6)
+		dst := linalg.NewVector(tc.m.NumParams())
+		var sc GradScratch
+		GradientTo(tc.m, dst, params, batch, &sc, 1) // warm the scratch
+		if n := testing.AllocsPerRun(20, func() {
+			GradientLossTo(tc.m, dst, params, batch, &sc, 1)
+		}); n != 0 {
+			t.Errorf("%s: serial GradientLossTo allocated %v times per run, want 0", tc.name, n)
+		}
+	}
+}
+
+// TestLossAllocFree is the same budget for Model.Loss, whose workspace
+// comes from the package pool: zero allocations once the pool is warm.
+func TestLossAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	for _, tc := range predictModels() {
+		params := tc.m.InitParams(2)
+		batch := gradTestBatch(GradShardSize, tc.features, 2, 6)
+		tc.m.Loss(params, batch) // warm the pool
+		if n := testing.AllocsPerRun(20, func() { tc.m.Loss(params, batch) }); n != 0 {
+			t.Errorf("%s: Loss allocated %v times per run, want 0", tc.name, n)
+		}
 	}
 }

@@ -48,9 +48,11 @@ func (m *LogisticRegression) lambda() float64 {
 }
 
 // Loss implements Model: mean cross-entropy + (λ/2)||w||².
+//
+//snap:alloc-free
 func (m *LogisticRegression) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(p)
-	w, b := p[:m.Features], p[m.Features]
+	w := p[:m.Features]
 	loss := 0.0
 	for j := 0; j < m.Features; j++ {
 		loss += m.lambda() / 2 * w[j] * w[j]
@@ -58,13 +60,45 @@ func (m *LogisticRegression) Loss(p linalg.Vector, batch []dataset.Sample) float
 	if len(batch) == 0 {
 		return loss
 	}
+	return loss + m.AccumGrad(nil, p, batch, nil)/float64(len(batch))
+}
+
+// AccumGrad implements BatchAccumulator and is the model's one pass over
+// a batch: it returns the unscaled cross-entropy sum Σ log(1+exp(−y·z))
+// and, unless dst is nil (Loss), adds every sample's gradient term to
+// dst (GradientLossTo applies the 1/m). The scores of four samples are
+// computed side by side; the sums run in batch order.
+//
+//snap:alloc-free
+func (m *LogisticRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, _ *Scratch) float64 {
+	w, b := p[:m.Features], p[m.Features]
 	var ce float64
-	for _, s := range batch {
-		z := dot(w, s.X) + b
-		// Stable log(1+exp(-yz)) via softplus.
-		ce += softplus(-signedLabel(s.Label) * z)
+	for ; len(batch) >= 4; batch = batch[4:] {
+		z0, z1, z2, z3 := linalg.Dots4From(0, 0, 0, 0, batch[0].X, batch[1].X, batch[2].X, batch[3].X, w)
+		ce += m.term(dst, batch[0], z0+b)
+		ce += m.term(dst, batch[1], z1+b)
+		ce += m.term(dst, batch[2], z2+b)
+		ce += m.term(dst, batch[3], z3+b)
 	}
-	return loss + ce/float64(len(batch))
+	for _, s := range batch {
+		ce += m.term(dst, s, linalg.Vector(s.X).Dot(w)+b)
+	}
+	return ce
+}
+
+// term is one sample's share of AccumGrad, given its logit z = w·x + b.
+//
+//snap:alloc-free
+func (m *LogisticRegression) term(dst linalg.Vector, s dataset.Sample, z float64) float64 {
+	y := signedLabel(s.Label)
+	if dst != nil {
+		// d/dz log(1+exp(-yz)) = -y·σ(-yz)
+		coeff := -y * sigmoid(-y*z)
+		dst[:m.Features].AXPYInPlace(coeff, s.X)
+		dst[m.Features] += coeff
+	}
+	// Stable log(1+exp(-yz)) via softplus.
+	return softplus(-y * z)
 }
 
 // Gradient implements Model.
@@ -84,44 +118,27 @@ func (m *LogisticRegression) RegGradTo(dst, p linalg.Vector) {
 	dst[m.Features] = 0
 }
 
-// AccumGrad implements BatchAccumulator (unscaled per-sample terms).
+// ScratchSize implements BatchAccumulator and BatchPredictor: the logit
+// is a single dot product plus the bias, no scratch needed.
 //
 //snap:alloc-free
-func (m *LogisticRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample) {
-	w, b := p[:m.Features], p[m.Features]
-	for _, s := range batch {
-		z := dot(w, s.X) + b
-		// d/dz log(1+exp(-yz)) = -y·σ(-yz)
-		y := signedLabel(s.Label)
-		coeff := -y * sigmoid(-y*z)
-		for j, xj := range s.X {
-			dst[j] += coeff * xj
-		}
-		dst[m.Features] += coeff
-	}
-}
+func (m *LogisticRegression) ScratchSize() (floats, ints int) { return 0, 0 }
 
 // Predict implements Model.
 //
 //snap:alloc-free
 func (m *LogisticRegression) Predict(p linalg.Vector, x []float64) int {
 	w, b := p[:m.Features], p[m.Features]
-	if dot(w, x)+b > 0 {
+	if linalg.Vector(x).Dot(w)+b > 0 {
 		return 1
 	}
 	return 0
 }
 
-// PredictScratchSize implements BatchPredictor: the logit is a single
-// dot product plus the bias, no scratch needed.
-//
-//snap:alloc-free
-func (m *LogisticRegression) PredictScratchSize() int { return 0 }
-
 // PredictInto implements BatchPredictor.
 //
 //snap:alloc-free
-func (m *LogisticRegression) PredictInto(p linalg.Vector, x []float64, _ []float64) int {
+func (m *LogisticRegression) PredictInto(p linalg.Vector, x []float64, _ *Scratch) int {
 	return m.Predict(p, x)
 }
 

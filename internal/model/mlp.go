@@ -53,40 +53,46 @@ func (m *MLP) offsets() (w1, b1, w2, b2 int) {
 	return
 }
 
-// forward computes the hidden activations and output probabilities for x.
-func (m *MLP) forward(p linalg.Vector, x []float64) (hidden, probs []float64) {
+// ScratchSize implements BatchAccumulator and BatchPredictor: hidden
+// activations, output scores, hidden deltas and the compacted input
+// (values in F, positions in I).
+//
+//snap:alloc-free
+func (m *MLP) ScratchSize() (floats, ints int) {
+	return 2*m.Hidden + m.Out + m.In, m.In
+}
+
+// forward is the model's one forward pass: it compacts x's non-zeros into
+// sc, then computes the hidden activations and the raw output scores,
+// returning both and the compacted input (all backed by sc).
+//
+//snap:alloc-free
+func (m *MLP) forward(p linalg.Vector, x []float64, sc *Scratch) (hidden, logits, val []float64, idx []int) {
 	w1o, b1o, w2o, b2o := m.offsets()
-	hidden = make([]float64, m.Hidden)
-	for h := 0; h < m.Hidden; h++ {
-		z := p[b1o+h]
-		row := p[w1o+h*m.In : w1o+(h+1)*m.In]
-		for i, xi := range x {
-			z += row[i] * xi
-		}
+	hidden = sc.F[:m.Hidden]
+	logits = sc.F[m.Hidden : m.Hidden+m.Out]
+	val = sc.F[2*m.Hidden+m.Out : 2*m.Hidden+m.Out+m.In]
+	n := linalg.Compact(sc.I, val, x)
+	idx, val = sc.I[:n], val[:n]
+	linalg.SparseAffineTo(hidden, p[w1o:b1o], p[b1o:w2o], m.In, idx, val)
+	for h, z := range hidden {
 		hidden[h] = sigmoid(z)
 	}
-	logits := make([]float64, m.Out)
-	for o := 0; o < m.Out; o++ {
-		z := p[b2o+o]
-		for h, hv := range hidden {
-			z += p[w2o+o*m.Hidden+h] * hv
-		}
-		logits[o] = z
-	}
-	return hidden, softmax(logits)
+	linalg.AffineTo(logits, p[w2o:b2o], p[b2o:], hidden)
+	return hidden, logits, val, idx
 }
 
 // Loss implements Model: mean cross-entropy over the batch.
+//
+//snap:alloc-free
 func (m *MLP) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(p)
 	if len(batch) == 0 {
 		return 0
 	}
-	var ce float64
-	for _, s := range batch {
-		_, probs := m.forward(p, s.X)
-		ce += -math.Log(math.Max(probs[s.Label], 1e-15))
-	}
+	sc := borrowScratch(m.ScratchSize())
+	ce := m.AccumGrad(nil, p, batch, sc)
+	returnScratch(sc)
 	return ce / float64(len(batch))
 }
 
@@ -104,89 +110,59 @@ func (m *MLP) RegGradTo(dst, p linalg.Vector) {
 }
 
 // AccumGrad implements BatchAccumulator (unscaled per-sample backprop
-// terms; GradientTo applies the 1/m).
-func (m *MLP) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample) {
+// terms; GradientLossTo applies the 1/m), returning the cross-entropy
+// sum. A nil dst skips the backward pass and leaves only the loss.
+//
+//snap:alloc-free
+func (m *MLP) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratch) float64 {
 	w1o, b1o, w2o, b2o := m.offsets()
+	deltaHidden := linalg.Vector(sc.F[m.Hidden+m.Out : 2*m.Hidden+m.Out])
+	var ce float64
 	for _, s := range batch {
-		hidden, probs := m.forward(p, s.X)
+		hidden, probs, val, idx := m.forward(p, s.X, sc)
+		softmaxInPlace(probs)
+		ce += -math.Log(math.Max(probs[s.Label], 1e-15))
+		if dst == nil {
+			continue
+		}
 		// Output delta: softmax+CE gives δ_o = p_o − 1{o=label}.
-		deltaOut := make([]float64, m.Out)
-		copy(deltaOut, probs)
-		deltaOut[s.Label]--
-		// Hidden delta: δ_h = σ'(z_h)·Σ_o w2[o][h]·δ_o.
-		deltaHidden := make([]float64, m.Hidden)
-		for h := 0; h < m.Hidden; h++ {
-			var back float64
-			for o := 0; o < m.Out; o++ {
-				back += p[w2o+o*m.Hidden+h] * deltaOut[o]
-			}
+		probs[s.Label]--
+		// Hidden delta: δ_h = σ'(z_h)·Σ_o w2[o][h]·δ_o, the sum over o
+		// accumulated row by row.
+		deltaHidden.Fill(0)
+		for o, d := range probs {
+			row := w2o + o*m.Hidden
+			deltaHidden.AXPYInPlace(d, p[row:row+m.Hidden])
+			dst[b2o+o] += d
+			dst[row:row+m.Hidden].AXPYInPlace(d, hidden)
+		}
+		for h, back := range deltaHidden {
 			deltaHidden[h] = back * hidden[h] * (1 - hidden[h])
 		}
-		for o := 0; o < m.Out; o++ {
-			d := deltaOut[o]
-			dst[b2o+o] += d
-			for h, hv := range hidden {
-				dst[w2o+o*m.Hidden+h] += d * hv
-			}
-		}
-		for h := 0; h < m.Hidden; h++ {
-			d := deltaHidden[h]
-			dst[b1o+h] += d
-			grow := dst[w1o+h*m.In : w1o+(h+1)*m.In]
-			for i, xi := range s.X {
-				grow[i] += d * xi
-			}
-		}
+		dst[b1o:w2o].AddInPlace(deltaHidden)
+		linalg.SparseOuterAdd(dst[w1o:b1o], m.In, deltaHidden, idx, val)
 	}
+	return ce
 }
 
-// Predict implements Model: argmax over output probabilities.
-func (m *MLP) Predict(p linalg.Vector, x []float64) int {
-	_, probs := m.forward(p, x)
-	best, bestV := 0, probs[0]
-	for o := 1; o < m.Out; o++ {
-		if probs[o] > bestV {
-			best, bestV = o, probs[o]
-		}
-	}
-	return best
-}
-
-// PredictScratchSize implements BatchPredictor: the hidden activations
-// plus the output logits.
+// Predict implements Model: the most probable class.
 //
 //snap:alloc-free
-func (m *MLP) PredictScratchSize() int { return m.Hidden + m.Out }
+func (m *MLP) Predict(p linalg.Vector, x []float64) int {
+	sc := borrowScratch(m.ScratchSize())
+	label := m.PredictInto(p, x, sc)
+	returnScratch(sc)
+	return label
+}
 
 // PredictInto implements BatchPredictor. Softmax is monotone, so the
-// argmax over the output logits matches Predict's argmax over
-// probabilities without the exp/normalize pass.
+// argmax over the output scores is the most probable class without the
+// exp/normalize pass.
 //
 //snap:alloc-free
-func (m *MLP) PredictInto(p linalg.Vector, x []float64, scratch []float64) int {
-	w1o, b1o, w2o, b2o := m.offsets()
-	hidden := scratch[:m.Hidden]
-	logits := scratch[m.Hidden : m.Hidden+m.Out]
-	for h := 0; h < m.Hidden; h++ {
-		z := p[b1o+h]
-		row := p[w1o+h*m.In : w1o+(h+1)*m.In]
-		for i, xi := range x {
-			z += row[i] * xi
-		}
-		hidden[h] = sigmoid(z)
-	}
-	best, bestV := 0, math.Inf(-1)
-	for o := 0; o < m.Out; o++ {
-		z := p[b2o+o]
-		for h, hv := range hidden {
-			z += p[w2o+o*m.Hidden+h] * hv
-		}
-		logits[o] = z
-		if z > bestV {
-			best, bestV = o, z
-		}
-	}
-	return best
+func (m *MLP) PredictInto(p linalg.Vector, x []float64, sc *Scratch) int {
+	_, logits, _, _ := m.forward(p, x, sc)
+	return argmax(logits)
 }
 
 // InitParams implements Model: Xavier/Glorot uniform initialization.
@@ -211,25 +187,4 @@ func (m *MLP) checkDim(p linalg.Vector) {
 	if len(p) != m.NumParams() {
 		panic(fmt.Sprintf("model: mlp params have %d entries, want %d", len(p), m.NumParams()))
 	}
-}
-
-// softmax returns the stable softmax of logits.
-func softmax(logits []float64) []float64 {
-	maxZ := logits[0]
-	for _, z := range logits[1:] {
-		if z > maxZ {
-			maxZ = z
-		}
-	}
-	out := make([]float64, len(logits))
-	var sum float64
-	for i, z := range logits {
-		e := math.Exp(z - maxZ)
-		out[i] = e
-		sum += e
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
 }

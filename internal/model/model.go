@@ -24,7 +24,9 @@ type Model interface {
 	// NumParams returns the length P of the flat parameter vector.
 	NumParams() int
 	// Loss returns the mean loss of params on batch (including any
-	// regularization term).
+	// regularization term); on an empty batch, the regularization term
+	// alone.
+	//snap:alloc-free
 	Loss(params linalg.Vector, batch []dataset.Sample) float64
 	// Gradient returns ∇Loss(params) on batch as a fresh vector.
 	Gradient(params linalg.Vector, batch []dataset.Sample) linalg.Vector

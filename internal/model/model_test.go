@@ -230,7 +230,8 @@ func TestSoftplusStable(t *testing.T) {
 }
 
 func TestSoftmaxNormalized(t *testing.T) {
-	probs := softmax([]float64{1000, 999, 998})
+	probs := []float64{1000, 999, 998}
+	softmaxInPlace(probs)
 	var sum float64
 	for _, p := range probs {
 		if math.IsNaN(p) || p < 0 {

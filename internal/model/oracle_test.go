@@ -1,0 +1,344 @@
+package model
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/snapml/snap/internal/dataset"
+	"github.com/snapml/snap/internal/linalg"
+)
+
+// The oracles below are the per-model loops the linalg row kernels
+// replaced, kept verbatim: scalar dot products, dense walks over every
+// input (zeros included), one allocation per intermediate. The shipped
+// models must reproduce their gradient, loss and predictions bit for bit.
+
+type oracle struct {
+	loss    func(p linalg.Vector, batch []dataset.Sample) float64
+	accum   func(dst, p linalg.Vector, batch []dataset.Sample)
+	predict func(p linalg.Vector, x []float64) int
+}
+
+func oracleDot(w linalg.Vector, x []float64) float64 {
+	var s float64
+	for j, xj := range x {
+		s += w[j] * xj
+	}
+	return s
+}
+
+func oracleSoftmax(logits []float64) []float64 {
+	maxZ := logits[0]
+	for _, z := range logits[1:] {
+		if z > maxZ {
+			maxZ = z
+		}
+	}
+	out := make([]float64, len(logits))
+	var sum float64
+	for i, z := range logits {
+		e := math.Exp(z - maxZ)
+		out[i] = e
+		sum += e
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return out
+}
+
+func oracleArgmax(z []float64) int {
+	best, bestV := 0, z[0]
+	for c := 1; c < len(z); c++ {
+		if z[c] > bestV {
+			best, bestV = c, z[c]
+		}
+	}
+	return best
+}
+
+func svmOracle(m *LinearSVM) oracle {
+	return oracle{
+		loss: func(w linalg.Vector, batch []dataset.Sample) float64 {
+			loss := m.lambda() / 2 * w.Dot(w)
+			if len(batch) == 0 {
+				return loss
+			}
+			var hinge float64
+			for _, s := range batch {
+				margin := signedLabel(s.Label) * oracleDot(w, s.X)
+				if margin < 1 {
+					hinge += (1 - margin) * (1 - margin)
+				}
+			}
+			return loss + hinge/float64(len(batch))
+		},
+		accum: func(dst, w linalg.Vector, batch []dataset.Sample) {
+			for _, s := range batch {
+				y := signedLabel(s.Label)
+				if margin := y * oracleDot(w, s.X); margin < 1 {
+					coeff := 2 * (1 - margin) * y
+					for j, xj := range s.X {
+						dst[j] -= coeff * xj
+					}
+				}
+			}
+		},
+		predict: func(w linalg.Vector, x []float64) int {
+			if oracleDot(w, x) > 0 {
+				return 1
+			}
+			return 0
+		},
+	}
+}
+
+func logregOracle(m *LogisticRegression) oracle {
+	return oracle{
+		loss: func(p linalg.Vector, batch []dataset.Sample) float64 {
+			w, b := p[:m.Features], p[m.Features]
+			loss := 0.0
+			for j := 0; j < m.Features; j++ {
+				loss += m.lambda() / 2 * w[j] * w[j]
+			}
+			if len(batch) == 0 {
+				return loss
+			}
+			var ce float64
+			for _, s := range batch {
+				z := oracleDot(w, s.X) + b
+				ce += softplus(-signedLabel(s.Label) * z)
+			}
+			return loss + ce/float64(len(batch))
+		},
+		accum: func(dst, p linalg.Vector, batch []dataset.Sample) {
+			w, b := p[:m.Features], p[m.Features]
+			for _, s := range batch {
+				z := oracleDot(w, s.X) + b
+				y := signedLabel(s.Label)
+				coeff := -y * sigmoid(-y*z)
+				for j, xj := range s.X {
+					dst[j] += coeff * xj
+				}
+				dst[m.Features] += coeff
+			}
+		},
+		predict: func(p linalg.Vector, x []float64) int {
+			if oracleDot(p[:m.Features], x)+p[m.Features] > 0 {
+				return 1
+			}
+			return 0
+		},
+	}
+}
+
+func softmaxOracle(m *SoftmaxRegression) oracle {
+	logits := func(p linalg.Vector, x []float64) []float64 {
+		out := make([]float64, m.Classes)
+		biasOff := m.Classes * m.Features
+		for c := 0; c < m.Classes; c++ {
+			z := p[biasOff+c]
+			row := p[c*m.Features : (c+1)*m.Features]
+			for j, xj := range x {
+				z += row[j] * xj
+			}
+			out[c] = z
+		}
+		return out
+	}
+	return oracle{
+		loss: func(p linalg.Vector, batch []dataset.Sample) float64 {
+			var reg float64
+			for i := 0; i < m.Classes*m.Features; i++ {
+				reg += p[i] * p[i]
+			}
+			loss := m.lambda() / 2 * reg
+			if len(batch) == 0 {
+				return loss
+			}
+			var ce float64
+			for _, s := range batch {
+				probs := oracleSoftmax(logits(p, s.X))
+				ce += -math.Log(math.Max(probs[s.Label], 1e-15))
+			}
+			return loss + ce/float64(len(batch))
+		},
+		accum: func(dst, p linalg.Vector, batch []dataset.Sample) {
+			biasOff := m.Classes * m.Features
+			for _, s := range batch {
+				probs := oracleSoftmax(logits(p, s.X))
+				for c := 0; c < m.Classes; c++ {
+					delta := probs[c]
+					if c == s.Label {
+						delta--
+					}
+					dst[biasOff+c] += delta
+					grow := dst[c*m.Features : (c+1)*m.Features]
+					for j, xj := range s.X {
+						grow[j] += delta * xj
+					}
+				}
+			}
+		},
+		predict: func(p linalg.Vector, x []float64) int { return oracleArgmax(logits(p, x)) },
+	}
+}
+
+func mlpOracle(m *MLP) oracle {
+	forward := func(p linalg.Vector, x []float64) (hidden, logits []float64) {
+		w1o, b1o, w2o, b2o := m.offsets()
+		hidden = make([]float64, m.Hidden)
+		for h := 0; h < m.Hidden; h++ {
+			z := p[b1o+h]
+			row := p[w1o+h*m.In : w1o+(h+1)*m.In]
+			for i, xi := range x {
+				z += row[i] * xi
+			}
+			hidden[h] = sigmoid(z)
+		}
+		logits = make([]float64, m.Out)
+		for o := 0; o < m.Out; o++ {
+			z := p[b2o+o]
+			for h, hv := range hidden {
+				z += p[w2o+o*m.Hidden+h] * hv
+			}
+			logits[o] = z
+		}
+		return hidden, logits
+	}
+	return oracle{
+		loss: func(p linalg.Vector, batch []dataset.Sample) float64 {
+			if len(batch) == 0 {
+				return 0
+			}
+			var ce float64
+			for _, s := range batch {
+				_, logits := forward(p, s.X)
+				ce += -math.Log(math.Max(oracleSoftmax(logits)[s.Label], 1e-15))
+			}
+			return ce / float64(len(batch))
+		},
+		accum: func(dst, p linalg.Vector, batch []dataset.Sample) {
+			w1o, b1o, w2o, b2o := m.offsets()
+			for _, s := range batch {
+				hidden, logits := forward(p, s.X)
+				deltaOut := oracleSoftmax(logits)
+				deltaOut[s.Label]--
+				deltaHidden := make([]float64, m.Hidden)
+				for h := 0; h < m.Hidden; h++ {
+					var back float64
+					for o := 0; o < m.Out; o++ {
+						back += p[w2o+o*m.Hidden+h] * deltaOut[o]
+					}
+					deltaHidden[h] = back * hidden[h] * (1 - hidden[h])
+				}
+				for o := 0; o < m.Out; o++ {
+					d := deltaOut[o]
+					dst[b2o+o] += d
+					for h, hv := range hidden {
+						dst[w2o+o*m.Hidden+h] += d * hv
+					}
+				}
+				for h := 0; h < m.Hidden; h++ {
+					d := deltaHidden[h]
+					dst[b1o+h] += d
+					grow := dst[w1o+h*m.In : w1o+(h+1)*m.In]
+					for i, xi := range s.X {
+						grow[i] += d * xi
+					}
+				}
+			}
+		},
+		predict: func(p linalg.Vector, x []float64) int {
+			_, logits := forward(p, x)
+			return oracleArgmax(logits)
+		},
+	}
+}
+
+// oracleGradient is GradientTo as it was: regularizer, fixed-width shards
+// accumulated by the oracle loop, pairwise tree, one 1/m scaling.
+func oracleGradient(m BatchAccumulator, o oracle, p linalg.Vector, batch []dataset.Sample) linalg.Vector {
+	dst := linalg.NewVector(len(p))
+	m.RegGradTo(dst, p)
+	if len(batch) == 0 {
+		return dst
+	}
+	var partials []linalg.Vector
+	for lo := 0; lo < len(batch); lo += GradShardSize {
+		buf := linalg.NewVector(len(p))
+		o.accum(buf, p, batch[lo:min(lo+GradShardSize, len(batch))])
+		partials = append(partials, buf)
+	}
+	for stride := 1; stride < len(partials); stride *= 2 {
+		for i := 0; i+stride < len(partials); i += 2 * stride {
+			partials[i].AddInPlace(partials[i+stride])
+		}
+	}
+	return dst.AXPYInPlace(1/float64(len(batch)), partials[0])
+}
+
+// TestModelsMatchOracles pins all four models to the loops they replaced
+// on the benchmark's corpora (SyntheticDigits rows are mostly zeros,
+// SyntheticCredit rows are dense): gradient, loss and predictions are
+// bit-equal for batches of one shard and of several, at lengths that
+// leave every tail of the four-wide blocking; the loss GradientLossTo
+// returns equals Loss bitwise on one shard and to rounding on several.
+func TestModelsMatchOracles(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	digits, _ := dataset.SyntheticDigits(dataset.DigitsConfig{Train: 601, Test: 1, Side: 28}, rng)
+	credit := dataset.SyntheticCredit(dataset.CreditConfig{Samples: 601, Features: 24}, rng)
+	svm, logreg := NewLinearSVM(24), NewLogisticRegression(24)
+	softmax, mlp := NewSoftmaxRegression(784, 10), NewMLP(784, 30, 10)
+	cases := []struct {
+		name string
+		m    BatchAccumulator
+		o    oracle
+		data []dataset.Sample
+	}{
+		{"svm", svm, svmOracle(svm), credit.Samples},
+		{"logreg", logreg, logregOracle(logreg), credit.Samples},
+		{"softmax", softmax, softmaxOracle(softmax), digits.Samples},
+		{"mlp", mlp, mlpOracle(mlp), digits.Samples},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// One oracle step away from the initial point, so biases and
+			// every weight are generic.
+			p := tc.m.InitParams(3)
+			p.AXPYInPlace(-0.5, oracleGradient(tc.m, tc.o, p, tc.data[:64]))
+			var sc GradScratch
+			for _, n := range []int{0, 1, 2, 3, 7, 200, GradShardSize, 601} {
+				batch := tc.data[:n]
+				want := oracleGradient(tc.m, tc.o, p, batch)
+				got := linalg.NewVector(len(p))
+				fused := GradientLossTo(tc.m, got, p, batch, &sc, 2)
+				if at := bitsDiffer(want, got); at != len(p) {
+					t.Fatalf("n=%d: gradient differs from the oracle at %d: %v != %v", n, at, got[at], want[at])
+				}
+				wantLoss, loss := tc.o.loss(p, batch), tc.m.Loss(p, batch)
+				if math.Float64bits(loss) != math.Float64bits(wantLoss) {
+					t.Errorf("n=%d: Loss = %v, oracle %v", n, loss, wantLoss)
+				}
+				if n <= GradShardSize && math.Float64bits(fused) != math.Float64bits(loss) {
+					t.Errorf("n=%d: one-shard fused loss = %v, Loss = %v", n, fused, loss)
+				}
+				if math.Abs(fused-loss) > 1e-12*math.Abs(loss) {
+					t.Errorf("n=%d: fused loss = %v, Loss = %v", n, fused, loss)
+				}
+			}
+			bp := tc.m.(BatchPredictor)
+			xs := make([][]float64, 128)
+			for i := range xs {
+				xs[i] = tc.data[i].X
+			}
+			labels := PredictBatchInto(bp, make([]int, len(xs)), p, xs, nil)
+			for i, x := range xs {
+				if want := tc.o.predict(p, x); labels[i] != want || bp.Predict(p, x) != want {
+					t.Fatalf("row %d: PredictBatchInto = %d, Predict = %d, oracle %d", i, labels[i], bp.Predict(p, x), want)
+				}
+			}
+		})
+	}
+}

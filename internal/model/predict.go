@@ -11,32 +11,24 @@ import (
 // predict path depends on it for its zero-allocation budget.
 type BatchPredictor interface {
 	Model
-	// PredictScratchSize returns how many float64 scratch slots one
-	// PredictInto call needs (0 for linear binary models whose score is a
-	// single dot product).
+	// ScratchSize returns how many F and I slots of a Scratch one
+	// PredictInto call needs (0, 0 for the linear models, whose score is
+	// a single dot product).
 	//snap:alloc-free
-	PredictScratchSize() int
+	ScratchSize() (floats, ints int)
 	// PredictInto returns the predicted class label for features x,
-	// using scratch (len >= PredictScratchSize()) for any intermediate
-	// activations. It must be pure in (params, x) — identical to
-	// Predict — and safe for concurrent calls with disjoint scratch.
+	// using sc (sized by ScratchSize) for any intermediate activations.
+	// It must be pure in (params, x) — identical to Predict — and safe
+	// for concurrent calls with disjoint sc.
 	//snap:alloc-free
-	PredictInto(params linalg.Vector, x []float64, scratch []float64) int
+	PredictInto(params linalg.Vector, x []float64, sc *Scratch) int
 }
 
 // PredictScratch holds the reusable intermediate buffers PredictBatchInto
 // needs. One scratch belongs to one predicting goroutine (e.g. one serving
 // worker) and is reused across calls; the zero value is ready to use.
 type PredictScratch struct {
-	buf []float64
-}
-
-//snap:allocs-amortized
-func (sc *PredictScratch) ensure(n int) []float64 {
-	if cap(sc.buf) < n {
-		sc.buf = make([]float64, n)
-	}
-	return sc.buf[:n]
+	work Scratch
 }
 
 // PredictBatchInto predicts the class label of every row of xs into
@@ -60,9 +52,9 @@ func PredictBatchInto(m Model, dst []int, params linalg.Vector, xs [][]float64, 
 		//snaplint:ignore allocfree nil-scratch fallback allocates once per caller, not per request
 		sc = &PredictScratch{}
 	}
-	scratch := sc.ensure(bp.PredictScratchSize())
+	work := sc.work.ensure(bp.ScratchSize())
 	for i, x := range xs {
-		dst[i] = bp.PredictInto(params, x, scratch)
+		dst[i] = bp.PredictInto(params, x, work)
 	}
 	return dst[:len(xs)]
 }
@@ -83,10 +75,10 @@ func AccuracyBatch(m Model, params linalg.Vector, ds *dataset.Dataset, sc *Predi
 		//snaplint:ignore allocfree nil-scratch fallback allocates once per caller, not per request
 		sc = &PredictScratch{}
 	}
-	scratch := sc.ensure(bp.PredictScratchSize())
+	work := sc.work.ensure(bp.ScratchSize())
 	correct := 0
 	for _, s := range ds.Samples {
-		if bp.PredictInto(params, s.X, scratch) == s.Label {
+		if bp.PredictInto(params, s.X, work) == s.Label {
 			correct++
 		}
 	}

@@ -1,0 +1,38 @@
+package model
+
+import "sync"
+
+// Scratch is the workspace one per-sample pass of a model runs in: F
+// holds intermediate activations and the compacted input values, I the
+// compacted input positions. The caller sizes it from the model's
+// ScratchSize; a Scratch belongs to one goroutine at a time and carries
+// nothing from one call to the next. The linear models need none and
+// accept nil.
+type Scratch struct {
+	F []float64
+	I []int
+}
+
+//snap:allocs-amortized
+func (sc *Scratch) ensure(floats, ints int) *Scratch {
+	if cap(sc.F) < floats {
+		sc.F = make([]float64, floats)
+	}
+	if cap(sc.I) < ints {
+		sc.I = make([]int, ints)
+	}
+	sc.F, sc.I = sc.F[:floats], sc.I[:ints]
+	return sc
+}
+
+// scratchPool serves the Model methods whose signature has no room for a
+// caller-owned workspace (Loss, Predict).
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
+
+//snap:allocs-amortized
+func borrowScratch(floats, ints int) *Scratch {
+	return scratchPool.Get().(*Scratch).ensure(floats, ints)
+}
+
+//snap:alloc-free
+func returnScratch(sc *Scratch) { scratchPool.Put(sc) }

@@ -53,28 +53,32 @@ func (m *SoftmaxRegression) lambda() float64 {
 	return m.Lambda
 }
 
-// logits computes the per-class scores for x.
-func (m *SoftmaxRegression) logits(p linalg.Vector, x []float64) []float64 {
-	return m.logitsInto(make([]float64, m.Classes), p, x)
-}
-
-// logitsInto computes the per-class scores for x into out (len Classes).
+// ScratchSize implements BatchAccumulator and BatchPredictor: the class
+// scores plus the compacted input (values in F, positions in I).
 //
 //snap:alloc-free
-func (m *SoftmaxRegression) logitsInto(out []float64, p linalg.Vector, x []float64) []float64 {
+func (m *SoftmaxRegression) ScratchSize() (floats, ints int) {
+	return m.Classes + m.Features, m.Features
+}
+
+// logits is the model's one forward pass: it compacts x's non-zeros into
+// sc and computes the per-class scores from them, returning the scores
+// and the compacted input (all backed by sc).
+//
+//snap:alloc-free
+func (m *SoftmaxRegression) logits(p linalg.Vector, x []float64, sc *Scratch) (logits, val []float64, idx []int) {
 	biasOff := m.Classes * m.Features
-	for c := 0; c < m.Classes; c++ {
-		z := p[biasOff+c]
-		row := p[c*m.Features : (c+1)*m.Features]
-		for j, xj := range x {
-			z += row[j] * xj
-		}
-		out[c] = z
-	}
-	return out
+	logits = sc.F[:m.Classes]
+	val = sc.F[m.Classes : m.Classes+m.Features]
+	n := linalg.Compact(sc.I, val, x)
+	idx, val = sc.I[:n], val[:n]
+	linalg.SparseAffineTo(logits, p[:biasOff], p[biasOff:], m.Features, idx, val)
+	return logits, val, idx
 }
 
 // Loss implements Model: mean cross-entropy + (λ/2)||W||².
+//
+//snap:alloc-free
 func (m *SoftmaxRegression) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(p)
 	var reg float64
@@ -85,11 +89,9 @@ func (m *SoftmaxRegression) Loss(p linalg.Vector, batch []dataset.Sample) float6
 	if len(batch) == 0 {
 		return loss
 	}
-	var ce float64
-	for _, s := range batch {
-		probs := softmax(m.logits(p, s.X))
-		ce += -math.Log(math.Max(probs[s.Label], 1e-15))
-	}
+	sc := borrowScratch(m.ScratchSize())
+	ce := m.AccumGrad(nil, p, batch, sc)
+	returnScratch(sc)
 	return loss + ce/float64(len(batch))
 }
 
@@ -114,56 +116,46 @@ func (m *SoftmaxRegression) RegGradTo(dst, p linalg.Vector) {
 	}
 }
 
-// AccumGrad implements BatchAccumulator (unscaled per-sample terms).
-func (m *SoftmaxRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample) {
+// AccumGrad implements BatchAccumulator (unscaled per-sample terms),
+// returning the cross-entropy sum. A nil dst skips the gradient and
+// leaves only the loss pass.
+//
+//snap:alloc-free
+func (m *SoftmaxRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratch) float64 {
 	biasOff := m.Classes * m.Features
+	var ce float64
 	for _, s := range batch {
-		probs := softmax(m.logits(p, s.X))
-		for c := 0; c < m.Classes; c++ {
-			delta := probs[c]
-			if c == s.Label {
-				delta--
-			}
-			dst[biasOff+c] += delta
-			grow := dst[c*m.Features : (c+1)*m.Features]
-			for j, xj := range s.X {
-				grow[j] += delta * xj
-			}
+		probs, val, idx := m.logits(p, s.X, sc)
+		softmaxInPlace(probs)
+		ce += -math.Log(math.Max(probs[s.Label], 1e-15))
+		if dst == nil {
+			continue
 		}
+		probs[s.Label]-- // now the output delta p_c − 1{c=label}
+		dst[biasOff:].AddInPlace(probs)
+		linalg.SparseOuterAdd(dst[:biasOff], m.Features, probs, idx, val)
 	}
+	return ce
 }
 
 // Predict implements Model: argmax class score.
+//
+//snap:alloc-free
 func (m *SoftmaxRegression) Predict(p linalg.Vector, x []float64) int {
-	logits := m.logits(p, x)
-	best, bestV := 0, logits[0]
-	for c := 1; c < m.Classes; c++ {
-		if logits[c] > bestV {
-			best, bestV = c, logits[c]
-		}
-	}
-	return best
+	sc := borrowScratch(m.ScratchSize())
+	label := m.PredictInto(p, x, sc)
+	returnScratch(sc)
+	return label
 }
 
-// PredictScratchSize implements BatchPredictor: one slot per class logit.
-//
-//snap:alloc-free
-func (m *SoftmaxRegression) PredictScratchSize() int { return m.Classes }
-
 // PredictInto implements BatchPredictor. Softmax is monotone, so the
-// argmax over raw logits matches Predict's argmax over class scores
-// without ever exponentiating.
+// argmax over raw logits is the most probable class without ever
+// exponentiating.
 //
 //snap:alloc-free
-func (m *SoftmaxRegression) PredictInto(p linalg.Vector, x []float64, scratch []float64) int {
-	logits := m.logitsInto(scratch[:m.Classes], p, x)
-	best, bestV := 0, logits[0]
-	for c := 1; c < m.Classes; c++ {
-		if logits[c] > bestV {
-			best, bestV = c, logits[c]
-		}
-	}
-	return best
+func (m *SoftmaxRegression) PredictInto(p linalg.Vector, x []float64, sc *Scratch) int {
+	logits, _, _ := m.logits(p, x, sc)
+	return argmax(logits)
 }
 
 // InitParams implements Model: small random weights, zero biases.
@@ -181,4 +173,38 @@ func (m *SoftmaxRegression) checkDim(p linalg.Vector) {
 	if len(p) != m.NumParams() {
 		panic(fmt.Sprintf("model: softmax params have %d entries, want %d", len(p), m.NumParams()))
 	}
+}
+
+// softmaxInPlace overwrites logits with their stable softmax.
+//
+//snap:alloc-free
+func softmaxInPlace(z []float64) {
+	maxZ := z[0]
+	for _, v := range z[1:] {
+		if v > maxZ {
+			maxZ = v
+		}
+	}
+	var sum float64
+	for i, v := range z {
+		e := math.Exp(v - maxZ)
+		z[i] = e
+		sum += e
+	}
+	for i := range z {
+		z[i] /= sum
+	}
+}
+
+// argmax returns the position of the first largest entry of z.
+//
+//snap:alloc-free
+func argmax(z []float64) int {
+	best, bestV := 0, z[0]
+	for i, v := range z[1:] {
+		if v > bestV {
+			best, bestV = i+1, v
+		}
+	}
+	return best
 }

@@ -53,20 +53,53 @@ func (m *LinearSVM) lambda() float64 {
 
 // Loss implements Model: (λ/2)||w||² + mean squared-hinge loss
 // max(0, 1−y·w·x)².
+//
+//snap:alloc-free
 func (m *LinearSVM) Loss(w linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(w)
 	loss := m.lambda() / 2 * w.Dot(w)
 	if len(batch) == 0 {
 		return loss
 	}
+	return loss + m.AccumGrad(nil, w, batch, nil)/float64(len(batch))
+}
+
+// AccumGrad implements BatchAccumulator and is the model's one pass over
+// a batch: it returns the unscaled hinge sum Σ max(0, 1−y·w·x)² and,
+// unless dst is nil (Loss), subtracts every violating sample's gradient
+// term 2·max(0, 1−y·w·x)·y·x from dst (GradientLossTo applies the 1/m).
+// The margins of four samples are computed side by side; the sums run
+// in batch order.
+//
+//snap:alloc-free
+func (m *LinearSVM) AccumGrad(dst, w linalg.Vector, batch []dataset.Sample, _ *Scratch) float64 {
 	var hinge float64
-	for _, s := range batch {
-		margin := signedLabel(s.Label) * dot(w, s.X)
-		if margin < 1 {
-			hinge += (1 - margin) * (1 - margin)
-		}
+	for ; len(batch) >= 4; batch = batch[4:] {
+		z0, z1, z2, z3 := linalg.Dots4From(0, 0, 0, 0, batch[0].X, batch[1].X, batch[2].X, batch[3].X, w)
+		hinge += svmTerm(dst, batch[0], z0)
+		hinge += svmTerm(dst, batch[1], z1)
+		hinge += svmTerm(dst, batch[2], z2)
+		hinge += svmTerm(dst, batch[3], z3)
 	}
-	return loss + hinge/float64(len(batch))
+	for _, s := range batch {
+		hinge += svmTerm(dst, s, linalg.Vector(s.X).Dot(w))
+	}
+	return hinge
+}
+
+// svmTerm is one sample's share of AccumGrad, given its score z = w·x.
+//
+//snap:alloc-free
+func svmTerm(dst linalg.Vector, s dataset.Sample, z float64) float64 {
+	y := signedLabel(s.Label)
+	margin := y * z
+	if !(margin < 1) { // not `>= 1`: a NaN margin contributes nothing
+		return 0
+	}
+	if dst != nil {
+		dst.AXPYInPlace(-2*(1-margin)*y, s.X)
+	}
+	return (1 - margin) * (1 - margin)
 }
 
 // Gradient implements Model: λw − (2/m)Σ max(0, 1−y·w·x)·y·x.
@@ -82,42 +115,26 @@ func (m *LinearSVM) RegGradTo(dst, w linalg.Vector) {
 	linalg.ScaleTo(dst, m.lambda(), w)
 }
 
-// AccumGrad implements BatchAccumulator: dst −= Σ 2·max(0, 1−y·w·x)·y·x
-// (unscaled; GradientTo applies the 1/m).
+// ScratchSize implements BatchAccumulator and BatchPredictor: the score
+// is a single dot product, no scratch needed.
 //
 //snap:alloc-free
-func (m *LinearSVM) AccumGrad(dst, w linalg.Vector, batch []dataset.Sample) {
-	for _, s := range batch {
-		y := signedLabel(s.Label)
-		if margin := y * dot(w, s.X); margin < 1 {
-			coeff := 2 * (1 - margin) * y
-			for j, xj := range s.X {
-				dst[j] -= coeff * xj
-			}
-		}
-	}
-}
+func (m *LinearSVM) ScratchSize() (floats, ints int) { return 0, 0 }
 
 // Predict implements Model: positive margin means class 1.
 //
 //snap:alloc-free
 func (m *LinearSVM) Predict(w linalg.Vector, x []float64) int {
-	if dot(w, x) > 0 {
+	if linalg.Vector(x).Dot(w) > 0 {
 		return 1
 	}
 	return 0
 }
 
-// PredictScratchSize implements BatchPredictor: the margin is a single
-// dot product, no scratch needed.
-//
-//snap:alloc-free
-func (m *LinearSVM) PredictScratchSize() int { return 0 }
-
 // PredictInto implements BatchPredictor.
 //
 //snap:alloc-free
-func (m *LinearSVM) PredictInto(w linalg.Vector, x []float64, _ []float64) int {
+func (m *LinearSVM) PredictInto(w linalg.Vector, x []float64, _ *Scratch) int {
 	return m.Predict(w, x)
 }
 
@@ -140,13 +157,4 @@ func (m *LinearSVM) checkDim(w linalg.Vector) {
 	if len(w) != m.Features {
 		panic(fmt.Sprintf("model: svm params have %d entries, want %d", len(w), m.Features))
 	}
-}
-
-//snap:alloc-free
-func dot(w linalg.Vector, x []float64) float64 {
-	var s float64
-	for j, xj := range x {
-		s += w[j] * xj
-	}
-	return s
 }

@@ -496,12 +496,17 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 		}
 		// Replace: the old conn's readLoop will exit and see it has been
 		// superseded (identity check in removeConn), so no reconnect is
-		// spawned for it.
+		// spawned for it — and nothing is counted there: superseding a
+		// registered conn is that conn's disconnect, accounted below.
 		old.conn.Close()
 	}
 	pc := &peerConn{conn: conn, dialed: dialed}
 	st := p.statsFor(nid)
 	lm := p.linkMetricsFor(nid)
+	if existed {
+		st.Disconnects++
+		lm.disconnects.Inc()
+	}
 	// A link heals in one of two ways: a new connection fills an empty
 	// slot the link had before (the read loop already evicted the dead
 	// conn), or — when the remote's re-dial outraces our read loop's
@@ -533,6 +538,9 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 	p.mu.Unlock()
 	go p.readLoop(nid, pc)
 	p.notifyMembership()
+	if existed {
+		o.Emit(p.id, obs.EvLinkDown, -1, nid, nil)
+	}
 	if reconnected {
 		// downFor is zero when the remote re-dialed before our read loop
 		// evicted the dead conn (replacement path): no downtime was
@@ -562,7 +570,8 @@ func (p *Peer) removeConn(nid int, pc *peerConn) {
 	p.mu.Lock()
 	cur, ok := p.conns[nid]
 	if !ok || cur != pc {
-		// Superseded by a replacement connection; nothing to evict.
+		// Superseded by a replacement connection; nothing to evict, and
+		// addConn already counted the disconnect.
 		p.mu.Unlock()
 		pc.conn.Close()
 		return

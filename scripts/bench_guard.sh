@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Blocking benchmark guard for the round hot path (CI).
 #
-# Two kinds of gate, read against the committed BENCH_PR10.json:
+# Two kinds of gate, read against the committed BENCH_PR15.json:
 #
 #  1. Machine-independent ratio: BenchmarkExtraRoundDelayed/pipelined
 #     must beat /sequential by at least MIN_OVERLAP_GAIN on the same
-#     box in the same run. The recorded gain is ~1.98x (DESIGN.md §14);
+#     box in the same run. The recorded gain is ~2x (DESIGN.md §14);
 #     a drop below the threshold means the pipeline stopped overlapping
 #     compute with the gather window.
 #
@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BASELINE=BENCH_PR10.json
+BASELINE=BENCH_PR15.json
 MIN_OVERLAP_GAIN=1.20
 NS_SLACK=2.5
 ALLOC_SLACK_OPS=6
