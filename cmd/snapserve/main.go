@@ -54,8 +54,7 @@ func main() {
 	flag.IntVar(&o.Epoch, "checkpoint-epoch", 0, "epoch stamp for -checkpoint")
 	flag.StringVar(&o.Follow, "follow", "", "follow a training node live: its observability address (e.g. 127.0.0.1:9090), polled at /params")
 	flag.DurationVar(&o.Poll, "poll", 500*time.Millisecond, "poll interval for -follow")
-	flag.IntVar(&o.MaxBatch, "max-batch", 32, "rows per micro-batch")
-	flag.DurationVar(&o.MaxWait, "max-wait", 2*time.Millisecond, "how long an underfull batch waits for more rows (negative = serve immediately)")
+	flag.IntVar(&o.MaxBatch, "max-batch", 32, "row budget per micro-batch (a batch is what queued while the workers were busy)")
 	flag.IntVar(&o.QueueDepth, "queue-depth", 1024, "admission queue bound; a full queue answers 429")
 	flag.IntVar(&o.Workers, "workers", 2, "batch-executing worker goroutines")
 	flag.DurationVar(&o.Deadline, "deadline", time.Second, "per-request time budget (504 when exceeded)")
@@ -90,7 +89,6 @@ type options struct {
 	Follow      string
 	Poll        time.Duration
 	MaxBatch    int
-	MaxWait     time.Duration
 	QueueDepth  int
 	Workers     int
 	Deadline    time.Duration
@@ -159,7 +157,6 @@ func run(o options, stdout io.Writer, ready func(addr string), stop <-chan struc
 		Model:      m,
 		Features:   o.Features,
 		MaxBatch:   o.MaxBatch,
-		MaxWait:    o.MaxWait,
 		QueueDepth: o.QueueDepth,
 		Workers:    o.Workers,
 		Deadline:   o.Deadline,

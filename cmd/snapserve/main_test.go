@@ -188,7 +188,6 @@ func TestSnapserveSmoke(t *testing.T) {
 		Follow:     nodeSrv.URL,
 		Poll:       20 * time.Millisecond,
 		MaxBatch:   8,
-		MaxWait:    time.Millisecond,
 		QueueDepth: 64,
 		Workers:    2,
 		Deadline:   5 * time.Second,
@@ -270,7 +269,6 @@ func TestSnapserveCheckpoint(t *testing.T) {
 		Round:      7,
 		Epoch:      2,
 		MaxBatch:   4,
-		MaxWait:    -1,
 		QueueDepth: 16,
 		Workers:    1,
 		Deadline:   5 * time.Second,

@@ -47,7 +47,6 @@ func main() {
 		Features: data.NumFeature,
 		Feed:     feed,
 		MaxBatch: 64,
-		MaxWait:  time.Millisecond,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,8 @@
 // //snap:alloc-free or //snap:allocs-amortized (in this package or any
 // dependency — the fact rides the driver), or belong to a small
 // safelist of stdlib operations known not to allocate (math, math/bits,
-// sync/atomic, mutex methods, byte-order codecs, time.Now/Since).
+// sync/atomic, mutex methods, byte-order codecs, time.Now/Since,
+// strconv.ParseFloat/AppendInt).
 // Anything else — including calls through function values, which cannot
 // be resolved statically — is a finding, which is what forces the
 // annotation to spread over the whole hot call graph.
@@ -393,6 +394,15 @@ func safeCallee(f *types.Func) bool {
 		return hasRecv
 	case "time":
 		return f.Name() == "Now" || f.Name() == "Since" || hasRecv
+	case "strconv":
+		// ParseFloat allocates only the error it returns (a cold path by
+		// construction); the Append family fills caller capacity like a
+		// self-append. Itoa, Format* and Quote* build strings.
+		switch f.Name() {
+		case "ParseFloat", "AppendInt", "AppendUint":
+			return true
+		}
+		return false
 	case "sort":
 		// The pure query helpers; sort.Sort and friends box their
 		// arguments into sort.Interface.

@@ -3,7 +3,10 @@
 // contract, the cold-path exemption, and //snaplint:ignore waivers.
 package a
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 type point struct{ x, y int }
 
@@ -153,4 +156,15 @@ func useModel(m Model, dst []float64) float64 {
 //snap:alloc-free
 func waived(n int) {
 	_ = make([]int, n) //snaplint:ignore allocfree exercised once at startup, not in the round loop
+}
+
+//snap:alloc-free
+func stdlibSafelist(dst []byte, s string, n int64) ([]byte, float64) {
+	v, err := strconv.ParseFloat(s, 64) // ok: allocates only its error
+	if err != nil {
+		return dst, 0
+	}
+	dst = strconv.AppendInt(dst, n, 10)        // ok: fills caller capacity
+	dst = append(dst, strconv.Itoa(int(n))...) // want `call to Itoa is not alloc-free`
+	return dst, v
 }

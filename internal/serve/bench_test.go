@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -11,14 +16,13 @@ import (
 
 // benchGateway builds a gateway over the paper's 24-feature SVM with a
 // published snapshot.
-func benchGateway(b *testing.B, maxBatch int, maxWait time.Duration) *Gateway {
+func benchGateway(b *testing.B, maxBatch int) *Gateway {
 	b.Helper()
 	m := model.NewLinearSVM(24)
 	g, err := NewGateway(Config{
 		Model:      m,
 		Features:   24,
 		MaxBatch:   maxBatch,
-		MaxWait:    maxWait,
 		QueueDepth: 4096,
 		Workers:    2,
 		Deadline:   10 * time.Second,
@@ -55,16 +59,12 @@ func benchRows(n int) [][]float64 {
 //     micro-batch path (collect → one acquire → one PredictBatchInto
 //     pass → fan-out), amortizing the dispatch cycle across the batch.
 //
-// The acceptance floor for this PR is batched throughput >= 2x
-// unbatched at batch size 32. Coalescing waits are disabled in both
-// modes so the comparison is pure batching, not timer policy (and a
-// closed-loop benchmark would otherwise absorb every in-flight request
-// into held batches and sleep MaxWait waiting for arrivals that cannot
-// come).
+// The acceptance floor is batched throughput >= 2x unbatched at batch
+// size 32.
 func BenchmarkServePredict(b *testing.B) {
 	rows := benchRows(256)
 	b.Run("unbatched", func(b *testing.B) {
-		g := benchGateway(b, 1, -1)
+		g := benchGateway(b, 1)
 		b.SetParallelism(32)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -79,7 +79,7 @@ func BenchmarkServePredict(b *testing.B) {
 		})
 	})
 	b.Run("batched32", func(b *testing.B) {
-		g := benchGateway(b, 32, -1)
+		g := benchGateway(b, 32)
 		b.SetParallelism(8)
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
@@ -104,7 +104,7 @@ func BenchmarkServePredict(b *testing.B) {
 // BenchmarkServePredictMany measures the multi-row entry point at the
 // acceptance batch size.
 func BenchmarkServePredictMany(b *testing.B) {
-	g := benchGateway(b, 32, -1)
+	g := benchGateway(b, 32)
 	rows := benchRows(32)
 	dst := make([]int, len(rows))
 	ctx := context.Background()
@@ -127,7 +127,6 @@ func BenchmarkServePredictMany(b *testing.B) {
 func TestPredictSteadyStateAllocs(t *testing.T) {
 	g := newTestGateway(t, Config{
 		MaxBatch: 1,
-		MaxWait:  -1,
 		Workers:  1,
 	})
 	publishN(g.Feed(), 0, 0, 4, 1)
@@ -145,5 +144,100 @@ func TestPredictSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("steady-state Predict allocates %.2f/op, budget 1", allocs)
+	}
+}
+
+// reusedWriter is a ResponseWriter that keeps its header map and body
+// buffer across requests, so what a measurement sees is the handler.
+type reusedWriter struct {
+	header http.Header
+	status int
+	body   bytes.Buffer
+}
+
+func (w *reusedWriter) Header() http.Header         { return w.header }
+func (w *reusedWriter) WriteHeader(status int)      { w.status = status }
+func (w *reusedWriter) Write(p []byte) (int, error) { return w.body.Write(p) }
+
+// predictFixture is one warmed-up gateway plus a replayable one-row
+// request of the paper's MLP width (784 features, a ~15 KB body).
+type predictFixture struct {
+	g    *Gateway
+	w    *reusedWriter
+	req  *http.Request
+	body *bytes.Reader
+	raw  []byte
+}
+
+func newPredictFixture(tb testing.TB) *predictFixture {
+	tb.Helper()
+	const features = 784
+	g, err := NewGateway(Config{Model: &signModel{params: 4}, Features: features, MaxBatch: 1, Workers: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(g.Close)
+	publishN(g.Feed(), 0, 0, 4, 1)
+	rng := rand.New(rand.NewSource(7))
+	row := make([]float64, features)
+	for i := range row {
+		row[i] = rng.NormFloat64()
+	}
+	raw, err := json.Marshal(map[string][]float64{"features": row})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fx := &predictFixture{
+		g:    g,
+		w:    &reusedWriter{header: make(http.Header)},
+		req:  httptest.NewRequest(http.MethodPost, "/v1/predict", nil),
+		body: bytes.NewReader(raw),
+		raw:  raw,
+	}
+	fx.req.Body = io.NopCloser(fx.body)
+	return fx
+}
+
+// serve replays the request through handlePredict.
+func (fx *predictFixture) serve(tb testing.TB) {
+	fx.body.Reset(fx.raw)
+	clear(fx.w.header)
+	fx.w.body.Reset()
+	handlePredict(fx.g, nil, fx.w, fx.req)
+	if fx.w.status != http.StatusOK {
+		tb.Fatalf("status %d: %s", fx.w.status, fx.w.body.Bytes())
+	}
+}
+
+// BenchmarkHandlePredict is the whole of POST /v1/predict behind the
+// socket for one 784-feature row: read, scan, validate, gateway, reply.
+func BenchmarkHandlePredict(b *testing.B) {
+	fx := newPredictFixture(b)
+	b.SetBytes(int64(len(fx.raw)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fx.serve(b)
+	}
+}
+
+// TestHandlePredictSteadyStateAllocs pins what a warmed-up one-row
+// request allocates on its way through handlePredict. None of it may
+// grow with the feature count: the body, the 784 values, the labels and
+// the reply all live in the pooled predictScratch. What remains is
+// fixed-size and not the handler's own — http.MaxBytesReader (1), the
+// context.WithTimeout that bounds the wait (5), the header value slice
+// (1) and the gateway's sudog residual (see TestPredictSteadyStateAllocs).
+func TestHandlePredictSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	fx := newPredictFixture(t)
+	for i := 0; i < 100; i++ {
+		fx.serve(t)
+	}
+	allocs := testing.AllocsPerRun(200, func() { fx.serve(t) })
+	if allocs > 8 {
+		t.Fatalf("steady-state handlePredict allocates %.2f/op, budget 8", allocs)
 	}
 }

@@ -37,13 +37,11 @@ type Config struct {
 	// Feed supplies model snapshots. Nil means the gateway owns a fresh
 	// empty feed (standalone mode: load checkpoints into it).
 	Feed *Feed
-	// MaxBatch is the row budget per micro-batch (default 32). A single
-	// multi-row request always stays whole, so an oversized request may
-	// exceed it.
+	// MaxBatch is the row budget per micro-batch (default 32). A worker
+	// never waits for a batch to fill: a batch is whatever queued while
+	// the workers were busy. A single multi-row request always stays
+	// whole, so an oversized request may exceed the budget.
 	MaxBatch int
-	// MaxWait bounds how long a worker holds an underfull batch open
-	// waiting for more rows (default 2ms; 0 disables coalescing waits).
-	MaxWait time.Duration
 	// QueueDepth bounds the admission queue (default 1024). A full queue
 	// rejects with ErrOverloaded instead of queueing unboundedly.
 	QueueDepth int
@@ -63,11 +61,6 @@ func (c *Config) withDefaults() Config {
 	out := *c
 	if out.MaxBatch <= 0 {
 		out.MaxBatch = 32
-	}
-	if out.MaxWait < 0 {
-		out.MaxWait = 0
-	} else if out.MaxWait == 0 {
-		out.MaxWait = 2 * time.Millisecond
 	}
 	if out.QueueDepth <= 0 {
 		out.QueueDepth = 1024
@@ -129,7 +122,7 @@ func newGwMetrics(o *obs.Observer) gwMetrics {
 		rejClosed:   o.Counter(obs.Label(MServeRejects, LReason, ReasonClosed)),
 		predictions: o.Counter(MServePredictions),
 		batches:     o.Counter(MServeBatches),
-		latency:     o.Histogram(MServeLatency, obs.TimeBuckets),
+		latency:     o.Histogram(MServeLatency, LatencyBuckets),
 		batchRows:   o.Histogram(MServeBatchRows, RowBuckets),
 		queueDepth:  o.Gauge(MServeQueueDepth),
 	}
@@ -333,8 +326,6 @@ func (g *Gateway) worker() {
 		labels = make([]int, g.cfg.MaxBatch)
 		sc     model.PredictScratch
 	)
-	timer := time.NewTimer(time.Hour)
-	drainTimer(timer)
 	for {
 		var first *request
 		select {
@@ -343,7 +334,7 @@ func (g *Gateway) worker() {
 			return
 		}
 		g.met.queueDepth.Set(float64(g.depth.Add(-1)))
-		reqs, rows = g.collect(reqs[:0], rows[:0], first, timer)
+		reqs, rows = g.collect(reqs[:0], rows[:0], first)
 		if len(labels) < len(rows) {
 			labels = make([]int, len(rows))
 		}
@@ -351,41 +342,19 @@ func (g *Gateway) worker() {
 	}
 }
 
-// collect assembles a micro-batch: the first request, then whatever is
-// already queued, then — if still under MaxBatch rows — anything that
-// arrives within MaxWait of the first dequeue.
-func (g *Gateway) collect(reqs []*request, rows [][]float64, first *request, timer *time.Timer) ([]*request, [][]float64) {
-	start := time.Now()
-	reqs, rows = g.admit(reqs, rows, first, start)
+// collect assembles a micro-batch: the first request plus whatever is
+// already queued, up to MaxBatch rows. It never waits — an idle worker
+// runs a lone request at once, and requests coalesce exactly when they
+// queued up behind busy workers.
+func (g *Gateway) collect(reqs []*request, rows [][]float64, first *request) ([]*request, [][]float64) {
+	now := time.Now()
+	reqs, rows = g.admit(reqs, rows, first, now)
 	for len(rows) < g.cfg.MaxBatch {
 		select {
 		case r := <-g.queue:
 			g.met.queueDepth.Set(float64(g.depth.Add(-1)))
-			reqs, rows = g.admit(reqs, rows, r, time.Now())
-			continue
+			reqs, rows = g.admit(reqs, rows, r, now)
 		default:
-		}
-		break
-	}
-	if len(rows) == 0 || len(rows) >= g.cfg.MaxBatch || g.cfg.MaxWait <= 0 {
-		return reqs, rows
-	}
-	limit := start.Add(g.cfg.MaxWait)
-	for len(rows) < g.cfg.MaxBatch {
-		wait := time.Until(limit)
-		if wait <= 0 {
-			break
-		}
-		timer.Reset(wait)
-		select {
-		case r := <-g.queue:
-			drainTimer(timer)
-			g.met.queueDepth.Set(float64(g.depth.Add(-1)))
-			reqs, rows = g.admit(reqs, rows, r, time.Now())
-		case <-timer.C:
-			return reqs, rows
-		case <-g.quit:
-			// Serve what we already hold; the worker loop exits next.
 			return reqs, rows
 		}
 	}
@@ -437,14 +406,4 @@ func (g *Gateway) runBatch(reqs []*request, rows [][]float64, labels []int, sc *
 	g.met.batchRows.Observe(float64(len(rows)))
 	g.met.predictions.Add(int64(len(rows)))
 	g.cfg.Tracer.Span(v.Round, SpanServeBatch, start, end)
-}
-
-// drainTimer stops a timer and clears any pending fire.
-func drainTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -144,7 +145,6 @@ func TestGatewayOverload(t *testing.T) {
 		Workers:    1,
 		QueueDepth: 1,
 		MaxBatch:   1,
-		MaxWait:    -1, // no coalescing wait: the worker grabs one and blocks in Predict
 		Obs:        &obs.Observer{Reg: reg},
 	})
 	publishN(g.Feed(), 0, 0, 4, 1)
@@ -187,7 +187,6 @@ func TestGatewayDeadline(t *testing.T) {
 		Features: 4,
 		Workers:  1,
 		MaxBatch: 1,
-		MaxWait:  -1,
 		Deadline: 30 * time.Millisecond,
 		Obs:      &obs.Observer{Reg: reg},
 	})
@@ -234,6 +233,129 @@ func TestGatewayClose(t *testing.T) {
 	g.Close() // idempotent
 }
 
+// holdWorker starts a gateway whose single worker is parked inside the
+// gated model on a first request, then queues n more one-row requests
+// behind it. Their errors arrive on the returned channel.
+func holdWorker(t *testing.T, gm *gateModel, cfg Config, n int) (*Gateway, <-chan error) {
+	t.Helper()
+	cfg.Model, cfg.Features, cfg.Workers = gm, 4, 1
+	g := newTestGateway(t, cfg)
+	publishN(g.Feed(), 0, 0, 4, 1)
+	results := make(chan error, n+1) // one send per request
+	predict := func() {
+		_, _, err := g.Predict(context.Background(), []float64{1, 0, 0, 0})
+		results <- err
+	}
+	go predict()
+	<-gm.entered // the worker is now inside the gated Predict
+	for i := 0; i < n; i++ {
+		go predict()
+	}
+	waitUntil(t, func() bool { return g.depth.Load() == int64(n) })
+	return g, results
+}
+
+// TestGatewayCoalescesBacklog pins the dispatch policy's batching half:
+// requests that queued while the worker was busy leave as one batch, cut
+// at the MaxBatch row budget.
+func TestGatewayCoalescesBacklog(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		queued, maxBatch int
+		batches          []float64 // rows per batch, the held request's first
+	}{
+		{"within budget", 5, 8, []float64{1, 5}},
+		{"splits at budget", 6, 4, []float64{1, 4, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gm := newGateModel()
+			reg := obs.NewRegistry()
+			_, results := holdWorker(t, gm, Config{MaxBatch: tc.maxBatch, Obs: &obs.Observer{Reg: reg}}, tc.queued)
+			close(gm.gate)
+			for i := 0; i <= tc.queued; i++ {
+				if err := <-results; err != nil {
+					t.Fatalf("request failed: %v", err)
+				}
+			}
+			// A request is answered before its batch is observed.
+			h := reg.Histogram(MServeBatchRows, RowBuckets)
+			waitUntil(t, func() bool { return h.Count() == int64(len(tc.batches)) })
+			want := obs.NewRegistry().Histogram(MServeBatchRows, RowBuckets)
+			for _, rows := range tc.batches {
+				want.Observe(rows)
+			}
+			_, got := h.Buckets()
+			_, wantCum := want.Buckets()
+			if !slices.Equal(got, wantCum) || h.Sum() != want.Sum() {
+				t.Fatalf("batch rows: cumulative %v sum %v, want batches %v", got, h.Sum(), tc.batches)
+			}
+		})
+	}
+}
+
+// TestGatewayIdleDispatch pins the other half: at default Config a lone
+// request on an idle gateway is run at once, not held for company. The
+// bound is ~200x what the dispatch costs, and below any timed hold that
+// could gather a batch.
+func TestGatewayIdleDispatch(t *testing.T) {
+	g := newTestGateway(t, Config{})
+	publishN(g.Feed(), 0, 0, 4, 1)
+	ctx := context.Background()
+	x := []float64{1, 0, 0, 0}
+	took := make([]time.Duration, 200)
+	for i := range took {
+		start := time.Now()
+		if _, _, err := g.Predict(ctx, x); err != nil {
+			t.Fatal(err)
+		}
+		took[i] = time.Since(start)
+	}
+	slices.Sort(took)
+	if median := took[len(took)/2]; median >= time.Millisecond {
+		t.Fatalf("median lone Predict took %v, want < 1ms", median)
+	}
+}
+
+// TestGatewayCloseFailsQueued closes the gateway with a backlog behind a
+// busy worker. Once released, the worker may pick up queued requests or
+// see the quit signal, whichever its select draws first; with 40 queued
+// one-row batches it cannot draw the queue every time. Every request
+// must return, served or ErrClosed.
+func TestGatewayCloseFailsQueued(t *testing.T) {
+	const queued = 40
+	gm := newGateModel()
+	reg := obs.NewRegistry()
+	g, results := holdWorker(t, gm, Config{MaxBatch: 1, Obs: &obs.Observer{Reg: reg}}, queued)
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	waitUntil(t, func() bool {
+		g.closeMu.RLock()
+		defer g.closeMu.RUnlock()
+		return g.closed
+	})
+	close(gm.gate)
+	<-closed
+
+	failed := 0
+	for i := 0; i <= queued; i++ {
+		switch err := <-results; {
+		case errors.Is(err, ErrClosed):
+			failed++
+		case err != nil:
+			t.Fatalf("request failed with %v, want nil or ErrClosed", err)
+		}
+	}
+	if failed == 0 {
+		t.Fatal("no queued request was failed with ErrClosed")
+	}
+	if got := reg.Counter(obs.Label(MServeRejects, LReason, ReasonClosed)).Value(); got != int64(failed) {
+		t.Fatalf("closed rejects = %d, want %d", got, failed)
+	}
+}
+
 func TestGatewayMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := newTestGateway(t, Config{Obs: &obs.Observer{Reg: reg}})
@@ -253,7 +375,7 @@ func TestGatewayMetrics(t *testing.T) {
 	if got := reg.Counter(MServeBatches).Value(); got < 1 || got > 5 {
 		t.Fatalf("batches = %d, want 1..5", got)
 	}
-	if got := reg.Histogram(MServeLatency, obs.TimeBuckets).Count(); got != 5 {
+	if got := reg.Histogram(MServeLatency, LatencyBuckets).Count(); got != 5 {
 		t.Fatalf("latency observations = %d, want 5", got)
 	}
 	if got := reg.Counter(MServeSwaps).Value(); got != 1 {

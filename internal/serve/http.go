@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -25,10 +26,14 @@ const maxInstances = 1024
 type predictRequest struct {
 	Features  []float64   `json:"features,omitempty"`
 	Instances [][]float64 `json:"instances,omitempty"`
+
+	one [1][]float64 // requestRows' backing array for a Features request
 }
 
 // predictResponse reports labels plus the snapshot version that produced
-// them, so clients can correlate predictions with training progress.
+// them, so clients can correlate predictions with training progress. The
+// handler writes it with appendPredictResponse; this type is the wire
+// shape that function is tested against.
 type predictResponse struct {
 	Predictions []int `json:"predictions"`
 	ModelRound  int   `json:"model_round"`
@@ -70,12 +75,13 @@ const (
 //	GET  /readyz      — 200 once a model snapshot is loaded, else 503
 func NewHTTPHandler(g *Gateway) http.Handler {
 	mux := http.NewServeMux()
+	pace := newPacer(g.cfg.Obs)
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		handlePredict(g, w, r)
+		handlePredict(g, pace, w, r)
 	})
 	mux.HandleFunc("/v1/model", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
@@ -102,17 +108,42 @@ func NewHTTPHandler(g *Gateway) http.Handler {
 	return mux
 }
 
-func handlePredict(g *Gateway, w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
-		return
+// handlePredict serves POST /v1/predict out of a pooled predictScratch.
+// Valid requests pass through pace (nil: unshaped) on their way to g.
+func handlePredict(g *Gateway, pace *pacer, w http.ResponseWriter, r *http.Request) {
+	sc := predictPool.Get().(*predictScratch)
+	if servePredict(g, pace, w, r, sc) {
+		putPredictScratch(sc)
 	}
-	rows, err := requestRows(&req, g.Features())
+}
+
+// servePredict reports whether sc may be reused. When ctx ends first,
+// PredictManyInto abandons the request to the worker with its rows still
+// pointing into sc, so sc is left to the GC as well.
+func servePredict(g *Gateway, pace *pacer, w http.ResponseWriter, r *http.Request, sc *predictScratch) bool {
+	var err error
+	sc.body, err = readBody(sc.body[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
+		} else {
+			writeError(w, http.StatusBadRequest, "read body: "+err.Error())
+		}
+		return true
+	}
+	// encoding/json over the same bytes is the reference: it decides
+	// whatever the scanner declines, malformed input included.
+	if !sc.scan(sc.body) {
+		if err := json.Unmarshal(sc.body, &sc.req); err != nil {
+			writeError(w, http.StatusBadRequest, "bad JSON: "+err.Error())
+			return true
+		}
+	}
+	rows, err := requestRows(&sc.req, g.Features())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
-		return
+		return true
 	}
 
 	ctx := r.Context()
@@ -121,21 +152,41 @@ func handlePredict(g *Gateway, w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, g.cfg.Deadline)
 		defer cancel()
 	}
-	labels := make([]int, len(rows))
+	if err := pace.admit(ctx, g.cfg.Deadline); err != nil {
+		writeGatewayError(w, err)
+		return true
+	}
+	if cap(sc.labels) < len(rows) {
+		sc.labels = make([]int, len(rows))
+	}
+	labels := sc.labels[:len(rows)]
 	v, err := g.PredictManyInto(ctx, labels, rows)
 	if err != nil {
-		status, retry := errStatus(err)
-		if retry {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeError(w, status, err.Error())
-		return
+		writeGatewayError(w, err)
+		return ctx.Err() == nil
 	}
-	writeJSON(w, http.StatusOK, predictResponse{
-		Predictions: labels,
-		ModelRound:  v.Round,
-		ModelEpoch:  v.Epoch,
-	})
+	sc.out = appendPredictResponse(sc.out[:0], labels, v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(sc.out) // a failed write means the client is gone
+	return true
+}
+
+// readBody appends r to dst until EOF, growing dst as needed.
+func readBody(dst []byte, r io.Reader) ([]byte, error) {
+	for {
+		if len(dst) == cap(dst) {
+			dst = append(dst, 0)[:len(dst)]
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			return dst, nil
+		}
+		if err != nil {
+			return dst, err
+		}
+	}
 }
 
 // requestRows validates the payload shape: exactly one input form, every
@@ -146,7 +197,8 @@ func requestRows(req *predictRequest, features int) ([][]float64, error) {
 	case req.Features != nil && req.Instances != nil:
 		return nil, errors.New(`set "features" or "instances", not both`)
 	case req.Features != nil:
-		rows = [][]float64{req.Features}
+		req.one[0] = req.Features
+		rows = req.one[:]
 	case req.Instances != nil:
 		rows = req.Instances
 	default:
@@ -236,6 +288,16 @@ func errStatus(err error) (status int, retry bool) {
 	default:
 		return http.StatusInternalServerError, false
 	}
+}
+
+// writeGatewayError answers a request the gateway (or the pacer in front
+// of it) turned away.
+func writeGatewayError(w http.ResponseWriter, err error) {
+	status, retry := errStatus(err)
+	if retry {
+		w.Header().Set("Retry-After", "1")
+	}
+	writeError(w, status, err.Error())
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {

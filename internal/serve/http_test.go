@@ -54,6 +54,48 @@ func TestHTTPPredict(t *testing.T) {
 	}
 }
 
+// TestHTTPPredictForms sends the same two rows in spellings the scanner
+// takes and spellings it leaves to encoding/json; the replies must not
+// tell them apart.
+func TestHTTPPredictForms(t *testing.T) {
+	g := newTestGateway(t, Config{})
+	publishN(g.Feed(), 5, 1, 4, 1)
+	h := NewHTTPHandler(g)
+	want := string(appendPredictResponse(nil, []int{1, 0}, Version{Round: 5, Epoch: 1}))
+	for _, body := range []string{
+		`{"instances":[[1,0,0,0],[-1,0,0,0]]}`,
+		" {\t\"instances\" :\n[ [ 1e0 , 0.0, -0, 0E+5 ] ,\r[-1.0e-0,0,0,0] ] } \n",
+		`{"Instances":[[1,0,0,0],[-1,0,0,0]]}`,
+		`{"instances":[[1,0,0,0],[-1,0,0,0]],"other":null}`,
+		`{"instances":[[9,9,9,9]],"instances":[[1,0,0,0],[-1,0,0,0]]}`,
+		`{"\u0069nstances":[[1,0,0,0],[-1,0,0,0]]}`,
+		`{"features":null,"instances":[[1,0,0,0],[-1,0,0,0]]}`,
+	} {
+		w := postPredict(h, body)
+		if w.Code != http.StatusOK || w.Body.String() != want {
+			t.Errorf("body %q: status %d reply %q, want 200 %q", body, w.Code, w.Body, want)
+		}
+	}
+}
+
+// TestPredictResponseBytes pins the appended 200 body to what
+// encoding/json writes for the same predictResponse.
+func TestPredictResponseBytes(t *testing.T) {
+	for _, resp := range []predictResponse{
+		{Predictions: []int{3}, ModelRound: 12, ModelEpoch: 2},
+		{Predictions: []int{0, -1, 9, 10}, ModelRound: 0, ModelEpoch: 0},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		got := appendPredictResponse(nil, resp.Predictions, Version{Round: resp.ModelRound, Epoch: resp.ModelEpoch})
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("appended %q, encoding/json writes %q", got, want.Bytes())
+		}
+	}
+}
+
 func TestHTTPPredictRejects(t *testing.T) {
 	g := newTestGateway(t, Config{})
 	publishN(g.Feed(), 0, 0, 4, 1)
@@ -72,11 +114,25 @@ func TestHTTPPredictRejects(t *testing.T) {
 		{"overflow literal", `{"features":[1,2,3,1e999]}`},
 		{"empty instances", `{"instances":[]}`},
 		{"empty row", `{"instances":[[]]}`},
+		{"empty features", `{"features":[]}`},
+		{"trailing bytes", `{"features":[1,2,3,4]} junk`},
+		{"trailing value", `{"features":[1,2,3,4]}{"features":[1,2,3,4]}`},
+		{"not a JSON number", `{"features":[1,2,3,+4]}`},
 	}
 	for _, tc := range cases {
 		if w := postPredict(h, tc.body); w.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, w.Code, w.Body)
 		}
+	}
+
+	// A body past maxBodyBytes is refused by size, whatever it holds.
+	w := postPredict(h, `{"features":[1,2,3,4]}`+strings.Repeat(" ", maxBodyBytes))
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413 (%s)", w.Code, w.Body)
+	}
+	var envelope errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &envelope); err != nil || envelope.Error == "" {
+		t.Errorf("oversized body: error envelope %q (%v)", w.Body, err)
 	}
 
 	// NaN/Inf cannot be expressed in strict JSON literals, but requestRows

@@ -23,12 +23,16 @@ const (
 	// LReason (queue_full, deadline, no_model, closed).
 	MServeRejects = "snap_serve_rejected_total"
 
+	// MServeShaped counts valid HTTP predict requests that ingress shaping
+	// made wait for their admission slot (see pace.go).
+	MServeShaped = "snap_serve_shaped_total"
+
 	// MServePredictions counts individual rows predicted (a batched
 	// request contributes one per row).
 	MServePredictions = "snap_serve_predictions_total"
 
 	// MServeLatency is the end-to-end request latency histogram in
-	// seconds, from enqueue to completion.
+	// seconds, from enqueue to completion (LatencyBuckets).
 	MServeLatency = "snap_serve_request_seconds"
 
 	// MServeBatchRows is the histogram of rows per executed micro-batch —
@@ -78,3 +82,12 @@ const SpanServeBatch = "serve_batch"
 // RowBuckets is the bucket layout for MServeBatchRows: powers of two up
 // to a generous batch ceiling.
 var RowBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
+
+// LatencyBuckets is the bucket layout for MServeLatency: 5 µs to 1 s in
+// 1-2-5 steps. A request that finds a worker idle completes in a few
+// microseconds, far below obs.TimeBuckets' first bound of 100 µs, and
+// one still queued after Config.Deadline (default 1 s) is shed.
+var LatencyBuckets = []float64{
+	5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 2e-4, 5e-4,
+	1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1,
+}
