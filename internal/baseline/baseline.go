@@ -16,14 +16,13 @@
 //     but adds variance, which slows convergence and costs accuracy —
 //     the paper's central criticism of it.
 //
-// All three run over the same simulated network and report the same
-// core.Result, so the experiment harness can compare them directly with
-// the SNAP cluster runs.
+// All of them, and DGD and gossip beside them, run through one training
+// loop (harness.go) and report the same core.Result, so the experiment
+// harness can compare them directly with the SNAP cluster runs.
 package baseline
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -34,7 +33,6 @@ import (
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
 	"github.com/snapml/snap/internal/model"
-	"github.com/snapml/snap/internal/transport"
 )
 
 // frameHeaderBytes matches codec.HeaderBytes so PS/TernGrad frames are
@@ -56,54 +54,23 @@ type CentralizedConfig struct {
 // descent. It incurs no communication cost by definition (the paper uses
 // it purely as the accuracy/convergence yardstick).
 func RunCentralized(cfg CentralizedConfig) (*core.Result, error) {
-	if cfg.Model == nil || len(cfg.Partitions) == 0 {
-		return nil, errors.New("baseline: centralized run requires a model and data")
+	p := problem{
+		scheme: "centralized", model: cfg.Model, partitions: cfg.Partitions, test: cfg.Test,
+		alpha: cfg.Alpha, maxIterations: cfg.MaxIterations, convergence: cfg.Convergence,
 	}
-	if cfg.Alpha <= 0 {
-		return nil, errors.New("baseline: centralized run requires positive Alpha")
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 500
+	if err := p.check(false); err != nil {
+		return nil, err
 	}
 	var pooled []dataset.Sample
-	for _, p := range cfg.Partitions {
-		pooled = append(pooled, p.Samples...)
+	for _, part := range cfg.Partitions {
+		pooled = append(pooled, part.Samples...)
 	}
 	x := cfg.Model.InitParams(cfg.Seed)
-	detector := cfg.Convergence
-	res := &core.Result{Scheme: "centralized"}
-
-	aggregate := func() float64 {
-		var total float64
-		for _, p := range cfg.Partitions {
-			total += cfg.Model.Loss(x, p.Samples)
-		}
-		return total
-	}
-
-	for round := 0; round < cfg.MaxIterations; round++ {
+	return p.run([]linalg.Vector{x}, func(int) error {
 		g := cfg.Model.Gradient(x, pooled)
 		x.AXPYInPlace(-cfg.Alpha, g)
-
-		loss := aggregate()
-		acc := math.NaN()
-		if cfg.Test != nil {
-			acc = model.Accuracy(cfg.Model, x, cfg.Test)
-		}
-		res.Trace.Append(metrics.IterationStat{Round: round, Loss: loss, Accuracy: acc})
-		res.Iterations = round + 1
-		if detector.Observe(loss, 0) {
-			res.Converged = true
-			break
-		}
-	}
-	res.FinalLoss = aggregate()
-	if cfg.Test != nil {
-		res.FinalAccuracy = model.Accuracy(cfg.Model, x, cfg.Test)
-	} else {
-		res.FinalAccuracy = math.NaN()
-	}
-	return res, nil
+		return nil
+	})
 }
 
 // PSConfig configures the parameter-server and TernGrad baselines.
@@ -139,56 +106,27 @@ type PSConfig struct {
 // randomly chosen server along least-hop paths; the server averages,
 // steps, and pushes the full parameters back the same way.
 func RunPS(cfg PSConfig) (*core.Result, error) {
-	if cfg.Topology == nil || cfg.Topology.N() == 0 {
-		return nil, errors.New("baseline: PS requires a topology")
+	p := problem{
+		scheme: "ps", topology: cfg.Topology, model: cfg.Model, partitions: cfg.Partitions, test: cfg.Test,
+		alpha: cfg.Alpha, maxIterations: cfg.MaxIterations, evalEvery: cfg.EvalEvery, convergence: cfg.Convergence,
 	}
-	if !cfg.Topology.IsConnected() {
-		return nil, errors.New("baseline: PS topology must be connected")
+	encode := encodeDense
+	if cfg.Ternary {
+		p.scheme, encode = "terngrad", encodeTernary
+	}
+	if err := p.check(true); err != nil {
+		return nil, err
 	}
 	n := cfg.Topology.N()
-	if len(cfg.Partitions) != n {
-		return nil, fmt.Errorf("baseline: %d partitions for %d nodes", len(cfg.Partitions), n)
-	}
-	if cfg.Model == nil {
-		return nil, errors.New("baseline: PS requires a model")
-	}
-	if cfg.Alpha <= 0 {
-		return nil, errors.New("baseline: PS requires positive Alpha")
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 500
-	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 1
-	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	server := rng.Intn(n)
-	net := transport.NewSim(cfg.Topology, nil)
-	p := cfg.Model.NumParams()
+	dim := cfg.Model.NumParams()
 	x := cfg.Model.InitParams(cfg.Seed)
-	detector := cfg.Convergence
 
-	scheme := "ps"
-	if cfg.Ternary {
-		scheme = "terngrad"
-	}
-	res := &core.Result{Scheme: scheme}
-
-	aggregate := func() float64 {
-		var total float64
-		for _, part := range cfg.Partitions {
-			total += cfg.Model.Loss(x, part.Samples)
-		}
-		return total
-	}
-
-	for round := 0; round < cfg.MaxIterations; round++ {
-		net.BeginRound(round)
-
+	return p.run([]linalg.Vector{x}, func(round int) error {
 		// Workers compute local gradients at the shared parameters and
 		// ship them to the server.
-		sum := linalg.NewVector(p)
+		sum := linalg.NewVector(dim)
 		for i := 0; i < n; i++ {
 			batch := cfg.Partitions[i].Samples
 			if cfg.BatchSize > 0 {
@@ -202,18 +140,13 @@ func RunPS(cfg PSConfig) (*core.Result, error) {
 				sum.AddInPlace(g) // local, no network traffic
 				continue
 			}
-			var frame []byte
-			if cfg.Ternary {
-				frame = encodeTernary(g)
-			} else {
-				frame = encodeDense(g)
+			frame := encode(g)
+			if err := p.net.Unicast(i, server, frame); err != nil {
+				return fmt.Errorf("baseline: worker %d: %w", i, err)
 			}
-			if err := net.Unicast(i, server, frame); err != nil {
-				return nil, fmt.Errorf("baseline: worker %d: %w", i, err)
-			}
-			got, err := decodeGradient(frame, p)
+			got, err := decodeGradient(frame, dim)
 			if err != nil {
-				return nil, fmt.Errorf("baseline: decoding worker %d frame: %w", i, err)
+				return fmt.Errorf("baseline: decoding worker %d frame: %w", i, err)
 			}
 			sum.AddInPlace(got)
 		}
@@ -226,37 +159,12 @@ func RunPS(cfg PSConfig) (*core.Result, error) {
 			if i == server {
 				continue
 			}
-			if err := net.Unicast(server, i, paramFrame); err != nil {
-				return nil, fmt.Errorf("baseline: push to worker %d: %w", i, err)
+			if err := p.net.Unicast(server, i, paramFrame); err != nil {
+				return fmt.Errorf("baseline: push to worker %d: %w", i, err)
 			}
 		}
-
-		loss := aggregate()
-		acc := math.NaN()
-		if cfg.Test != nil && (round%cfg.EvalEvery == 0 || round == cfg.MaxIterations-1) {
-			acc = model.Accuracy(cfg.Model, x, cfg.Test)
-		}
-		res.Trace.Append(metrics.IterationStat{
-			Round:     round,
-			Loss:      loss,
-			Accuracy:  acc,
-			RoundCost: net.Ledger().RoundCost(round),
-		})
-		res.Iterations = round + 1
-		if detector.Observe(loss, 0) {
-			res.Converged = true
-			break
-		}
-	}
-	res.FinalLoss = aggregate()
-	if cfg.Test != nil {
-		res.FinalAccuracy = model.Accuracy(cfg.Model, x, cfg.Test)
-	} else {
-		res.FinalAccuracy = math.NaN()
-	}
-	res.TotalCost = net.Ledger().Total()
-	res.PerRoundCost = net.Ledger().PerRound()
-	return res, nil
+		return nil
+	})
 }
 
 // ternarize applies TernGrad's stochastic quantization: each coordinate

@@ -1,17 +1,12 @@
 package baseline
 
 import (
-	"errors"
-	"fmt"
-	"math"
-
 	"github.com/snapml/snap/internal/core"
 	"github.com/snapml/snap/internal/dataset"
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
 	"github.com/snapml/snap/internal/model"
-	"github.com/snapml/snap/internal/transport"
 	"github.com/snapml/snap/internal/weights"
 )
 
@@ -43,64 +38,24 @@ type DGDConfig struct {
 // neighbors every round (DGD has no selective-transmission story — every
 // node needs fresh neighbor values each step).
 func RunDGD(cfg DGDConfig) (*core.Result, error) {
-	if cfg.Topology == nil || cfg.Topology.N() == 0 {
-		return nil, errors.New("baseline: DGD requires a topology")
+	p := problem{
+		scheme: "dgd", topology: cfg.Topology, model: cfg.Model, partitions: cfg.Partitions, test: cfg.Test,
+		alpha: cfg.Alpha, maxIterations: cfg.MaxIterations, evalEvery: cfg.EvalEvery, convergence: cfg.Convergence,
 	}
-	if !cfg.Topology.IsConnected() {
-		return nil, errors.New("baseline: DGD topology must be connected")
+	if err := p.check(true); err != nil {
+		return nil, err
 	}
 	n := cfg.Topology.N()
-	if len(cfg.Partitions) != n {
-		return nil, fmt.Errorf("baseline: %d partitions for %d nodes", len(cfg.Partitions), n)
-	}
-	if cfg.Model == nil {
-		return nil, errors.New("baseline: DGD requires a model")
-	}
-	if cfg.Alpha <= 0 {
-		return nil, errors.New("baseline: DGD requires positive Alpha")
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 500
-	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 1
-	}
-
 	w := weights.Metropolis(cfg.Topology, 0)
-	net := transport.NewSim(cfg.Topology, nil)
-	p := cfg.Model.NumParams()
-	init := cfg.Model.InitParams(cfg.Seed)
-	x := make([]linalg.Vector, n)
-	for i := range x {
-		x[i] = init.Clone()
-	}
-	detector := cfg.Convergence
-	res := &core.Result{Scheme: "dgd"}
+	x := cloneAll(cfg.Model.InitParams(cfg.Seed), n)
+	frame := make([]byte, 8*cfg.Model.NumParams()) // full-vector payload, accounted per paper sizes
 
-	aggregate := func() float64 {
-		var total float64
-		for i, part := range cfg.Partitions {
-			total += cfg.Model.Loss(x[i], part.Samples)
-		}
-		return total
-	}
-	average := func() linalg.Vector {
-		avg := linalg.NewVector(p)
-		for i := range x {
-			avg.AddInPlace(x[i])
-		}
-		return avg.Scale(1 / float64(n))
-	}
-
-	frame := make([]byte, 8*p) // full-vector payload, accounted per paper sizes
-
-	for round := 0; round < cfg.MaxIterations; round++ {
-		net.BeginRound(round)
+	return p.run(x, func(int) error {
 		// Charge the full-vector neighbor traffic.
 		for i := 0; i < n; i++ {
 			for _, j := range cfg.Topology.Neighbors(i) {
-				if err := net.Send(i, j, frame); err != nil {
-					return nil, err
+				if err := p.net.Send(i, j, frame); err != nil {
+					return err
 				}
 			}
 		}
@@ -114,40 +69,7 @@ func RunDGD(cfg DGDConfig) (*core.Result, error) {
 			grad := cfg.Model.Gradient(x[i], cfg.Partitions[i].Samples)
 			next[i] = mix.AXPYInPlace(-cfg.Alpha, grad)
 		}
-		x = next
-
-		loss := aggregate()
-		avg := average()
-		var consensus float64
-		for i := range x {
-			if d := x[i].Sub(avg).NormInf(); d > consensus {
-				consensus = d
-			}
-		}
-		acc := math.NaN()
-		if cfg.Test != nil && (round%cfg.EvalEvery == 0 || round == cfg.MaxIterations-1) {
-			acc = model.Accuracy(cfg.Model, avg, cfg.Test)
-		}
-		res.Trace.Append(metrics.IterationStat{
-			Round:     round,
-			Loss:      loss,
-			Accuracy:  acc,
-			Consensus: consensus,
-			RoundCost: net.Ledger().RoundCost(round),
-		})
-		res.Iterations = round + 1
-		if detector.Observe(loss, consensus) {
-			res.Converged = true
-			break
-		}
-	}
-	res.FinalLoss = aggregate()
-	if cfg.Test != nil {
-		res.FinalAccuracy = model.Accuracy(cfg.Model, average(), cfg.Test)
-	} else {
-		res.FinalAccuracy = math.NaN()
-	}
-	res.TotalCost = net.Ledger().Total()
-	res.PerRoundCost = net.Ledger().PerRound()
-	return res, nil
+		copy(x, next)
+		return nil
+	})
 }

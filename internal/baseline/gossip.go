@@ -1,18 +1,13 @@
 package baseline
 
 import (
-	"errors"
-	"fmt"
-	"math"
 	"math/rand"
 
 	"github.com/snapml/snap/internal/core"
 	"github.com/snapml/snap/internal/dataset"
 	"github.com/snapml/snap/internal/graph"
-	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
 	"github.com/snapml/snap/internal/model"
-	"github.com/snapml/snap/internal/transport"
 )
 
 // GossipConfig configures randomized pairwise gossip SGD (the
@@ -45,66 +40,23 @@ type GossipConfig struct {
 // network, charging each meeting two full-vector transfers (one each way)
 // across one hop.
 func RunGossip(cfg GossipConfig) (*core.Result, error) {
-	if cfg.Topology == nil || cfg.Topology.N() == 0 {
-		return nil, errors.New("baseline: gossip requires a topology")
+	p := problem{
+		scheme: "gossip", topology: cfg.Topology, model: cfg.Model, partitions: cfg.Partitions, test: cfg.Test,
+		alpha: cfg.Alpha, maxIterations: cfg.MaxIterations, evalEvery: cfg.EvalEvery, convergence: cfg.Convergence,
 	}
-	if !cfg.Topology.IsConnected() {
-		return nil, errors.New("baseline: gossip topology must be connected")
+	if err := p.check(true); err != nil {
+		return nil, err
 	}
 	n := cfg.Topology.N()
-	if len(cfg.Partitions) != n {
-		return nil, fmt.Errorf("baseline: %d partitions for %d nodes", len(cfg.Partitions), n)
-	}
-	if cfg.Model == nil {
-		return nil, errors.New("baseline: gossip requires a model")
-	}
-	if cfg.Alpha <= 0 {
-		return nil, errors.New("baseline: gossip requires positive Alpha")
-	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 500
-	}
-	if cfg.EvalEvery <= 0 {
-		cfg.EvalEvery = 1
-	}
 	if cfg.PairsPerRound <= 0 {
-		cfg.PairsPerRound = n / 2
-		if cfg.PairsPerRound == 0 {
-			cfg.PairsPerRound = 1
-		}
+		cfg.PairsPerRound = max(1, n/2)
 	}
-
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	net := transport.NewSim(cfg.Topology, nil)
-	p := cfg.Model.NumParams()
-	init := cfg.Model.InitParams(cfg.Seed)
-	x := make([]linalg.Vector, n)
-	for i := range x {
-		x[i] = init.Clone()
-	}
+	x := cloneAll(cfg.Model.InitParams(cfg.Seed), n)
 	edges := cfg.Topology.Edges()
-	detector := cfg.Convergence
-	res := &core.Result{Scheme: "gossip"}
-	frame := make([]byte, 8*p)
+	frame := make([]byte, 8*cfg.Model.NumParams())
 
-	aggregate := func() float64 {
-		var total float64
-		for i, part := range cfg.Partitions {
-			total += cfg.Model.Loss(x[i], part.Samples)
-		}
-		return total
-	}
-	average := func() linalg.Vector {
-		avg := linalg.NewVector(p)
-		for i := range x {
-			avg.AddInPlace(x[i])
-		}
-		return avg.Scale(1 / float64(n))
-	}
-
-	for round := 0; round < cfg.MaxIterations; round++ {
-		net.BeginRound(round)
-
+	return p.run(x, func(int) error {
 		// Activate up to PairsPerRound disjoint random edges.
 		busy := make([]bool, n)
 		perm := rng.Perm(len(edges))
@@ -120,11 +72,11 @@ func RunGossip(cfg GossipConfig) (*core.Result, error) {
 			busy[e.U], busy[e.V] = true, true
 			activated++
 			// Two full-vector transfers, one each way.
-			if err := net.Send(e.U, e.V, frame); err != nil {
-				return nil, err
+			if err := p.net.Send(e.U, e.V, frame); err != nil {
+				return err
 			}
-			if err := net.Send(e.V, e.U, frame); err != nil {
-				return nil, err
+			if err := p.net.Send(e.V, e.U, frame); err != nil {
+				return err
 			}
 			mean := x[e.U].Add(x[e.V]).Scale(0.5)
 			copy(x[e.U], mean)
@@ -136,39 +88,6 @@ func RunGossip(cfg GossipConfig) (*core.Result, error) {
 			grad := cfg.Model.Gradient(x[i], cfg.Partitions[i].Samples)
 			x[i].AXPYInPlace(-cfg.Alpha, grad)
 		}
-
-		loss := aggregate()
-		avg := average()
-		var consensus float64
-		for i := range x {
-			if d := x[i].Sub(avg).NormInf(); d > consensus {
-				consensus = d
-			}
-		}
-		acc := math.NaN()
-		if cfg.Test != nil && (round%cfg.EvalEvery == 0 || round == cfg.MaxIterations-1) {
-			acc = model.Accuracy(cfg.Model, avg, cfg.Test)
-		}
-		res.Trace.Append(metrics.IterationStat{
-			Round:     round,
-			Loss:      loss,
-			Accuracy:  acc,
-			Consensus: consensus,
-			RoundCost: net.Ledger().RoundCost(round),
-		})
-		res.Iterations = round + 1
-		if detector.Observe(loss, consensus) {
-			res.Converged = true
-			break
-		}
-	}
-	res.FinalLoss = aggregate()
-	if cfg.Test != nil {
-		res.FinalAccuracy = model.Accuracy(cfg.Model, average(), cfg.Test)
-	} else {
-		res.FinalAccuracy = math.NaN()
-	}
-	res.TotalCost = net.Ledger().Total()
-	res.PerRoundCost = net.Ledger().PerRound()
-	return res, nil
+		return nil
+	})
 }

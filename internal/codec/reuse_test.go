@@ -182,20 +182,3 @@ func TestCodecReuseAllocFree(t *testing.T) {
 		t.Errorf("DiffInto allocated %v times per run, want 0", n)
 	}
 }
-
-// TestUpdatePoolResets verifies the pool hands back cleared updates.
-func TestUpdatePoolResets(t *testing.T) {
-	u := GetUpdate()
-	u.Sender, u.Round, u.NumParams = 7, 9, 5
-	u.Indices = append(u.Indices, 1, 2)
-	u.Values = append(u.Values, 0.5, 0.25)
-	PutUpdate(u)
-	PutUpdate(nil) // must be a no-op
-
-	got := GetUpdate()
-	defer PutUpdate(got)
-	if got.Sender != 0 || got.Round != 0 || got.NumParams != 0 ||
-		len(got.Indices) != 0 || len(got.Values) != 0 {
-		t.Fatalf("pooled update not reset: %+v", got)
-	}
-}

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
-	"github.com/snapml/snap/internal/codec"
 	"github.com/snapml/snap/internal/dataset"
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
@@ -152,31 +150,23 @@ type Cluster struct {
 	// runners are the persistent per-engine worker goroutines: one
 	// long-lived goroutine per node driven over a command channel, so a
 	// round costs two channel round-trips per node instead of 2N
-	// goroutine spawns. Each runner also owns the node's encode buffer
-	// and decoded-update scratch.
+	// goroutine spawns.
 	runners    []*engineRunner
 	avgScratch linalg.Vector // reusable mean-parameter buffer for eval
 }
 
-// roundCmd tells a runner which phase of which round to execute.
+// roundCmd tells a runner which half of which round to execute.
 type roundCmd struct {
-	phase int // 1 = build/encode/broadcast, 2 = collect/integrate/step
+	phase int // 1 = send + gradient, 2 = receive
 	round int
 }
 
-// engineRunner is one node's persistent worker state.
+// engineRunner is one node's persistent worker: its round body (round.go)
+// over the node's place in the simulated network.
 type engineRunner struct {
-	eng *Engine
-	// nbrs caches the node's neighbor ids (ascending) for the broadcast
-	// loop: Sim.Neighbors returns a fresh copy per call, and querying it
-	// every round was the simulator hot path's dominant allocation.
-	nbrs []int
-	enc  []byte // reusable wire-frame buffer
-	// decoded backs the per-frame decode targets, sized to the node's
-	// degree up front; slot i holds the round's i-th arrived frame.
-	decoded []codec.Update
-	cmd     chan roundCmd
-	done    chan error
+	round *nodeRound
+	cmd   chan roundCmd
+	done  chan error
 }
 
 // startRunners launches the per-engine worker goroutines (idempotent).
@@ -186,27 +176,38 @@ func (c *Cluster) startRunners() {
 	}
 	c.runners = make([]*engineRunner, len(c.engines))
 	for i, e := range c.engines {
-		nbrs := c.net.Neighbors(e.ID())
-		sort.Ints(nbrs)
 		r := &engineRunner{
-			eng:     e,
-			nbrs:    nbrs,
-			decoded: make([]codec.Update, len(nbrs)),
-			cmd:     make(chan roundCmd),
-			done:    make(chan error),
+			round: newNodeRound(e, simLink{net: c.net, id: e.ID(), nbrs: c.net.Neighbors(e.ID())}, &c.met, nil),
+			cmd:   make(chan roundCmd),
+			done:  make(chan error),
 		}
 		c.runners[i] = r
 		go func() {
 			for cmd := range r.cmd {
-				switch cmd.phase {
-				case 1:
-					r.done <- c.sendPhase(r, cmd.round)
-				default:
-					r.done <- c.stepPhase(r, cmd.round)
-				}
+				r.done <- r.run(cmd)
 			}
 		}()
 	}
+}
+
+// run executes one half of a round. The lockstep network delivers nothing
+// until every node has sent, so the gradient — which a real transport
+// overlaps with the in-flight gather (DESIGN.md §14) — is computed in the
+// slot that wait leaves, after the send and before the barrier. It reads
+// only the iterate, which neither half's ingest touches, so where it runs
+// does not change a bit of any iterate.
+func (r *engineRunner) run(cmd roundCmd) error {
+	nr := r.round
+	if cmd.phase == 1 {
+		if err := nr.send(cmd.round); err != nil {
+			return err
+		}
+		nr.eng.BeginIntegrate()
+		nr.eng.ComputeGradient(cmd.round)
+		return nil
+	}
+	_, err := nr.receive(cmd.round)
+	return err
 }
 
 // stopRunners terminates the worker goroutines.
@@ -231,83 +232,6 @@ func (c *Cluster) runPhase(phase, round int) error {
 		}
 	}
 	return firstErr
-}
-
-// sendPhase is phase 1 of a round: build the selective update, encode it
-// into the runner's reusable buffer, and broadcast it.
-func (c *Cluster) sendPhase(r *engineRunner, round int) error {
-	e := r.eng
-	t := time.Now()
-	u, err := e.BuildUpdate(round)
-	if err != nil {
-		return err
-	}
-	c.met.build.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	if c.cfg.Float32Wire {
-		r.enc, _, err = codec.EncodeLossyTo(r.enc, u)
-	} else {
-		r.enc, _, err = codec.EncodeTo(r.enc, u)
-	}
-	if err != nil {
-		return err
-	}
-	c.met.encode.Observe(time.Since(t).Seconds())
-	t = time.Now()
-	for _, j := range r.nbrs {
-		if err := c.net.Send(e.ID(), j, r.enc); err != nil {
-			return err
-		}
-	}
-	c.met.broadcast.Observe(time.Since(t).Seconds())
-	// Pipelined split (DESIGN.md §14): open the ingest window and compute
-	// the round's gradient now, in the phase slot where a real transport
-	// overlaps it with the in-flight gather. The gradient reads only the
-	// iterate, which phase 2's ingest never touches, so the iterates are
-	// bitwise identical to the old integrate-then-Step ordering.
-	e.BeginIntegrate()
-	e.ComputeGradient(round)
-	return nil
-}
-
-// stepPhase is phase 2 of a round: stream the inbox in ascending sender
-// order, decoding and ingesting frame by frame, then complete the EXTRA
-// iteration from the gradient sendPhase left in scratch.
-func (c *Cluster) stepPhase(r *engineRunner, round int) error {
-	e := r.eng
-	t := time.Now()
-	var decSecs, intSecs float64
-	var streamErr error
-	n := 0
-	c.net.CollectStream(e.ID(), func(from int, frame []byte) bool {
-		if n == len(r.decoded) {
-			streamErr = fmt.Errorf("core: node %d received more than its degree %d frames", e.ID(), len(r.decoded))
-			return false
-		}
-		d0 := time.Now()
-		u := &r.decoded[n]
-		if err := codec.DecodeInto(u, frame); err != nil {
-			streamErr = err
-			return false
-		}
-		d1 := time.Now()
-		if err := e.IngestFrame(u); err != nil {
-			streamErr = err
-			return false
-		}
-		decSecs += d1.Sub(d0).Seconds()
-		intSecs += time.Since(d1).Seconds()
-		n++
-		return true
-	})
-	c.met.gather.Observe(time.Since(t).Seconds())
-	if streamErr != nil {
-		return streamErr
-	}
-	c.met.decode.Observe(decSecs)
-	c.met.integrate.Observe(intSecs)
-	e.StepMix(round)
-	return nil
 }
 
 // NewCluster validates the configuration, builds (and optionally
@@ -399,79 +323,90 @@ func (c *Cluster) Network() *transport.Sim { return c.net }
 func (c *Cluster) Run() (*Result, error) {
 	cfg := c.cfg
 	detector := cfg.Convergence
-
-	res := &Result{Scheme: cfg.Policy.String()}
-	lastAcc := math.NaN()
+	res := &Result{Scheme: cfg.Policy.String(), FinalAccuracy: math.NaN()}
 
 	c.startRunners()
 	defer c.stopRunners()
 
 	for round := 0; round < cfg.MaxIterations; round++ {
-		roundStart := time.Now()
-		c.met.round.Set(float64(round))
-		cfg.Obs.Emit(-1, obs.EvRoundStart, round, -1, nil)
-		c.net.BeginRound(round)
-
-		// Phase 1: every node builds and broadcasts its update. Each
-		// runner reports its own phase durations; the shared histograms
-		// aggregate them across nodes.
-		if err := c.runPhase(1, round); err != nil {
+		stat, err := c.runRound(round)
+		if err != nil {
 			return nil, err
 		}
-
-		// Phase 2: every node integrates what arrived and steps.
-		if err := c.runPhase(2, round); err != nil {
-			return nil, err
-		}
-
-		if cfg.OnIteration != nil {
-			cfg.OnIteration(round, c)
-		}
-
-		// Phase 3: evaluate. The loss is the objective at the iterates
-		// the round started from (each engine's gradient pass left it
-		// behind); consensus and accuracy are measured on the new ones.
-		loss := c.roundLoss()
-		consensus := c.consensusResidual()
-		acc := math.NaN()
-		if cfg.Test != nil && (round%cfg.EvalEvery == 0 || round == cfg.MaxIterations-1) {
-			acc = model.Accuracy(cfg.Model, c.meanParamsInto(), cfg.Test)
-			lastAcc = acc
-		}
-		roundCost := c.net.Ledger().RoundCost(round)
-		res.Trace.Append(metrics.IterationStat{
-			Round:     round,
-			Loss:      loss,
-			Accuracy:  acc,
-			Consensus: consensus,
-			RoundCost: roundCost,
-		})
+		res.Trace.Append(stat)
 		res.Iterations = round + 1
-
-		roundSec := time.Since(roundStart).Seconds()
-		c.met.localLoss.Set(loss)
-		c.met.roundBytes.Set(roundCost)
-		c.met.roundSeconds.Observe(roundSec)
-		if cfg.Obs != nil {
-			cfg.Obs.Emit(-1, obs.EvRoundEnd, round, -1, map[string]any{
-				"seconds": roundSec, "loss": loss, "consensus": consensus, "cost": roundCost,
-			})
-		}
-
-		if detector.Observe(loss, consensus) {
+		if detector.Observe(stat.Loss, stat.Consensus) {
 			res.Converged = true
 			break
 		}
 	}
 
 	if cfg.Test != nil {
-		lastAcc = model.Accuracy(cfg.Model, c.AverageParams(), cfg.Test)
+		res.FinalAccuracy = model.Accuracy(cfg.Model, c.AverageParams(), cfg.Test)
 	}
-	res.FinalAccuracy = lastAcc
 	res.FinalLoss = c.aggregateLoss()
 	res.TotalCost = c.net.Ledger().Total()
 	res.PerRoundCost = c.net.Ledger().PerRound()
 	return res, nil
+}
+
+// runRound drives every node through one lockstep round and evaluates
+// the result. The runners must be started.
+func (c *Cluster) runRound(round int) (metrics.IterationStat, error) {
+	cfg := c.cfg
+	var roundStart time.Time
+	if cfg.Obs != nil {
+		roundStart = time.Now()
+	}
+	c.met.round.Set(float64(round))
+	cfg.Obs.Emit(-1, obs.EvRoundStart, round, -1, nil)
+	c.net.BeginRound(round)
+
+	// Every node sends (and computes its gradient), then — once all
+	// frames are in the network — every node receives and steps. Each
+	// runner reports its own phase durations; the shared histograms
+	// aggregate them across nodes.
+	if err := c.runPhase(1, round); err != nil {
+		return metrics.IterationStat{}, err
+	}
+	if err := c.runPhase(2, round); err != nil {
+		return metrics.IterationStat{}, err
+	}
+
+	if cfg.OnIteration != nil {
+		cfg.OnIteration(round, c)
+	}
+
+	// Evaluate. The loss is the objective at the iterates the round
+	// started from (each engine's gradient pass left it behind);
+	// consensus and accuracy are measured on the new ones.
+	stat := metrics.IterationStat{
+		Round:     round,
+		Loss:      c.roundLoss(),
+		Accuracy:  math.NaN(),
+		Consensus: c.consensusResidual(),
+		RoundCost: c.net.Ledger().RoundCost(round),
+	}
+	if cfg.Test != nil && (round%cfg.EvalEvery == 0 || round == cfg.MaxIterations-1) {
+		stat.Accuracy = model.Accuracy(cfg.Model, c.meanParamsInto(), cfg.Test)
+	}
+
+	c.met.localLoss.Set(stat.Loss)
+	c.met.roundBytes.Set(stat.RoundCost)
+	if cfg.Obs != nil {
+		roundSec := time.Since(roundStart).Seconds()
+		c.met.roundSeconds.Observe(roundSec)
+		if cfg.Obs.LogEnabled() {
+			f := obs.GetFields()
+			f["seconds"] = roundSec
+			f["loss"] = stat.Loss
+			f["consensus"] = stat.Consensus
+			f["cost"] = stat.RoundCost
+			cfg.Obs.Emit(-1, obs.EvRoundEnd, round, -1, f)
+			obs.PutFields(f)
+		}
+	}
+	return stat, nil
 }
 
 // aggregateLoss returns Σ_i f_i(x_i), the paper's objective (1), at the

@@ -123,7 +123,7 @@ type EngineConfig struct {
 // Buffer ownership: the engine preallocates every vector the round loop
 // touches at construction and recycles them across rounds (see DESIGN.md
 // "Hot path & buffer ownership"). Everything a method returns without a
-// documented copy — Step's iterate, BuildUpdate's *codec.Update — is
+// documented copy — StepMix's iterate, BuildUpdate's *codec.Update — is
 // engine-owned scratch, valid only until the next call of the same
 // method.
 type Engine struct {
@@ -299,7 +299,7 @@ func (e *Engine) setNeighbors(neighbors []int, seed func(j int) (cur, prev linal
 // corrected by the full-parameter exchange the switch forces: Reconfigure
 // restarts the EXTRA recursion (stale correction history must not span a
 // topology change) and schedules a full send, and every reconfiguring
-// peer does the same, so the first post-switch Integrate replaces the
+// peer does the same, so the first post-switch ingest replaces the
 // seeded views with exact ones before they are ever mixed.
 //
 // The parameter dimensionality is fixed by the model, so lastSent, the
@@ -331,7 +331,7 @@ func (e *Engine) Neighbors() []int {
 }
 
 // RestartNow restarts the EXTRA two-term recursion immediately: the next
-// Step applies the k=0 equation from the current iterate, discarding the
+// StepMix applies the k=0 equation from the current iterate, discarding the
 // accumulated correction history. RestartEvery is this, on a timer;
 // explicit callers use it when the history is known to be invalid (e.g.
 // the topology or weight matrix just changed).
@@ -352,9 +352,9 @@ func (e *Engine) publishAPE() {
 func (e *Engine) ID() int { return e.cfg.ID }
 
 // Params returns a copy of the current iterate. The engine recycles its
-// internal buffers every Step, so handing out the live vector would let
+// internal buffers every StepMix, so handing out the live vector would let
 // a caller's snapshot silently mutate; callers on the hot path that can
-// honor the read-only contract use the iterate Step returns instead.
+// honor the read-only contract use the iterate StepMix returns instead.
 func (e *Engine) Params() linalg.Vector { return e.x.Clone() }
 
 // ParamsInto copies the current iterate into dst, which must already have
@@ -467,12 +467,13 @@ func (e *Engine) BuildUpdate(round int) (*codec.Update, error) {
 	return u, nil
 }
 
-// emitRefresh records a policy-elevation lifecycle event. It allocates
-// (event fields ride a map), which is why BuildUpdate only calls it on
-// the rare full-send rounds.
+// emitRefresh records a policy-elevation lifecycle event.
 func (e *Engine) emitRefresh(round int, reason string) {
-	if e.cfg.Obs != nil {
-		e.cfg.Obs.Emit(e.cfg.ID, obs.EvRefresh, round, -1, map[string]any{"reason": reason})
+	if e.cfg.Obs.LogEnabled() {
+		f := obs.GetFields()
+		f["reason"] = reason
+		e.cfg.Obs.Emit(e.cfg.ID, obs.EvRefresh, round, -1, f)
+		obs.PutFields(f)
 	}
 }
 
@@ -509,10 +510,10 @@ func (e *Engine) markSent(u *codec.Update) {
 
 // BeginIntegrate opens a round's ingest window: every neighbor slot's
 // current view is rotated down into its x^k view, after which
-// IngestFrame may be called once per arriving neighbor update. It is
-// the first half of Integrate, split out so a pipelined round can
-// rotate the views before the streaming gather starts delivering
-// frames. Must precede the round's first IngestFrame.
+// IngestFrame may be called once per arriving neighbor update. It is its
+// own step so a pipelined round can rotate the views before the
+// streaming gather starts delivering frames. Must precede the round's
+// first IngestFrame.
 //
 //snap:alloc-free
 func (e *Engine) BeginIntegrate() {
@@ -540,21 +541,6 @@ func (e *Engine) IngestFrame(u *codec.Update) error {
 	}
 	if err := codec.Apply(e.nbrCur[slot], u); err != nil {
 		return fmt.Errorf("core: node %d integrating from %d: %w", e.cfg.ID, u.Sender, err)
-	}
-	return nil
-}
-
-// Integrate applies the updates received from neighbors this round: the
-// batch form of BeginIntegrate + IngestFrame, kept for sequential
-// callers.
-//
-//snap:alloc-free
-func (e *Engine) Integrate(updates []*codec.Update) error {
-	e.BeginIntegrate()
-	for _, u := range updates {
-		if err := e.IngestFrame(u); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -631,8 +617,13 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 		e.next.AXPYInPlace(e.cfg.Alpha, e.gPrev)
 	}
 
-	if e.cfg.Trace != nil {
-		e.cfg.Trace.Span(round, trace.SpanMix, start, time.Now())
+	// Compute seconds stay CPU time (gradient + mixing), not wall time:
+	// under pipelining the two halves are separated by the gather window,
+	// and counting that wait would double-book it against MGatherWait.
+	if e.timed() {
+		end := time.Now()
+		e.cfg.Trace.Span(round, trace.SpanMix, start, end)
+		e.met.compute.Observe(e.gradSecs + end.Sub(start).Seconds())
 	}
 
 	// Rotate the scratch vectors instead of allocating: the old x becomes
@@ -642,12 +633,6 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	e.xPrev, e.x, e.next = e.x, e.next, e.xPrev
 	e.grad, e.gPrev = e.gPrev, e.grad
 	e.k++
-	// Compute seconds stay CPU time (gradient + mixing), not wall time:
-	// under pipelining the two halves are separated by the gather window,
-	// and counting that wait would double-book it against MGatherWait.
-	if e.cfg.Obs != nil {
-		e.met.compute.Observe(e.gradSecs + time.Since(start).Seconds())
-	}
 
 	if e.ape != nil && e.ape.AfterIteration() {
 		// Stage transition: publish the new schedule point and, when the
@@ -666,34 +651,19 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	return e.x
 }
 
-// Step advances the EXTRA recursion one iteration: the sequential form
-// of ComputeGradient + StepMix, kept for callers without a pipelined
-// loop. round selects the gradient mini-batch when BatchSize > 0.
-//
-// The returned vector is the engine's live iterate: read-only, valid
-// until the next Step. Use Params for a stable copy.
-//
-//snap:alloc-free
-//snap:returns-borrowed
-func (e *Engine) Step(round int) linalg.Vector {
-	e.ComputeGradient(round)
-	return e.StepMix(round)
-}
-
-// emitAPEStage records a stage-transition lifecycle event. It allocates
-// (event fields ride a map), which is why Step only calls it on the
-// rare stage boundaries.
+// emitAPEStage records a stage-transition lifecycle event.
 func (e *Engine) emitAPEStage(round int) {
-	if e.cfg.Obs != nil {
-		e.cfg.Obs.Emit(e.cfg.ID, obs.EvAPEStage, round, -1, map[string]any{
-			"stage":          e.ape.Stage(),
-			"threshold":      e.ape.Threshold(),
-			"send_threshold": e.ape.SendThreshold(),
-		})
+	if e.cfg.Obs.LogEnabled() {
+		f := obs.GetFields()
+		f["stage"] = e.ape.Stage()
+		f["threshold"] = e.ape.Threshold()
+		f["send_threshold"] = e.ape.SendThreshold()
+		e.cfg.Obs.Emit(e.cfg.ID, obs.EvAPEStage, round, -1, f)
+		obs.PutFields(f)
 	}
 }
 
-// restartRecursion resets the EXTRA two-term recursion so the next Step
+// restartRecursion resets the EXTRA two-term recursion so the next StepMix
 // applies the k=0 equation from the current iterate. The xPrev/gPrev
 // buffers keep their storage (the k=0 step never reads them and
 // overwrites both via rotation).

@@ -9,9 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/snapml/snap/internal/codec"
 	"github.com/snapml/snap/internal/controlplane"
-	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
 	"github.com/snapml/snap/internal/obs"
 	"github.com/snapml/snap/internal/trace"
@@ -50,12 +48,6 @@ type PeerNodeConfig struct {
 	// RoundTimeout bounds how long a round waits for straggler neighbors
 	// before proceeding with whatever arrived (default 5s).
 	RoundTimeout time.Duration
-	// Sequential disables the pipelined round loop: frames are gathered
-	// in a batch and the gradient is computed after integration instead
-	// of concurrently with broadcast+gather. The iterates are bitwise
-	// identical either way (DESIGN.md §14); the knob exists for A/B
-	// measurement and as a diagnostic fallback, not as a tuning option.
-	Sequential bool
 	// ConnectTimeout bounds cluster formation (default 10s).
 	ConnectTimeout time.Duration
 	// Logf, when set, receives diagnostic messages about tolerated faults
@@ -113,36 +105,22 @@ type PeerNode struct {
 	// needRefresh is set by the transport's reconnect callback and
 	// consumed at the top of the next round: the node sends its full
 	// parameter vector so the reconnected neighbor's stale view heals.
-	needRefresh  atomic.Bool
-	sendFailures atomic.Int64
-	refreshes    atomic.Int64
+	needRefresh atomic.Bool
+	refreshes   atomic.Int64
 
-	// encBuf and updates are the round loop's reusable encode buffer and
-	// decoded-update slice (Peer.Send writes synchronously, so the frame
-	// buffer is free for reuse as soon as Broadcast returns).
-	encBuf  []byte
-	updates []*codec.Update
+	// round is the node's round body (round.go); Run places the gradient
+	// around it.
+	round *nodeRound
 
-	// Pipelined-round state (DESIGN.md §14). gradCmd/gradDone drive the
-	// persistent gradient worker: persistent because a `go func` closure
-	// per round would allocate on the hot path. The round loop sends the
-	// round number, the worker runs Engine.ComputeGradient and signals
-	// gradDone; sends and receives are strictly paired, which is the
-	// happens-before edge that makes the engine's gradient scratch safe.
-	// gradDone is buffered so the worker can always deposit its signal
-	// and exit on shutdown. gradRunning lets the streaming-gather
-	// callback attribute frames to the overlap window without touching
-	// the channel; gradFinished is written by the worker before the done
-	// signal, so reading it after <-gradDone is ordered.
-	gradCmd      chan int
-	gradDone     chan struct{}
-	gradStop     sync.Once
-	gradRunning  atomic.Bool
-	gradFinished time.Time
-	// decUpd is the pipelined path's reusable decode target: frames are
-	// decoded and ingested one at a time, so one Update suffices where
-	// the batch path needs a pooled slice.
-	decUpd codec.Update
+	// gradCmd drives the persistent gradient worker behind the pipelined
+	// round (DESIGN.md §14): persistent because a `go func` closure per
+	// round would allocate on the hot path. Run sends the round number,
+	// the worker runs the gradient and signals grad.done; sends and
+	// receives are strictly paired, which is the happens-before edge that
+	// makes the engine's gradient scratch safe.
+	gradCmd  chan int
+	gradStop sync.Once
+	grad     gradJoin
 	// heavyGrad marks this node's gradient as heavy compute, which takes
 	// a process-wide slot (see heavyGradSlots).
 	heavyGrad bool
@@ -154,8 +132,7 @@ type PeerNode struct {
 // pipeline phase (the round latency breakdown), whole-round latency, and
 // the fault/refresh counters mirrored into the registry.
 type roundMetrics struct {
-	build, encode, broadcast         *obs.Histogram
-	gather, decode, integrate        *obs.Histogram
+	phase                            [trace.NumPhases]*obs.Histogram
 	roundSeconds, overlapSeconds     *obs.Histogram
 	round, roundBytes, localLoss     *obs.Gauge
 	streamDepth                      *obs.Gauge
@@ -167,16 +144,7 @@ type roundMetrics struct {
 }
 
 func newRoundMetrics(o *obs.Observer) roundMetrics {
-	phase := func(name string) *obs.Histogram {
-		return o.Histogram(obs.Label(obs.MPhaseSeconds, obs.LPhase, name), obs.TimeBuckets)
-	}
-	return roundMetrics{
-		build:          phase("build"),
-		encode:         phase("encode"),
-		broadcast:      phase("broadcast"),
-		gather:         phase("gather"),
-		decode:         phase("decode"),
-		integrate:      phase("integrate"),
+	m := roundMetrics{
 		roundSeconds:   o.Histogram(obs.MRoundSeconds, obs.TimeBuckets),
 		overlapSeconds: o.Histogram(obs.MOverlapSeconds, obs.TimeBuckets),
 		streamDepth:    o.Gauge(obs.MStreamDepth),
@@ -192,6 +160,10 @@ func newRoundMetrics(o *obs.Observer) roundMetrics {
 		epochsApplied:   o.Counter(obs.MEpochsApplied),
 		reconfigSeconds: o.Histogram(obs.MReconfigSeconds, obs.TimeBuckets),
 	}
+	for p := range m.phase {
+		m.phase[p] = o.Histogram(obs.Label(obs.MPhaseSeconds, obs.LPhase, trace.PhaseID(p).Name()), obs.TimeBuckets)
+	}
+	return m
 }
 
 // heavyGradCost is the gradient size, in parameters × local samples, from
@@ -245,6 +217,8 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 		}
 	}
 	pn := &PeerNode{cfg: cfg, engine: eng, peer: peer, met: newRoundMetrics(cfg.Obs)}
+	pn.round = newNodeRound(eng, tcpLink{peer: peer, timeout: cfg.RoundTimeout}, &pn.met, pn.logf)
+	pn.round.grad = &pn.grad
 	pn.heavyGrad = cfg.Engine.Model.NumParams()*cfg.Engine.Data.Len() >= heavyGradCost
 	pn.epoch.Store(int64(cfg.Epoch))
 	pn.met.epoch.Set(float64(cfg.Epoch))
@@ -256,7 +230,7 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 		peer.SetFaults(cfg.Faults)
 	}
 	pn.gradCmd = make(chan int)
-	pn.gradDone = make(chan struct{}, 1)
+	pn.grad.done = make(chan struct{}, 1)
 	go pn.gradWorker()
 	return pn, nil
 }
@@ -269,9 +243,9 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 func (pn *PeerNode) gradWorker() {
 	for round := range pn.gradCmd {
 		pn.computeGradient(round)
-		pn.gradFinished = time.Now()
-		pn.gradRunning.Store(false)
-		pn.gradDone <- struct{}{}
+		pn.grad.finished = pn.round.now()
+		pn.grad.running.Store(false)
+		pn.grad.done <- struct{}{}
 	}
 }
 
@@ -312,7 +286,7 @@ func (pn *PeerNode) Tracer() *trace.Tracer { return pn.cfg.Tracer }
 
 // SendFailures reports how many broadcasts hit at least one failed
 // neighbor link (each was tolerated, not fatal).
-func (pn *PeerNode) SendFailures() int64 { return pn.sendFailures.Load() }
+func (pn *PeerNode) SendFailures() int64 { return pn.round.failedSends.Load() }
 
 // Refreshes reports how many reconnect-triggered full-parameter
 // broadcasts this node has performed.
@@ -351,8 +325,7 @@ func (pn *PeerNode) Connect(neighborAddrs map[int]string) error {
 func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 	id := pn.engine.ID()
 	result := &metrics.Trace{}
-	tr := pn.cfg.Tracer
-	fullFrame := int64(codec.FullFrameBytes(pn.cfg.Engine.Model.NumParams(), pn.cfg.Engine.Float32Wire))
+	tr, nr := pn.cfg.Tracer, pn.round
 	startRound := pn.cfg.StartRound
 	if pn.cfg.Control != nil {
 		// A joiner that was slow between admission and Run may find the
@@ -371,9 +344,8 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 		if pn.cfg.Control != nil {
 			pn.cfg.Control.ReportRound(round)
 		}
-		roundStart := time.Now()
+		roundStart := nr.now()
 		bytesBefore := pn.peer.BytesSent()
-		framesBefore := pn.peer.FramesSent()
 		pn.met.round.Set(float64(round))
 		tr.StartRound(round, roundStart)
 		pn.cfg.Obs.Emit(id, obs.EvRoundStart, round, -1, nil)
@@ -384,96 +356,27 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 			pn.met.refreshes.Inc()
 		}
 
-		pipelined := !pn.cfg.Sequential
-		if pipelined {
-			// Open the ingest window and kick the gradient worker before
-			// even building the outgoing update: ComputeGradient reads
-			// only the iterate and local data, state disjoint from
-			// everything build/encode/broadcast/ingest touch (DESIGN.md
-			// §14), so the whole comms window can hide behind it. Every
-			// kick is paired with exactly one gradDone receive below —
-			// including on the error returns — before StepMix or the next
-			// round's kick.
-			pn.engine.BeginIntegrate()
-			pn.gradRunning.Store(true)
-			pn.gradCmd <- round
-		}
-		t := time.Now()
-		u, err := pn.engine.BuildUpdate(round)
-		if err != nil {
-			if pipelined {
-				<-pn.gradDone
-			}
+		// Open the ingest window and kick the gradient worker before even
+		// building the outgoing update: ComputeGradient reads only the
+		// iterate and local data, state disjoint from everything
+		// build/encode/broadcast/ingest touch (DESIGN.md §14), so the
+		// whole comms window can hide behind it. Every kick is paired
+		// with exactly one grad.done receive — here if send fails, else
+		// inside receive — before StepMix or the next round's kick.
+		pn.engine.BeginIntegrate()
+		pn.grad.running.Store(true)
+		pn.gradCmd <- round
+		if err := nr.send(round); err != nil {
+			<-pn.grad.done
 			return result, err
 		}
-		end := time.Now()
-		pn.met.build.Observe(end.Sub(t).Seconds())
-		tr.Phase(round, trace.PhaseBuild, t, end)
-
-		t = end
-		if pn.cfg.Engine.Float32Wire {
-			pn.encBuf, _, err = codec.EncodeLossyTo(pn.encBuf, u)
-		} else {
-			pn.encBuf, _, err = codec.EncodeTo(pn.encBuf, u)
-		}
-		if err != nil {
-			if pipelined {
-				<-pn.gradDone
-			}
-			return result, err
-		}
-		frame := pn.encBuf
-		end = time.Now()
-		pn.met.encode.Observe(end.Sub(t).Seconds())
-		tr.Phase(round, trace.PhaseEncode, t, end)
-
-		t = end
-		bcastStart := t
-		if err := pn.peer.Broadcast(round, frame); err != nil {
-			// A dead link mid-broadcast is a straggler, not a node
-			// failure: the receiver reuses our last parameters and the
-			// transport reconnects in the background.
-			pn.sendFailures.Add(1)
-			pn.met.sendFailures.Inc()
-			if pn.cfg.Obs.LogEnabled() {
-				f := obs.GetFields()
-				f["kind"] = "send_failure"
-				f["error"] = err.Error()
-				pn.cfg.Obs.Emit(id, obs.EvFault, round, -1, f)
-				obs.PutFields(f)
-			}
-			pn.logf("node %d: broadcast round %d: %v (continuing; link treated as straggler)",
-				id, round, err)
-		}
-		end = time.Now()
-		pn.met.broadcast.Observe(end.Sub(t).Seconds())
-		tr.Phase(round, trace.PhaseBroadcast, t, end)
-		// A full send would have cost one maximal frame per neighbor
-		// actually written to: the counter-derived ground truth for the
-		// aggregator's bytes-saved accounting.
-		frames := pn.peer.FramesSent() - framesBefore
-		tr.Sent(round, int(frames), pn.peer.BytesSent()-bytesBefore,
-			frames*fullFrame, len(u.Indices), u.NumParams)
-		if pn.cfg.Obs.LogEnabled() {
-			f := obs.GetFields()
-			f["bytes"] = len(frame)
-			f["selected"] = len(u.Indices)
-			pn.cfg.Obs.Emit(id, obs.EvBroadcast, round, -1, f)
-			obs.PutFields(f)
-		}
-
-		var iter linalg.Vector
-		if pipelined {
-			iter, err = pn.roundTailPipelined(round, tr, bcastStart)
-		} else {
-			iter, err = pn.roundTailSequential(round, tr)
-		}
+		iter, err := nr.receive(round)
 		if err != nil {
 			return result, err
 		}
 		if pn.cfg.Feed != nil {
 			// Same-goroutine read of the live iterate is safe here: the
-			// engine does not touch it again until the next Step, and
+			// engine does not touch it again until the next StepMix, and
 			// Publish copies before returning.
 			pn.cfg.Feed.Publish(round, int(pn.epoch.Load()), iter)
 		}
@@ -481,7 +384,7 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 
 		loss := pn.engine.GradientLoss()
 		roundBytes := pn.peer.BytesSent() - bytesBefore
-		roundEnd := time.Now()
+		roundEnd := nr.now()
 		roundSec := roundEnd.Sub(roundStart).Seconds()
 		pn.met.localLoss.Set(loss)
 		pn.met.roundBytes.Set(float64(roundBytes))
@@ -510,168 +413,6 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 		})
 	}
 	return result, nil
-}
-
-// roundTailPipelined finishes a round on the streaming path: frames are
-// decoded and ingested one by one as GatherStream delivers them, while
-// the gradient worker (kicked before build) is still running; StepMix
-// joins the two at the barrier. bcastStart anchors the overlap
-// accounting — the gradient was kicked before build, so the hidden
-// comms time is [bcastStart, min(gradient end, gather end)].
-//
-//snap:returns-borrowed
-func (pn *PeerNode) roundTailPipelined(round int, tr *trace.Tracer, bcastStart time.Time) (linalg.Vector, error) {
-	gatherStart := time.Now()
-	var (
-		ingestErr        error
-		got, overlapped  int
-		decSecs, intSecs float64
-		firstDecode      time.Time
-		lastDecode       time.Time
-		lastIngest       time.Time
-	)
-	pn.peer.GatherStream(round, pn.cfg.RoundTimeout, func(from int, f []byte) bool {
-		d0 := time.Now()
-		dec := &pn.decUpd
-		if err := codec.DecodeInto(dec, f); err != nil {
-			// A corrupt frame from one neighbor is that neighbor's
-			// problem, not ours: drop it and reuse their last view.
-			transport.RecycleFrame(f)
-			pn.noteCorruptFrame(round, from, err)
-			return true
-		}
-		// DecodeInto never aliases the wire bytes, so the frame buffer
-		// can rejoin the transport's receive pool immediately.
-		transport.RecycleFrame(f)
-		d1 := time.Now()
-		tr.Span(round, trace.SpanFrameDecode, d0, d1)
-		if err := pn.engine.IngestFrame(dec); err != nil {
-			ingestErr = err
-			return false // abort the stream; the error is fatal
-		}
-		i1 := time.Now()
-		decSecs += d1.Sub(d0).Seconds()
-		intSecs += i1.Sub(d1).Seconds()
-		if firstDecode.IsZero() {
-			firstDecode = d0
-		}
-		lastDecode, lastIngest = d1, i1
-		got++
-		if pn.gradRunning.Load() {
-			overlapped++
-		}
-		return true
-	})
-	gatherEnd := time.Now()
-	// The gather phase is the whole stream window; the decode and
-	// integrate phases are the slices of it spent off the wire. Their
-	// windows overlap the gather window — that is the pipeline, not a
-	// bookkeeping bug (DESIGN.md §14).
-	pn.met.gather.Observe(gatherEnd.Sub(gatherStart).Seconds())
-	tr.Phase(round, trace.PhaseGather, gatherStart, gatherEnd)
-	if firstDecode.IsZero() {
-		firstDecode, lastDecode, lastIngest = gatherEnd, gatherEnd, gatherEnd
-	}
-	pn.met.decode.Observe(decSecs)
-	tr.Phase(round, trace.PhaseDecode, firstDecode, lastDecode)
-	pn.met.integrate.Observe(intSecs)
-	tr.Phase(round, trace.PhaseIntegrate, firstDecode, lastIngest)
-
-	// Barrier: the round's gradient must be in scratch before StepMix
-	// reads it (and before a fatal return hands the loop back).
-	<-pn.gradDone
-	if ingestErr != nil {
-		return nil, ingestErr
-	}
-	overlapEnd := pn.gradFinished
-	if gatherEnd.Before(overlapEnd) {
-		overlapEnd = gatherEnd
-	}
-	if overlapEnd.After(bcastStart) {
-		pn.met.overlapSeconds.Observe(overlapEnd.Sub(bcastStart).Seconds())
-		tr.Span(round, trace.SpanOverlap, bcastStart, overlapEnd)
-	} else {
-		pn.met.overlapSeconds.Observe(0)
-	}
-	pn.met.streamDepth.Set(float64(overlapped))
-	pn.met.streamFrames.Add(int64(got))
-	pn.emitIntegrate(round, got)
-	return pn.engine.StepMix(round), nil
-}
-
-// roundTailSequential is the historical batch tail — gather, decode
-// all, integrate all, then compute the gradient and step. Kept for A/B
-// measurement against the pipelined tail: the two produce bitwise-
-// identical iterates (TestPipelinedMatchesSequentialTCP).
-//
-//snap:returns-borrowed
-func (pn *PeerNode) roundTailSequential(round int, tr *trace.Tracer) (linalg.Vector, error) {
-	t := time.Now()
-	inbox := pn.peer.Gather(round, pn.cfg.RoundTimeout)
-	end := time.Now()
-	pn.met.gather.Observe(end.Sub(t).Seconds())
-	tr.Phase(round, trace.PhaseGather, t, end)
-
-	t = end
-	pn.updates = pn.updates[:0]
-	for from, f := range inbox {
-		dec := codec.GetUpdate()
-		if err := codec.DecodeInto(dec, f); err != nil {
-			codec.PutUpdate(dec)
-			pn.noteCorruptFrame(round, from, err)
-			continue
-		}
-		pn.updates = append(pn.updates, dec)
-		// DecodeInto never aliases the wire bytes, so the frame buffer
-		// can rejoin the transport's receive pool immediately.
-		transport.RecycleFrame(f)
-	}
-	end = time.Now()
-	pn.met.decode.Observe(end.Sub(t).Seconds())
-	tr.Phase(round, trace.PhaseDecode, t, end)
-
-	t = end
-	err := pn.engine.Integrate(pn.updates)
-	for i, dec := range pn.updates {
-		codec.PutUpdate(dec)
-		pn.updates[i] = nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	end = time.Now()
-	pn.met.integrate.Observe(end.Sub(t).Seconds())
-	tr.Phase(round, trace.PhaseIntegrate, t, end)
-	pn.emitIntegrate(round, len(inbox))
-	pn.computeGradient(round)
-	return pn.engine.StepMix(round), nil
-}
-
-// noteCorruptFrame records a dropped undecodable frame (counter, fault
-// event, log line); the sender's last-known view is simply reused.
-func (pn *PeerNode) noteCorruptFrame(round, from int, err error) {
-	id := pn.engine.ID()
-	pn.met.corrupt.Inc()
-	if pn.cfg.Obs.LogEnabled() {
-		fields := obs.GetFields()
-		fields["kind"] = "corrupt_frame"
-		fields["error"] = err.Error()
-		pn.cfg.Obs.Emit(id, obs.EvFault, round, from, fields)
-		obs.PutFields(fields)
-	}
-	pn.logf("node %d: dropping corrupt round-%d frame from %d: %v",
-		id, round, from, err)
-}
-
-// emitIntegrate records the end-of-ingest round event with the number
-// of neighbor updates applied.
-func (pn *PeerNode) emitIntegrate(round, updates int) {
-	if pn.cfg.Obs.LogEnabled() {
-		f := obs.GetFields()
-		f["updates"] = updates
-		pn.cfg.Obs.Emit(pn.engine.ID(), obs.EvIntegrate, round, -1, f)
-		obs.PutFields(f)
-	}
 }
 
 // Epoch returns the id of the cluster epoch this node last applied (its
@@ -723,9 +464,12 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 			// A peer that cannot be reached yet is a straggler, not a
 			// fatal error: its address is registered, so the transport
 			// keeps reconnecting in the background.
-			if pn.cfg.Obs != nil {
-				pn.cfg.Obs.Emit(id, obs.EvFault, round, -1,
-					map[string]any{"kind": "reconfig_connect", "error": err.Error()})
+			if pn.cfg.Obs.LogEnabled() {
+				f := obs.GetFields()
+				f["kind"] = "reconfig_connect"
+				f["error"] = err.Error()
+				pn.cfg.Obs.Emit(id, obs.EvFault, round, -1, f)
+				obs.PutFields(f)
 			}
 			pn.logf("node %d: epoch %d: connecting new links: %v (continuing)", id, plan.Epoch, err)
 		}
@@ -739,12 +483,13 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 	pn.met.epoch.Set(float64(plan.Epoch))
 	pn.met.epochsApplied.Inc()
 	pn.met.reconfigSeconds.Observe(sec)
-	if pn.cfg.Obs != nil {
-		pn.cfg.Obs.Emit(id, obs.EvEpochApplied, round, -1, map[string]any{
-			"epoch":     plan.Epoch,
-			"neighbors": len(plan.Neighbors),
-			"seconds":   sec,
-		})
+	if pn.cfg.Obs.LogEnabled() {
+		f := obs.GetFields()
+		f["epoch"] = plan.Epoch
+		f["neighbors"] = len(plan.Neighbors)
+		f["seconds"] = sec
+		pn.cfg.Obs.Emit(id, obs.EvEpochApplied, round, -1, f)
+		obs.PutFields(f)
 	}
 	pn.logf("node %d: applied epoch %d at round %d (%d neighbors, %.1fms)",
 		id, plan.Epoch, round, len(plan.Neighbors), sec*1000)

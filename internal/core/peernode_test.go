@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -114,9 +115,11 @@ func TestPeerNodesMatchSimulatedCluster(t *testing.T) {
 	for i := 0; i < n; i++ {
 		got := nodes[i].Engine().Params()
 		want := ref[i].Params()
-		if !got.Equal(want, 1e-12) {
-			t.Errorf("node %d: TCP run diverged from in-process run (max diff %v)",
-				i, got.Sub(want).NormInf())
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Errorf("node %d param %d: TCP run %v, in-process run %v", i, j, got[j], want[j])
+				break
+			}
 		}
 	}
 	// Bytes were really written to sockets.

@@ -82,7 +82,6 @@ func benchDelayedRounds(b *testing.B, sequential bool) {
 			},
 			ListenAddr:   "127.0.0.1:0",
 			RoundTimeout: 30 * time.Second,
-			Sequential:   sequential,
 			Faults:       faults,
 		})
 		if err != nil {
@@ -138,7 +137,11 @@ func benchDelayedRounds(b *testing.B, sequential bool) {
 		wg.Add(1)
 		go func(i int, pn *PeerNode) {
 			defer wg.Done()
-			_, runErrs[i] = pn.Run(b.N)
+			if sequential {
+				runErrs[i] = runSequential(pn, b.N)
+			} else {
+				_, runErrs[i] = pn.Run(b.N)
+			}
 		}(i, pn)
 	}
 	wg.Wait()

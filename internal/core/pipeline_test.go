@@ -8,28 +8,71 @@ import (
 
 	"github.com/snapml/snap/internal/codec"
 	"github.com/snapml/snap/internal/graph"
+	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/model"
 	"github.com/snapml/snap/internal/trace"
 	"github.com/snapml/snap/internal/weights"
 )
 
+// runSequential drives pn through rounds [0, rounds) on the sequential
+// schedule — send, gather and ingest everything, only then compute the
+// gradient and step — composed of the same halves PeerNode.Run pipelines.
+// It is the reference the pipelined loop is pinned to bit for bit, and
+// the slow arm of BenchmarkExtraRoundDelayed.
+func runSequential(pn *PeerNode, rounds int) error {
+	for round := 0; round < rounds; round++ {
+		if err := pn.round.send(round); err != nil {
+			return err
+		}
+		pn.engine.BeginIntegrate()
+		if err := pn.round.ingest(round); err != nil {
+			return err
+		}
+		pn.computeGradient(round)
+		pn.engine.StepMix(round)
+		pn.peer.ForgetRound(round)
+	}
+	return nil
+}
+
+// Integrate and Step are the batch forms of BeginIntegrate + IngestFrame
+// and ComputeGradient + StepMix that the engine-level tests are written
+// against.
+func (e *Engine) Integrate(updates []*codec.Update) error {
+	e.BeginIntegrate()
+	for _, u := range updates {
+		if err := e.IngestFrame(u); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+//snap:returns-borrowed
+func (e *Engine) Step(round int) linalg.Vector {
+	e.ComputeGradient(round)
+	return e.StepMix(round)
+}
+
 // runPipelineCluster trains a 5-node complete-graph TCP cluster for the
-// given number of rounds with the pipelined loop on or off and returns
-// every node's final iterate. Loopback with no faults means every frame
-// lands inside the (generous) round timeout, so the run is a pure
+// given number of rounds on the pipelined or the sequential schedule and
+// returns every node's final iterate. Loopback with no faults means every
+// frame lands inside the (generous) round timeout, so the run is a pure
 // function of the fixed data/init seeds in startPeerNodes.
 func runPipelineCluster(t *testing.T, sequential bool, rounds int) [][]float64 {
 	t.Helper()
-	nodes := startPeerNodes(t, 5, 30*time.Second, func(i int, cfg *PeerNodeConfig) {
-		cfg.Sequential = sequential
-	})
+	nodes := startPeerNodes(t, 5, 30*time.Second, nil)
 	var wg sync.WaitGroup
 	errs := make([]error, len(nodes))
 	for i, pn := range nodes {
 		wg.Add(1)
 		go func(i int, pn *PeerNode) {
 			defer wg.Done()
-			_, errs[i] = pn.Run(rounds)
+			if sequential {
+				errs[i] = runSequential(pn, rounds)
+			} else {
+				_, errs[i] = pn.Run(rounds)
+			}
 		}(i, pn)
 	}
 	wg.Wait()

@@ -9,7 +9,7 @@ import "github.com/snapml/snap/internal/linalg"
 //
 // Publish is called from the round loop's goroutine with the node's live
 // iterate; implementations must copy the vector during the call and must
-// not retain it — the engine recycles the buffer on the next Step.
+// not retain it — the engine recycles the buffer on the next StepMix.
 type ParamSink interface {
 	Publish(round, epoch int, params linalg.Vector)
 }

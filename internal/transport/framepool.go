@@ -23,7 +23,7 @@ func getFrameBuf(n int) []byte {
 	return make([]byte, n)
 }
 
-// RecycleFrame returns a frame buffer received from Peer.Gather to the
+// RecycleFrame returns a frame buffer received from Peer.GatherStream to the
 // receive pool. Strictly optional: callers that retain frames simply
 // don't recycle them. After recycling, the caller must not touch the
 // slice again.

@@ -17,18 +17,17 @@ package transport
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/metrics"
 )
 
-// Sim is a lockstep simulated network over a fixed topology. Messages sent
-// during a round are delivered at that round's Exchange call. Direct
-// neighbor traffic crosses one hop; Unicast traffic is routed along
-// shortest paths and charged accordingly. Sim is safe for concurrent use
-// by per-node goroutines within a round.
+// Sim is a lockstep simulated network over a fixed topology. Frames sent
+// to a neighbor during a round wait in the receiver's inbox for that
+// round's CollectStream. Direct neighbor traffic crosses one hop; Unicast
+// traffic is only charged, along shortest paths. Sim is safe for
+// concurrent use by per-node goroutines within a round.
 type Sim struct {
 	topo   *graph.Graph
 	hops   [][]int
@@ -41,17 +40,15 @@ type Sim struct {
 	failureRate float64
 	failureRNG  *rand.Rand
 
-	mu         sync.Mutex
-	round      int
-	downLinks  map[graph.Edge]bool
-	inboxes    []map[int][]byte // inboxes[to][from] = frame (neighbor traffic)
-	uniInboxes []map[int][]byte // unicast traffic, same shape
-	// inboxSpare/uniSpare hold each node's off-duty inbox map: Collect
+	mu        sync.Mutex
+	round     int
+	downLinks map[graph.Edge]bool
+	inboxes   []map[int][]byte // inboxes[to][from] = frame
+	// inboxSpare holds each node's off-duty inbox map: CollectStream
 	// swaps the active map with the (cleared) spare instead of
 	// allocating a fresh map per call, so the steady-state round loop
 	// reuses two maps per node forever.
 	inboxSpare []map[int][]byte
-	uniSpare   []map[int][]byte
 	dropped    int64 // frames lost to failed links
 
 	// nbrSorted caches each node's neighbor ids in ascending order so
@@ -71,13 +68,15 @@ func NewSim(topo *graph.Graph, ledger *metrics.CostLedger) *Sim {
 		hops:   topo.AllPairsHops(),
 		ledger: ledger,
 	}
-	s.resetInboxes()
+	n := topo.N()
 	s.downLinks = make(map[graph.Edge]bool)
-	s.nbrSorted = make([][]int, topo.N())
-	for i := range s.nbrSorted {
-		ids := topo.Neighbors(i)
-		sort.Ints(ids)
-		s.nbrSorted[i] = ids
+	s.inboxes = make([]map[int][]byte, n)
+	s.inboxSpare = make([]map[int][]byte, n)
+	s.nbrSorted = make([][]int, n)
+	for i := 0; i < n; i++ {
+		s.inboxes[i] = make(map[int][]byte)
+		s.inboxSpare[i] = make(map[int][]byte)
+		s.nbrSorted[i] = topo.Neighbors(i)
 	}
 	return s
 }
@@ -118,7 +117,9 @@ func (s *Sim) BeginRound(r int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.round = r
-	s.resetInboxesLocked()
+	for _, box := range s.inboxes {
+		clear(box)
+	}
 	for k := range s.downLinks {
 		delete(s.downLinks, k)
 	}
@@ -156,10 +157,12 @@ func (s *Sim) Send(from, to int, frame []byte) error {
 	return nil
 }
 
-// Unicast transmits a frame between two arbitrary nodes along the shortest
-// path, charging hops × bytes. Used by the parameter-server baselines.
-// Unicast traffic is not subject to link-failure injection (the PS
-// baselines in the paper are evaluated without stragglers).
+// Unicast charges a frame sent between two arbitrary nodes along the
+// shortest path: hops × bytes. The parameter-server baselines use it for
+// their cost accounting only — they hand the vectors over in memory — so
+// nothing is queued for delivery. Unicast traffic is not subject to
+// link-failure injection (the PS baselines in the paper are evaluated
+// without stragglers).
 func (s *Sim) Unicast(from, to int, frame []byte) error {
 	h := s.hops[from][to]
 	if h < 0 {
@@ -168,37 +171,27 @@ func (s *Sim) Unicast(from, to int, frame []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ledger.Record(s.round, h, len(frame))
-	s.uniInboxes[to][from] = frame
 	return nil
 }
 
-// Collect drains node i's neighbor inbox for the current round: a map from
-// sender id to frame. The returned map is owned by the Sim and is reused:
-// it stays valid only until node i's next Collect call, matching the
-// lockstep round protocol where each round's inbox is consumed before the
-// next begins.
-func (s *Sim) Collect(i int) map[int][]byte {
+// CollectStream drains node i's inbox for the current round, delivering
+// (sender, frame) pairs in ascending sender-id order — the streaming
+// shape of Peer.GatherStream, so simulated and TCP round loops share one
+// ingest path. A lockstep network has no mid-round arrivals, so the
+// whole inbox is delivered synchronously; the value of the streaming
+// form here is the fixed per-sender iteration order. Frames are the
+// senders' own buffers (see Send) and stay valid until the next round's
+// sends. deliver returning false stops the stream early (remaining
+// frames are discarded with the round). Returns the number of frames
+// delivered.
+func (s *Sim) CollectStream(i int, deliver func(from int, frame []byte) bool) int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.inboxes[i]
+	box := s.inboxes[i]
 	spare := s.inboxSpare[i]
 	clear(spare)
-	s.inboxes[i], s.inboxSpare[i] = spare, out
-	return out
-}
+	s.inboxes[i], s.inboxSpare[i] = spare, box
+	s.mu.Unlock()
 
-// CollectStream drains node i's neighbor inbox for the current round,
-// delivering (sender, frame) pairs in ascending sender-id order — the
-// streaming shape of Peer.GatherStream, so simulated and TCP round
-// loops share one ingest path. A lockstep network has no mid-round
-// arrivals, so the whole inbox is delivered synchronously; the value of
-// the streaming form here is the fixed per-sender iteration order.
-// Frames follow the same reuse contract as Collect: valid until node
-// i's next Collect/CollectStream. deliver returning false stops the
-// stream early (remaining frames are discarded with the round, as with
-// an unconsumed Collect map). Returns the number of frames delivered.
-func (s *Sim) CollectStream(i int, deliver func(from int, frame []byte) bool) int {
-	box := s.Collect(i)
 	n := 0
 	for _, from := range s.nbrSorted[i] {
 		frame, ok := box[from]
@@ -213,48 +206,9 @@ func (s *Sim) CollectStream(i int, deliver func(from int, frame []byte) bool) in
 	return n
 }
 
-// CollectUnicast drains node i's unicast inbox for the current round,
-// with the same reuse contract as Collect.
-func (s *Sim) CollectUnicast(i int) map[int][]byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.uniInboxes[i]
-	spare := s.uniSpare[i]
-	clear(spare)
-	s.uniInboxes[i], s.uniSpare[i] = spare, out
-	return out
-}
-
 // Hops returns the shortest-path hop count between two nodes (-1 if
 // disconnected).
 func (s *Sim) Hops(from, to int) int { return s.hops[from][to] }
-
-func (s *Sim) resetInboxes() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.resetInboxesLocked()
-}
-
-func (s *Sim) resetInboxesLocked() {
-	n := s.topo.N()
-	if s.inboxes == nil {
-		s.inboxes = make([]map[int][]byte, n)
-		s.uniInboxes = make([]map[int][]byte, n)
-		s.inboxSpare = make([]map[int][]byte, n)
-		s.uniSpare = make([]map[int][]byte, n)
-		for i := 0; i < n; i++ {
-			s.inboxes[i] = make(map[int][]byte)
-			s.uniInboxes[i] = make(map[int][]byte)
-			s.inboxSpare[i] = make(map[int][]byte)
-			s.uniSpare[i] = make(map[int][]byte)
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		clear(s.inboxes[i])
-		clear(s.uniInboxes[i])
-	}
-}
 
 func canonical(u, v int) graph.Edge {
 	if u > v {

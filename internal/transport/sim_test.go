@@ -68,11 +68,13 @@ func TestSimUnicastDelivery(t *testing.T) {
 	if err := s.Unicast(0, 2, []byte("hi")); err != nil {
 		t.Fatal(err)
 	}
-	in := s.CollectUnicast(2)
-	if string(in[0]) != "hi" {
-		t.Errorf("unicast inbox = %v", in)
+	// Unicast only charges the ledger: 2 bytes over the 2-hop path.
+	led := s.Ledger()
+	if led.Total() != 4 || led.Bytes() != 2 || led.Messages() != 1 || led.RoundCost(0) != 4 {
+		t.Errorf("unicast charged cost %v, %d bytes, %d messages, round cost %v; want 4, 2, 1, 4",
+			led.Total(), led.Bytes(), led.Messages(), led.RoundCost(0))
 	}
-	// Unicast and neighbor inboxes are separate.
+	// Nothing is queued, in particular not in the neighbor inbox.
 	if len(s.Collect(2)) != 0 {
 		t.Error("unicast leaked into neighbor inbox")
 	}
@@ -197,4 +199,15 @@ func TestSimConcurrentSends(t *testing.T) {
 			t.Errorf("node %d received %d frames, want 7", i, got)
 		}
 	}
+}
+
+// Collect is the batch view of CollectStream the assertions here read:
+// node i's inbox for the current round as a sender → frame map.
+func (s *Sim) Collect(i int) map[int][]byte {
+	out := make(map[int][]byte)
+	s.CollectStream(i, func(from int, frame []byte) bool {
+		out[from] = frame
+		return true
+	})
+	return out
 }

@@ -58,13 +58,13 @@ type LinkStats struct {
 
 // Peer is one edge server's TCP endpoint. Peers keep one persistent
 // connection per neighbor and exchange length-prefixed, round-tagged
-// frames. Gather implements the paper's RIP-like synchronization: wait for
-// this round's frame from every *currently connected* neighbor, giving up
-// on stragglers after a timeout.
+// frames. GatherStream implements the paper's RIP-like synchronization:
+// wait for this round's frame from every *currently connected* neighbor,
+// giving up on stragglers after a timeout.
 //
 // The transport is fault tolerant: a dead connection is evicted as soon as
-// its read loop observes the failure (so Gather stops waiting for it), and
-// both sides re-dial with exponential backoff and jitter. For initial
+// its read loop observes the failure (so GatherStream stops waiting for
+// it), and both sides re-dial with exponential backoff and jitter. For initial
 // connection establishment the lower-id peer accepts and the higher-id
 // peer dials; during reconnection either side may dial, and duplicate
 // connections are resolved deterministically by keeping the one dialed by
@@ -92,16 +92,17 @@ type Peer struct {
 	inbox chan inFrame
 
 	// membership is nudged whenever the connection set changes so a
-	// blocked Gather re-evaluates how many frames it should wait for.
+	// blocked GatherStream re-evaluates how many frames it should wait
+	// for.
 	membership chan struct{}
 
-	// pending buffers frames by round until Gather asks for them.
+	// pending buffers frames by round until GatherStream asks for them.
 	pendingMu sync.Mutex
 	pending   map[int]map[int][]byte // guarded by pendingMu
 
 	// Streaming-gather scratch, owned by the single gathering goroutine:
-	// Gather/GatherStream must not be invoked concurrently with each
-	// other (the round loop is their only caller). Reused across rounds
+	// GatherStream must not be invoked concurrently with itself (the
+	// round loop is its only caller). Reused across rounds
 	// so a steady-state stream performs no allocations.
 	streamSeen  map[int]bool // senders already delivered this call
 	streamKeep  map[int]bool // expected-sender set, rebuilt per flush
@@ -275,7 +276,7 @@ func (p *Peer) LatestRound() int { return int(p.latestRound.Load()) - 1 }
 
 // Drop removes neighbor nid from the peer's neighbor set: the connection
 // (if any) is closed, the stored address is forgotten so no reconnect
-// loop revives the link, and Gather stops expecting frames from it. Used
+// loop revives the link, and GatherStream stops expecting frames from it. Used
 // when an epoch reconfiguration removes a topology edge or a member
 // leaves the cluster. Dropping an unknown neighbor is a no-op.
 func (p *Peer) Drop(nid int) {
@@ -663,7 +664,7 @@ func (p *Peer) reconnectLoop(nid int, addr string) {
 	}
 }
 
-// notifyMembership nudges a blocked Gather to re-evaluate the connection
+// notifyMembership nudges a blocked GatherStream to re-evaluate the connection
 // set. Non-blocking: a single pending nudge is enough.
 func (p *Peer) notifyMembership() {
 	select {
@@ -673,7 +674,7 @@ func (p *Peer) notifyMembership() {
 }
 
 // readLoop parses length-prefixed frames: [len u32][round u32][payload].
-// On any read error the connection is evicted from the registry (so Gather
+// On any read error the connection is evicted from the registry (so GatherStream
 // stops counting it) and a reconnect loop takes over.
 func (p *Peer) readLoop(from int, pc *peerConn) {
 	defer p.wg.Done()
@@ -831,44 +832,27 @@ func (p *Peer) expectedConns() []int {
 	return ids
 }
 
-// Gather blocks until a frame for the given round has arrived from every
-// currently connected *expected* neighbor (see expectedConns), or the
-// timeout elapses; it returns whatever arrived (possibly empty). Frames
-// from other rounds are buffered for their own Gather calls. The expected
-// count is re-evaluated whenever the connection set changes, so a
-// neighbor that dies mid-round costs at most this one timeout —
-// subsequent rounds no longer wait for it.
+// GatherStream blocks until a frame for the given round has arrived from
+// every currently connected *expected* neighbor (see expectedConns), or
+// the timeout elapses, invoking deliver with (sender, frame) as each
+// frame arrives — which is what lets a caller decode and integrate frame
+// i while frame i+1 is still on the wire. deliver returning false aborts
+// the stream early. The return values are the number of frames delivered
+// and the number the stream was waiting for when it returned (got < want
+// means stragglers).
 //
-// Gather is a thin batch adapter over GatherStream; all fault semantics
-// (dead-link re-evaluation, mid-wait membership changes, withholding of
-// unexpected senders) live in the streaming core.
-func (p *Peer) Gather(round int, timeout time.Duration) map[int][]byte {
-	got := make(map[int][]byte)
-	p.GatherStream(round, timeout, func(from int, frame []byte) bool {
-		got[from] = frame
-		return true
-	})
-	return got
-}
-
-// GatherStream is the streaming form of Gather: deliver is invoked with
-// (sender, frame) as each of the round's frames arrives, instead of the
-// frames being batched until the round completes. This is what lets a
-// caller decode and integrate frame i while frame i+1 is still on the
-// wire. deliver returning false aborts the stream early. The return
-// values are the number of frames delivered and the number the stream
-// was waiting for when it returned (got < want means stragglers).
+// At most one frame per sender is delivered per call; frames from other
+// rounds are buffered for their own calls; frames from senders outside
+// the expected neighbor set are withheld, left buffered for a later
+// epoch; the expected count is re-evaluated on every membership change,
+// so a neighbor that dies mid-round costs at most this one timeout —
+// subsequent rounds no longer wait for it. Frames stay buffered until
+// ForgetRound, so a repeated call for the same round re-delivers them.
+// Frame ownership transfers to deliver — the caller recycles (or
+// retains) each frame it is handed.
 //
-// Semantics match the historical batch Gather exactly: at most one frame
-// per sender per call; frames from senders outside the expected neighbor
-// set (see expectedConns) are withheld, left buffered for a later epoch;
-// the expected count is re-evaluated on every membership change; frames
-// stay buffered until ForgetRound, so a repeated call for the same round
-// re-delivers them. Frame ownership transfers to deliver — the caller
-// recycles (or retains) each frame it is handed.
-//
-// GatherStream, Gather, and the deliver callback run on the caller's
-// goroutine; the transport never calls deliver concurrently.
+// GatherStream and the deliver callback run on the caller's goroutine;
+// the transport never calls deliver concurrently.
 func (p *Peer) GatherStream(round int, timeout time.Duration, deliver func(from int, frame []byte) bool) (got, want int) {
 	start := time.Now()
 	got, want = p.gatherStream(round, timeout, deliver)

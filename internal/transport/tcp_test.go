@@ -367,3 +367,15 @@ func TestPeerManyRoundsUnderLoad(t *testing.T) {
 		}
 	}
 }
+
+// Gather is the batch view of GatherStream the assertions here read: the
+// round's frames as a sender → frame map, once every expected neighbor
+// has delivered or the timeout has passed.
+func (p *Peer) Gather(round int, timeout time.Duration) map[int][]byte {
+	got := make(map[int][]byte)
+	p.GatherStream(round, timeout, func(from int, frame []byte) bool {
+		got[from] = frame
+		return true
+	})
+	return got
+}

@@ -7,7 +7,10 @@
 #     must beat /sequential by at least MIN_OVERLAP_GAIN on the same
 #     box in the same run. The recorded gain is ~2x (DESIGN.md §14);
 #     a drop below the threshold means the pipeline stopped overlapping
-#     compute with the gather window.
+#     compute with the gather window. The sequential arm is the
+#     test-side composition of the production round halves
+#     (runSequential in internal/core/pipeline_test.go), so both arms
+#     run the same send and ingest code.
 #
 #  2. Absolute envelope: ns/op for the guarded benchmarks must stay
 #     within NS_SLACK x the committed baseline, and BenchmarkExtraRound
