@@ -12,44 +12,36 @@
 //	golife    — goroutines in the serving/transport planes are
 //	            cancellable and not spawned in unbounded loops
 //
-// Two modes share the analyzers:
+// It runs only as a go vet tool:
 //
-//	snaplint ./...                      standalone, loads via `go list`
-//	go vet -vettool=$(which snaplint) ./...   driven by the build system
+//	go vet -vettool=$(go env GOPATH)/bin/snaplint ./...
 //
-// The vettool mode speaks cmd/go's unitchecker protocol (-V=full,
-// -flags, one JSON .cfg per compilation unit), so results are cached
-// per package like any other vet run, and _test.go files are covered.
-// Cross-package facts ride the protocol's .vetx files; the standalone
-// mode propagates them in-process over `go list -deps` dependency
-// order.
+// It speaks cmd/go's unitchecker protocol (-V=full, -flags, one JSON
+// .cfg per compilation unit), so results are cached per package like
+// any other vet run, _test.go files are covered, and cross-package
+// facts ride the protocol's .vetx files. Each finding is printed as
+// `file:line:col: message [analyzer]`.
 //
 // Findings may be waived at a single site with
 // `//snaplint:ignore <analyzer>[,<analyzer>] <reason>` on the same or
 // the preceding line; the reason is mandatory.
 //
-// Exit codes: 0 no findings, 1 findings reported, 2 the tool itself
-// failed (bad flags, a package failed to load or typecheck, an
-// analyzer crashed).
+// Exit codes per unit: 0 no findings, 1 findings reported, 2 the tool
+// itself failed (bad arguments, a package failed to typecheck, an
+// analyzer crashed); go vet fails on any non-zero code.
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"github.com/snapml/snap/internal/analysis/allocfree"
 	"github.com/snapml/snap/internal/analysis/bufown"
-	"github.com/snapml/snap/internal/analysis/facts"
 	"github.com/snapml/snap/internal/analysis/floatdet"
 	"github.com/snapml/snap/internal/analysis/golife"
 	"github.com/snapml/snap/internal/analysis/lint"
-	"github.com/snapml/snap/internal/analysis/load"
 	"github.com/snapml/snap/internal/analysis/lockguard"
 	"github.com/snapml/snap/internal/analysis/obsname"
 	"github.com/snapml/snap/internal/analysis/unit"
@@ -71,52 +63,51 @@ func analyzers() []*lint.Analyzer {
 func main() {
 	as := analyzers()
 	if err := lint.Validate(as); err != nil {
-		fmt.Fprintln(os.Stderr, "snaplint:", err)
-		os.Exit(2)
+		fail(err)
 	}
 
-	args := os.Args[1:]
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			if err := unit.PrintVersion(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "snaplint:", err)
-				os.Exit(2)
-			}
-			return
-		case a == "-flags" || a == "--flags":
-			if err := unit.PrintFlags(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "snaplint:", err)
-				os.Exit(2)
-			}
-			return
-		}
+	arg := ""
+	if len(os.Args) == 2 {
+		arg = os.Args[1]
 	}
-
-	// Unitchecker mode: exactly one *.cfg argument from `go vet`.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		diags, err := unit.Run(args[0], as)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "snaplint:", err)
-			os.Exit(2)
+	switch {
+	case arg == "help" || arg == "-help" || arg == "-h":
+		Usage(os.Stdout, as)
+	case arg == "-V=full":
+		if err := unit.PrintVersion(os.Stdout); err != nil {
+			fail(err)
 		}
+	case arg == "-flags":
+		if err := unit.PrintFlags(os.Stdout); err != nil {
+			fail(err)
+		}
+	case strings.HasSuffix(arg, ".cfg"):
+		diags, err := unit.Run(arg, as)
 		for _, d := range diags {
 			fmt.Fprintln(os.Stderr, d)
+		}
+		if err != nil {
+			fail(err)
 		}
 		if len(diags) > 0 {
 			os.Exit(1)
 		}
-		return
+	default:
+		Usage(os.Stderr, as)
+		os.Exit(2)
 	}
-
-	os.Exit(standalone(args, as, os.Stdout, os.Stderr))
 }
 
-// Usage prints the help text: the invocation forms and one line per
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "snaplint:", err)
+	os.Exit(2)
+}
+
+// Usage prints the help text: the invocation form and one line per
 // registered analyzer. A golden test pins this output so the analyzer
 // roster cannot drift from the documentation silently.
 func Usage(w io.Writer, as []*lint.Analyzer) {
-	fmt.Fprintf(w, "usage: snaplint [-tests=false] [-json] [packages]\n   or: go vet -vettool=<path to snaplint> [packages]\n\nAnalyzers:\n")
+	fmt.Fprintf(w, "usage: go vet -vettool=<path to snaplint> [packages]\n\nAnalyzers:\n")
 	for _, a := range as {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
@@ -124,125 +115,4 @@ func Usage(w io.Writer, as []*lint.Analyzer) {
 		}
 		fmt.Fprintf(w, "  %-10s %s\n", a.Name, doc)
 	}
-}
-
-// A finding is one diagnostic in the -json output schema (and the
-// sort key for deterministic text output).
-type finding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func standalone(args []string, as []*lint.Analyzer, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("snaplint", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	tests := fs.Bool("tests", true, "also analyze _test.go files (test variants)")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	fs.Usage = func() { Usage(stderr, as) }
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	units, failures, err := load.Load(load.Config{Tests: *tests, Deps: true}, patterns...)
-	if err != nil {
-		fmt.Fprintln(stderr, "snaplint:", err)
-		return 2
-	}
-	for _, f := range failures {
-		fmt.Fprintf(stderr, "snaplint: cannot analyze %s\n", f)
-	}
-
-	store := facts.NewStore(as)
-	var findings []finding
-	broken := false
-	for _, u := range units {
-		// Facts-only units (dependencies, test-shadowed plain packages)
-		// exist to feed facts to later units; their diagnostics are
-		// discarded.
-		factsOnly := u.FactsOnly
-		ignores := lint.NewIgnoreIndex(u.Fset, u.Files)
-		if !factsOnly {
-			for _, d := range ignores.Bad {
-				findings = append(findings, toFinding(u.Fset, "snaplint", d))
-			}
-		}
-		for _, a := range as {
-			pass := &lint.Pass{
-				Analyzer:  a,
-				Fset:      u.Fset,
-				Files:     u.Files,
-				Pkg:       u.Pkg,
-				TypesInfo: u.Info,
-			}
-			store.Install(pass)
-			name := a.Name
-			pass.Report = func(d lint.Diagnostic) {
-				if factsOnly || ignores.Ignored(d.Pos, name) {
-					return
-				}
-				findings = append(findings, toFinding(u.Fset, name, d))
-			}
-			if _, err := a.Run(pass); err != nil {
-				fmt.Fprintf(stderr, "snaplint: %s: %s: %v\n", u.Pkg.Path(), a.Name, err)
-				broken = true
-			}
-		}
-	}
-
-	// Deterministic order regardless of package iteration: by file,
-	// line, column, analyzer, message.
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
-
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if findings == nil {
-			findings = []finding{} // "[]", not "null"
-		}
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintln(stderr, "snaplint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range findings {
-			fmt.Fprintf(stderr, "%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	}
-
-	switch {
-	case broken || len(failures) > 0:
-		fmt.Fprintf(stderr, "snaplint: %d finding(s), %d package(s) failed to load\n", len(findings), len(failures))
-		return 2
-	case len(findings) > 0:
-		fmt.Fprintf(stderr, "snaplint: %d finding(s)\n", len(findings))
-		return 1
-	}
-	return 0
-}
-
-func toFinding(fset *token.FileSet, analyzer string, d lint.Diagnostic) finding {
-	p := fset.Position(d.Pos)
-	return finding{File: p.Filename, Line: p.Line, Col: p.Column, Analyzer: analyzer, Message: d.Message}
 }

@@ -2,9 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -13,8 +14,7 @@ import (
 // or reordering an analyzer must show up here — the roster in the help
 // output is documentation, and this keeps it from drifting silently.
 func TestUsageGolden(t *testing.T) {
-	const want = `usage: snaplint [-tests=false] [-json] [packages]
-   or: go vet -vettool=<path to snaplint> [packages]
+	const want = `usage: go vet -vettool=<path to snaplint> [packages]
 
 Analyzers:
   lockguard  check that fields annotated ` + "`// guarded by <mu>`" + ` are accessed under that mutex, and that no field mixes sync/atomic and plain access
@@ -32,10 +32,10 @@ Analyzers:
 	}
 }
 
-// writeModule lays out a throwaway module exercising the standalone
-// driver end to end: `dep` exports an annotated-clean function, an
-// unannotated allocator, and a deliberate violation; `c` imports it;
-// `clean` has no findings at all.
+// writeModule lays out a throwaway module exercising the go vet driver
+// end to end: `dep` exports an annotated-clean function, an unannotated
+// allocator, and a deliberate violation; `c` imports it; `clean` has no
+// findings at all; `waiver` holds a malformed //snaplint:ignore.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -62,8 +62,8 @@ func Fast(x []int) int {
 // Plain allocates and says nothing about it (body unchecked).
 func Plain() []int { return make([]int, 4) }
 
-// Liar claims the contract and breaks it. When dep is loaded
-// facts-only as a dependency, this violation must be discarded.
+// Liar claims the contract and breaks it. When dep is vetted VetxOnly
+// as a dependency, this violation must be discarded.
 //
 //snap:alloc-free
 func Liar() []int { return make([]int, 1) }
@@ -73,7 +73,7 @@ func Liar() []int { return make([]int, 1) }
 import "example.com/tmp/dep"
 
 // Hot calls a dependency function whose alloc-free fact arrived over
-// the facts-only unit: no finding.
+// dep's .vetx file: no finding.
 //
 //snap:alloc-free
 func Hot(x []int) int { return dep.Fast(x) }
@@ -82,6 +82,11 @@ func Hot(x []int) int { return dep.Fast(x) }
 //
 //snap:alloc-free
 func Bad() []int { return dep.Plain() }
+`,
+		"waiver/waiver.go": `package waiver
+
+//snaplint:ignore allocfree
+func Waived() {}
 `,
 	}
 	for name, src := range files {
@@ -96,102 +101,104 @@ func Bad() []int { return dep.Plain() }
 	return dir
 }
 
-func chdir(t *testing.T, dir string) {
+// buildSnaplint builds this command into a temporary directory.
+func buildSnaplint(t *testing.T) string {
 	t.Helper()
-	old, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
+	bin := filepath.Join(t.TempDir(), "snaplint")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	if err := os.Chdir(dir); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chdir(old) })
+	return bin
 }
 
+// vet runs the real `go vet -vettool=<bin> <pkg>` in dir and returns
+// its output lines, minus go vet's "# pkg" headers, and its exit error.
+func vet(t *testing.T, bin, dir, pkg string) (findings []string, err error) {
+	t.Helper()
+	cmd := exec.Command("go", "vet", "-vettool="+bin, pkg)
+	cmd.Dir = dir
+	out, err := cmd.CombinedOutput()
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if line != "" && !strings.HasPrefix(line, "# ") {
+			findings = append(findings, line)
+		}
+	}
+	return findings, err
+}
+
+// TestStandaloneExitCodes drives the built snaplint binary through
+// `go vet -vettool`, the only way it runs (the name predates the
+// deletion of the in-process driver): a clean package exits 0 with no
+// output, findings and malformed waivers make go vet fail, and the vet
+// protocol's -V=full and -flags queries answer as go vet expects.
 func TestStandaloneExitCodes(t *testing.T) {
-	chdir(t, writeModule(t))
-	as := analyzers()
+	bin := buildSnaplint(t)
+	dir := writeModule(t)
 
-	var stdout, stderr bytes.Buffer
-	if code := standalone([]string{"./clean"}, as, &stdout, &stderr); code != 0 {
-		t.Errorf("clean package: exit %d, want 0\nstderr: %s", code, stderr.String())
+	if findings, err := vet(t, bin, dir, "./clean"); err != nil || len(findings) > 0 {
+		t.Errorf("vet ./clean: err %v, output %q; want success and no output", err, findings)
+	}
+	if _, err := vet(t, bin, dir, "./c"); err == nil {
+		t.Error("vet ./c succeeded; want a non-zero exit on the finding")
+	}
+	findings, err := vet(t, bin, dir, "./waiver")
+	if err == nil || len(findings) != 1 || !strings.Contains(findings[0], "missing reason [snaplint]") {
+		t.Errorf("vet ./waiver: err %v, output %q; want one malformed-waiver finding tagged [snaplint]", err, findings)
 	}
 
-	stdout.Reset()
-	stderr.Reset()
-	if code := standalone([]string{"./c"}, as, &stdout, &stderr); code != 1 {
-		t.Errorf("package with findings: exit %d, want 1\nstderr: %s", code, stderr.String())
+	out, err := exec.Command(bin, "-V=full").Output()
+	if err != nil || !regexp.MustCompile(`buildID=[0-9a-f]+\n$`).Match(out) {
+		t.Errorf("-V=full: err %v, output %q; want a buildID=<hex> line", err, out)
 	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := standalone([]string{"./nonexistent"}, as, &stdout, &stderr); code != 2 {
-		t.Errorf("unloadable pattern: exit %d, want 2\nstderr: %s", code, stderr.String())
-	}
-
-	stdout.Reset()
-	stderr.Reset()
-	if code := standalone([]string{"-no-such-flag"}, as, &stdout, &stderr); code != 2 {
-		t.Errorf("bad flag: exit %d, want 2", code)
-	}
-	if !strings.Contains(stderr.String(), "usage: snaplint") {
-		t.Errorf("bad flag did not print usage:\n%s", stderr.String())
+	if out, err := exec.Command(bin, "-flags").Output(); err != nil || string(out) != "[]\n" {
+		t.Errorf("-flags: err %v, output %q; want []", err, out)
 	}
 }
 
-// TestStandaloneDepFactsAndJSON drives the cross-package story: linting
-// only ./c must pull dep's facts through a facts-only unit (so Hot is
-// clean and Bad is flagged) while discarding dep's own diagnostics
-// (Liar stays silent). The -json output must be a valid, deterministic
-// array.
+// TestStandaloneDepFactsAndJSON drives the cross-package story through
+// the real `go vet -vettool` (the -json half of the name went with the
+// deleted flag): vetting ./c must pull dep's facts over its .vetx file
+// (so Hot is clean and Bad is flagged, tagged [allocfree]) while
+// VetxOnly discards dep's own diagnostics (Liar stays silent).
 func TestStandaloneDepFactsAndJSON(t *testing.T) {
-	chdir(t, writeModule(t))
-
-	var stdout, stderr bytes.Buffer
-	code := standalone([]string{"-json", "./c"}, analyzers(), &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
-	}
-
-	var findings []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Col      int    `json:"col"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &findings); err != nil {
-		t.Fatalf("-json output is not a JSON array: %v\n%s", err, stdout.String())
+	bin := buildSnaplint(t)
+	findings, err := vet(t, bin, writeModule(t), "./c")
+	if err == nil {
+		t.Error("vet ./c succeeded; want a non-zero exit on the finding")
 	}
 	if len(findings) != 1 {
-		t.Fatalf("findings = %d, want exactly 1 (Bad → dep.Plain):\n%s", len(findings), stdout.String())
+		t.Fatalf("vet ./c: %d lines, want exactly 1 (Bad -> dep.Plain):\n%s", len(findings), strings.Join(findings, "\n"))
 	}
-	f := findings[0]
-	if f.Analyzer != "allocfree" || !strings.Contains(f.Message, "Plain") {
-		t.Errorf("finding = %+v, want an allocfree report about dep.Plain", f)
-	}
-	if !strings.HasSuffix(f.File, "c.go") || f.Line == 0 || f.Col == 0 {
-		t.Errorf("finding position = %s:%d:%d, want a real position in c.go", f.File, f.Line, f.Col)
+	if f := findings[0]; !regexp.MustCompile(`c\.go:\d+:\d+: .*\bPlain\b.* \[allocfree\]$`).MatchString(f) {
+		t.Errorf("finding %q: want a c.go position, a message about dep.Plain, and the [allocfree] tag", f)
 	}
 	for _, f := range findings {
-		if strings.Contains(f.Message, "Fast") {
-			t.Errorf("dep.Fast flagged — dependency facts were not propagated: %+v", f)
+		if strings.Contains(f, "Fast") {
+			t.Errorf("dep.Fast flagged: its fact did not cross .vetx: %s", f)
 		}
-		if strings.Contains(f.File, "dep.go") {
-			t.Errorf("facts-only unit leaked a diagnostic: %+v", f)
+		if strings.Contains(f, "dep.go") {
+			t.Errorf("VetxOnly dependency leaked a diagnostic: %s", f)
 		}
 	}
 }
 
-// TestStandaloneJSONCleanIsEmptyArray pins the contract CI depends on:
-// no findings still emits "[]", never "null".
-func TestStandaloneJSONCleanIsEmptyArray(t *testing.T) {
-	chdir(t, writeModule(t))
-	var stdout, stderr bytes.Buffer
-	if code := standalone([]string{"-json", "./clean"}, analyzers(), &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, want 0\nstderr: %s", code, stderr.String())
+// TestHelpAndBadArgs: help prints the usage and succeeds (go vet itself
+// points users at `snaplint help`); anything outside the vet protocol
+// prints it and fails.
+func TestHelpAndBadArgs(t *testing.T) {
+	bin := buildSnaplint(t)
+	var want bytes.Buffer
+	Usage(&want, analyzers())
+	for _, arg := range []string{"help", "-help", "-h"} {
+		out, err := exec.Command(bin, arg).Output()
+		if err != nil || string(out) != want.String() {
+			t.Errorf("snaplint %s: err %v, output %q; want the usage and exit 0", arg, err, out)
+		}
 	}
-	if got := strings.TrimSpace(stdout.String()); got != "[]" {
-		t.Errorf("clean -json output = %q, want []", got)
+	for _, args := range [][]string{{}, {"./..."}, {"-json", "./..."}, {"a.cfg", "b.cfg"}} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || string(out) != want.String() {
+			t.Errorf("snaplint %q: err %v, output %q; want the usage and exit 2", args, err, out)
+		}
 	}
 }

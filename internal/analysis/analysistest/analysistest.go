@@ -7,23 +7,27 @@
 // Each string after "want" is a regular expression that must match a
 // diagnostic reported on that line; diagnostics not matched by any
 // expectation, and expectations not matched by any diagnostic, fail the
-// test. This is the x/tools analysistest contract, reimplemented on the
-// stdlib-only load driver.
+// test. This is the x/tools analysistest contract, run through the same
+// per-package analysis (unit.Load, unit.Package.Analyze) as the go vet
+// driver.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/token"
+	"path"
 	"path/filepath"
 	"regexp"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
 
 	"github.com/snapml/snap/internal/analysis/facts"
 	"github.com/snapml/snap/internal/analysis/lint"
-	"github.com/snapml/snap/internal/analysis/load"
+	"github.com/snapml/snap/internal/analysis/unit"
 )
 
 type key struct {
@@ -32,9 +36,12 @@ type key struct {
 }
 
 // Run analyzes testdata/src/<pkg> for each named package and reports
-// mismatches via t. The testdata packages live inside the module, so
-// `go list` resolves their imports (including intra-repo ones) against
-// the build cache.
+// mismatches via t. testdata is relative to the test's package
+// directory (go test's working directory), so each testdata package's
+// import path is the test package's path joined with it. Files are
+// parsed from the directory and typechecked with the stdlib source
+// importer, which resolves imports — intra-repo ones included — from
+// source.
 //
 // All named packages share one fact store and are analyzed in the
 // given order, so cross-package fact propagation is testable: list the
@@ -42,68 +49,60 @@ type key struct {
 // package a imports package b), and diagnostics in a derived from
 // facts exported while analyzing b match `// want` expectations like
 // any other. `//snaplint:ignore` waivers are honored exactly as in the
-// real drivers — a waived diagnostic needs no want, and a malformed
+// go vet driver — a waived diagnostic needs no want, and a malformed
 // directive is itself a reportable diagnostic.
 func Run(t *testing.T, testdata string, a *lint.Analyzer, pkgs ...string) {
 	t.Helper()
-	store := facts.NewStore([]*lint.Analyzer{a})
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		t.Fatal("analysistest: no build info to derive testdata import paths from")
+	}
+	root := path.Join(strings.TrimSuffix(bi.Path, ".test"), filepath.ToSlash(testdata), "src")
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "source", nil)
+	analyzers := []*lint.Analyzer{a}
+	store := facts.NewStore(analyzers)
 	for _, pkg := range pkgs {
 		dir := filepath.Join(testdata, "src", pkg)
-		units, failures, err := load.Load(load.Config{Dir: dir}, ".")
+		files, _ := filepath.Glob(filepath.Join(dir, "*.go")) // only a malformed pattern errors
+		if len(files) == 0 {
+			t.Errorf("%s: no .go files in %s", a.Name, dir)
+			continue
+		}
+		p, err := unit.Load(fset, path.Join(root, pkg), "", files, imp)
 		if err != nil {
 			t.Errorf("%s: loading %s: %v", a.Name, dir, err)
 			continue
 		}
-		for _, f := range failures {
-			t.Errorf("%s: loading %s: %s", a.Name, dir, f)
+		findings, err := p.Analyze(analyzers, store, false)
+		if err != nil {
+			t.Errorf("%s: %v", a.Name, err)
+			continue
 		}
-		for _, u := range units {
-			runUnit(t, a, u, store)
-		}
+		check(t, a, p, findings)
 	}
 }
 
-func runUnit(t *testing.T, a *lint.Analyzer, u *load.Unit, store *facts.Store) {
+func check(t *testing.T, a *lint.Analyzer, p *unit.Package, findings []unit.Finding) {
 	t.Helper()
-
-	ignores := lint.NewIgnoreIndex(u.Fset, u.Files)
-	diags := append([]lint.Diagnostic(nil), ignores.Bad...)
-	pass := &lint.Pass{
-		Analyzer:  a,
-		Fset:      u.Fset,
-		Files:     u.Files,
-		Pkg:       u.Pkg,
-		TypesInfo: u.Info,
-		Report: func(d lint.Diagnostic) {
-			if !ignores.Ignored(d.Pos, a.Name) {
-				diags = append(diags, d)
-			}
-		},
-	}
-	store.Install(pass)
-	if _, err := a.Run(pass); err != nil {
-		t.Errorf("%s: analyzer failed: %v", a.Name, err)
-		return
-	}
-
 	type expectation struct {
 		re      *regexp.Regexp
 		matched bool
 	}
 	want := make(map[key][]*expectation)
-	for _, f := range u.Files {
+	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				patterns, ok := wantPatterns(c.Text)
 				if !ok {
 					continue
 				}
-				pos := u.Fset.Position(c.Pos())
+				pos := p.Fset.Position(c.Pos())
 				k := key{pos.Filename, pos.Line}
-				for _, p := range patterns {
-					re, err := regexp.Compile(p)
+				for _, pat := range patterns {
+					re, err := regexp.Compile(pat)
 					if err != nil {
-						t.Errorf("%s: bad want pattern %q: %v", posString(u.Fset, f, c), p, err)
+						t.Errorf("%s: bad want pattern %q: %v", posString(p.Fset, f, c), pat, err)
 						continue
 					}
 					want[k] = append(want[k], &expectation{re: re})
@@ -112,8 +111,8 @@ func runUnit(t *testing.T, a *lint.Analyzer, u *load.Unit, store *facts.Store) {
 		}
 	}
 
-	for _, d := range diags {
-		pos := u.Fset.Position(d.Pos)
+	for _, d := range findings {
+		pos := p.Fset.Position(d.Pos)
 		k := key{pos.Filename, pos.Line}
 		exps := want[k]
 		found := false

@@ -1,23 +1,20 @@
-// Package facts carries analyzer facts across compilation units for
-// every snaplint driver. A fact (lint.Fact) is attached to a
-// package-level object or a package; because the standalone driver
-// re-imports dependencies from compiler export data, an object's
+// Package facts carries analyzer facts across compilation units. A fact
+// (lint.Fact) is attached to a package-level object or a package;
+// because a dependent unit re-imports its dependencies (from compiler
+// export data under go vet, from source in analysistest), an object's
 // identity differs between the pass that exported a fact and the pass
 // that imports it, so facts are keyed by name — package path plus an
 // object path ("Func", "Type.Method") — rather than by types.Object
 // pointer.
 //
-// The same store backs three transports:
+// The same store backs two transports:
 //
-//   - the standalone `load` driver keeps one in-process Store and
-//     analyzes packages in dependency order (go list -deps order), so
-//     every import's facts are already present;
 //   - the vet unitchecker driver decodes the .vetx files of the unit's
 //     dependencies into a Store before the pass and encodes the unit's
 //     own exported facts to VetxOutput after it (JSON, deterministic
 //     ordering, so the build cache sees stable bytes);
-//   - analysistest seeds a Store from the dependency packages listed
-//     before the package under test.
+//   - analysistest keeps one in-process Store, seeded by the dependency
+//     packages listed before the package under test.
 package facts
 
 import (

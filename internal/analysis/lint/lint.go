@@ -12,9 +12,8 @@
 // attach serializable observations to package-level objects (or whole
 // packages) of the unit it is analyzing, and later, when a dependent
 // package is analyzed, query the facts of imported objects. Facts flow
-// between compilation units through the driver — in-process for the
-// `load`-based standalone driver, through the vet `.vetx` files for the
-// unitchecker driver — which is what lets annotations like
+// between compilation units through go vet's `.vetx` files (in-process
+// in analysistest), which is what lets annotations like
 // `//snap:alloc-free` propagate across package boundaries.
 package lint
 
@@ -46,9 +45,9 @@ type Analyzer struct {
 	Doc string
 
 	// Run applies the analyzer to a single package. It may return a
-	// result value (unused by the current drivers) and an error; an
-	// error aborts the whole run, so analyzers report findings via
-	// pass.Report instead.
+	// result value (unused by the driver) and an error; an error fails
+	// the whole run, so analyzers report findings via pass.Report
+	// instead.
 	Run func(*Pass) (any, error)
 
 	// FactTypes lists prototypes (e.g. new(isAllocFree)) of every fact

@@ -17,11 +17,17 @@
 //	snaplint -V=full      print a version line for build caching
 //	snaplint -flags       print a JSON array describing extra flags
 //	snaplint foo.cfg      analyze one unit, exit 1 on findings
+//
+// Load and Package.Analyze are the one per-package analysis: Run calls
+// them for each unit cmd/go hands over, and analysistest calls them for
+// each testdata package, so the analyzer suites exercise the code CI
+// runs.
 package unit
 
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -84,9 +90,11 @@ func PrintFlags(w io.Writer) error {
 }
 
 // Run analyzes the unit described by configFile and returns the
-// diagnostics found (nil in VetxOnly mode). The caller decides the
-// exit code. The VetxOutput facts file is always written, even when
-// empty: cmd/go caches it and feeds it to dependent units.
+// findings as "file:line:col: message [analyzer]" lines (none in
+// VetxOnly mode), also when an analyzer failed. The caller decides the
+// exit code. Unless an analyzer failed, the VetxOutput facts file is
+// written, even when empty: cmd/go caches it and feeds it to dependent
+// units.
 func Run(configFile string, analyzers []*lint.Analyzer) ([]string, error) {
 	data, err := os.ReadFile(configFile)
 	if err != nil {
@@ -112,18 +120,6 @@ func Run(configFile string, analyzers []*lint.Analyzer) ([]string, error) {
 	}
 
 	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return nil, writeVetx(cfg, store) // the compiler will report it
-			}
-			return nil, err
-		}
-		files = append(files, f)
-	}
-
 	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
 		file, ok := cfg.PackageFile[path]
 		if !ok {
@@ -142,7 +138,44 @@ func Run(configFile string, analyzers []*lint.Analyzer) ([]string, error) {
 		return compilerImporter.Import(path)
 	})
 
-	tc := &types.Config{Importer: imp, GoVersion: cfg.GoVersion}
+	pkg, err := Load(fset, cfg.ImportPath, cfg.GoVersion, cfg.GoFiles, imp)
+	if err != nil {
+		if cfg.SucceedOnTypecheckFailure {
+			return nil, writeVetx(cfg, store) // the compiler will report it
+		}
+		return nil, err
+	}
+	findings, err := pkg.Analyze(analyzers, store, cfg.VetxOnly)
+	out := make([]string, len(findings))
+	for i, f := range findings {
+		out[i] = fmt.Sprintf("%s: %s [%s]", fset.Position(f.Pos), f.Message, f.Analyzer)
+	}
+	if err != nil {
+		return out, err
+	}
+	return out, writeVetx(cfg, store)
+}
+
+// A Package is one parsed and typechecked compilation unit.
+type Package struct {
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+}
+
+// Load parses the named files and typechecks them as package path,
+// resolving imports through imp. The first parse or type error is
+// returned.
+func Load(fset *token.FileSet, path, goVersion string, filenames []string, imp types.Importer) (*Package, error) {
+	var files []*ast.File
+	for _, name := range filenames {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -151,42 +184,59 @@ func Run(configFile string, analyzers []*lint.Analyzer) ([]string, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	pkg, err := tc.Check(cfg.ImportPath, fset, files, info)
+	tc := &types.Config{Importer: imp, GoVersion: goVersion}
+	pkg, err := tc.Check(path, fset, files, info)
 	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return nil, writeVetx(cfg, store)
-		}
 		return nil, err
 	}
+	return &Package{Fset: fset, Files: files, Types: pkg, Info: info}, nil
+}
 
-	ignores := lint.NewIgnoreIndex(fset, files)
-	var out []string
-	if !cfg.VetxOnly {
-		for _, d := range ignores.Bad {
-			out = append(out, fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message))
+// A Finding is one diagnostic that survived the waivers, attributed to
+// the analyzer that reported it ("snaplint" for a malformed waiver).
+type Finding struct {
+	Analyzer string
+	lint.Diagnostic
+}
+
+// Analyze runs analyzers over p with store's facts installed, so facts
+// of already-analyzed dependencies are visible and p's own exports land
+// in store. Diagnostics waived by `//snaplint:ignore` are dropped and
+// malformed waivers are findings; with vetxOnly (a dependency analyzed
+// only for its facts) no finding is returned. An analyzer error does
+// not stop the others: the findings collected are returned with the
+// joined errors.
+func (p *Package) Analyze(analyzers []*lint.Analyzer, store *facts.Store, vetxOnly bool) ([]Finding, error) {
+	ignores := lint.NewIgnoreIndex(p.Fset, p.Files)
+	var out []Finding
+	report := func(analyzer string, d lint.Diagnostic) {
+		if !vetxOnly {
+			out = append(out, Finding{analyzer, d})
 		}
 	}
+	for _, d := range ignores.Bad {
+		report("snaplint", d)
+	}
+	var errs []error
 	for _, a := range analyzers {
 		pass := &lint.Pass{
 			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       pkg,
-			TypesInfo: info,
+			Fset:      p.Fset,
+			Files:     p.Files,
+			Pkg:       p.Types,
+			TypesInfo: p.Info,
+			Report: func(d lint.Diagnostic) {
+				if !ignores.Ignored(d.Pos, a.Name) {
+					report(a.Name, d)
+				}
+			},
 		}
 		store.Install(pass)
-		name := a.Name
-		pass.Report = func(d lint.Diagnostic) {
-			if cfg.VetxOnly || ignores.Ignored(d.Pos, name) {
-				return
-			}
-			out = append(out, fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message))
-		}
 		if _, err := a.Run(pass); err != nil {
-			return out, fmt.Errorf("analyzer %s: %v", a.Name, err)
+			errs = append(errs, fmt.Errorf("analyzer %s: %v", a.Name, err))
 		}
 	}
-	return out, writeVetx(cfg, store)
+	return out, errors.Join(errs...)
 }
 
 // writeVetx serializes the unit's exported facts to cfg.VetxOutput
