@@ -182,6 +182,29 @@ func TestAnalyzeSpectrumRingLike(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSpectrumDegenerate covers the two ends the weight optimizer
+// leans on: W = I has no spectral gap (λ̄max = 1, which OptimizeBest
+// rejects), and a single node has no second mode (λ̄max = 0).
+func TestAnalyzeSpectrumDegenerate(t *testing.T) {
+	for _, tc := range []struct {
+		name                    string
+		w                       *Matrix
+		lambdaBarMax, lambdaMin float64
+	}{
+		{"identity", Identity(5), 1, 1},
+		{"single", Identity(1), 0, 1},
+	} {
+		sp, err := AnalyzeSpectrum(tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !closeTo(sp.LambdaBarMax, tc.lambdaBarMax) || !closeTo(sp.LambdaMin, tc.lambdaMin) {
+			t.Errorf("%s: (λ̄max, λmin) = (%v, %v), want (%v, %v)",
+				tc.name, sp.LambdaBarMax, sp.LambdaMin, tc.lambdaBarMax, tc.lambdaMin)
+		}
+	}
+}
+
 func randomSymmetric(rng *rand.Rand, n int) *Matrix {
 	a := NewMatrix(n, n)
 	for i := 0; i < n; i++ {

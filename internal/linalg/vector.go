@@ -88,11 +88,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-//
-//snap:alloc-free
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
 // NormInf returns the max-absolute-value norm of v.
 //
 //snap:alloc-free
@@ -115,15 +110,6 @@ func (v Vector) Sum() float64 {
 		s += x
 	}
 	return s
-}
-
-// Mean returns the arithmetic mean of the entries of v. The mean of an
-// empty vector is 0.
-func (v Vector) Mean() float64 {
-	if len(v) == 0 {
-		return 0
-	}
-	return v.Sum() / float64(len(v))
 }
 
 // Fill sets every entry of v to c and returns v.

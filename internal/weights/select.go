@@ -71,11 +71,13 @@ func DeltaBound(sp *linalg.Spectrum, p BoundParams) float64 {
 // spectrum, which eq. 17 rewards but neither subproblem optimizes
 // jointly), and the Metropolis starting matrix is kept as a floor so the
 // "optimized" matrix can never be worse than the unoptimized baseline
-// under the bound. Note that problem (22) alone is degenerate — W = I is
-// feasible and maximal but does not mix at all — which the bound handles:
-// a gapless matrix has λ̄min(I−W) = 0 and therefore a zero bound.
+// under the bound. Problem (22) alone is degenerate — W = I is feasible and
+// maximal but does not mix at all. Its bound is exactly 0, which still
+// beats a Metropolis matrix whose λmin < 2αL_f²/η − 1 makes the bound
+// negative, so a candidate without a spectral gap (λ̄max ≥ 1 − 1e-9) is
+// never selected.
 func OptimizeBest(g *graph.Graph, p BoundParams, opts Options) (*Result, error) {
-	metro := Metropolis(g, opts.Eps)
+	metro := Metropolis(g, 0)
 	metroSpec, err := linalg.AnalyzeSpectrum(metro)
 	if err != nil {
 		return nil, fmt.Errorf("weights: analyzing Metropolis baseline: %w", err)
@@ -87,6 +89,9 @@ func OptimizeBest(g *graph.Graph, p BoundParams, opts Options) (*Result, error) 
 		r, err := Optimize(g, obj, opts)
 		if err != nil {
 			return nil, fmt.Errorf("weights: solving %v: %w", obj, err)
+		}
+		if r.Spectrum.LambdaBarMax >= 1-1e-9 {
+			continue
 		}
 		if b := DeltaBound(r.Spectrum, p); b > bestBound {
 			best, bestBound = r, b

@@ -108,13 +108,6 @@ type Options struct {
 	// Step is the initial step size (default 1.0); steps decay as
 	// Step/sqrt(k+1).
 	Step float64
-	// Eps is the Metropolis ε used for the starting point (default 1e-3).
-	Eps float64
-	// FastEigen computes the two extreme eigenpairs by power iteration
-	// (O(n²) per step) instead of a full Jacobi decomposition (O(n³)).
-	// Recommended for networks beyond ~80 nodes; accuracy ~1e-5 — far
-	// below what the subgradient method needs.
-	FastEigen bool
 }
 
 func (o Options) withDefaults() Options {
@@ -123,9 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Step <= 0 {
 		o.Step = 1.0
-	}
-	if o.Eps <= 0 {
-		o.Eps = 1e-3
 	}
 	return o
 }
@@ -141,7 +131,8 @@ type Result struct {
 
 // Optimize solves the selected spectral problem over symmetric doubly
 // stochastic matrices supported on g's edges, starting from the Metropolis
-// matrix. It returns the best iterate found.
+// matrix. It returns the best iterate found. Each iterate is decomposed
+// once: the view that scores it is the view its subgradient step uses.
 func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	n := g.N()
@@ -152,7 +143,7 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 
 	// Start from Metropolis edge weights.
 	w := make([]float64, len(edges))
-	init := Metropolis(g, opts.Eps)
+	init := Metropolis(g, 0)
 	for k, e := range edges {
 		w[k] = init.At(e.U, e.V)
 	}
@@ -164,18 +155,14 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 	floor := initSpec.LambdaMin
 
 	best := append([]float64(nil), w...)
-	startView, err := spectralViewOf(buildMatrix(n, edges, w), opts.FastEigen)
+	view, err := spectralViewOf(buildMatrix(n, edges, w))
 	if err != nil {
 		return nil, fmt.Errorf("weights: evaluating start point: %w", err)
 	}
-	bestVal := startView.objectiveValue(obj, floor)
+	bestVal := view.objectiveValue(obj, floor)
 
 	grad := make([]float64, len(edges))
 	for it := 0; it < opts.Iterations; it++ {
-		view, err := spectralViewOf(buildMatrix(n, edges, w), opts.FastEigen)
-		if err != nil {
-			return nil, fmt.Errorf("weights: eigendecomposition at iteration %d: %w", it, err)
-		}
 		fillSubgradient(grad, edges, view, obj, floor)
 
 		step := opts.Step / math.Sqrt(float64(it+1))
@@ -186,9 +173,8 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 		}
 		projectFeasible(n, edges, w)
 
-		view, err = spectralViewOf(buildMatrix(n, edges, w), opts.FastEigen)
-		if err != nil {
-			return nil, err
+		if view, err = spectralViewOf(buildMatrix(n, edges, w)); err != nil {
+			return nil, fmt.Errorf("weights: eigendecomposition at iteration %d: %w", it, err)
 		}
 		val := view.objectiveValue(obj, floor)
 		if better(obj, val, bestVal) {
@@ -229,8 +215,8 @@ func buildMatrix(n int, edges []graph.Edge, w []float64) *linalg.Matrix {
 // scalarization.
 const jointPenalty = 10.0
 
-// spectralView is the backend-neutral spectral information one subgradient
-// step needs: the two extreme non-unit eigenpairs.
+// spectralView is the spectral information one subgradient step needs: the
+// two extreme non-unit eigenpairs.
 type spectralView struct {
 	lambda2   float64 // λ̄max, the second-largest eigenvalue
 	v2        linalg.Vector
@@ -238,20 +224,12 @@ type spectralView struct {
 	vMin      linalg.Vector
 }
 
-// spectralViewOf computes the view with either the exact Jacobi solver or
-// the O(n²) power-iteration fast path. Using the second-largest
-// eigen*vector* (rather than matching eigenvalues against 1) stays correct
-// when the unit eigenvalue has multiplicity ≥ 2 — the disconnected case,
-// where that eigenvector differs across components and its subgradient
-// raises the cut-edge weights, reconnecting the matrix.
-func spectralViewOf(m *linalg.Matrix, fast bool) (*spectralView, error) {
-	if fast {
-		lam2, v2, lamMin, vMin, err := linalg.StochasticExtremes(m, linalg.PowerOptions{})
-		if err != nil {
-			return nil, err
-		}
-		return &spectralView{lambda2: lam2, v2: v2, lambdaMin: lamMin, vMin: vMin}, nil
-	}
+// spectralViewOf computes the view with the Jacobi eigensolver. Using the
+// second-largest eigen*vector* (rather than matching eigenvalues against 1)
+// stays correct when the unit eigenvalue has multiplicity ≥ 2 — the
+// disconnected case, where that eigenvector differs across components and
+// its subgradient raises the cut-edge weights, reconnecting the matrix.
+func spectralViewOf(m *linalg.Matrix) (*spectralView, error) {
 	eig, err := linalg.SymEigen(m)
 	if err != nil {
 		return nil, err

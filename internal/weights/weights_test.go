@@ -182,6 +182,8 @@ func TestObjectiveString(t *testing.T) {
 		{MinimizeLambdaBarMax, "min-lambda-bar-max"},
 		{MaximizeLambdaMin, "max-lambda-min"},
 		{MinimizeSLEM, "min-slem"},
+		{JointSpectral, "joint-spectral"},
+		{MetropolisBaseline, "metropolis"},
 		{Objective(99), "Objective(99)"},
 	} {
 		if got := tc.o.String(); got != tc.want {
@@ -251,22 +253,43 @@ func TestOptimizeBestReturnsValidMatrix(t *testing.T) {
 	}
 }
 
-// TestFastEigenMatchesJacobiPath verifies the power-iteration fast path
-// lands on a matrix of the same quality as the exact path.
-func TestFastEigenMatchesJacobiPath(t *testing.T) {
-	g := graph.RandomConnected(40, 3, rand.New(rand.NewSource(71)))
-	exact, err := Optimize(g, JointSpectral, Options{Iterations: 120, Step: 3})
-	if err != nil {
-		t.Fatal(err)
+// TestOptimizeBestNeverSelectsGaplessMatrix covers α = 0.1, where the
+// Metropolis matrices of ring12 and path-5 have λmin < 2αL_f²/η − 1 and so
+// a negative eq. (17) bound. The problem (22) optimum W = I (λ̄max = 1,
+// bound exactly 0) wins that comparison on the bound alone, although it
+// does not mix.
+func TestOptimizeBestNeverSelectsGaplessMatrix(t *testing.T) {
+	path5 := graph.New(5)
+	for i := 0; i+1 < 5; i++ {
+		path5.AddEdge(i, i+1)
 	}
-	fast, err := Optimize(g, JointSpectral, Options{Iterations: 120, Step: 3, FastEigen: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fast.W.IsDoublyStochastic(1e-8) {
-		t.Error("fast-path matrix not doubly stochastic")
-	}
-	if math.Abs(fast.Spectrum.LambdaBarMax-exact.Spectrum.LambdaBarMax) > 0.02 {
-		t.Errorf("fast λ̄max %v vs exact %v", fast.Spectrum.LambdaBarMax, exact.Spectrum.LambdaBarMax)
+	p := BoundParams{Alpha: 0.1}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"ring12", graph.Ring(12), Options{}},
+		{"path5", path5, Options{Iterations: 100}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := OptimizeBest(tc.g, p, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Spectrum.LambdaBarMax >= 1-1e-9 {
+				t.Errorf("selected %v with λ̄max = %v: no spectral gap", res.Objective, res.Spectrum.LambdaBarMax)
+			}
+			base, err := linalg.AnalyzeSpectrum(Metropolis(tc.g, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if DeltaBound(res.Spectrum, p) < DeltaBound(base, p) {
+				t.Errorf("selected bound %v below Metropolis's %v", DeltaBound(res.Spectrum, p), DeltaBound(base, p))
+			}
+			if !res.W.IsDoublyStochastic(1e-8) {
+				t.Error("selected matrix not doubly stochastic")
+			}
+		})
 	}
 }
