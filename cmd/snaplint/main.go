@@ -5,10 +5,8 @@
 //	wiretag   — wire structs fully covered by explicit json/wire tags
 //	obsname   — metric/event names are internal/obs constants, unique
 //	floatdet  — deterministic float reductions in the numeric packages
-//	allocfree — //snap:alloc-free functions contain no allocating
-//	            constructs and call only alloc-free callees (via Facts)
 //	bufown    — //snap:returns-borrowed results are not retained;
-//	            consumed buffers are not used after hand-off
+//	            consumed buffers are not used after hand-off (via Facts)
 //	golife    — goroutines in the serving/transport planes are
 //	            cancellable and not spawned in unbounded loops
 //
@@ -37,7 +35,6 @@ import (
 	"os"
 	"strings"
 
-	"github.com/snapml/snap/internal/analysis/allocfree"
 	"github.com/snapml/snap/internal/analysis/bufown"
 	"github.com/snapml/snap/internal/analysis/floatdet"
 	"github.com/snapml/snap/internal/analysis/golife"
@@ -54,7 +51,6 @@ func analyzers() []*lint.Analyzer {
 		wiretag.Analyzer,
 		obsname.Analyzer,
 		floatdet.Analyzer,
-		allocfree.Analyzer,
 		bufown.Analyzer,
 		golife.Analyzer,
 	}

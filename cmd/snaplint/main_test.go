@@ -21,7 +21,6 @@ Analyzers:
   wiretag    check that every exported field of a wire struct (snap:wire marker, tagged sibling, or json-encoded) has an explicit json/wire tag
   obsname    check that metric/event names passed to internal/obs are named constants, and that declared names are unique
   floatdet   flag nondeterministic float reductions (map-order accumulation) and exact float equality in the numeric packages
-  allocfree  //snap:alloc-free functions must not allocate and may only call alloc-free callees
   bufown     borrowed results are not retained, consumed buffers are not reused, borrowed params do not escape
   golife     goroutines in the serving planes must be cancellable and not spawned in unbounded loops
 `
@@ -33,8 +32,8 @@ Analyzers:
 }
 
 // writeModule lays out a throwaway module exercising the go vet driver
-// end to end: `dep` exports an annotated-clean function, an unannotated
-// allocator, and a deliberate violation; `c` imports it; `clean` has no
+// end to end: `dep` exports a borrowed-result contract, an owned-result
+// function, and a deliberate violation; `c` imports it; `clean` has no
 // findings at all; `waiver` holds a malformed //snaplint:ignore.
 func writeModule(t *testing.T) string {
 	t.Helper()
@@ -48,44 +47,42 @@ func Add(a, b int) int { return a + b }
 `,
 		"dep/dep.go": `package dep
 
-// Fast is alloc-free and exports that as a fact.
-//
-//snap:alloc-free
-func Fast(x []int) int {
-	s := 0
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
+// Pool hands out one scratch buffer.
+type Pool struct{ buf []byte }
 
-// Plain allocates and says nothing about it (body unchecked).
-func Plain() []int { return make([]int, 4) }
-
-// Liar claims the contract and breaks it. When dep is vetted VetxOnly
-// as a dependency, this violation must be discarded.
+// Get lends the pool's buffer and exports that contract as a fact.
 //
-//snap:alloc-free
-func Liar() []int { return make([]int, 1) }
+//snap:returns-borrowed
+func (p *Pool) Get() []byte { return p.buf }
+
+// Fresh returns a buffer the caller owns; no contract, no fact.
+func Fresh() []byte { return make([]byte, 4) }
+
+// Leak returns the pool's buffer without declaring the contract. When
+// dep is vetted VetxOnly as a dependency, this violation must be
+// discarded.
+func (p *Pool) Leak() []byte { return p.buf }
 `,
 		"c/c.go": `package c
 
 import "example.com/tmp/dep"
 
-// Hot calls a dependency function whose alloc-free fact arrived over
-// dep's .vetx file: no finding.
-//
-//snap:alloc-free
-func Hot(x []int) int { return dep.Fast(x) }
+type holder struct{ kept, owned []byte }
 
-// Bad calls an unannotated dependency function: one finding here.
-//
-//snap:alloc-free
-func Bad() []int { return dep.Plain() }
+// Fine keeps only the buffer it owns and merely reads the borrowed one:
+// no finding.
+func (h *holder) Fine(p *dep.Pool) int {
+	h.owned = dep.Fresh()
+	return len(p.Get())
+}
+
+// Bad retains the borrowed buffer, whose contract arrived over dep's
+// .vetx file: one finding here.
+func (h *holder) Bad(p *dep.Pool) { h.kept = p.Get() }
 `,
 		"waiver/waiver.go": `package waiver
 
-//snaplint:ignore allocfree
+//snaplint:ignore bufown
 func Waived() {}
 `,
 	}
@@ -157,9 +154,10 @@ func TestStandaloneExitCodes(t *testing.T) {
 
 // TestStandaloneDepFactsAndJSON drives the cross-package story through
 // the real `go vet -vettool` (the -json half of the name went with the
-// deleted flag): vetting ./c must pull dep's facts over its .vetx file
-// (so Hot is clean and Bad is flagged, tagged [allocfree]) while
-// VetxOnly discards dep's own diagnostics (Liar stays silent).
+// deleted flag): vetting ./c must pull dep's //snap:returns-borrowed
+// fact over its .vetx file (so Bad is flagged, tagged [bufown], while
+// retaining the owned dep.Fresh result is not) and VetxOnly must discard
+// dep's own diagnostics (Leak stays silent).
 func TestStandaloneDepFactsAndJSON(t *testing.T) {
 	bin := buildSnaplint(t)
 	findings, err := vet(t, bin, writeModule(t), "./c")
@@ -167,14 +165,14 @@ func TestStandaloneDepFactsAndJSON(t *testing.T) {
 		t.Error("vet ./c succeeded; want a non-zero exit on the finding")
 	}
 	if len(findings) != 1 {
-		t.Fatalf("vet ./c: %d lines, want exactly 1 (Bad -> dep.Plain):\n%s", len(findings), strings.Join(findings, "\n"))
+		t.Fatalf("vet ./c: %d lines, want exactly 1 (Bad retains dep.Get):\n%s", len(findings), strings.Join(findings, "\n"))
 	}
-	if f := findings[0]; !regexp.MustCompile(`c\.go:\d+:\d+: .*\bPlain\b.* \[allocfree\]$`).MatchString(f) {
-		t.Errorf("finding %q: want a c.go position, a message about dep.Plain, and the [allocfree] tag", f)
+	if f := findings[0]; !regexp.MustCompile(`c\.go:\d+:\d+: .*\bGet\b.* \[bufown\]$`).MatchString(f) {
+		t.Errorf("finding %q: want a c.go position, a message about dep.Get, and the [bufown] tag", f)
 	}
 	for _, f := range findings {
-		if strings.Contains(f, "Fast") {
-			t.Errorf("dep.Fast flagged: its fact did not cross .vetx: %s", f)
+		if strings.Contains(f, "Fresh") {
+			t.Errorf("owned dep.Fresh result flagged: %s", f)
 		}
 		if strings.Contains(f, "dep.go") {
 			t.Errorf("VetxOnly dependency leaked a diagnostic: %s", f)

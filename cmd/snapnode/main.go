@@ -216,31 +216,44 @@ func closeAnd(err *error, what string, close func() error) {
 	}
 }
 
+// run trains one node. Without -coordinator the node takes shard -id of
+// len(peers) shards and its place in the -topology graph over -peers;
+// with it, the coordinator assigns the id, neighbors and weights, and the
+// node trains shard id mod -shards.
 func run(id int, peersArg, topology string, degree float64, rounds int,
 	alpha float64, policyName string, seed, dataSeed int64, samples int,
 	timeout time.Duration, fo faultOpts) (err error) {
-	if fo.Coordinator != "" {
-		return runElastic(rounds, alpha, policyName, seed, dataSeed, samples, timeout, fo)
-	}
-	peers := strings.Split(peersArg, ",")
-	n := len(peers)
-	if peersArg == "" || n < 2 {
-		return fmt.Errorf("-peers must list at least two addresses")
-	}
-	if id < 0 || id >= n {
-		return fmt.Errorf("-id %d out of range for %d peers", id, n)
-	}
-
-	var topo *snap.Topology
-	switch topology {
-	case "complete":
-		topo = snap.CompleteTopology(n)
-	case "ring":
-		topo = snap.RingTopology(n)
-	case "random":
-		topo = snap.RandomTopology(n, degree, seed)
-	default:
-		return fmt.Errorf("unknown -topology %q", topology)
+	elastic := fo.Coordinator != ""
+	var (
+		peers  []string
+		topo   *snap.Topology
+		listen = fo.ListenAddr
+		shards = fo.Shards
+	)
+	if elastic {
+		if shards <= 0 {
+			return fmt.Errorf("-shards must be positive, got %d", fo.Shards)
+		}
+	} else {
+		peers = strings.Split(peersArg, ",")
+		n := len(peers)
+		if peersArg == "" || n < 2 {
+			return fmt.Errorf("-peers must list at least two addresses")
+		}
+		if id < 0 || id >= n {
+			return fmt.Errorf("-id %d out of range for %d peers", id, n)
+		}
+		switch topology {
+		case "complete":
+			topo = snap.CompleteTopology(n)
+		case "ring":
+			topo = snap.RingTopology(n)
+		case "random":
+			topo = snap.RandomTopology(n, degree, seed)
+		default:
+			return fmt.Errorf("unknown -topology %q", topology)
+		}
+		listen, shards = peers[id], n
 	}
 
 	policy, err := parsePolicy(policyName)
@@ -248,11 +261,12 @@ func run(id int, peersArg, topology string, degree float64, rounds int,
 		return err
 	}
 
-	// Every node generates the same dataset and takes its own shard.
+	// Every node generates the same dataset and trains shard id mod shards
+	// of it; an elastic node's id is only known after admission.
 	rng := rand.New(rand.NewSource(dataSeed))
 	ds := snap.SyntheticCredit(snap.CreditConfig{Samples: samples}, rng)
 	train, test := ds.Split(0.85, rng)
-	parts, err := train.Partition(n, rng)
+	parts, err := train.Partition(shards, rng)
 	if err != nil {
 		return err
 	}
@@ -265,7 +279,7 @@ func run(id int, peersArg, topology string, degree float64, rounds int,
 	}
 
 	// Observability: metrics registry + JSONL event log, served over HTTP
-	// once the node (and therefore its tracer) exists.
+	// once the node (and therefore its id and tracer) exists.
 	observer, reg, eventLog, cleanup, err := observability(fo)
 	if err != nil {
 		return err
@@ -274,122 +288,21 @@ func run(id int, peersArg, topology string, degree float64, rounds int,
 
 	model := snap.NewLinearSVM(ds.NumFeature)
 	feed := paramFeed(fo)
-	if feed != nil {
-		feed.SetObserver(observer, id)
+	if elastic {
+		fmt.Printf("joining cluster via coordinator %s\n", fo.Coordinator)
 	}
 	node, err := snap.NewPeerNode(snap.PeerConfig{
-		ID:             id,
-		Topology:       topo,
-		Model:          model,
-		Data:           parts[id],
-		Alpha:          alpha,
-		Policy:         policy,
-		Seed:           seed,
-		RefreshEvery:   fo.RefreshEvery,
-		RestartEvery:   fo.RestartEvery,
-		FullSendRound0: fo.FullSendRound0,
-		ListenAddr:     peers[id],
-		RoundTimeout:   timeout,
-		ConnectTimeout: fo.ConnectTimeout,
-		Logf:           logf,
-		Obs:            observer,
-		TraceRounds:    fo.TraceRounds,
-		Feed:           feed,
-	})
-	if err != nil {
-		return err
-	}
-	defer closeAnd(&err, "close node", node.Close)
-	if fo.MetricsAddr != "" {
-		closeSrv, err := serveNodeObservability(fo, id, reg, eventLog, node, feed)
-		if err != nil {
-			return err
-		}
-		defer closeAnd(&err, "close metrics server", closeSrv)
-	}
-
-	neighbors := make(map[int]string)
-	for _, j := range topo.Neighbors(id) {
-		neighbors[j] = peers[j]
-	}
-	fmt.Printf("node %d listening on %s, neighbors %v\n", id, node.Addr(), topo.Neighbors(id))
-	if err := node.Connect(neighbors); err != nil {
-		return err
-	}
-	fmt.Printf("node %d connected; training %d rounds\n", id, rounds)
-
-	start := time.Now()
-	trace, err := node.Run(rounds)
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	localAcc := snap.Accuracy(model, node.Engine().Params(), test)
-	lastLoss := 0.0
-	if stat, ok := trace.Last(); ok {
-		lastLoss = stat.Loss
-	}
-	fmt.Printf("node %d done in %v: local loss %.4f, accuracy %.4f, bytes sent %d\n",
-		id, elapsed.Round(time.Millisecond), lastLoss, localAcc, node.BytesSent())
-	if node.SendFailures() > 0 || node.Refreshes() > 0 {
-		reconnects := 0
-		for _, st := range node.LinkStats() {
-			reconnects += st.Reconnects
-		}
-		fmt.Printf("node %d tolerated faults: %d failed broadcast(s), %d reconnect(s), %d full refresh(es)\n",
-			id, node.SendFailures(), reconnects, node.Refreshes())
-	}
-	return nil
-}
-
-// runElastic joins the cluster through the coordinator: the node id,
-// topology position, and (centrally re-optimized) mixing weights all come
-// from the coordinator's epochs rather than from flags.
-func runElastic(rounds int, alpha float64, policyName string,
-	seed, dataSeed int64, samples int, timeout time.Duration, fo faultOpts) (err error) {
-	policy, err := parsePolicy(policyName)
-	if err != nil {
-		return err
-	}
-	if fo.Shards <= 0 {
-		return fmt.Errorf("-shards must be positive, got %d", fo.Shards)
-	}
-
-	// Every node generates the same dataset; the shard is picked by the
-	// coordinator-assigned id once it is known.
-	rng := rand.New(rand.NewSource(dataSeed))
-	ds := snap.SyntheticCredit(snap.CreditConfig{Samples: samples}, rng)
-	train, test := ds.Split(0.85, rng)
-	parts, err := train.Partition(fo.Shards, rng)
-	if err != nil {
-		return err
-	}
-
-	var logf func(format string, args ...any)
-	if fo.Verbose {
-		logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	observer, reg, eventLog, cleanup, err := observability(fo)
-	if err != nil {
-		return err
-	}
-	defer closeAnd(&err, "close -events file", cleanup)
-
-	model := snap.NewLinearSVM(ds.NumFeature)
-	feed := paramFeed(fo)
-	fmt.Printf("joining cluster via coordinator %s\n", fo.Coordinator)
-	node, err := snap.NewPeerNode(snap.PeerConfig{
+		ID:              id,
+		Topology:        topo,
 		Model:           model,
-		DataForID:       func(id int) *snap.Dataset { return parts[id%fo.Shards] },
+		DataForID:       func(id int) *snap.Dataset { return parts[id%shards] },
 		Alpha:           alpha,
 		Policy:          policy,
 		Seed:            seed,
 		RefreshEvery:    fo.RefreshEvery,
 		RestartEvery:    fo.RestartEvery,
-		ListenAddr:      fo.ListenAddr,
+		FullSendRound0:  fo.FullSendRound0,
+		ListenAddr:      listen,
 		CoordinatorAddr: fo.Coordinator,
 		Advertise:       fo.Advertise,
 		JoinWait:        fo.JoinWait,
@@ -404,14 +317,16 @@ func runElastic(rounds int, alpha float64, policyName string,
 		return err
 	}
 	defer closeAnd(&err, "close node", node.Close)
-	id := node.Engine().ID()
+	id = node.Engine().ID()
 	if feed != nil {
-		// The id only exists after admission; publications start with the
-		// first training round, so wiring the observer here is race-free.
+		// Publications start with the first training round, so wiring the
+		// observer here is race-free.
 		feed.SetObserver(observer, id)
 	}
-	fmt.Printf("node %d admitted (epoch %d), listening on %s; training to round %d\n",
-		id, node.Epoch(), node.Addr(), rounds)
+	if elastic {
+		fmt.Printf("node %d admitted (epoch %d), listening on %s; training to round %d\n",
+			id, node.Epoch(), node.Addr(), rounds)
+	}
 
 	if fo.MetricsAddr != "" {
 		closeSrv, err := serveNodeObservability(fo, id, reg, eventLog, node, feed)
@@ -419,6 +334,18 @@ func runElastic(rounds int, alpha float64, policyName string,
 			return err
 		}
 		defer closeAnd(&err, "close metrics server", closeSrv)
+	}
+
+	if !elastic {
+		neighbors := make(map[int]string)
+		for _, j := range topo.Neighbors(id) {
+			neighbors[j] = peers[j]
+		}
+		fmt.Printf("node %d listening on %s, neighbors %v\n", id, node.Addr(), topo.Neighbors(id))
+		if err := node.Connect(neighbors); err != nil {
+			return err
+		}
+		fmt.Printf("node %d connected; training %d rounds\n", id, rounds)
 	}
 
 	start := time.Now()
@@ -433,7 +360,19 @@ func runElastic(rounds int, alpha float64, policyName string,
 	if stat, ok := trace.Last(); ok {
 		lastLoss = stat.Loss
 	}
-	fmt.Printf("node %d done in %v: epoch %d, local loss %.4f, accuracy %.4f, bytes sent %d\n",
-		id, elapsed.Round(time.Millisecond), node.Epoch(), lastLoss, localAcc, node.BytesSent())
+	epoch := ""
+	if elastic {
+		epoch = fmt.Sprintf("epoch %d, ", node.Epoch())
+	}
+	fmt.Printf("node %d done in %v: %slocal loss %.4f, accuracy %.4f, bytes sent %d\n",
+		id, elapsed.Round(time.Millisecond), epoch, lastLoss, localAcc, node.BytesSent())
+	if node.SendFailures() > 0 || node.Refreshes() > 0 {
+		reconnects := 0
+		for _, st := range node.LinkStats() {
+			reconnects += st.Reconnects
+		}
+		fmt.Printf("node %d tolerated faults: %d failed broadcast(s), %d reconnect(s), %d full refresh(es)\n",
+			id, node.SendFailures(), reconnects, node.Refreshes())
+	}
 	return nil
 }

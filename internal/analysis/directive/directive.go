@@ -1,9 +1,6 @@
 // Package directive parses the `//snap:<name> [args...]` source
 // annotations the snaplint analyzers act on:
 //
-//	//snap:alloc-free          function must not allocate (allocfree)
-//	//snap:allocs-amortized    function allocates only while warming
-//	                           caches; callable from alloc-free code
 //	//snap:returns-borrowed    result is callee-owned scratch (bufown)
 //	//snap:consumes <param>    the argument passed for <param> must not
 //	                           be used after the call (bufown)
@@ -25,7 +22,7 @@ import (
 
 // A Directive is one parsed //snap: annotation.
 type Directive struct {
-	Name string   // "alloc-free", "returns-borrowed", ...
+	Name string   // "returns-borrowed", "consumes", ...
 	Args []string // whitespace-separated arguments after the name
 	Pos  token.Pos
 }

@@ -15,17 +15,17 @@ func TestParse(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"//snap:alloc-free", true, "alloc-free", nil},
+		{"//snap:returns-borrowed", true, "returns-borrowed", nil},
 		{"//snap:consumes b", true, "consumes", []string{"b"}},
 		{"//snap:borrows frame raw", true, "borrows", []string{"frame", "raw"}},
-		{"//snap:allocs-amortized   ", true, "allocs-amortized", nil},
-		{"// snap:alloc-free", false, "", nil}, // space after //
-		{"//snap: alloc-free", false, "", nil}, // space after colon
-		{"//snap:", false, "", nil},            // no name
-		{"//snap:Alloc-Free", false, "", nil},  // uppercase
-		{"//snap:alloc_free", false, "", nil},  // underscore
-		{"//snapx:alloc-free", false, "", nil}, // wrong prefix
-		{"//go:noinline", false, "", nil},      // other tool's namespace
+		{"//snap:wire   ", true, "wire", nil},
+		{"// snap:wire", false, "", nil},            // space after //
+		{"//snap: wire", false, "", nil},            // space after colon
+		{"//snap:", false, "", nil},                 // no name
+		{"//snap:Wire", false, "", nil},             // uppercase
+		{"//snap:returns_borrowed", false, "", nil}, // underscore
+		{"//snapx:wire", false, "", nil},            // wrong prefix
+		{"//go:noinline", false, "", nil},           // other tool's namespace
 		{"plain comment text", false, "", nil},
 		{"", false, "", nil},
 	}
@@ -58,13 +58,13 @@ func TestParse(t *testing.T) {
 // comment text either parses to a well-formed directive or to nothing.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
-		"//snap:alloc-free",
+		"//snap:returns-borrowed",
 		"//snap:consumes b",
 		"//snap:",
 		"//snap: x",
 		"//snap:\t\t",
 		"//snap:a\x00b",
-		"//snap:alloc-free\nextra line",
+		"//snap:wire\nextra line",
 		"//snap:名前",
 		strings.Repeat("//snap:", 100),
 	}

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/snapml/snap/internal/analysis/allocfree"
+	"github.com/snapml/snap/internal/analysis/bufown"
 	"github.com/snapml/snap/internal/analysis/facts"
 	"github.com/snapml/snap/internal/analysis/lint"
 )
@@ -23,18 +23,18 @@ func TestNormPath(t *testing.T) {
 	}
 }
 
-const factType = "github.com/snapml/snap/internal/analysis/allocfree.Fact"
+const factType = "github.com/snapml/snap/internal/analysis/bufown.Fact"
 
 func newStore() *facts.Store {
-	return facts.NewStore([]*lint.Analyzer{allocfree.Analyzer})
+	return facts.NewStore([]*lint.Analyzer{bufown.Analyzer})
 }
 
 // TestEncodeDecodeRoundTrip pins the wire format the unitchecker writes
 // to .vetx files: decode → encode must reproduce the input bytes, and
 // the ordering must be deterministic (the build cache hashes them).
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	wire := `[{"obj":"AddTo","type":"` + factType + `","data":{}},` +
-		`{"obj":"Vector.Fill","type":"` + factType + `","data":{"amortized":true}}]`
+	wire := `[{"obj":"Pool.Get","type":"` + factType + `","data":{"returnsBorrowed":true}},` +
+		`{"obj":"RecycleFrame","type":"` + factType + `","data":{"consumes":["frame"]}}]`
 
 	s := newStore()
 	if err := s.Decode("example.com/dep", []byte(wire)); err != nil {
@@ -56,7 +56,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // package was typechecked as its test variant must be visible under the
 // clean import path the gc importer hands dependents.
 func TestTestVariantKeying(t *testing.T) {
-	wire := `[{"obj":"AddTo","type":"` + factType + `","data":{"amortized":true}}]`
+	wire := `[{"obj":"Pool.Get","type":"` + factType + `","data":{"returnsBorrowed":true}}]`
 	s := newStore()
 	if err := s.Decode("example.com/dep [example.com/dep.test]", []byte(wire)); err != nil {
 		t.Fatal(err)

@@ -18,13 +18,13 @@ func TestParseIgnore(t *testing.T) {
 		analyzers []string
 		reason    string
 	}{
-		{"//snaplint:ignore allocfree cold path", true, false, []string{"allocfree"}, "cold path"},
-		{"//snaplint:ignore allocfree,golife shared reason", true, false, []string{"allocfree", "golife"}, "shared reason"},
-		{"//snaplint:ignore", true, true, nil, ""},                       // no analyzer
-		{"//snaplint:ignore allocfree", true, true, nil, ""},             // no reason
-		{"//snaplint:ignore allocfree,,golife why", true, true, nil, ""}, // empty analyzer
-		{"//snaplint:ignored allocfree why", false, false, nil, ""},      // prefix must end the word
-		{"// snaplint:ignore allocfree why", false, false, nil, ""},
+		{"//snaplint:ignore bufown cold path", true, false, []string{"bufown"}, "cold path"},
+		{"//snaplint:ignore bufown,golife shared reason", true, false, []string{"bufown", "golife"}, "shared reason"},
+		{"//snaplint:ignore", true, true, nil, ""},                    // no analyzer
+		{"//snaplint:ignore bufown", true, true, nil, ""},             // no reason
+		{"//snaplint:ignore bufown,,golife why", true, true, nil, ""}, // empty analyzer
+		{"//snaplint:ignored bufown why", false, false, nil, ""},      // prefix must end the word
+		{"// snaplint:ignore bufown why", false, false, nil, ""},
 		{"plain comment", false, false, nil, ""},
 	}
 	for _, tt := range tests {
@@ -52,7 +52,7 @@ func TestParseIgnore(t *testing.T) {
 func TestIgnoreIndex(t *testing.T) {
 	src := `package p
 
-//snaplint:ignore allocfree reason one
+//snaplint:ignore bufown reason one
 var a int // line 4: waived (directive line + 1)
 
 var b int // line 6: not waived
@@ -70,19 +70,19 @@ var c int // line 9: directive above is malformed (no reason), so no waiver
 	posOnLine := func(line int) token.Pos {
 		return fset.File(f.Pos()).LineStart(line)
 	}
-	if !ix.Ignored(posOnLine(3), "allocfree") {
+	if !ix.Ignored(posOnLine(3), "bufown") {
 		t.Error("directive's own line not waived")
 	}
-	if !ix.Ignored(posOnLine(4), "allocfree") {
+	if !ix.Ignored(posOnLine(4), "bufown") {
 		t.Error("line below directive not waived")
 	}
-	if ix.Ignored(posOnLine(5), "allocfree") {
+	if ix.Ignored(posOnLine(5), "bufown") {
 		t.Error("two lines below directive wrongly waived")
 	}
 	if ix.Ignored(posOnLine(4), "golife") {
 		t.Error("unnamed analyzer wrongly waived")
 	}
-	if ix.Ignored(posOnLine(6), "allocfree") {
+	if ix.Ignored(posOnLine(6), "bufown") {
 		t.Error("unrelated line wrongly waived")
 	}
 	if len(ix.Bad) != 1 {
@@ -100,7 +100,7 @@ var c int // line 9: directive above is malformed (no reason), so no waiver
 // for arbitrary comment text.
 func FuzzParseIgnore(f *testing.F) {
 	seeds := []string{
-		"//snaplint:ignore allocfree reason",
+		"//snaplint:ignore bufown reason",
 		"//snaplint:ignore a,b,c reason words",
 		"//snaplint:ignore",
 		"//snaplint:ignore ,",

@@ -14,7 +14,7 @@
 // package is analyzed, query the facts of imported objects. Facts flow
 // between compilation units through go vet's `.vetx` files (in-process
 // in analysistest), which is what lets annotations like
-// `//snap:alloc-free` propagate across package boundaries.
+// `//snap:returns-borrowed` propagate across package boundaries.
 package lint
 
 import (

@@ -73,8 +73,6 @@ type Update struct {
 
 // Validate checks structural invariants: matching lengths, indices sorted,
 // unique and in [0, NumParams).
-//
-//snap:alloc-free
 func (u *Update) Validate() error {
 	if u.NumParams < 0 {
 		return fmt.Errorf("codec: negative NumParams %d", u.NumParams)
@@ -96,14 +94,10 @@ func (u *Update) Validate() error {
 }
 
 // NumWithheld returns M, the count of parameters not in this update.
-//
-//snap:alloc-free
 func (u *Update) NumWithheld() int { return u.NumParams - len(u.Indices) }
 
 // ChooseFormat returns the cheaper frame layout for n total parameters of
 // which m are withheld: format 1 iff n > 2m+1 (paper §IV-C).
-//
-//snap:alloc-free
 func ChooseFormat(n, m int) Format {
 	if n > 2*m+1 {
 		return FormatUnchangedList
@@ -117,8 +111,6 @@ func ChooseFormat(n, m int) Format {
 // bytes-saved accounting. A full send withholds nothing (m = 0) and the
 // chooser always picks the same layout it would pick for a real full
 // send, so the figure matches what BuildUpdate+Encode would emit.
-//
-//snap:alloc-free
 func FullFrameBytes(numParams int, lossy bool) int {
 	f := ChooseFormat(numParams, 0)
 	if lossy {
@@ -130,8 +122,6 @@ func FullFrameBytes(numParams int, lossy bool) int {
 // PayloadBytes returns the paper-accounted frame size for n total
 // parameters, m withheld, in the given format: 4+8n−4m for format 1,
 // 12(n−m) for format 2.
-//
-//snap:alloc-free
 func PayloadBytes(n, m int, f Format) int {
 	switch f {
 	case FormatUnchangedList:
@@ -159,8 +149,6 @@ func Encode(u *Update) ([]byte, Format, error) {
 // returned slice aliases buf when the capacity sufficed, so the caller
 // owns exactly one buffer — the returned one — and must not reuse it
 // while the frame is still referenced by a transport.
-//
-//snap:alloc-free
 func EncodeTo(buf []byte, u *Update) ([]byte, Format, error) {
 	if err := u.Validate(); err != nil {
 		return nil, 0, err
@@ -178,8 +166,6 @@ func EncodeAs(u *Update, f Format) ([]byte, error) {
 
 // EncodeAsTo is EncodeAs into a caller-owned buffer (see EncodeTo for
 // the ownership rule).
-//
-//snap:alloc-free
 func EncodeAsTo(buf []byte, u *Update, f Format) ([]byte, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -237,7 +223,6 @@ func Decode(frame []byte) (*Update, error) {
 // (which Encode always produces), so the complement can be emitted with
 // a single cursor walk instead of a per-frame set.
 //
-//snap:alloc-free
 //snap:borrows frame
 func DecodeInto(u *Update, frame []byte) error {
 	if len(frame) < HeaderBytes {
@@ -303,8 +288,6 @@ func DecodeInto(u *Update, frame []byte) error {
 // bytes, reusing buf's backing array when it suffices. A warm encode
 // path therefore never allocates; a cold one allocates exactly once, at
 // the final frame size.
-//
-//snap:allocs-amortized
 func growFrame(buf []byte, need int) []byte {
 	if cap(buf) < need {
 		buf = make([]byte, 0, need)
@@ -315,8 +298,6 @@ func growFrame(buf []byte, need int) []byte {
 // grow ensures u's (already length-0) Indices and Values slices can hold
 // count entries without append growth, so a cold Update costs exactly one
 // allocation per slice instead of a geometric growth sequence.
-//
-//snap:allocs-amortized
 func (u *Update) grow(count int) {
 	if cap(u.Indices) < count {
 		u.Indices = make([]int, 0, count)
@@ -330,7 +311,6 @@ func (u *Update) grow(count int) {
 // uint32 unchanged indices in raw, which must be strictly increasing and
 // within [0, u.NumParams).
 //
-//snap:alloc-free
 //snap:borrows raw
 func complementInto(u *Update, raw []byte, m int) error {
 	next := 0 // next parameter index not yet emitted
@@ -354,8 +334,6 @@ func complementInto(u *Update, raw []byte, m int) error {
 
 // Apply overwrites dst's entries at u.Indices with u.Values. dst must have
 // length u.NumParams.
-//
-//snap:alloc-free
 func Apply(dst []float64, u *Update) error {
 	if len(dst) != u.NumParams {
 		return fmt.Errorf("codec: Apply target has %d params, update says %d", len(dst), u.NumParams)
@@ -383,8 +361,6 @@ func Diff(sender, round int, baseline, current []float64, threshold float64) (*U
 
 // DiffInto is Diff into a caller-owned Update, reusing u's Indices and
 // Values capacity. All fields of u are overwritten.
-//
-//snap:alloc-free
 func DiffInto(u *Update, sender, round int, baseline, current []float64, threshold float64) error {
 	if len(baseline) != len(current) {
 		return fmt.Errorf("codec: Diff length mismatch %d vs %d", len(baseline), len(current))

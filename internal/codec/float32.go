@@ -26,8 +26,6 @@ const (
 
 // ChooseFormat32 returns the cheaper float32 layout (same rule as
 // ChooseFormat).
-//
-//snap:alloc-free
 func ChooseFormat32(n, m int) Format {
 	if n > 2*m+1 {
 		return FormatUnchangedList32
@@ -46,8 +44,6 @@ func EncodeLossy(u *Update) ([]byte, Format, error) {
 // EncodeLossyTo is EncodeLossy into a caller-owned buffer: the frame is
 // appended to buf[:0] (buf may be nil) and returned; see EncodeTo for
 // the ownership rule.
-//
-//snap:alloc-free
 func EncodeLossyTo(buf []byte, u *Update) ([]byte, Format, error) {
 	if err := u.Validate(); err != nil {
 		return nil, 0, err
@@ -57,7 +53,6 @@ func EncodeLossyTo(buf []byte, u *Update) ([]byte, Format, error) {
 	return out, f, err
 }
 
-//snap:alloc-free
 func encodeAs32(buf []byte, u *Update, f Format) ([]byte, error) {
 	n, m := u.NumParams, u.NumWithheld()
 	buf = growFrame(buf, HeaderBytes+PayloadBytes(n, m, f))
@@ -95,7 +90,6 @@ func encodeAs32(buf []byte, u *Update, f Format) ([]byte, error) {
 // which has already reset u's slices; same strictly-increasing
 // unchanged-index rule as the float64 formats).
 //
-//snap:alloc-free
 //snap:borrows body
 func decode32(f Format, u *Update, body []byte) error {
 	switch f {

@@ -134,7 +134,8 @@ func TestDiffIntoMatchesDiff(t *testing.T) {
 }
 
 // TestCodecReuseAllocFree pins the steady-state budget of the reusable
-// codec surface to zero allocations per cycle.
+// codec surface to zero allocations per cycle; the decode budget covers a
+// float64 and a float32 frame.
 func TestCodecReuseAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	orig := randomUpdate(rng, 48)
@@ -143,6 +144,10 @@ func TestCodecReuseAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), buf...)
+	frame32, _, err := EncodeLossy(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dec Update
 	if err := DecodeInto(&dec, frame); err != nil {
 		t.Fatal(err)
@@ -169,6 +174,9 @@ func TestCodecReuseAllocFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		if err := DecodeInto(&dec, frame); err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeInto(&dec, frame32); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -104,7 +104,6 @@ func NewAPEController(cfg APEConfig, meanAbsParam float64) (*APEController, erro
 	return c, nil
 }
 
-//snap:alloc-free
 func (c *APEController) recomputeMaxDelta() {
 	growth := math.Pow(1+c.cfg.Alpha*c.cfg.G, float64(c.cfg.StageIterations))
 	c.maxDelta = c.threshold / (float64(c.cfg.StageIterations) * growth)
@@ -113,32 +112,22 @@ func (c *APEController) recomputeMaxDelta() {
 // SendThreshold returns the per-parameter change threshold below which a
 // parameter may be withheld this iteration. Once the schedule is
 // exhausted this is frozen at the final (sub-ε) stage's value.
-//
-//snap:alloc-free
 func (c *APEController) SendThreshold() float64 { return c.maxDelta }
 
 // Stage returns the current stage index k.
-//
-//snap:alloc-free
 func (c *APEController) Stage() int { return c.stage }
 
 // Threshold returns the current APE threshold T_k (frozen at its final
 // value once the schedule is exhausted).
-//
-//snap:alloc-free
 func (c *APEController) Threshold() float64 { return c.threshold }
 
 // Exhausted reports whether the schedule has ended (T_k < ε, thresholds
 // frozen).
-//
-//snap:alloc-free
 func (c *APEController) Exhausted() bool { return c.exhausted }
 
 // AfterIteration advances the worst-case APE estimate by one iteration and
 // reports whether the stage ended (in which case the caller should restart
 // its EXTRA recursion from the current iterate, per Algorithm 1).
-//
-//snap:alloc-free
 func (c *APEController) AfterIteration() (stageEnded bool) {
 	if c.exhausted {
 		return false

@@ -338,8 +338,6 @@ func (e *Engine) Neighbors() []int {
 func (e *Engine) RestartNow() { e.restartRecursion() }
 
 // publishAPE mirrors the APE controller's state into the gauges.
-//
-//snap:alloc-free
 func (e *Engine) publishAPE() {
 	e.met.apeStage.Set(float64(e.ape.Stage()))
 	e.met.apeThreshold.Set(e.ape.Threshold())
@@ -347,8 +345,6 @@ func (e *Engine) publishAPE() {
 }
 
 // ID returns the node id.
-//
-//snap:alloc-free
 func (e *Engine) ID() int { return e.cfg.ID }
 
 // Params returns a copy of the current iterate. The engine recycles its
@@ -363,8 +359,6 @@ func (e *Engine) Params() linalg.Vector { return e.x.Clone() }
 // feed, periodic checkpoints): the caller owns dst outright, so later
 // Steps never mutate it. Like the linalg kernels it panics on a length
 // mismatch rather than resizing.
-//
-//snap:alloc-free
 func (e *Engine) ParamsInto(dst linalg.Vector) linalg.Vector {
 	if len(dst) != len(e.x) {
 		panic(fmt.Sprintf("core: ParamsInto dst has %d entries, want %d", len(dst), len(e.x)))
@@ -375,8 +369,6 @@ func (e *Engine) ParamsInto(dst linalg.Vector) linalg.Vector {
 
 // Restarts returns how many APE stage transitions have restarted the
 // EXTRA recursion.
-//
-//snap:alloc-free
 func (e *Engine) Restarts() int { return e.restarts }
 
 // LocalLoss evaluates the node's objective f_i at its current iterate over
@@ -393,14 +385,10 @@ func (e *Engine) LocalLoss() float64 {
 // gradient's forward pass yields it at no extra cost. NaN before the
 // first ComputeGradient. Like the gradient scratch it must be read in
 // order with ComputeGradient (after the round's barrier).
-//
-//snap:alloc-free
 func (e *Engine) GradientLoss() float64 { return e.gradLoss }
 
 // timed reports whether anyone consumes the engine's phase timings; with
 // neither an observer nor a tracer the round path reads no clock.
-//
-//snap:alloc-free
 func (e *Engine) timed() bool { return e.cfg.Obs != nil || e.cfg.Trace != nil }
 
 // BuildUpdate produces the frame this node broadcasts for the given round,
@@ -411,7 +399,6 @@ func (e *Engine) timed() bool { return e.cfg.Obs != nil || e.cfg.Trace != nil }
 // The returned *codec.Update is engine-owned scratch: it is valid until
 // the next BuildUpdate call and must not be retained or mutated.
 //
-//snap:alloc-free
 //snap:returns-borrowed
 func (e *Engine) BuildUpdate(round int) (*codec.Update, error) {
 	if len(e.lastSent) != len(e.x) {
@@ -461,7 +448,6 @@ func (e *Engine) BuildUpdate(round int) (*codec.Update, error) {
 	e.met.paramsWithheld.Add(int64(len(e.x) - len(u.Indices)))
 	if fullReason != "" && e.cfg.Policy != SendAll {
 		e.met.fullSends.Inc()
-		//snaplint:ignore allocfree full-send lifecycle event; fires once per RefreshEvery rounds, not per round
 		e.emitRefresh(round, fullReason)
 	}
 	return u, nil
@@ -484,8 +470,6 @@ func (e *Engine) emitRefresh(round int, reason string) {
 // retransmit, and EXTRA's accumulated correction term turns that silent
 // staleness into a permanent bias. Not safe for concurrent use with
 // BuildUpdate (call from the training-loop goroutine).
-//
-//snap:alloc-free
 func (e *Engine) RequestFullSend() { e.forceFull = true }
 
 // markSent records what the receivers will hold for us after applying u.
@@ -494,8 +478,6 @@ func (e *Engine) RequestFullSend() { e.forceFull = true }
 // selective diffs must be computed against; recording the unrounded
 // value would leave a permanent sub-rounding discrepancy the diff
 // protocol could never see or repair.
-//
-//snap:alloc-free
 func (e *Engine) markSent(u *codec.Update) {
 	if e.cfg.Float32Wire {
 		for i, idx := range u.Indices {
@@ -514,8 +496,6 @@ func (e *Engine) markSent(u *codec.Update) {
 // own step so a pipelined round can rotate the views before the
 // streaming gather starts delivering frames. Must precede the round's
 // first IngestFrame.
-//
-//snap:alloc-free
 func (e *Engine) BeginIntegrate() {
 	for s := range e.nbrIDs {
 		copy(e.nbrPrev[s], e.nbrCur[s])
@@ -532,8 +512,6 @@ func (e *Engine) BeginIntegrate() {
 //
 // Missing neighbors (withheld parameters, stragglers, failed links)
 // simply keep their last values — the paper's staleness semantics.
-//
-//snap:alloc-free
 func (e *Engine) IngestFrame(u *codec.Update) error {
 	slot, ok := e.nbrIdx[u.Sender]
 	if !ok {
@@ -559,8 +537,6 @@ func (e *Engine) IngestFrame(u *codec.Update) error {
 // disjointness is the whole overlap invariant: see DESIGN.md §14. It
 // must still be ordered (happens-before, e.g. via a channel) with
 // StepMix and with the next round's ComputeGradient.
-//
-//snap:alloc-free
 func (e *Engine) ComputeGradient(round int) {
 	var start time.Time
 	if e.timed() {
@@ -589,7 +565,6 @@ func (e *Engine) ComputeGradient(round int) {
 // The returned vector is the engine's live iterate: read-only, valid
 // until the next StepMix. Use Params for a stable copy.
 //
-//snap:alloc-free
 //snap:returns-borrowed
 func (e *Engine) StepMix(round int) linalg.Vector {
 	var start time.Time
@@ -639,7 +614,6 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 		// literal Algorithm-1 reading is requested, restart the recursion
 		// from the current solution.
 		e.publishAPE()
-		//snaplint:ignore allocfree APE stage-transition event; fires once per stage, not per round
 		e.emitAPEStage(round)
 		if e.cfg.APE.RestartRecursion {
 			e.restartRecursion()
@@ -667,8 +641,6 @@ func (e *Engine) emitAPEStage(round int) {
 // applies the k=0 equation from the current iterate. The xPrev/gPrev
 // buffers keep their storage (the k=0 step never reads them and
 // overwrites both via rotation).
-//
-//snap:alloc-free
 func (e *Engine) restartRecursion() {
 	e.k = 0
 	e.restarts++
@@ -678,8 +650,6 @@ func (e *Engine) restartRecursion() {
 // APEStage returns the APE controller's stage, threshold and send
 // threshold for observability; it returns zeros when the policy has no
 // controller.
-//
-//snap:alloc-free
 func (e *Engine) APEStage() (stage int, threshold, sendThreshold float64) {
 	if e.ape == nil {
 		return 0, 0, 0

@@ -25,13 +25,15 @@ func smallPartitions(t *testing.T, n, samplesPer int, seed int64) (*dataset.Data
 	return ds, parts
 }
 
-func newTestEngine(t *testing.T, policy SendPolicy) *Engine {
+// newTestEngine builds node 0 of a 3-clique; tune, when given, edits the
+// config before construction.
+func newTestEngine(t *testing.T, policy SendPolicy, tune ...func(*EngineConfig)) *Engine {
 	t.Helper()
 	_, parts := smallPartitions(t, 3, 30, 1)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
 	m := model.NewLogisticRegression(8)
-	eng, err := NewEngine(EngineConfig{
+	cfg := EngineConfig{
 		ID:        0,
 		Model:     m,
 		Data:      parts[0],
@@ -43,7 +45,11 @@ func newTestEngine(t *testing.T, policy SendPolicy) *Engine {
 		// Tracing stays on in every engine test so the alloc budget below
 		// proves the instrumented hot path, not an idealized one.
 		Trace: trace.New(trace.Config{Node: 0}),
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	eng, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/snapml/snap/internal/codec"
 	"github.com/snapml/snap/internal/graph"
+	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/model"
 	"github.com/snapml/snap/internal/weights"
 )
@@ -260,17 +261,38 @@ func TestReconfigureKeepsHotPathState(t *testing.T) {
 }
 
 // TestEngineRoundAllocFree is the tier-1 alloc budget for the per-round
-// hot path: once warm, Step + BuildUpdate must not allocate at all.
+// hot path: once warm, Step + BuildUpdate must not allocate at all, and
+// neither may the full send a reconnect forces nor the per-round snapshot
+// a serving feed takes. The last case turns on every per-round knob:
+// periodic refresh and restart, a mini-batch gradient, a float32 wire.
 func TestEngineRoundAllocFree(t *testing.T) {
-	for _, policy := range []SendPolicy{SendSelected, SendChanged, SendAll} {
-		t.Run(policy.String(), func(t *testing.T) {
-			eng := newTestEngine(t, policy)
+	knobs := func(c *EngineConfig) {
+		c.RefreshEvery, c.RestartEvery, c.BatchSize, c.Float32Wire = 3, 4, 10, true
+	}
+	cases := []struct {
+		name   string
+		policy SendPolicy
+		tune   []func(*EngineConfig)
+	}{
+		{"snap", SendSelected, nil},
+		{"snap-0", SendChanged, nil},
+		{"sno", SendAll, nil},
+		{"snap-refresh-restart-batch-f32", SendSelected, []func(*EngineConfig){knobs}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := newTestEngine(t, tc.policy, tc.tune...)
+			snapshot := linalg.NewVector(eng.cfg.Model.NumParams())
 			round := 0
 			iterate := func() {
 				eng.Step(round)
+				if round%5 == 0 {
+					eng.RequestFullSend() // as after a neighbor reconnects
+				}
 				if _, err := eng.BuildUpdate(round); err != nil {
 					t.Fatal(err)
 				}
+				eng.ParamsInto(snapshot)
 				round++
 			}
 			for i := 0; i < 5; i++ {

@@ -59,7 +59,7 @@ type PeerNodeConfig struct {
 	Faults *transport.FaultSet
 	// Obs, when set, receives the node's metrics (per-link byte/frame
 	// counters, gather-wait and round-phase histograms, APE gauges) and
-	// its JSONL round-lifecycle event stream. Serve it with obs.Handler
+	// its JSONL round-lifecycle event stream. Serve it with obs.NewHandler
 	// to scrape the node mid-training. Nil disables observation.
 	Obs *obs.Observer
 	// Tracer, when set, records per-round spans (build/encode/broadcast/

@@ -10,7 +10,9 @@ import (
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/model"
+	"github.com/snapml/snap/internal/obs"
 	"github.com/snapml/snap/internal/trace"
+	"github.com/snapml/snap/internal/transport"
 	"github.com/snapml/snap/internal/weights"
 )
 
@@ -111,43 +113,47 @@ func TestPipelinedMatchesSequentialTCP(t *testing.T) {
 	}
 }
 
-// TestPipelinedRoundAllocFree is the alloc budget for the split round
-// primitives the pipelined loop is made of. A full serialized pipelined
-// round — BeginIntegrate, ComputeGradient, BuildUpdate, per-neighbor
-// IngestFrame, StepMix — must allocate nothing in steady state, for all
-// three engines of a complete graph feeding each other, exactly like the
-// batch-path budget in TestEngineRoundAllocFree.
+// TestPipelinedRoundAllocFree is the alloc budget of the pipelined round
+// as PeerNode.Run composes it: BeginIntegrate, the gradient handed to the
+// node's persistent worker, send, then receive — streaming ingest, the
+// join, the overlap accounting and StepMix. Three engines of a complete
+// graph run it over the lockstep simulator with a registry-only Observer
+// and a tracer attached; a steady-state round must allocate nothing,
+// exactly like the batch-path budget in TestEngineRoundAllocFree.
 func TestPipelinedRoundAllocFree(t *testing.T) {
 	for _, policy := range []SendPolicy{SendSelected, SendChanged, SendAll} {
 		t.Run(policy.String(), func(t *testing.T) {
-			engines := newTestEngines(t, 3, policy)
+			o := &obs.Observer{Reg: obs.NewRegistry()}
+			engines := newTestEngines(t, 3, policy, func(c *EngineConfig) { c.Obs = o })
+			net := transport.NewSim(graph.Complete(3), nil)
+			met := newRoundMetrics(o)
+			nodes := make([]*PeerNode, len(engines))
+			for i, e := range engines {
+				// The round half of a PeerNode over a simulated link: the
+				// gradient worker and the nodeRound that joins it.
+				pn := &PeerNode{engine: e, gradCmd: make(chan int)}
+				pn.grad.done = make(chan struct{}, 1)
+				pn.round = newNodeRound(e, simLink{net: net, id: i, nbrs: net.Neighbors(i)}, &met, nil)
+				pn.round.grad = &pn.grad
+				go pn.gradWorker()
+				defer close(pn.gradCmd)
+				nodes[i] = pn
+			}
 			round := 0
 			iterate := func() {
-				// Phase 1 of the pipelined loop: rotate neighbor views
-				// and kick the gradient before any frame arrives.
-				for _, e := range engines {
-					e.BeginIntegrate()
-					e.ComputeGradient(round)
-				}
-				for _, e := range engines {
-					upd, err := e.BuildUpdate(round)
-					if err != nil {
+				net.BeginRound(round)
+				for _, pn := range nodes {
+					pn.engine.BeginIntegrate()
+					pn.grad.running.Store(true)
+					pn.gradCmd <- round
+					if err := pn.round.send(round); err != nil {
 						t.Fatal(err)
 					}
-					// Deliver the borrowed update to every other engine
-					// immediately: IngestFrame only reads it, and the
-					// sender's buffer lives until its next BuildUpdate.
-					for _, other := range engines {
-						if other == e {
-							continue
-						}
-						if err := other.IngestFrame(upd); err != nil {
-							t.Fatal(err)
-						}
-					}
 				}
-				for _, e := range engines {
-					e.StepMix(round)
+				for _, pn := range nodes {
+					if _, err := pn.round.receive(round); err != nil {
+						t.Fatal(err)
+					}
 				}
 				round++
 			}
@@ -238,8 +244,8 @@ func TestPipelineSplitMatchesStep(t *testing.T) {
 
 // newTestEngines builds n engines over a complete graph that can feed
 // each other updates directly — the in-process skeleton of a cluster,
-// with the same data/seed recipe as newTestEngine.
-func newTestEngines(t *testing.T, n int, policy SendPolicy) []*Engine {
+// with the same data/seed recipe as newTestEngine, including tune.
+func newTestEngines(t *testing.T, n int, policy SendPolicy, tune ...func(*EngineConfig)) []*Engine {
 	t.Helper()
 	_, parts := smallPartitions(t, n, 30, 1)
 	g := graph.Complete(n)
@@ -248,7 +254,7 @@ func newTestEngines(t *testing.T, n int, policy SendPolicy) []*Engine {
 	init := m.InitParams(7)
 	engines := make([]*Engine, n)
 	for i := 0; i < n; i++ {
-		eng, err := NewEngine(EngineConfig{
+		cfg := EngineConfig{
 			ID:        i,
 			Model:     m,
 			Data:      parts[i],
@@ -258,7 +264,11 @@ func newTestEngines(t *testing.T, n int, policy SendPolicy) []*Engine {
 			Policy:    policy,
 			Init:      init,
 			Trace:     trace.New(trace.Config{Node: i}),
-		})
+		}
+		for _, f := range tune {
+			f(&cfg)
+		}
+		eng, err := NewEngine(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -147,8 +147,6 @@ func newNodeRound(eng *Engine, link roundLink, met *roundMetrics, logf func(stri
 
 // now reads the clock only when someone consumes the timings (see
 // Engine.timed); otherwise the round runs clock-free on zero times.
-//
-//snap:alloc-free
 func (nr *nodeRound) now() time.Time {
 	if !nr.eng.timed() {
 		return time.Time{}
@@ -331,8 +329,6 @@ func (nr *nodeRound) ingestFrame(from int, frame []byte) bool {
 // gradient hid. The gradient was started before build, so the hidden
 // window is [broadcast start, min(gradient end, gather end)]; the stream
 // depth is how many frames were ingested while it was still running.
-//
-//snap:alloc-free
 func (nr *nodeRound) observeOverlap(round int) {
 	nr.met.streamDepth.Set(float64(nr.in.overlapped))
 	if !nr.eng.timed() {

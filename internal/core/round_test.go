@@ -193,30 +193,46 @@ func TestCorruptFramePolicy(t *testing.T) {
 // TestClusterRoundAllocFree pins a warmed simulator round at zero
 // allocations with a registry-only Observer attached — metrics on, no
 // event log — the configuration in which the round used to build a field
-// map for an event nobody would read.
+// map for an event nobody would read. The second case adds every
+// per-round knob: float32 frames on the wire, a mini-batch gradient,
+// periodic refresh and restart.
 func TestClusterRoundAllocFree(t *testing.T) {
-	_, parts := smallPartitions(t, 5, 30, 1)
-	g := graph.RandomConnected(5, 3, rand.New(rand.NewSource(5)))
-	c, err := NewCluster(ClusterConfig{
-		Topology: g, Model: model.NewLinearSVM(8), Partitions: parts, Alpha: 0.1,
-		Policy: SendSelected, Seed: 7, Obs: &obs.Observer{Reg: obs.NewRegistry()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.startRunners()
-	defer c.stopRunners()
-	round := 0
-	iterate := func() {
-		if _, err := c.runRound(round); err != nil {
-			t.Fatal(err)
-		}
-		round++
-	}
-	for i := 0; i < 20; i++ {
-		iterate() // warm the encode buffers, decode targets and inbox maps
-	}
-	if avg := testing.AllocsPerRun(100, iterate); avg != 0 {
-		t.Errorf("steady-state cluster round allocated %v times per run, want 0", avg)
+	for _, tc := range []struct {
+		name string
+		tune func(*ClusterConfig)
+	}{
+		{"defaults", func(*ClusterConfig) {}},
+		{"f32-batch-refresh-restart", func(c *ClusterConfig) {
+			c.Float32Wire, c.BatchSize, c.RefreshEvery, c.RestartEvery = true, 10, 3, 4
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, parts := smallPartitions(t, 5, 30, 1)
+			cfg := ClusterConfig{
+				Topology: graph.RandomConnected(5, 3, rand.New(rand.NewSource(5))),
+				Model:    model.NewLinearSVM(8), Partitions: parts, Alpha: 0.1,
+				Policy: SendSelected, Seed: 7, Obs: &obs.Observer{Reg: obs.NewRegistry()},
+			}
+			tc.tune(&cfg)
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.startRunners()
+			defer c.stopRunners()
+			round := 0
+			iterate := func() {
+				if _, err := c.runRound(round); err != nil {
+					t.Fatal(err)
+				}
+				round++
+			}
+			for i := 0; i < 20; i++ {
+				iterate() // warm the encode buffers, decode targets and inbox maps
+			}
+			if avg := testing.AllocsPerRun(100, iterate); avg != 0 {
+				t.Errorf("steady-state cluster round allocated %v times per run, want 0", avg)
+			}
+		})
 	}
 }

@@ -61,8 +61,6 @@ func (d *Dataset) Batch(round, size int) []Sample {
 // whole dataset the shared d.Samples slice is returned directly — the
 // caller must treat the result as read-only and must not keep it as its
 // reuse buffer.
-//
-//snap:alloc-free
 func (d *Dataset) BatchInto(buf []Sample, round, size int) []Sample {
 	n := len(d.Samples)
 	if n == 0 || size <= 0 {

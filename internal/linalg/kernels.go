@@ -12,8 +12,6 @@ import "math"
 // read before it is written — but must not partially overlap any operand.
 
 // ScaleTo sets dst = c*v and returns dst.
-//
-//snap:alloc-free
 func ScaleTo(dst Vector, c float64, v Vector) Vector {
 	checkLen(dst, v)
 	for i, x := range v {
@@ -23,8 +21,6 @@ func ScaleTo(dst Vector, c float64, v Vector) Vector {
 }
 
 // AddTo sets dst = v + w and returns dst.
-//
-//snap:alloc-free
 func AddTo(dst, v, w Vector) Vector {
 	checkLen(dst, v)
 	checkLen(v, w)
@@ -35,8 +31,6 @@ func AddTo(dst, v, w Vector) Vector {
 }
 
 // SubTo sets dst = v - w and returns dst.
-//
-//snap:alloc-free
 func SubTo(dst, v, w Vector) Vector {
 	checkLen(dst, v)
 	checkLen(v, w)
@@ -47,8 +41,6 @@ func SubTo(dst, v, w Vector) Vector {
 }
 
 // AXPYTo sets dst = v + c*w and returns dst.
-//
-//snap:alloc-free
 func AXPYTo(dst Vector, v Vector, c float64, w Vector) Vector {
 	checkLen(dst, v)
 	checkLen(v, w)
@@ -65,8 +57,6 @@ func AXPYTo(dst Vector, v Vector, c float64, w Vector) Vector {
 // formulation it replaces (each element's accumulation order is the
 // same); xs must therefore already be in a deterministic order (the
 // engine keeps neighbors sorted by id).
-//
-//snap:alloc-free
 func MixTo(dst Vector, c float64, v Vector, ws []float64, xs []Vector) Vector {
 	checkLen(dst, v)
 	if len(ws) != len(xs) {
@@ -87,8 +77,6 @@ func MixTo(dst Vector, c float64, v Vector, ws []float64, xs []Vector) Vector {
 
 // DistInf returns max_i |v[i] - w[i]| without materializing the
 // difference vector (the consensus-residual inner loop).
-//
-//snap:alloc-free
 func DistInf(v, w Vector) float64 {
 	checkLen(v, w)
 	var m float64

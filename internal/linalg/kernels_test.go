@@ -131,6 +131,8 @@ func TestKernelsAllocFree(t *testing.T) {
 		AXPYTo(dst, v, 3, w)
 		MixTo(dst, 0.5, v, ws, xs)
 		DistInf(v, w)
+		v.NormInf()
+		v.Sum()
 	}); n != 0 {
 		t.Errorf("kernels allocated %v times per run, want 0", n)
 	}

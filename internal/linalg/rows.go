@@ -24,8 +24,6 @@ import "math"
 // to right: four rows against one shared x (four hidden units against one
 // input, or four samples against one weight vector). One row from a zero
 // seed is Vector.Dot.
-//
-//snap:alloc-free
 func Dots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3, x []float64) (float64, float64, float64, float64) {
 	checkLen(a0, x)
 	checkLen(a1, x)
@@ -47,8 +45,6 @@ func Dots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3, x []float64) (float64, fl
 // as long as the other factor is finite (w·0 = ±0, and z + ±0 = z), with
 // one exception no consumer can observe: a running sum that is exactly
 // −0 stays −0 where the dense loop would have turned it into +0.
-//
-//snap:alloc-free
 func Compact(idx []int, val, x []float64) int {
 	idx, val = idx[:len(x)], val[:len(x)]
 	n := 0
@@ -67,8 +63,6 @@ func Compact(idx []int, val, x []float64) int {
 
 // SparseDots4From is Dots4From over a compacted x: the four sums
 // z_r + Σ_k a_r[idx[k]]·val[k], each summed left to right.
-//
-//snap:alloc-free
 func SparseDots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3 []float64, idx []int, val []float64) (float64, float64, float64, float64) {
 	val = val[:len(idx)]
 	for k, j := range idx {
@@ -84,8 +78,6 @@ func SparseDots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3 []float64, idx []int
 // SparseAXPY sets dst[idx[k]] += c·val[k] for every k. idx must not
 // repeat an index (Compact's never does), so the elements are
 // independent and each receives exactly one addition.
-//
-//snap:alloc-free
 func SparseAXPY(dst []float64, c float64, idx []int, val []float64) {
 	val = val[:len(idx)]
 	for k, j := range idx {
@@ -95,8 +87,6 @@ func SparseAXPY(dst []float64, c float64, idx []int, val []float64) {
 
 // SparseAXPYs4 is four SparseAXPY calls sharing one walk over (idx, val):
 // d_r[idx[k]] += c_r·val[k]. The four destinations must not overlap.
-//
-//snap:alloc-free
 func SparseAXPYs4(d0, d1, d2, d3 []float64, c0, c1, c2, c3 float64, idx []int, val []float64) {
 	val = val[:len(idx)]
 	for k, j := range idx {
@@ -113,8 +103,6 @@ func SparseAXPYs4(d0, d1, d2, d3 []float64, c0, c1, c2, c3 float64, idx []int, v
 // bias. Rows run four at a time; a last block of fewer than four repeats
 // the final row, so it costs one four-chain pass instead of up to three
 // single-chain ones.
-//
-//snap:alloc-free
 func AffineTo(out, w, b, x []float64) {
 	rows, cols := len(out), len(x)
 	checkLen(out, b)
@@ -130,8 +118,6 @@ func AffineTo(out, w, b, x []float64) {
 
 // SparseAffineTo is AffineTo for a compacted x: out[r] = b[r] +
 // Σ_k w[r·cols+idx[k]]·val[k].
-//
-//snap:alloc-free
 func SparseAffineTo(out, w, b []float64, cols int, idx []int, val []float64) {
 	rows := len(out)
 	checkLen(out, b)
@@ -147,8 +133,6 @@ func SparseAffineTo(out, w, b []float64, cols int, idx []int, val []float64) {
 
 // SparseOuterAdd adds the rank-one update d·xᵀ of a compacted x to the
 // row-major len(d)×cols matrix w: w[r·cols+idx[k]] += d[r]·val[k].
-//
-//snap:alloc-free
 func SparseOuterAdd(w []float64, cols int, d []float64, idx []int, val []float64) {
 	rows := len(d)
 	if len(w) != rows*cols {

@@ -55,8 +55,6 @@ func (v Vector) Scale(c float64) Vector {
 }
 
 // AddInPlace sets v = v + w and returns v.
-//
-//snap:alloc-free
 func (v Vector) AddInPlace(w Vector) Vector {
 	checkLen(v, w)
 	for i := range v {
@@ -66,8 +64,6 @@ func (v Vector) AddInPlace(w Vector) Vector {
 }
 
 // AXPYInPlace sets v = v + c*w and returns v.
-//
-//snap:alloc-free
 func (v Vector) AXPYInPlace(c float64, w Vector) Vector {
 	checkLen(v, w)
 	for i := range v {
@@ -77,8 +73,6 @@ func (v Vector) AXPYInPlace(c float64, w Vector) Vector {
 }
 
 // Dot returns the inner product <v, w>.
-//
-//snap:alloc-free
 func (v Vector) Dot(w Vector) float64 {
 	checkLen(v, w)
 	var s float64
@@ -89,8 +83,6 @@ func (v Vector) Dot(w Vector) float64 {
 }
 
 // NormInf returns the max-absolute-value norm of v.
-//
-//snap:alloc-free
 func (v Vector) NormInf() float64 {
 	var m float64
 	for _, x := range v {
@@ -102,8 +94,6 @@ func (v Vector) NormInf() float64 {
 }
 
 // Sum returns the sum of the entries of v.
-//
-//snap:alloc-free
 func (v Vector) Sum() float64 {
 	var s float64
 	for _, x := range v {
@@ -113,8 +103,6 @@ func (v Vector) Sum() float64 {
 }
 
 // Fill sets every entry of v to c and returns v.
-//
-//snap:alloc-free
 func (v Vector) Fill(c float64) Vector {
 	for i := range v {
 		v[i] = c
@@ -136,7 +124,6 @@ func (v Vector) Equal(w Vector, tol float64) bool {
 	return true
 }
 
-//snap:alloc-free
 func checkLen(v, w Vector) {
 	if len(v) != len(w) {
 		panic(fmt.Sprintf("linalg: vector length mismatch %d != %d", len(v), len(w)))

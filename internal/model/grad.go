@@ -19,12 +19,10 @@ type BatchAccumulator interface {
 	// RegGradTo overwrites dst with the batch-independent gradient term
 	// (the regularizer ∇r(params); all zeros for unregularized models).
 	// The matching loss term r(params) is Loss on an empty batch.
-	//snap:alloc-free
 	RegGradTo(dst, params linalg.Vector)
 	// ScratchSize returns how many F and I slots of a Scratch one
 	// AccumGrad or PredictInto call needs (0, 0 for the linear models,
 	// whose score is a single dot product).
-	//snap:alloc-free
 	ScratchSize() (floats, ints int)
 	// AccumGrad adds the unscaled per-sample loss-gradient terms of
 	// batch to dst, dst += Σ_s ∇ℓ(params; s), and returns the unscaled
@@ -32,7 +30,6 @@ type BatchAccumulator interface {
 	// scaling is applied once by GradientLossTo, not per sample.
 	// Implementations must be safe for concurrent calls with disjoint
 	// dst and sc.
-	//snap:alloc-free
 	AccumGrad(dst, params linalg.Vector, batch []dataset.Sample, sc *Scratch) float64
 }
 
@@ -58,7 +55,6 @@ type gradShard struct {
 	work    Scratch
 }
 
-//snap:allocs-amortized
 func (sc *GradScratch) ensure(shards, p, floats, ints int) {
 	for len(sc.shards) < shards {
 		sc.shards = append(sc.shards, gradShard{})
@@ -95,7 +91,6 @@ func (sc *GradScratch) accumParallel(acc BatchAccumulator, params linalg.Vector,
 	wg.Wait()
 }
 
-//snap:alloc-free
 func (sc *GradScratch) accumShard(acc BatchAccumulator, params linalg.Vector, batch []dataset.Sample, k int) {
 	lo := k * GradShardSize
 	hi := lo + GradShardSize
@@ -109,8 +104,6 @@ func (sc *GradScratch) accumShard(acc BatchAccumulator, params linalg.Vector, ba
 
 // GradientTo computes ∇Loss(params) on batch into dst and returns dst:
 // GradientLossTo for callers that have no use for the loss.
-//
-//snap:alloc-free
 func GradientTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *GradScratch, workers int) linalg.Vector {
 	GradientLossTo(m, dst, params, batch, sc, workers)
 	return dst
@@ -135,8 +128,6 @@ func GradientTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *
 //
 // Models without the capability fall back to Model.Gradient and
 // Model.Loss (one allocation, two passes, serial).
-//
-//snap:alloc-free
 func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *GradScratch, workers int) float64 {
 	acc, ok := m.(BatchAccumulator)
 	if !ok {
@@ -150,7 +141,6 @@ func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, 
 	}
 	shards := (len(batch) + GradShardSize - 1) / GradShardSize
 	if sc == nil {
-		//snaplint:ignore allocfree nil-scratch fallback allocates once per caller, not per round
 		sc = &GradScratch{}
 	}
 	floats, ints := acc.ScratchSize()
@@ -165,7 +155,6 @@ func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, 
 	} else {
 		// Kept out of line so the escaping WaitGroup/counter locals are
 		// only heap-allocated when the parallel path actually runs.
-		//snaplint:ignore allocfree the parallel path heap-allocates its worker pool by design; single-shard batches never take it
 		sc.accumParallel(acc, params, batch, shards, workers)
 	}
 	// Fixed-shape pairwise reduction over the shard partials. The combine

@@ -120,8 +120,8 @@ func (p plainModel) RegGradTo() {}
 func (p plainModel) AccumGrad() {}
 
 // TestGradientToSerialAllocFree pins the hot-path budget: with a warm
-// scratch, the serial sharded gradient (and the loss it yields) performs
-// zero allocations, for every built-in model.
+// scratch, the serial sharded gradient (with and without the loss it
+// yields) performs zero allocations, for every built-in model.
 func TestGradientToSerialAllocFree(t *testing.T) {
 	for _, tc := range predictModels() {
 		params := tc.m.InitParams(2)
@@ -130,15 +130,17 @@ func TestGradientToSerialAllocFree(t *testing.T) {
 		var sc GradScratch
 		GradientTo(tc.m, dst, params, batch, &sc, 1) // warm the scratch
 		if n := testing.AllocsPerRun(20, func() {
+			GradientTo(tc.m, dst, params, batch, &sc, 1)
 			GradientLossTo(tc.m, dst, params, batch, &sc, 1)
 		}); n != 0 {
-			t.Errorf("%s: serial GradientLossTo allocated %v times per run, want 0", tc.name, n)
+			t.Errorf("%s: serial GradientTo/GradientLossTo allocated %v times per run, want 0", tc.name, n)
 		}
 	}
 }
 
-// TestLossAllocFree is the same budget for Model.Loss, whose workspace
-// comes from the package pool: zero allocations once the pool is warm.
+// TestLossAllocFree is the same budget for the two Model methods whose
+// workspace comes from the package pool, Loss and Predict: zero
+// allocations once the pool is warm.
 func TestLossAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -147,8 +149,11 @@ func TestLossAllocFree(t *testing.T) {
 		params := tc.m.InitParams(2)
 		batch := gradTestBatch(GradShardSize, tc.features, 2, 6)
 		tc.m.Loss(params, batch) // warm the pool
-		if n := testing.AllocsPerRun(20, func() { tc.m.Loss(params, batch) }); n != 0 {
-			t.Errorf("%s: Loss allocated %v times per run, want 0", tc.name, n)
+		if n := testing.AllocsPerRun(20, func() {
+			tc.m.Loss(params, batch)
+			tc.m.Predict(params, batch[0].X)
+		}); n != 0 {
+			t.Errorf("%s: Loss/Predict allocated %v times per run, want 0", tc.name, n)
 		}
 	}
 }

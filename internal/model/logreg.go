@@ -35,11 +35,8 @@ func NewLogisticRegression(d int) *LogisticRegression {
 func (m *LogisticRegression) Name() string { return "logistic-regression" }
 
 // NumParams implements Model.
-//
-//snap:alloc-free
 func (m *LogisticRegression) NumParams() int { return m.Features + 1 }
 
-//snap:alloc-free
 func (m *LogisticRegression) lambda() float64 {
 	if m.Lambda <= 0 {
 		return 1e-3
@@ -48,8 +45,6 @@ func (m *LogisticRegression) lambda() float64 {
 }
 
 // Loss implements Model: mean cross-entropy + (λ/2)||w||².
-//
-//snap:alloc-free
 func (m *LogisticRegression) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(p)
 	w := p[:m.Features]
@@ -68,8 +63,6 @@ func (m *LogisticRegression) Loss(p linalg.Vector, batch []dataset.Sample) float
 // and, unless dst is nil (Loss), adds every sample's gradient term to
 // dst (GradientLossTo applies the 1/m). The scores of four samples are
 // computed side by side; the sums run in batch order.
-//
-//snap:alloc-free
 func (m *LogisticRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, _ *Scratch) float64 {
 	w, b := p[:m.Features], p[m.Features]
 	var ce float64
@@ -87,8 +80,6 @@ func (m *LogisticRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sam
 }
 
 // term is one sample's share of AccumGrad, given its logit z = w·x + b.
-//
-//snap:alloc-free
 func (m *LogisticRegression) term(dst linalg.Vector, s dataset.Sample, z float64) float64 {
 	y := signedLabel(s.Label)
 	if dst != nil {
@@ -108,8 +99,6 @@ func (m *LogisticRegression) Gradient(p linalg.Vector, batch []dataset.Sample) l
 
 // RegGradTo implements BatchAccumulator: λw on the weights, 0 on the
 // bias.
-//
-//snap:alloc-free
 func (m *LogisticRegression) RegGradTo(dst, p linalg.Vector) {
 	m.checkDim(p)
 	for j := 0; j < m.Features; j++ {
@@ -120,13 +109,9 @@ func (m *LogisticRegression) RegGradTo(dst, p linalg.Vector) {
 
 // ScratchSize implements BatchAccumulator and BatchPredictor: the logit
 // is a single dot product plus the bias, no scratch needed.
-//
-//snap:alloc-free
 func (m *LogisticRegression) ScratchSize() (floats, ints int) { return 0, 0 }
 
 // Predict implements Model.
-//
-//snap:alloc-free
 func (m *LogisticRegression) Predict(p linalg.Vector, x []float64) int {
 	w, b := p[:m.Features], p[m.Features]
 	if linalg.Vector(x).Dot(w)+b > 0 {
@@ -136,8 +121,6 @@ func (m *LogisticRegression) Predict(p linalg.Vector, x []float64) int {
 }
 
 // PredictInto implements BatchPredictor.
-//
-//snap:alloc-free
 func (m *LogisticRegression) PredictInto(p linalg.Vector, x []float64, _ *Scratch) int {
 	return m.Predict(p, x)
 }
@@ -152,7 +135,6 @@ func (m *LogisticRegression) InitParams(seed int64) linalg.Vector {
 	return p
 }
 
-//snap:alloc-free
 func (m *LogisticRegression) checkDim(p linalg.Vector) {
 	if len(p) != m.NumParams() {
 		panic(fmt.Sprintf("model: logreg params have %d entries, want %d", len(p), m.NumParams()))
@@ -160,8 +142,6 @@ func (m *LogisticRegression) checkDim(p linalg.Vector) {
 }
 
 // softplus computes log(1+exp(z)) without overflow.
-//
-//snap:alloc-free
 func softplus(z float64) float64 {
 	if z > 30 {
 		return z

@@ -36,15 +36,11 @@ func NewMLP(in, hidden, out int) *MLP {
 func (m *MLP) Name() string { return fmt.Sprintf("mlp-%d-%d-%d", m.In, m.Hidden, m.Out) }
 
 // NumParams implements Model.
-//
-//snap:alloc-free
 func (m *MLP) NumParams() int {
 	return m.In*m.Hidden + m.Hidden + m.Hidden*m.Out + m.Out
 }
 
 // Parameter block offsets within the flat vector.
-//
-//snap:alloc-free
 func (m *MLP) offsets() (w1, b1, w2, b2 int) {
 	w1 = 0
 	b1 = m.In * m.Hidden
@@ -56,8 +52,6 @@ func (m *MLP) offsets() (w1, b1, w2, b2 int) {
 // ScratchSize implements BatchAccumulator and BatchPredictor: hidden
 // activations, output scores, hidden deltas and the compacted input
 // (values in F, positions in I).
-//
-//snap:alloc-free
 func (m *MLP) ScratchSize() (floats, ints int) {
 	return 2*m.Hidden + m.Out + m.In, m.In
 }
@@ -65,8 +59,6 @@ func (m *MLP) ScratchSize() (floats, ints int) {
 // forward is the model's one forward pass: it compacts x's non-zeros into
 // sc, then computes the hidden activations and the raw output scores,
 // returning both and the compacted input (all backed by sc).
-//
-//snap:alloc-free
 func (m *MLP) forward(p linalg.Vector, x []float64, sc *Scratch) (hidden, logits, val []float64, idx []int) {
 	w1o, b1o, w2o, b2o := m.offsets()
 	hidden = sc.F[:m.Hidden]
@@ -83,8 +75,6 @@ func (m *MLP) forward(p linalg.Vector, x []float64, sc *Scratch) (hidden, logits
 }
 
 // Loss implements Model: mean cross-entropy over the batch.
-//
-//snap:alloc-free
 func (m *MLP) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(p)
 	if len(batch) == 0 {
@@ -102,8 +92,6 @@ func (m *MLP) Gradient(p linalg.Vector, batch []dataset.Sample) linalg.Vector {
 }
 
 // RegGradTo implements BatchAccumulator: the MLP is unregularized.
-//
-//snap:alloc-free
 func (m *MLP) RegGradTo(dst, p linalg.Vector) {
 	m.checkDim(p)
 	dst.Fill(0)
@@ -112,8 +100,6 @@ func (m *MLP) RegGradTo(dst, p linalg.Vector) {
 // AccumGrad implements BatchAccumulator (unscaled per-sample backprop
 // terms; GradientLossTo applies the 1/m), returning the cross-entropy
 // sum. A nil dst skips the backward pass and leaves only the loss.
-//
-//snap:alloc-free
 func (m *MLP) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratch) float64 {
 	w1o, b1o, w2o, b2o := m.offsets()
 	deltaHidden := linalg.Vector(sc.F[m.Hidden+m.Out : 2*m.Hidden+m.Out])
@@ -146,8 +132,6 @@ func (m *MLP) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratc
 }
 
 // Predict implements Model: the most probable class.
-//
-//snap:alloc-free
 func (m *MLP) Predict(p linalg.Vector, x []float64) int {
 	sc := borrowScratch(m.ScratchSize())
 	label := m.PredictInto(p, x, sc)
@@ -158,8 +142,6 @@ func (m *MLP) Predict(p linalg.Vector, x []float64) int {
 // PredictInto implements BatchPredictor. Softmax is monotone, so the
 // argmax over the output scores is the most probable class without the
 // exp/normalize pass.
-//
-//snap:alloc-free
 func (m *MLP) PredictInto(p linalg.Vector, x []float64, sc *Scratch) int {
 	_, logits, _, _ := m.forward(p, x, sc)
 	return argmax(logits)
@@ -182,7 +164,6 @@ func (m *MLP) InitParams(seed int64) linalg.Vector {
 	return p
 }
 
-//snap:alloc-free
 func (m *MLP) checkDim(p linalg.Vector) {
 	if len(p) != m.NumParams() {
 		panic(fmt.Sprintf("model: mlp params have %d entries, want %d", len(p), m.NumParams()))

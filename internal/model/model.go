@@ -26,7 +26,6 @@ type Model interface {
 	// Loss returns the mean loss of params on batch (including any
 	// regularization term); on an empty batch, the regularization term
 	// alone.
-	//snap:alloc-free
 	Loss(params linalg.Vector, batch []dataset.Sample) float64
 	// Gradient returns ∇Loss(params) on batch as a fresh vector.
 	Gradient(params linalg.Vector, batch []dataset.Sample) linalg.Vector
@@ -58,7 +57,6 @@ func MeanLoss(m Model, params linalg.Vector, ds *dataset.Dataset) float64 {
 	return m.Loss(params, ds.Samples)
 }
 
-//snap:alloc-free
 func sigmoid(z float64) float64 {
 	// Numerically stable in both tails.
 	if z >= 0 {
@@ -69,8 +67,6 @@ func sigmoid(z float64) float64 {
 }
 
 // signedLabel maps a {0,1} class label to {-1,+1} for margin losses.
-//
-//snap:alloc-free
 func signedLabel(label int) float64 {
 	if label == 0 {
 		return -1

@@ -14,13 +14,11 @@ type BatchPredictor interface {
 	// ScratchSize returns how many F and I slots of a Scratch one
 	// PredictInto call needs (0, 0 for the linear models, whose score is
 	// a single dot product).
-	//snap:alloc-free
 	ScratchSize() (floats, ints int)
 	// PredictInto returns the predicted class label for features x,
 	// using sc (sized by ScratchSize) for any intermediate activations.
 	// It must be pure in (params, x) — identical to Predict — and safe
 	// for concurrent calls with disjoint sc.
-	//snap:alloc-free
 	PredictInto(params linalg.Vector, x []float64, sc *Scratch) int
 }
 
@@ -38,8 +36,6 @@ type PredictScratch struct {
 // PredictInto with a scratch buffer recycled from sc, so the steady state
 // allocates nothing; other models fall back to Model.Predict row by row.
 // A nil sc allocates a private scratch (one allocation, not per row).
-//
-//snap:alloc-free
 func PredictBatchInto(m Model, dst []int, params linalg.Vector, xs [][]float64, sc *PredictScratch) []int {
 	bp, ok := m.(BatchPredictor)
 	if !ok {
@@ -49,7 +45,6 @@ func PredictBatchInto(m Model, dst []int, params linalg.Vector, xs [][]float64, 
 		return dst[:len(xs)]
 	}
 	if sc == nil {
-		//snaplint:ignore allocfree nil-scratch fallback allocates once per caller, not per request
 		sc = &PredictScratch{}
 	}
 	work := sc.work.ensure(bp.ScratchSize())
@@ -72,7 +67,6 @@ func AccuracyBatch(m Model, params linalg.Vector, ds *dataset.Dataset, sc *Predi
 		return Accuracy(m, params, ds)
 	}
 	if sc == nil {
-		//snaplint:ignore allocfree nil-scratch fallback allocates once per caller, not per request
 		sc = &PredictScratch{}
 	}
 	work := sc.work.ensure(bp.ScratchSize())

@@ -13,7 +13,6 @@ type Scratch struct {
 	I []int
 }
 
-//snap:allocs-amortized
 func (sc *Scratch) ensure(floats, ints int) *Scratch {
 	if cap(sc.F) < floats {
 		sc.F = make([]float64, floats)
@@ -29,10 +28,8 @@ func (sc *Scratch) ensure(floats, ints int) *Scratch {
 // caller-owned workspace (Loss, Predict).
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-//snap:allocs-amortized
 func borrowScratch(floats, ints int) *Scratch {
 	return scratchPool.Get().(*Scratch).ensure(floats, ints)
 }
 
-//snap:alloc-free
 func returnScratch(sc *Scratch) { scratchPool.Put(sc) }

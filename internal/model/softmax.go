@@ -41,11 +41,8 @@ func (m *SoftmaxRegression) Name() string {
 }
 
 // NumParams implements Model.
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) NumParams() int { return m.Classes*m.Features + m.Classes }
 
-//snap:alloc-free
 func (m *SoftmaxRegression) lambda() float64 {
 	if m.Lambda <= 0 {
 		return 1e-4
@@ -55,8 +52,6 @@ func (m *SoftmaxRegression) lambda() float64 {
 
 // ScratchSize implements BatchAccumulator and BatchPredictor: the class
 // scores plus the compacted input (values in F, positions in I).
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) ScratchSize() (floats, ints int) {
 	return m.Classes + m.Features, m.Features
 }
@@ -64,8 +59,6 @@ func (m *SoftmaxRegression) ScratchSize() (floats, ints int) {
 // logits is the model's one forward pass: it compacts x's non-zeros into
 // sc and computes the per-class scores from them, returning the scores
 // and the compacted input (all backed by sc).
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) logits(p linalg.Vector, x []float64, sc *Scratch) (logits, val []float64, idx []int) {
 	biasOff := m.Classes * m.Features
 	logits = sc.F[:m.Classes]
@@ -77,8 +70,6 @@ func (m *SoftmaxRegression) logits(p linalg.Vector, x []float64, sc *Scratch) (l
 }
 
 // Loss implements Model: mean cross-entropy + (λ/2)||W||².
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(p)
 	var reg float64
@@ -102,8 +93,6 @@ func (m *SoftmaxRegression) Gradient(p linalg.Vector, batch []dataset.Sample) li
 
 // RegGradTo implements BatchAccumulator: λW on the weights, 0 on the
 // biases.
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) RegGradTo(dst, p linalg.Vector) {
 	m.checkDim(p)
 	l := m.lambda()
@@ -119,8 +108,6 @@ func (m *SoftmaxRegression) RegGradTo(dst, p linalg.Vector) {
 // AccumGrad implements BatchAccumulator (unscaled per-sample terms),
 // returning the cross-entropy sum. A nil dst skips the gradient and
 // leaves only the loss pass.
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratch) float64 {
 	biasOff := m.Classes * m.Features
 	var ce float64
@@ -139,8 +126,6 @@ func (m *SoftmaxRegression) AccumGrad(dst, p linalg.Vector, batch []dataset.Samp
 }
 
 // Predict implements Model: argmax class score.
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) Predict(p linalg.Vector, x []float64) int {
 	sc := borrowScratch(m.ScratchSize())
 	label := m.PredictInto(p, x, sc)
@@ -151,8 +136,6 @@ func (m *SoftmaxRegression) Predict(p linalg.Vector, x []float64) int {
 // PredictInto implements BatchPredictor. Softmax is monotone, so the
 // argmax over raw logits is the most probable class without ever
 // exponentiating.
-//
-//snap:alloc-free
 func (m *SoftmaxRegression) PredictInto(p linalg.Vector, x []float64, sc *Scratch) int {
 	logits, _, _ := m.logits(p, x, sc)
 	return argmax(logits)
@@ -168,7 +151,6 @@ func (m *SoftmaxRegression) InitParams(seed int64) linalg.Vector {
 	return p
 }
 
-//snap:alloc-free
 func (m *SoftmaxRegression) checkDim(p linalg.Vector) {
 	if len(p) != m.NumParams() {
 		panic(fmt.Sprintf("model: softmax params have %d entries, want %d", len(p), m.NumParams()))
@@ -176,8 +158,6 @@ func (m *SoftmaxRegression) checkDim(p linalg.Vector) {
 }
 
 // softmaxInPlace overwrites logits with their stable softmax.
-//
-//snap:alloc-free
 func softmaxInPlace(z []float64) {
 	maxZ := z[0]
 	for _, v := range z[1:] {
@@ -197,8 +177,6 @@ func softmaxInPlace(z []float64) {
 }
 
 // argmax returns the position of the first largest entry of z.
-//
-//snap:alloc-free
 func argmax(z []float64) int {
 	best, bestV := 0, z[0]
 	for i, v := range z[1:] {

@@ -39,11 +39,8 @@ func NewLinearSVM(d int) *LinearSVM { return &LinearSVM{Features: d, Lambda: 1e-
 func (m *LinearSVM) Name() string { return "linear-svm" }
 
 // NumParams implements Model.
-//
-//snap:alloc-free
 func (m *LinearSVM) NumParams() int { return m.Features }
 
-//snap:alloc-free
 func (m *LinearSVM) lambda() float64 {
 	if m.Lambda <= 0 {
 		return 1e-3
@@ -53,8 +50,6 @@ func (m *LinearSVM) lambda() float64 {
 
 // Loss implements Model: (λ/2)||w||² + mean squared-hinge loss
 // max(0, 1−y·w·x)².
-//
-//snap:alloc-free
 func (m *LinearSVM) Loss(w linalg.Vector, batch []dataset.Sample) float64 {
 	m.checkDim(w)
 	loss := m.lambda() / 2 * w.Dot(w)
@@ -70,8 +65,6 @@ func (m *LinearSVM) Loss(w linalg.Vector, batch []dataset.Sample) float64 {
 // term 2·max(0, 1−y·w·x)·y·x from dst (GradientLossTo applies the 1/m).
 // The margins of four samples are computed side by side; the sums run
 // in batch order.
-//
-//snap:alloc-free
 func (m *LinearSVM) AccumGrad(dst, w linalg.Vector, batch []dataset.Sample, _ *Scratch) float64 {
 	var hinge float64
 	for ; len(batch) >= 4; batch = batch[4:] {
@@ -88,8 +81,6 @@ func (m *LinearSVM) AccumGrad(dst, w linalg.Vector, batch []dataset.Sample, _ *S
 }
 
 // svmTerm is one sample's share of AccumGrad, given its score z = w·x.
-//
-//snap:alloc-free
 func svmTerm(dst linalg.Vector, s dataset.Sample, z float64) float64 {
 	y := signedLabel(s.Label)
 	margin := y * z
@@ -108,8 +99,6 @@ func (m *LinearSVM) Gradient(w linalg.Vector, batch []dataset.Sample) linalg.Vec
 }
 
 // RegGradTo implements BatchAccumulator: ∇(λ/2)||w||² = λw.
-//
-//snap:alloc-free
 func (m *LinearSVM) RegGradTo(dst, w linalg.Vector) {
 	m.checkDim(w)
 	linalg.ScaleTo(dst, m.lambda(), w)
@@ -117,13 +106,9 @@ func (m *LinearSVM) RegGradTo(dst, w linalg.Vector) {
 
 // ScratchSize implements BatchAccumulator and BatchPredictor: the score
 // is a single dot product, no scratch needed.
-//
-//snap:alloc-free
 func (m *LinearSVM) ScratchSize() (floats, ints int) { return 0, 0 }
 
 // Predict implements Model: positive margin means class 1.
-//
-//snap:alloc-free
 func (m *LinearSVM) Predict(w linalg.Vector, x []float64) int {
 	if linalg.Vector(x).Dot(w) > 0 {
 		return 1
@@ -132,8 +117,6 @@ func (m *LinearSVM) Predict(w linalg.Vector, x []float64) int {
 }
 
 // PredictInto implements BatchPredictor.
-//
-//snap:alloc-free
 func (m *LinearSVM) PredictInto(w linalg.Vector, x []float64, _ *Scratch) int {
 	return m.Predict(w, x)
 }
@@ -152,7 +135,6 @@ func (m *LinearSVM) InitParams(seed int64) linalg.Vector {
 	return w
 }
 
-//snap:alloc-free
 func (m *LinearSVM) checkDim(w linalg.Vector) {
 	if len(w) != m.Features {
 		panic(fmt.Sprintf("model: svm params have %d entries, want %d", len(w), m.Features))

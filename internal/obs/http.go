@@ -76,12 +76,6 @@ func NewHandler(cfg ServeConfig) http.Handler {
 	return mux
 }
 
-// Handler is the original fixed-shape surface (pprof always on, no trace
-// endpoint), kept for callers that predate ServeConfig.
-func Handler(node int, reg *Registry, log *EventLog) http.Handler {
-	return NewHandler(ServeConfig{Node: node, Reg: reg, Log: log, PprofEnabled: true})
-}
-
 // ServeWith starts an HTTP server for NewHandler(cfg) on addr in a
 // background goroutine and returns the server (for Close/Shutdown) and
 // the bound address (useful with ":0"). The server's lifetime is the
@@ -95,9 +89,4 @@ func ServeWith(addr string, cfg ServeConfig) (*http.Server, string, error) {
 	//snaplint:ignore golife the returned *http.Server is the cancellation handle: Close/Shutdown ends Serve
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
-}
-
-// Serve is ServeWith with the legacy Handler shape (pprof always on).
-func Serve(addr string, node int, reg *Registry, log *EventLog) (*http.Server, string, error) {
-	return ServeWith(addr, ServeConfig{Node: node, Reg: reg, Log: log, PprofEnabled: true})
 }

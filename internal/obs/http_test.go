@@ -14,7 +14,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(Label(MLinkBytesSent, "peer", "3")).Add(1234)
 
-	srv := httptest.NewServer(Handler(0, r, nil))
+	srv := httptest.NewServer(NewHandler(ServeConfig{Node: 0, Reg: r, PprofEnabled: true}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
@@ -41,7 +41,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 	log := NewEventLog(io.Discard)
 	log.Emit(4, EvLinkDown, -1, 2, nil)
 
-	srv := httptest.NewServer(Handler(4, r, log))
+	srv := httptest.NewServer(NewHandler(ServeConfig{Node: 4, Reg: r, Log: log, PprofEnabled: true}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/snapshot")
 	if err != nil {
@@ -79,7 +79,7 @@ func TestSnapshotEndpoint(t *testing.T) {
 }
 
 func TestPprofEndpoint(t *testing.T) {
-	srv := httptest.NewServer(Handler(0, NewRegistry(), nil))
+	srv := httptest.NewServer(NewHandler(ServeConfig{Node: 0, Reg: NewRegistry(), PprofEnabled: true}))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL + "/debug/pprof/goroutine?debug=1")
 	if err != nil {

@@ -29,19 +29,13 @@ type Counter struct {
 }
 
 // Inc adds one.
-//
-//snap:alloc-free
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (n must be non-negative for Prometheus semantics; this is
 // not enforced, but exposition assumes it).
-//
-//snap:alloc-free
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
-//
-//snap:alloc-free
 func (c *Counter) Value() int64 { return c.v.Load() }
 
 // Gauge is an atomically settable float64 value.
@@ -50,13 +44,9 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//snap:alloc-free
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // Value returns the stored value.
-//
-//snap:alloc-free
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is a fixed-bucket histogram: observations are counted into
@@ -77,8 +67,6 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//snap:alloc-free
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
@@ -93,13 +81,9 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the total number of observations.
-//
-//snap:alloc-free
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
-//
-//snap:alloc-free
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Buckets returns the upper bounds and the cumulative count at each bound

@@ -169,7 +169,9 @@ type predictFixture struct {
 	raw  []byte
 }
 
-func newPredictFixture(tb testing.TB) *predictFixture {
+// newPredictFixture sends the row as {"features":[…]}, or as
+// {"instances":[[…]]} when instances is set.
+func newPredictFixture(tb testing.TB, instances bool) *predictFixture {
 	tb.Helper()
 	const features = 784
 	g, err := NewGateway(Config{Model: &signModel{params: 4}, Features: features, MaxBatch: 1, Workers: 1})
@@ -183,7 +185,11 @@ func newPredictFixture(tb testing.TB) *predictFixture {
 	for i := range row {
 		row[i] = rng.NormFloat64()
 	}
-	raw, err := json.Marshal(map[string][]float64{"features": row})
+	var body any = map[string][]float64{"features": row}
+	if instances {
+		body = map[string][][]float64{"instances": {row}}
+	}
+	raw, err := json.Marshal(body)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -212,7 +218,7 @@ func (fx *predictFixture) serve(tb testing.TB) {
 // BenchmarkHandlePredict is the whole of POST /v1/predict behind the
 // socket for one 784-feature row: read, scan, validate, gateway, reply.
 func BenchmarkHandlePredict(b *testing.B) {
-	fx := newPredictFixture(b)
+	fx := newPredictFixture(b, false)
 	b.SetBytes(int64(len(fx.raw)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -222,22 +228,40 @@ func BenchmarkHandlePredict(b *testing.B) {
 }
 
 // TestHandlePredictSteadyStateAllocs pins what a warmed-up one-row
-// request allocates on its way through handlePredict. None of it may
-// grow with the feature count: the body, the 784 values, the labels and
-// the reply all live in the pooled predictScratch. What remains is
-// fixed-size and not the handler's own — http.MaxBytesReader (1), the
-// context.WithTimeout that bounds the wait (5), the header value slice
-// (1) and the gateway's sudog residual (see TestPredictSteadyStateAllocs).
+// request allocates on its way through handlePredict, in both body forms.
+// None of it may grow with the feature count: the body, the 784 values,
+// the labels and the reply all live in the pooled predictScratch. What
+// remains is fixed-size and not the handler's own — http.MaxBytesReader
+// (1), the context.WithTimeout that bounds the wait (5), the header value
+// slice (1) and the gateway's sudog residual (see
+// TestPredictSteadyStateAllocs). The handler's own work, scanning the
+// body and appending the reply, is held to zero on its own: one stray
+// allocation there would still fit under the request's budget.
 func TestHandlePredictSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
-	fx := newPredictFixture(t)
-	for i := 0; i < 100; i++ {
-		fx.serve(t)
-	}
-	allocs := testing.AllocsPerRun(200, func() { fx.serve(t) })
-	if allocs > 8 {
-		t.Fatalf("steady-state handlePredict allocates %.2f/op, budget 8", allocs)
+	for _, instances := range []bool{false, true} {
+		fx := newPredictFixture(t, instances)
+		for i := 0; i < 100; i++ {
+			fx.serve(t)
+		}
+		allocs := testing.AllocsPerRun(200, func() { fx.serve(t) })
+		if allocs > 8 {
+			t.Fatalf("steady-state handlePredict (instances=%v) allocates %.2f/op, budget 8", instances, allocs)
+		}
+
+		var sc predictScratch
+		labels := []int{1}
+		own := func() {
+			if !sc.scan(fx.raw) {
+				t.Fatal("scanner declined the canonical body")
+			}
+			sc.out = appendPredictResponse(sc.out[:0], labels, Version{Round: 3, Epoch: 1})
+		}
+		own() // grow the scratch
+		if n := testing.AllocsPerRun(200, own); n != 0 {
+			t.Fatalf("scan + reply (instances=%v) allocate %.2f/op, want 0", instances, n)
+		}
 	}
 }

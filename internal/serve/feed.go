@@ -29,7 +29,6 @@ type Snapshot struct {
 // as read-only and must not retain it past Release.
 //
 //snap:returns-borrowed
-//snap:alloc-free
 func (s *Snapshot) Params() linalg.Vector { return s.params }
 
 // Round returns the training round the snapshot was taken at.

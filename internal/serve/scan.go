@@ -56,8 +56,6 @@ func putPredictScratch(s *predictScratch) {
 // the scanner only ever takes a subset of what json.Unmarshal accepts and
 // yields the same values for it (FuzzScanPredict), so which of the two
 // ran is not observable.
-//
-//snap:alloc-free
 func (s *predictScratch) scan(b []byte) bool {
 	s.vals, s.ends = s.vals[:0], s.ends[:0]
 	i := skipSpace(b, 0)
@@ -113,8 +111,6 @@ func (s *predictScratch) scan(b []byte) bool {
 
 // scanRows scans an array of number arrays starting at b[i]. It returns
 // the index after the closing bracket, or -1.
-//
-//snap:alloc-free
 func (s *predictScratch) scanRows(b []byte, i int) int {
 	if i >= len(b) || b[i] != '[' {
 		return -1
@@ -145,8 +141,6 @@ func (s *predictScratch) scanRows(b []byte, i int) int {
 // scanRow scans one array of numbers starting at b[i], appending the
 // values to s.vals and the row's end to s.ends. It returns the index
 // after the closing bracket, or -1.
-//
-//snap:alloc-free
 func (s *predictScratch) scanRow(b []byte, i int) int {
 	if i >= len(b) || b[i] != '[' {
 		return -1
@@ -194,8 +188,6 @@ func (s *predictScratch) scanRow(b []byte, i int) int {
 // -1 if none starts there. The grammar is checked here, not left to
 // ParseFloat, which also takes "Inf", "0x1p3", "+1", ".5", "1." and
 // "1_0" — none of them JSON.
-//
-//snap:alloc-free
 func numberEnd(b []byte, i int) int {
 	if i < len(b) && b[i] == '-' {
 		i++
@@ -235,8 +227,6 @@ func numberEnd(b []byte, i int) int {
 // but digits, at most 15 of them: an integer below 2^53, which float64
 // holds exactly, so this is ParseFloat's answer without the call. Sparse
 // rows are mostly "0".
-//
-//snap:alloc-free
 func smallInt(lit []byte) (float64, bool) {
 	if len(lit) > 15 {
 		return 0, false
@@ -251,7 +241,6 @@ func smallInt(lit []byte) (float64, bool) {
 	return float64(n), true
 }
 
-//snap:alloc-free
 func digitsEnd(b []byte, i int) int {
 	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
@@ -261,8 +250,6 @@ func digitsEnd(b []byte, i int) int {
 
 // skipSpace returns the index of the first byte at or after i that is
 // not JSON whitespace.
-//
-//snap:alloc-free
 func skipSpace(b []byte, i int) int {
 	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
 		i++
@@ -270,7 +257,6 @@ func skipSpace(b []byte, i int) int {
 	return i
 }
 
-//snap:alloc-free
 func hasPrefixAt(b []byte, i int, prefix string) bool {
 	if len(b)-i < len(prefix) {
 		return false
@@ -286,16 +272,12 @@ func hasPrefixAt(b []byte, i int, prefix string) bool {
 // bytesAsString views b as a string without copying it. Only for a
 // callee that reads the string during the call and keeps nothing:
 // strconv.ParseFloat qualifies (its errors carry a clone of the input).
-//
-//snap:alloc-free
 func bytesAsString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
 // appendPredictResponse appends the 200 body: the bytes json.Encoder
 // writes for a predictResponse, trailing newline included.
-//
-//snap:alloc-free
 func appendPredictResponse(dst []byte, labels []int, v Version) []byte {
 	dst = append(dst, `{"predictions":[`...)
 	for i, l := range labels {

@@ -174,8 +174,6 @@ func (t *Tracer) Node() int {
 // an older round. A slot holding a *newer* round is left alone and nil
 // is returned: a stale late frame must not clobber live data. Caller
 // holds t.mu.
-//
-//snap:alloc-free
 func (t *Tracer) slotFor(round int) *roundSlot {
 	if round < 0 {
 		return nil
@@ -247,8 +245,6 @@ func (t *Tracer) Phase(round int, p PhaseID, start, end time.Time) {
 // sub-spans). name must be a constant from names.go (enforced by the
 // obsname analyzer). Spans beyond the preallocated capacity are counted
 // as dropped, never stored.
-//
-//snap:alloc-free
 func (t *Tracer) Span(round int, name string, start, end time.Time) {
 	if t == nil {
 		return

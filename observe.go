@@ -18,7 +18,9 @@ import (
 //	reg := snap.NewMetricsRegistry()
 //	log := snap.NewEventLog(eventsFile)
 //	node, _ := snap.NewPeerNode(snap.PeerConfig{ ..., Obs: snap.NewObserver(reg, log)})
-//	srv, addr, _ := snap.ServeObservability(":9090", id, reg, log)
+//	srv, addr, _ := snap.ServeObservabilityWith(":9090", snap.ObserveConfig{
+//		Node: id, Reg: reg, Log: log, PprofEnabled: true,
+//	})
 //	defer srv.Close()
 //
 // then scrape http://addr/metrics (Prometheus text), GET /snapshot
@@ -52,17 +54,6 @@ func NewObserver(reg *MetricsRegistry, log *EventLog) *Observer {
 // handlers are mounted.
 type ObserveConfig = obs.ServeConfig
 
-// ObservabilityHandler serves /metrics (Prometheus text exposition),
-// /snapshot (JSON), and /debug/pprof/* for one node.
-//
-// pprof is always mounted here for backward compatibility; on a network
-// anyone can reach, prefer ObservabilityHandlerWith with PprofEnabled
-// false — profiles leak memory contents and the profile endpoints can be
-// driven hard enough to degrade training.
-func ObservabilityHandler(node int, reg *MetricsRegistry, log *EventLog) http.Handler {
-	return obs.Handler(node, reg, log)
-}
-
 // ObservabilityHandlerWith builds the endpoint from an ObserveConfig:
 // /metrics and /snapshot always, /trace when cfg.Trace is set (use
 // TraceHandler or ClusterTraceHandler), /debug/pprof/* only when
@@ -71,16 +62,9 @@ func ObservabilityHandlerWith(cfg ObserveConfig) http.Handler {
 	return obs.NewHandler(cfg)
 }
 
-// ServeObservability starts ObservabilityHandler on addr (":0" for an
-// ephemeral port) in the background, returning the server and the bound
-// address. Close the server when done. pprof is mounted; see
-// ServeObservabilityWith to opt out.
-func ServeObservability(addr string, node int, reg *MetricsRegistry, log *EventLog) (*http.Server, string, error) {
-	return obs.Serve(addr, node, reg, log)
-}
-
-// ServeObservabilityWith starts ObservabilityHandlerWith on addr in the
-// background, returning the server and the bound address.
+// ServeObservabilityWith starts ObservabilityHandlerWith on addr (":0"
+// for an ephemeral port) in the background, returning the server and the
+// bound address. Close the server when done.
 func ServeObservabilityWith(addr string, cfg ObserveConfig) (*http.Server, string, error) {
 	return obs.ServeWith(addr, cfg)
 }

@@ -103,7 +103,7 @@ type PeerConfig struct {
 	Logf func(format string, args ...any)
 	// Obs, when set, receives the node's live metrics (per-link bytes,
 	// gather waits, APE stage, round phase latencies) and JSONL
-	// round-lifecycle events; serve them with ServeObservability. Nil
+	// round-lifecycle events; serve them with ServeObservabilityWith. Nil
 	// disables observation.
 	Obs *Observer
 	// Feed, when set, receives a snapshot of the node's parameters at

@@ -59,13 +59,6 @@ const (
 	SpanMix       = trace.SpanMix
 )
 
-// NewTracer returns a tracer for the given node id with default capacity
-// (128 in-flight rounds). Pass it to PeerConfig via TraceRounds — or
-// attach it anywhere a *Tracer is accepted.
-func NewTracer(node int) *Tracer {
-	return trace.New(trace.Config{Node: node})
-}
-
 // NewTraceAggregator returns an aggregator retaining the most recent
 // keepRounds merged rounds (0 selects the default of 256). Feed it with
 // Add / ObserveClock, or let a Coordinator with TraceRounds set do both.
