@@ -154,11 +154,15 @@ func maxIterations(opt Options) int {
 // sweep point do not re-run the spectral optimizer.
 var weightCache sync.Map // *graph.Graph → *linalg.Matrix
 
-func optimizedWeightsFor(topo *graph.Graph, alpha float64) (*linalg.Matrix, error) {
+// optimizedWeightsFor returns the OptimizeBest matrix for topo under the
+// rate bound at α = svmAlpha, the step size of every run that asks for
+// one. The cache is keyed by topology alone, which is sound only because
+// α is fixed here rather than taken from the caller.
+func optimizedWeightsFor(topo *graph.Graph) (*linalg.Matrix, error) {
 	if w, ok := weightCache.Load(topo); ok {
 		return w.(*linalg.Matrix), nil
 	}
-	res, err := weights.OptimizeBest(topo, weights.BoundParams{Alpha: alpha},
+	res, err := weights.OptimizeBest(topo, weights.BoundParams{Alpha: svmAlpha},
 		weights.Options{Iterations: weightOptIterations, Step: weightOptStep})
 	if err != nil {
 		return nil, err
@@ -193,7 +197,7 @@ func schemeRun(scheme string, topo *graph.Graph, w *svmWorkload, opt Options, op
 		var wm *linalg.Matrix
 		if optimizeWeights {
 			var err error
-			if wm, err = optimizedWeightsFor(topo, svmAlpha); err != nil {
+			if wm, err = optimizedWeightsFor(topo); err != nil {
 				return nil, err
 			}
 		}

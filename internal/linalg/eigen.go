@@ -93,35 +93,39 @@ func SymEigen(a *Matrix) (*EigenResult, error) {
 
 // applyJacobiRotation applies the rotation J(p,q,θ) with cos=c, sin=s to w
 // (two-sided: w ← JᵀwJ) and accumulates it into the eigenvector matrix v
-// (one-sided: v ← vJ).
+// (one-sided: v ← vJ). It walks Data one row slice at a time, updating
+// columns p and q of w and of v in the same pass over the rows (v is
+// independent of w), and then rows p and q of w; every entry gets the
+// arithmetic, in the order, of the element-wise At/Set form.
 func applyJacobiRotation(w, v *Matrix, p, q int, c, s float64) {
 	n := w.Rows
+	wd, vd := w.Data, v.Data
 	for i := 0; i < n; i++ {
-		wip := w.At(i, p)
-		wiq := w.At(i, q)
-		w.Set(i, p, c*wip-s*wiq)
-		w.Set(i, q, s*wip+c*wiq)
+		r := wd[i*n : i*n+n]
+		wip, wiq := r[p], r[q]
+		r[p] = c*wip - s*wiq
+		r[q] = s*wip + c*wiq
+		r = vd[i*n : i*n+n]
+		vip, viq := r[p], r[q]
+		r[p] = c*vip - s*viq
+		r[q] = s*vip + c*viq
 	}
-	for j := 0; j < n; j++ {
-		wpj := w.At(p, j)
-		wqj := w.At(q, j)
-		w.Set(p, j, c*wpj-s*wqj)
-		w.Set(q, j, s*wpj+c*wqj)
-	}
-	for i := 0; i < n; i++ {
-		vip := v.At(i, p)
-		viq := v.At(i, q)
-		v.Set(i, p, c*vip-s*viq)
-		v.Set(i, q, s*vip+c*viq)
+	rp := wd[p*n : p*n+n]
+	rq := wd[q*n : q*n+n]
+	for j, wpj := range rp {
+		wqj := rq[j]
+		rp[j] = c*wpj - s*wqj
+		rq[j] = s*wpj + c*wqj
 	}
 }
 
 func offDiagonalNorm(m *Matrix) float64 {
 	var s float64
 	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
+		r := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, x := range r {
 			if i != j {
-				s += m.At(i, j) * m.At(i, j)
+				s += x * x
 			}
 		}
 	}

@@ -96,3 +96,69 @@ func TestOptimizerPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestOptimizeBestSchedulingIndependent runs OptimizeBest's concurrent
+// candidates on one P and on every P and requires the same result: on K6,
+// where the λ̄max trajectory sees λ̄max < −λmin and the SLEM problem is
+// solved, and on random20, where it does not and the SLEM solve is
+// skipped. It also checks that skip's premise on random20: the SLEM run
+// it would have made yields the λ̄max run's matrix.
+func TestOptimizeBestSchedulingIndependent(t *testing.T) {
+	graphs := []struct {
+		name         string
+		g            *graph.Graph
+		slemIsBarMax bool
+	}{
+		{"K6", graph.Complete(6), false},
+		{"random20", graph.RandomConnected(20, 3, rand.New(rand.NewSource(13))), true},
+	}
+	p := BoundParams{Alpha: 0.1}
+	for _, tc := range graphs {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(1)
+			one, err := OptimizeBest(tc.g, p, Options{})
+			runtime.GOMAXPROCS(prev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			many, err := OptimizeBest(tc.g, p, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pinOf(one) != pinOf(many) {
+				t.Errorf("GOMAXPROCS(1) pin %#x, GOMAXPROCS(%d) pin %#x", pinOf(one), prev, pinOf(many))
+			}
+
+			barMax, slemIsBarMax, err := optimize(tc.g, MinimizeLambdaBarMax, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if slemIsBarMax != tc.slemIsBarMax {
+				t.Fatalf("λ̄max trajectory reports slemIsBarMax = %v, want %v", slemIsBarMax, tc.slemIsBarMax)
+			}
+			if !slemIsBarMax {
+				return
+			}
+			slem, err := Optimize(tc.g, MinimizeSLEM, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pinOf(slem) != pinOf(barMax) {
+				t.Errorf("skipped SLEM pin %#x differs from the λ̄max pin %#x", pinOf(slem), pinOf(barMax))
+			}
+		})
+	}
+}
+
+// BenchmarkOptimizeBest is the weight optimizer's layer number: the full
+// Section IV-B policy on a 20-node random(3) topology, as Cluster runs it.
+func BenchmarkOptimizeBest(b *testing.B) {
+	g := graph.RandomConnected(20, 3, rand.New(rand.NewSource(13)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := OptimizeBest(g, BoundParams{Alpha: 0.1}, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package weights
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
@@ -76,6 +77,13 @@ func DeltaBound(sp *linalg.Spectrum, p BoundParams) float64 {
 // beats a Metropolis matrix whose λmin < 2αL_f²/η − 1 makes the bound
 // negative, so a candidate without a spectral gap (λ̄max ≥ 1 − 1e-9) is
 // never selected.
+//
+// The candidates are solved concurrently, each in its own goroutine with
+// its own state, and then compared in the fixed order below with a strict
+// "larger bound wins", so the choice does not depend on scheduling. The
+// SLEM problem is solved only when the λ̄max trajectory saw λ̄max < −λmin
+// at some step: otherwise its every step is the λ̄max run's, its bound
+// ties that candidate's, and it can never be selected.
 func OptimizeBest(g *graph.Graph, p BoundParams, opts Options) (*Result, error) {
 	metro := Metropolis(g, 0)
 	metroSpec, err := linalg.AnalyzeSpectrum(metro)
@@ -85,13 +93,32 @@ func OptimizeBest(g *graph.Graph, p BoundParams, opts Options) (*Result, error) 
 	best := &Result{W: metro, Spectrum: metroSpec, Objective: MetropolisBaseline, Value: metroSpec.LambdaBarMax}
 	bestBound := DeltaBound(metroSpec, p)
 
-	for _, obj := range []Objective{MinimizeLambdaBarMax, MaximizeLambdaMin, MinimizeSLEM, JointSpectral} {
-		r, err := Optimize(g, obj, opts)
-		if err != nil {
-			return nil, fmt.Errorf("weights: solving %v: %w", obj, err)
+	objectives := [...]Objective{MinimizeLambdaBarMax, MaximizeLambdaMin, MinimizeSLEM, JointSpectral}
+	var (
+		results [len(objectives)]*Result
+		errs    [len(objectives)]error
+		wg      sync.WaitGroup
+	)
+	solve := func(i int) { results[i], errs[i] = Optimize(g, objectives[i], opts) }
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		var slemIsBarMax bool
+		results[0], slemIsBarMax, errs[0] = optimize(g, objectives[0], opts)
+		if errs[0] == nil && !slemIsBarMax {
+			solve(2)
 		}
-		if r.Spectrum.LambdaBarMax >= 1-1e-9 {
-			continue
+	}()
+	go func() { defer wg.Done(); solve(1) }()
+	go func() { defer wg.Done(); solve(3) }()
+	wg.Wait()
+
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("weights: solving %v: %w", objectives[i], errs[i])
+		}
+		if r == nil || r.Spectrum.LambdaBarMax >= 1-1e-9 {
+			continue // nil: the SLEM solve was skipped
 		}
 		if b := DeltaBound(r.Spectrum, p); b > bestBound {
 			best, bestBound = r, b

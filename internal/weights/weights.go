@@ -134,10 +134,19 @@ type Result struct {
 // matrix. It returns the best iterate found. Each iterate is decomposed
 // once: the view that scores it is the view its subgradient step uses.
 func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
+	r, _, err := optimize(g, obj, opts)
+	return r, err
+}
+
+// optimize is Optimize that also reports whether λ̄max ≥ −λmin held at
+// every view on the trajectory. When it held on the MinimizeLambdaBarMax
+// trajectory, MinimizeSLEM would have taken the same subgradient steps and
+// kept the same best iterate, so its W equals the λ̄max result's.
+func optimize(g *graph.Graph, obj Objective, opts Options) (res *Result, slemIsBarMax bool, err error) {
 	opts = opts.withDefaults()
 	n := g.N()
 	if n == 0 {
-		return nil, fmt.Errorf("weights: cannot optimize over an empty graph")
+		return nil, false, fmt.Errorf("weights: cannot optimize over an empty graph")
 	}
 	edges := g.Edges()
 
@@ -149,7 +158,7 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 	}
 	initSpec, err := linalg.AnalyzeSpectrum(init)
 	if err != nil {
-		return nil, fmt.Errorf("weights: analyzing start point: %w", err)
+		return nil, false, fmt.Errorf("weights: analyzing start point: %w", err)
 	}
 	// λmin floor for the JointSpectral scalarization.
 	floor := initSpec.LambdaMin
@@ -157,9 +166,10 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 	best := append([]float64(nil), w...)
 	view, err := spectralViewOf(buildMatrix(n, edges, w))
 	if err != nil {
-		return nil, fmt.Errorf("weights: evaluating start point: %w", err)
+		return nil, false, fmt.Errorf("weights: evaluating start point: %w", err)
 	}
 	bestVal := view.objectiveValue(obj, floor)
+	slemIsBarMax = !view.slemIsMin()
 
 	grad := make([]float64, len(edges))
 	for it := 0; it < opts.Iterations; it++ {
@@ -174,7 +184,10 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 		projectFeasible(n, edges, w)
 
 		if view, err = spectralViewOf(buildMatrix(n, edges, w)); err != nil {
-			return nil, fmt.Errorf("weights: eigendecomposition at iteration %d: %w", it, err)
+			return nil, false, fmt.Errorf("weights: eigendecomposition at iteration %d: %w", it, err)
+		}
+		if view.slemIsMin() {
+			slemIsBarMax = false
 		}
 		val := view.objectiveValue(obj, floor)
 		if better(obj, val, bestVal) {
@@ -186,9 +199,9 @@ func Optimize(g *graph.Graph, obj Objective, opts Options) (*Result, error) {
 	mat := buildMatrix(n, edges, best)
 	sp, err := linalg.AnalyzeSpectrum(mat)
 	if err != nil {
-		return nil, fmt.Errorf("weights: analyzing result: %w", err)
+		return nil, false, fmt.Errorf("weights: analyzing result: %w", err)
 	}
-	return &Result{W: mat, Spectrum: sp, Objective: obj, Value: bestVal}, nil
+	return &Result{W: mat, Spectrum: sp, Objective: obj, Value: bestVal}, slemIsBarMax, nil
 }
 
 // buildMatrix assembles W from edge weights: W_ij = w_e on edges, diagonal
@@ -246,6 +259,12 @@ func spectralViewOf(m *linalg.Matrix) (*spectralView, error) {
 	}, nil
 }
 
+// slemIsMin reports whether −λmin, not λ̄max, is the view's SLEM: the one
+// case where MinimizeSLEM steps along vMin instead of v2.
+func (view *spectralView) slemIsMin() bool {
+	return view.lambda2 < -view.lambdaMin
+}
+
 // objectiveValue evaluates the minimization form of obj on the view.
 func (view *spectralView) objectiveValue(obj Objective, floor float64) float64 {
 	switch obj {
@@ -276,7 +295,7 @@ func fillSubgradient(grad []float64, edges []graph.Edge, view *spectralView, obj
 		v = view.vMin
 		sign = -1 // maximize λmin == minimize −λmin
 	case MinimizeSLEM:
-		if view.lambda2 < -view.lambdaMin {
+		if view.slemIsMin() {
 			v = view.vMin
 			sign = -1
 		}
