@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/snapml/snap/internal/obs"
 )
 
 func newSeededRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -144,14 +146,23 @@ func TestPeerForgetRound(t *testing.T) {
 	}
 }
 
+// TestPeerSendToUnknownNeighbor also checks that the rejected send leaves
+// the registry alone: a send to an id with no connection must not
+// register snap_link_*{peer="5"} series that live forever.
 func TestPeerSendToUnknownNeighbor(t *testing.T) {
 	p, err := NewPeer(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	reg := obs.NewRegistry()
+	p.SetObserver(&obs.Observer{Reg: reg})
+	before := reg.Text()
 	if err := p.Send(5, 0, []byte("x")); err == nil {
 		t.Error("send to unconnected neighbor accepted")
+	}
+	if after := reg.Text(); after != before {
+		t.Errorf("send to unknown neighbor changed the exposition:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 
