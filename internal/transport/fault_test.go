@@ -29,6 +29,9 @@ func TestFaultDropLosesFrameSilently(t *testing.T) {
 	}
 }
 
+// TestFaultDelayStallsThenDelivers: the delay holds the frame back on
+// the link, not the sender — Send returns at once and the frame lands
+// about one delay later.
 func TestFaultDelayStallsThenDelivers(t *testing.T) {
 	peers := startPeers(t, 2)
 	const delay = 150 * time.Millisecond
@@ -39,11 +42,57 @@ func TestFaultDelayStallsThenDelivers(t *testing.T) {
 	if err := peers[0].Send(1, 0, []byte("slow")); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < delay {
-		t.Errorf("delayed send returned after %v, want ≥ %v", elapsed, delay)
+	if elapsed := time.Since(start); elapsed >= delay {
+		t.Errorf("delayed send blocked its caller for %v, want < %v", elapsed, delay)
 	}
-	if got := peers[1].Gather(0, 2*time.Second); string(got[0]) != "slow" {
+	if got := peers[1].Gather(0, 2*time.Second); len(got) != 1 || string(got[0]) != "slow" {
 		t.Errorf("gather = %v, want the delayed frame", got)
+	}
+	if elapsed := time.Since(start); elapsed < delay {
+		t.Errorf("delayed frame arrived after %v, want ≥ %v", elapsed, delay)
+	}
+}
+
+// TestFaultDelayKeepsLinkOrder: a frame sent behind a delayed one on the
+// same link waits for it, so the link's frames arrive in order.
+func TestFaultDelayKeepsLinkOrder(t *testing.T) {
+	peers := startPeers(t, 2)
+	const delay = 80 * time.Millisecond
+	peers[0].SetFaults(NewFaultSet().Add(
+		FaultRule{Peer: 1, Round: 0, Action: FaultDelay, Delay: delay}))
+
+	start := time.Now()
+	for r, msg := range []string{"first", "second"} {
+		if err := peers[0].Send(1, r, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed < delay {
+		t.Errorf("second send returned after %v, want it queued behind the %v delay", elapsed, delay)
+	}
+	for r, msg := range []string{"first", "second"} {
+		if got := peers[1].Gather(r, 2*time.Second); len(got) != 1 || string(got[0]) != msg {
+			t.Errorf("round %d gather = %v, want %q", r, got, msg)
+		}
+	}
+}
+
+// TestFaultDelayCloseCancels: closing the sender abandons a frame still
+// held back by a delay instead of waiting the delay out.
+func TestFaultDelayCloseCancels(t *testing.T) {
+	peers := startPeers(t, 2)
+	peers[0].SetFaults(NewFaultSet().Add(
+		FaultRule{Peer: 1, Round: 0, Action: FaultDelay, Delay: time.Minute}))
+	if err := peers[0].Send(1, 0, []byte("never")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	peers[0].Close()
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("Close took %v with a delayed frame pending, want it to cancel the delay", elapsed)
+	}
+	if got := peers[1].Gather(0, 100*time.Millisecond); len(got) != 0 {
+		t.Errorf("receiver gathered %v from a closed sender, want nothing", got)
 	}
 }
 

@@ -91,17 +91,10 @@ func TestGatherStreamFaultDelay(t *testing.T) {
 	peers[1].SetFaults(NewFaultSet().Add(
 		FaultRule{Peer: 0, Round: 0, Action: FaultDelay, Delay: delay}))
 
-	// Send blocks for the injected delay, so it runs off the test goroutine.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := peers[1].Send(0, 0, []byte("slow")); err != nil {
-			t.Errorf("delayed send: %v", err)
-		}
-	}()
-
 	start := time.Now()
+	if err := peers[1].Send(0, 0, []byte("slow")); err != nil {
+		t.Fatalf("delayed send: %v", err)
+	}
 	got, want := peers[0].GatherStream(0, 5*time.Second, func(from int, frame []byte) bool {
 		if from != 1 || string(frame) != "slow" {
 			t.Errorf("delivery = (%d, %q), want (1, slow)", from, frame)
@@ -109,7 +102,6 @@ func TestGatherStreamFaultDelay(t *testing.T) {
 		return true
 	})
 	elapsed := time.Since(start)
-	wg.Wait()
 
 	if got != 1 || want != 1 {
 		t.Errorf("GatherStream = (got %d, want %d), expected (1, 1)", got, want)

@@ -5,7 +5,7 @@
 #
 #  1. Machine-independent ratio: BenchmarkExtraRoundDelayed/pipelined
 #     must beat /sequential by at least MIN_OVERLAP_GAIN on the same
-#     box in the same run. The recorded gain is ~2x (DESIGN.md §14);
+#     box in the same run. The recorded gain is ~1.4x (DESIGN.md §14);
 #     a drop below the threshold means the pipeline stopped overlapping
 #     compute with the gather window. The sequential arm is the
 #     test-side composition of the production round halves
