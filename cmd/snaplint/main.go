@@ -4,11 +4,8 @@
 //	            no mixed sync/atomic + plain field access
 //	wiretag   — wire structs fully covered by explicit json/wire tags
 //	obsname   — metric/event names are internal/obs constants, unique
-//	floatdet  — deterministic float reductions in the numeric packages
 //	bufown    — //snap:returns-borrowed results are not retained;
 //	            consumed buffers are not used after hand-off (via Facts)
-//	golife    — goroutines in the serving/transport planes are
-//	            cancellable and not spawned in unbounded loops
 //
 // It runs only as a go vet tool:
 //
@@ -22,7 +19,9 @@
 //
 // Findings may be waived at a single site with
 // `//snaplint:ignore <analyzer>[,<analyzer>] <reason>` on the same or
-// the preceding line; the reason is mandatory.
+// the preceding line. The reason is mandatory, and a waiver that names
+// an analyzer not listed above (a typo, a retired analyzer) is itself a
+// finding: it would otherwise waive nothing without saying so.
 //
 // Exit codes per unit: 0 no findings, 1 findings reported, 2 the tool
 // itself failed (bad arguments, a package failed to typecheck, an
@@ -36,8 +35,6 @@ import (
 	"strings"
 
 	"github.com/snapml/snap/internal/analysis/bufown"
-	"github.com/snapml/snap/internal/analysis/floatdet"
-	"github.com/snapml/snap/internal/analysis/golife"
 	"github.com/snapml/snap/internal/analysis/lint"
 	"github.com/snapml/snap/internal/analysis/lockguard"
 	"github.com/snapml/snap/internal/analysis/obsname"
@@ -50,9 +47,7 @@ func analyzers() []*lint.Analyzer {
 		lockguard.Analyzer,
 		wiretag.Analyzer,
 		obsname.Analyzer,
-		floatdet.Analyzer,
 		bufown.Analyzer,
-		golife.Analyzer,
 	}
 }
 

@@ -20,9 +20,7 @@ Analyzers:
   lockguard  check that fields annotated ` + "`// guarded by <mu>`" + ` are accessed under that mutex, and that no field mixes sync/atomic and plain access
   wiretag    check that every exported field of a wire struct (snap:wire marker, tagged sibling, or json-encoded) has an explicit json/wire tag
   obsname    check that metric/event names passed to internal/obs are named constants, and that declared names are unique
-  floatdet   flag nondeterministic float reductions (map-order accumulation) and exact float equality in the numeric packages
   bufown     borrowed results are not retained, consumed buffers are not reused, borrowed params do not escape
-  golife     goroutines in the serving planes must be cancellable and not spawned in unbounded loops
 `
 	var buf bytes.Buffer
 	Usage(&buf, analyzers())
@@ -34,7 +32,8 @@ Analyzers:
 // writeModule lays out a throwaway module exercising the go vet driver
 // end to end: `dep` exports a borrowed-result contract, an owned-result
 // function, and a deliberate violation; `c` imports it; `clean` has no
-// findings at all; `waiver` holds a malformed //snaplint:ignore.
+// findings at all; `waiver` holds a malformed //snaplint:ignore and
+// `typo` a well-formed one naming no registered analyzer.
 func writeModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -85,6 +84,11 @@ func (h *holder) Bad(p *dep.Pool) { h.kept = p.Get() }
 //snaplint:ignore bufown
 func Waived() {}
 `,
+		"typo/typo.go": `package typo
+
+//snaplint:ignore lockgaurd the analyzer name is misspelled
+func Waived() {}
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(dir, filepath.FromSlash(name))
@@ -127,7 +131,9 @@ func vet(t *testing.T, bin, dir, pkg string) (findings []string, err error) {
 // `go vet -vettool`, the only way it runs (the name predates the
 // deletion of the in-process driver): a clean package exits 0 with no
 // output, findings and malformed waivers make go vet fail, and the vet
-// protocol's -V=full and -flags queries answer as go vet expects.
+// protocol's -V=full and -flags queries answer as go vet expects. A
+// waiver naming an analyzer outside the roster is a finding too: it
+// would otherwise waive nothing, silently.
 func TestStandaloneExitCodes(t *testing.T) {
 	bin := buildSnaplint(t)
 	dir := writeModule(t)
@@ -141,6 +147,10 @@ func TestStandaloneExitCodes(t *testing.T) {
 	findings, err := vet(t, bin, dir, "./waiver")
 	if err == nil || len(findings) != 1 || !strings.Contains(findings[0], "missing reason [snaplint]") {
 		t.Errorf("vet ./waiver: err %v, output %q; want one malformed-waiver finding tagged [snaplint]", err, findings)
+	}
+	findings, err = vet(t, bin, dir, "./typo")
+	if err == nil || len(findings) != 1 || !strings.Contains(findings[0], `unknown analyzer "lockgaurd" [snaplint]`) {
+		t.Errorf("vet ./typo: err %v, output %q; want one unknown-analyzer finding tagged [snaplint]", err, findings)
 	}
 
 	out, err := exec.Command(bin, "-V=full").Output()

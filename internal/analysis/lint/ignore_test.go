@@ -19,11 +19,11 @@ func TestParseIgnore(t *testing.T) {
 		reason    string
 	}{
 		{"//snaplint:ignore bufown cold path", true, false, []string{"bufown"}, "cold path"},
-		{"//snaplint:ignore bufown,golife shared reason", true, false, []string{"bufown", "golife"}, "shared reason"},
-		{"//snaplint:ignore", true, true, nil, ""},                    // no analyzer
-		{"//snaplint:ignore bufown", true, true, nil, ""},             // no reason
-		{"//snaplint:ignore bufown,,golife why", true, true, nil, ""}, // empty analyzer
-		{"//snaplint:ignored bufown why", false, false, nil, ""},      // prefix must end the word
+		{"//snaplint:ignore bufown,lockguard shared reason", true, false, []string{"bufown", "lockguard"}, "shared reason"},
+		{"//snaplint:ignore", true, true, nil, ""},                       // no analyzer
+		{"//snaplint:ignore bufown", true, true, nil, ""},                // no reason
+		{"//snaplint:ignore bufown,,lockguard why", true, true, nil, ""}, // empty analyzer
+		{"//snaplint:ignored bufown why", false, false, nil, ""},         // prefix must end the word
 		{"// snaplint:ignore bufown why", false, false, nil, ""},
 		{"plain comment", false, false, nil, ""},
 	}
@@ -57,7 +57,7 @@ var a int // line 4: waived (directive line + 1)
 
 var b int // line 6: not waived
 
-//snaplint:ignore golife
+//snaplint:ignore lockguard
 var c int // line 9: directive above is malformed (no reason), so no waiver
 `
 	fset := token.NewFileSet()
@@ -79,7 +79,7 @@ var c int // line 9: directive above is malformed (no reason), so no waiver
 	if ix.Ignored(posOnLine(5), "bufown") {
 		t.Error("two lines below directive wrongly waived")
 	}
-	if ix.Ignored(posOnLine(4), "golife") {
+	if ix.Ignored(posOnLine(4), "lockguard") {
 		t.Error("unnamed analyzer wrongly waived")
 	}
 	if ix.Ignored(posOnLine(6), "bufown") {
@@ -91,7 +91,7 @@ var c int // line 9: directive above is malformed (no reason), so no waiver
 	if !strings.Contains(ix.Bad[0].Message, "missing reason") {
 		t.Errorf("Bad[0] = %q, want a missing-reason report", ix.Bad[0].Message)
 	}
-	if ix.Ignored(posOnLine(9), "golife") {
+	if ix.Ignored(posOnLine(9), "lockguard") {
 		t.Error("malformed directive must not waive anything")
 	}
 }

@@ -91,7 +91,8 @@ func PrintFlags(w io.Writer) error {
 
 // Run analyzes the unit described by configFile and returns the
 // findings as "file:line:col: message [analyzer]" lines (none in
-// VetxOnly mode), also when an analyzer failed. The caller decides the
+// VetxOnly mode), also when an analyzer failed; a waiver naming an
+// analyzer outside analyzers is one of them. The caller decides the
 // exit code. Unless an analyzer failed, the VetxOutput facts file is
 // written, even when empty: cmd/go caches it and feeds it to dependent
 // units.
@@ -146,6 +147,9 @@ func Run(configFile string, analyzers []*lint.Analyzer) ([]string, error) {
 		return nil, err
 	}
 	findings, err := pkg.Analyze(analyzers, store, cfg.VetxOnly)
+	if !cfg.VetxOnly {
+		findings = append(findings, pkg.unknownWaivers(analyzers)...)
+	}
 	out := make([]string, len(findings))
 	for i, f := range findings {
 		out[i] = fmt.Sprintf("%s: %s [%s]", fset.Position(f.Pos), f.Message, f.Analyzer)
@@ -237,6 +241,36 @@ func (p *Package) Analyze(analyzers []*lint.Analyzer, store *facts.Store, vetxOn
 		}
 	}
 	return out, errors.Join(errs...)
+}
+
+// unknownWaivers returns one "snaplint" finding per analyzer name that a
+// well-formed //snaplint:ignore gives but the roster does not hold: such
+// a waiver (a typo, a retired analyzer) waives nothing and would never
+// say so. Only the vet driver knows the whole roster; the analysistest
+// suites run one analyzer at a time and so do not check names.
+func (p *Package) unknownWaivers(roster []*lint.Analyzer) []Finding {
+	known := make(map[string]bool, len(roster))
+	for _, a := range roster {
+		known[a.Name] = true
+	}
+	var out []Finding
+	for _, f := range p.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				names, _, ok, err := lint.ParseIgnore(c.Text)
+				if !ok || err != nil {
+					continue // not a waiver, or already reported as malformed
+				}
+				for _, name := range names {
+					if !known[name] {
+						msg := fmt.Sprintf("snaplint:ignore names unknown analyzer %q", name)
+						out = append(out, Finding{"snaplint", lint.Diagnostic{Pos: c.Pos(), Message: msg}})
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // writeVetx serializes the unit's exported facts to cfg.VetxOutput

@@ -263,7 +263,6 @@ func (c *Coordinator) acceptLoop() {
 			}
 		}
 		c.wg.Add(1)
-		//snaplint:ignore golife one goroutine per control connection; handleConn drops any conn whose first frame is not a valid join, so the live population tracks cluster membership
 		go c.handleConn(conn)
 	}
 }

@@ -403,8 +403,8 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 			Round: round,
 			Loss:  loss,
 			// No test set is evaluated on the testbed path; NaN is the
-			// documented "not evaluated" marker, keeping these rounds out
-			// of IterationsToAccuracy / CostToAccuracy.
+			// documented "not evaluated" marker, so no reader of the
+			// trace mistakes these rounds for a 0% measurement.
 			Accuracy: math.NaN(),
 			// The socket-byte delta of this round, so testbed traces
 			// support the simulator's cost-to-accuracy analysis. (Raw

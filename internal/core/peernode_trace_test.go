@@ -79,9 +79,9 @@ func runSmallPeerCluster(t *testing.T, n, rounds int, mkObs func(i int) *obs.Obs
 
 // TestPeerNodeTraceStats pins two trace invariants of PeerNode.Run:
 // Accuracy must be NaN (peer nodes never evaluate a held-out set, and a
-// zero would read as a real 0% measurement to IterationsToAccuracy), and
-// RoundCost must carry the real per-round socket bytes so CostToAccuracy
-// works on testbed traces.
+// zero would read as a real 0% measurement), and RoundCost must carry
+// the real per-round socket bytes so testbed traces account cost as the
+// simulator's do.
 func TestPeerNodeTraceStats(t *testing.T) {
 	traces := runSmallPeerCluster(t, 3, 6, nil)
 	for i, tr := range traces {

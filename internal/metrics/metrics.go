@@ -15,13 +15,12 @@ import (
 
 // CostLedger accumulates communication cost. Following the paper §II-B, a
 // flow that traverses h physical hops with b payload bytes costs h*b; the
-// ledger also tracks raw bytes and message counts. It is safe for
-// concurrent use — simulated cluster rounds record from many goroutines.
+// ledger also tracks raw bytes. It is safe for concurrent use — simulated
+// cluster rounds record from many goroutines.
 type CostLedger struct {
 	mu       sync.Mutex
-	cost     float64 // Σ hops × bytes
-	bytes    int64   // Σ bytes (unweighted)
-	messages int64
+	cost     float64         // Σ hops × bytes
+	bytes    int64           // Σ bytes (unweighted)
 	perRound map[int]float64 // round → hop-weighted cost
 }
 
@@ -41,7 +40,6 @@ func (l *CostLedger) Record(round, hops, payloadBytes int) {
 	c := float64(hops) * float64(payloadBytes)
 	l.cost += c
 	l.bytes += int64(payloadBytes)
-	l.messages++
 	l.perRound[round] += c
 }
 
@@ -57,13 +55,6 @@ func (l *CostLedger) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.bytes
-}
-
-// Messages returns the number of recorded messages.
-func (l *CostLedger) Messages() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.messages
 }
 
 // RoundCost returns the hop-weighted cost recorded for one round.
@@ -89,16 +80,6 @@ func (l *CostLedger) PerRound() []float64 {
 		out[r] = c
 	}
 	return out
-}
-
-// Reset clears the ledger.
-func (l *CostLedger) Reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.cost = 0
-	l.bytes = 0
-	l.messages = 0
-	l.perRound = make(map[int]float64)
 }
 
 // IterationStat is one row of a training trace.
@@ -317,42 +298,4 @@ func LogGrid(lo, hi float64, n int) []float64 {
 		out[i] = lo * math.Exp(ratio*float64(i)/float64(n-1))
 	}
 	return out
-}
-
-// IterationsToLoss returns the first round (1-based count) at which the
-// trace's loss fell to target or below, or -1 if it never did.
-func (t *Trace) IterationsToLoss(target float64) int {
-	for _, s := range t.Stats {
-		if s.Loss <= target {
-			return s.Round + 1
-		}
-	}
-	return -1
-}
-
-// IterationsToAccuracy returns the first round (1-based count) at which
-// the evaluated accuracy reached target, or -1 if it never did.
-// Unevaluated rounds (NaN accuracy) are skipped.
-func (t *Trace) IterationsToAccuracy(target float64) int {
-	for _, s := range t.Stats {
-		if !math.IsNaN(s.Accuracy) && s.Accuracy >= target {
-			return s.Round + 1
-		}
-	}
-	return -1
-}
-
-// CostToAccuracy returns the cumulative communication cost spent up to
-// (and including) the first round that reached the target accuracy, or
-// -1 if the target was never reached. This is the "bytes per unit of
-// learning" view of a run.
-func (t *Trace) CostToAccuracy(target float64) float64 {
-	var cost float64
-	for _, s := range t.Stats {
-		cost += s.RoundCost
-		if !math.IsNaN(s.Accuracy) && s.Accuracy >= target {
-			return cost
-		}
-	}
-	return -1
 }

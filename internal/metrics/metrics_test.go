@@ -19,24 +19,12 @@ func TestCostLedgerBasics(t *testing.T) {
 	if got := l.Bytes(); got != 160 {
 		t.Errorf("Bytes = %v, want 160", got)
 	}
-	if got := l.Messages(); got != 3 {
-		t.Errorf("Messages = %v, want 3", got)
-	}
 	if got := l.RoundCost(0); got != 250 {
 		t.Errorf("RoundCost(0) = %v, want 250", got)
 	}
 	per := l.PerRound()
 	if len(per) != 2 || per[0] != 250 || per[1] != 30 {
 		t.Errorf("PerRound = %v, want [250 30]", per)
-	}
-}
-
-func TestCostLedgerReset(t *testing.T) {
-	l := NewCostLedger()
-	l.Record(0, 1, 1)
-	l.Reset()
-	if l.Total() != 0 || l.Bytes() != 0 || l.Messages() != 0 || len(l.PerRound()) != 0 {
-		t.Error("Reset did not clear the ledger")
 	}
 }
 
@@ -247,37 +235,4 @@ func TestLogGridPanics(t *testing.T) {
 		}
 	}()
 	LogGrid(0, 1, 3)
-}
-
-func TestTraceIterationsToLoss(t *testing.T) {
-	var tr Trace
-	for i, loss := range []float64{5, 3, 2, 1.5, 1.2} {
-		tr.Append(IterationStat{Round: i, Loss: loss})
-	}
-	if got := tr.IterationsToLoss(2.0); got != 3 {
-		t.Errorf("IterationsToLoss(2.0) = %d, want 3", got)
-	}
-	if got := tr.IterationsToLoss(0.5); got != -1 {
-		t.Errorf("unreachable loss target = %d, want -1", got)
-	}
-}
-
-func TestTraceIterationsToAccuracy(t *testing.T) {
-	var tr Trace
-	accs := []float64{math.NaN(), 0.5, math.NaN(), 0.8, 0.9}
-	for i, a := range accs {
-		tr.Append(IterationStat{Round: i, Accuracy: a, RoundCost: 10})
-	}
-	if got := tr.IterationsToAccuracy(0.8); got != 4 {
-		t.Errorf("IterationsToAccuracy(0.8) = %d, want 4", got)
-	}
-	if got := tr.IterationsToAccuracy(0.95); got != -1 {
-		t.Errorf("unreachable accuracy = %d, want -1", got)
-	}
-	if got := tr.CostToAccuracy(0.8); got != 40 {
-		t.Errorf("CostToAccuracy(0.8) = %v, want 40", got)
-	}
-	if got := tr.CostToAccuracy(0.95); got != -1 {
-		t.Errorf("unreachable CostToAccuracy = %v, want -1", got)
-	}
 }

@@ -86,7 +86,6 @@ func ServeWith(addr string, cfg ServeConfig) (*http.Server, string, error) {
 		return nil, "", fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	srv := &http.Server{Handler: NewHandler(cfg)}
-	//snaplint:ignore golife the returned *http.Server is the cancellation handle: Close/Shutdown ends Serve
 	go srv.Serve(ln)
 	return srv, ln.Addr().String(), nil
 }

@@ -94,15 +94,8 @@ func (s *Sim) SetFailures(rate float64, seed int64) {
 // Ledger returns the cost ledger charged by this network.
 func (s *Sim) Ledger() *metrics.CostLedger { return s.ledger }
 
-// NumNodes returns the number of simulated edge servers.
-func (s *Sim) NumNodes() int { return s.topo.N() }
-
 // Neighbors returns the neighbor set of node i.
 func (s *Sim) Neighbors(i int) []int { return s.topo.Neighbors(i) }
-
-// Topology returns the underlying graph (not a copy; callers must not
-// mutate it mid-run).
-func (s *Sim) Topology() *graph.Graph { return s.topo }
 
 // Dropped returns the number of frames lost to failed links so far.
 func (s *Sim) Dropped() int64 {

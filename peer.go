@@ -137,9 +137,93 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("snap: peer config requires a model")
 	}
-	if cfg.CoordinatorAddr != "" {
-		return newElasticPeerNode(cfg)
+	// Resolve the node's place first — id, weight row, neighbors, and in
+	// elastic mode the bound listener, the control client, the epoch and
+	// its start round — so one engine and node configuration serves both.
+	var (
+		id     = cfg.ID
+		plan   *controlplane.Plan
+		ln     net.Listener
+		client *controlplane.Client
+		err    error
+	)
+	if cfg.CoordinatorAddr == "" {
+		plan, err = staticPlan(cfg)
+	} else if ln, client, plan, err = joinCluster(cfg); err == nil {
+		id = client.ID()
 	}
+	if err != nil {
+		return nil, err
+	}
+	data := cfg.Data
+	if cfg.DataForID != nil {
+		data = cfg.DataForID(id)
+	}
+	var tracer *trace.Tracer
+	if cfg.TraceRounds > 0 {
+		tracer = trace.New(trace.Config{Node: id, Rounds: cfg.TraceRounds})
+	}
+	var feed core.ParamSink // never a nil *ParamFeed boxed non-nil
+	if cfg.Feed != nil {
+		feed = cfg.Feed
+	}
+	pn, err := core.NewPeerNode(core.PeerNodeConfig{
+		Engine: core.EngineConfig{
+			ID:             id,
+			Model:          cfg.Model,
+			Data:           data,
+			Alpha:          cfg.Alpha,
+			WRow:           plan.WRow,
+			Neighbors:      plan.Neighbors,
+			BatchSize:      cfg.BatchSize,
+			GradWorkers:    cfg.GradWorkers,
+			Float32Wire:    cfg.Float32Wire,
+			Policy:         cfg.Policy,
+			APE:            cfg.APE,
+			RefreshEvery:   cfg.RefreshEvery,
+			RestartEvery:   cfg.RestartEvery,
+			FullSendRound0: cfg.FullSendRound0,
+			Init:           cfg.Model.InitParams(cfg.Seed),
+		},
+		ListenAddr:     cfg.ListenAddr,
+		Listener:       ln,
+		Control:        client,
+		Epoch:          plan.Epoch,
+		StartRound:     plan.StartRound,
+		RoundTimeout:   cfg.RoundTimeout,
+		ConnectTimeout: cfg.ConnectTimeout,
+		Logf:           cfg.Logf,
+		Obs:            cfg.Obs,
+		Tracer:         tracer,
+		Feed:           feed,
+	})
+	if client == nil {
+		return pn, err
+	}
+	if err != nil {
+		client.Close()
+		ln.Close()
+		return nil, err
+	}
+	// A node admitted mid-training holds the shared seed initialization
+	// while the cluster's iterates have moved on; its first broadcast must
+	// therefore be its complete parameter vector, whatever the policy.
+	pn.Engine().RequestFullSend()
+	if err := pn.Connect(plan.Addrs); err != nil {
+		// Unreached neighbors keep reconnecting in the background; the
+		// round loop treats them as stragglers meanwhile.
+		if cfg.Logf != nil {
+			cfg.Logf("node %d: connecting to epoch %d neighbors: %v (continuing)",
+				id, plan.Epoch, err)
+		}
+	}
+	return pn, nil
+}
+
+// staticPlan places a static-mode node from Topology/ID: its neighbors
+// and the Metropolis weight row, or the supplied WRow validated against
+// the topology. Epoch and start round stay 0.
+func staticPlan(cfg PeerConfig) (*controlplane.Plan, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("snap: peer config requires a topology")
 	}
@@ -152,55 +236,7 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 	} else if err := validateWRow(row, cfg.Topology, cfg.ID); err != nil {
 		return nil, err
 	}
-	data := cfg.Data
-	if cfg.DataForID != nil {
-		data = cfg.DataForID(cfg.ID)
-	}
-	return core.NewPeerNode(core.PeerNodeConfig{
-		Engine: core.EngineConfig{
-			ID:             cfg.ID,
-			Model:          cfg.Model,
-			Data:           data,
-			Alpha:          cfg.Alpha,
-			WRow:           row,
-			Neighbors:      cfg.Topology.Neighbors(cfg.ID),
-			BatchSize:      cfg.BatchSize,
-			GradWorkers:    cfg.GradWorkers,
-			Float32Wire:    cfg.Float32Wire,
-			Policy:         cfg.Policy,
-			APE:            cfg.APE,
-			RefreshEvery:   cfg.RefreshEvery,
-			RestartEvery:   cfg.RestartEvery,
-			FullSendRound0: cfg.FullSendRound0,
-			Init:           cfg.Model.InitParams(cfg.Seed),
-		},
-		ListenAddr:     cfg.ListenAddr,
-		RoundTimeout:   cfg.RoundTimeout,
-		ConnectTimeout: cfg.ConnectTimeout,
-		Logf:           cfg.Logf,
-		Obs:            cfg.Obs,
-		Tracer:         newTracerFor(cfg, cfg.ID),
-		Feed:           feedSink(cfg.Feed),
-	})
-}
-
-// feedSink adapts the optional feed to core's sink interface without
-// ever boxing a nil pointer into a non-nil interface.
-func feedSink(f *ParamFeed) core.ParamSink {
-	if f == nil {
-		return nil
-	}
-	return f
-}
-
-// newTracerFor builds the node tracer requested by cfg.TraceRounds (nil
-// when tracing is off). The node id is passed separately because elastic
-// nodes only learn theirs from the coordinator.
-func newTracerFor(cfg PeerConfig, id int) *trace.Tracer {
-	if cfg.TraceRounds <= 0 {
-		return nil
-	}
-	return trace.New(trace.Config{Node: id, Rounds: cfg.TraceRounds})
+	return &controlplane.Plan{WRow: row, Neighbors: cfg.Topology.Neighbors(cfg.ID)}, nil
 }
 
 // validateWRow checks a user-supplied weight row against the topology:
@@ -226,15 +262,17 @@ func validateWRow(row Vector, topo *Topology, id int) error {
 	return nil
 }
 
-// newElasticPeerNode implements the coordinator-managed join path.
-func newElasticPeerNode(cfg PeerConfig) (*PeerNode, error) {
+// joinCluster implements the elastic join: it binds the data-plane
+// listener, joins through the coordinator, and returns the node's plan in
+// the current epoch. On error nothing is left open.
+func joinCluster(cfg PeerConfig) (net.Listener, *controlplane.Client, *controlplane.Plan, error) {
 	listenAddr := cfg.ListenAddr
 	if listenAddr == "" {
 		listenAddr = "127.0.0.1:0"
 	}
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
-		return nil, fmt.Errorf("snap: bind data-plane listener: %w", err)
+		return nil, nil, nil, fmt.Errorf("snap: bind data-plane listener: %w", err)
 	}
 	advertise := cfg.Advertise
 	if advertise == "" {
@@ -248,64 +286,15 @@ func newElasticPeerNode(cfg PeerConfig) (*PeerNode, error) {
 	})
 	if err != nil {
 		ln.Close()
-		return nil, err
+		return nil, nil, nil, err
 	}
 	plan, err := client.Latest().PlanFor(client.ID())
 	if err != nil {
 		client.Close()
 		ln.Close()
-		return nil, err
+		return nil, nil, nil, err
 	}
 	client.ReportRound(plan.StartRound)
 	client.ReportEpoch(plan.Epoch)
-	data := cfg.Data
-	if cfg.DataForID != nil {
-		data = cfg.DataForID(client.ID())
-	}
-	pn, err := core.NewPeerNode(core.PeerNodeConfig{
-		Engine: core.EngineConfig{
-			ID:           client.ID(),
-			Model:        cfg.Model,
-			Data:         data,
-			Alpha:        cfg.Alpha,
-			WRow:         plan.WRow,
-			Neighbors:    plan.Neighbors,
-			BatchSize:    cfg.BatchSize,
-			GradWorkers:  cfg.GradWorkers,
-			Float32Wire:  cfg.Float32Wire,
-			Policy:       cfg.Policy,
-			APE:          cfg.APE,
-			RefreshEvery: cfg.RefreshEvery,
-			RestartEvery: cfg.RestartEvery,
-			Init:         cfg.Model.InitParams(cfg.Seed),
-		},
-		Listener:       ln,
-		Control:        client,
-		Epoch:          plan.Epoch,
-		StartRound:     plan.StartRound,
-		RoundTimeout:   cfg.RoundTimeout,
-		ConnectTimeout: cfg.ConnectTimeout,
-		Logf:           cfg.Logf,
-		Obs:            cfg.Obs,
-		Tracer:         newTracerFor(cfg, client.ID()),
-		Feed:           feedSink(cfg.Feed),
-	})
-	if err != nil {
-		client.Close()
-		ln.Close()
-		return nil, err
-	}
-	// A node admitted mid-training holds the shared seed initialization
-	// while the cluster's iterates have moved on; its first broadcast must
-	// therefore be its complete parameter vector, whatever the policy.
-	pn.Engine().RequestFullSend()
-	if err := pn.Connect(plan.Addrs); err != nil {
-		// Unreached neighbors keep reconnecting in the background; the
-		// round loop treats them as stragglers meanwhile.
-		if cfg.Logf != nil {
-			cfg.Logf("node %d: connecting to epoch %d neighbors: %v (continuing)",
-				client.ID(), plan.Epoch, err)
-		}
-	}
-	return pn, nil
+	return ln, client, plan, nil
 }
