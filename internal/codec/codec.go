@@ -61,14 +61,12 @@ func (f Format) String() string {
 const HeaderBytes = 13
 
 // Update is one node's selective parameter transmission for a round.
-//
-//snap:wire
 type Update struct {
-	Sender    int       `wire:"sender"`
-	Round     int       `wire:"round"`
-	NumParams int       `wire:"num_params"` // N: total parameters in the model
-	Indices   []int     `wire:"indices"`    // strictly increasing indices of updated parameters
-	Values    []float64 `wire:"values"`     // Values[i] is the new value of parameter Indices[i]
+	Sender    int
+	Round     int
+	NumParams int       // N: total parameters in the model
+	Indices   []int     // strictly increasing indices of updated parameters
+	Values    []float64 // Values[i] is the new value of parameter Indices[i]
 }
 
 // Validate checks structural invariants: matching lengths, indices sorted,
@@ -222,8 +220,6 @@ func Decode(frame []byte) (*Update, error) {
 // unchanged-index list of formats 1 and 3 must be strictly increasing
 // (which Encode always produces), so the complement can be emitted with
 // a single cursor walk instead of a per-frame set.
-//
-//snap:borrows frame
 func DecodeInto(u *Update, frame []byte) error {
 	if len(frame) < HeaderBytes {
 		return fmt.Errorf("codec: frame too short (%d bytes)", len(frame))
@@ -309,9 +305,8 @@ func (u *Update) grow(count int) {
 
 // complementInto appends to u.Indices the complement of the m big-endian
 // uint32 unchanged indices in raw, which must be strictly increasing and
-// within [0, u.NumParams).
-//
-//snap:borrows raw
+// within [0, u.NumParams). raw is only read during the call; nothing
+// retains it.
 func complementInto(u *Update, raw []byte, m int) error {
 	next := 0 // next parameter index not yet emitted
 	prev := -1

@@ -88,9 +88,8 @@ func encodeAs32(buf []byte, u *Update, f Format) ([]byte, error) {
 
 // decode32 parses the float32 frame bodies (called from DecodeInto,
 // which has already reset u's slices; same strictly-increasing
-// unchanged-index rule as the float64 formats).
-//
-//snap:borrows body
+// unchanged-index rule as the float64 formats). body is only read
+// during the call; u's slices never alias it.
 func decode32(f Format, u *Update, body []byte) error {
 	switch f {
 	case FormatUnchangedList32:

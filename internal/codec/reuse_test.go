@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -38,6 +39,43 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 		}
 		if gotF != wantLF || !bytes.Equal(buf, wantL) {
 			t.Fatalf("trial %d: EncodeLossyTo differs from EncodeLossy", trial)
+		}
+	}
+
+	// Byte-exact goldens, one per wire format: the frame layout is the
+	// contract between nodes, so any change to it must show up here.
+	// Header: format | sender | round | N; then the format's payload.
+	most := &Update{Sender: 2, Round: 7, NumParams: 4, Indices: []int{0, 1, 3}, Values: []float64{1.5, -2, 0.25}}
+	few := &Update{Sender: 2, Round: 7, NumParams: 4, Indices: []int{1}, Values: []float64{-2}}
+	for _, tc := range []struct {
+		u      *Update
+		lossy  bool
+		format Format
+		hex    string
+	}{
+		// m=1 withheld, unchanged list [2], then three float64 values.
+		{most, false, FormatUnchangedList, "01" + "00000002" + "00000007" + "00000004" +
+			"00000001" + "00000002" + "3ff8000000000000" + "c000000000000000" + "3fd0000000000000"},
+		// (index, float64) pairs.
+		{few, false, FormatIndexValue, "02" + "00000002" + "00000007" + "00000004" +
+			"00000001" + "c000000000000000"},
+		{most, true, FormatUnchangedList32, "03" + "00000002" + "00000007" + "00000004" +
+			"00000001" + "00000002" + "3fc00000" + "c0000000" + "3e800000"},
+		{few, true, FormatIndexValue32, "04" + "00000002" + "00000007" + "00000004" +
+			"00000001" + "c0000000"},
+	} {
+		var f Format
+		var err error
+		if tc.lossy {
+			buf, f, err = EncodeLossyTo(buf, tc.u)
+		} else {
+			buf, f, err = EncodeTo(buf, tc.u)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(buf); f != tc.format || got != tc.hex {
+			t.Errorf("%v frame = %s, want %v frame %s", f, got, tc.format, tc.hex)
 		}
 	}
 }

@@ -1,11 +1,14 @@
 package controlplane
 
 import (
+	"bytes"
 	"math"
 	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/snapml/snap/internal/trace"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -344,6 +347,42 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, err := got.PlanFor(9); err == nil {
 		t.Error("PlanFor(non-member) succeeded")
+	}
+
+	// The frame bodies byte for byte: a renamed field or tag is a new
+	// wire format that an older coordinator or node misreads silently.
+	digest := trace.RoundDigest{
+		Node: 3, Round: 9, TraceID: 5, StartUnixNanos: 10, EndUnixNanos: 20,
+		FramesSent: 2, BytesSent: 64, BytesFullSend: 256, ParamsSent: 4, ParamsTotal: 16,
+	}
+	digest.Phases = []trace.SpanDigest{{Name: trace.SpanBuild, StartUnixNanos: 10, EndUnixNanos: 12}}
+	for _, tc := range []struct {
+		typ     msgType
+		payload any
+		want    string
+	}{
+		{msgJoin, joinReq{Addr: "h3:1"}, `{"addr":"h3:1"}`},
+		{msgJoinOK, joinResp{ID: 3}, `{"id":3}`},
+		{msgLeave, leaveReq{ID: 3}, `{"id":3}`},
+		{msgReject, rejectResp{Reason: "no"}, `{"reason":"no"}`},
+		{msgHeartbeat, heartbeat{ID: 3, Round: 9, Epoch: 2, Traces: []trace.RoundDigest{digest}},
+			`{"id":3,"round":9,"epoch":2,"traces":[{"node":3,"round":9,"trace_id":5,"start":10,"end":20,` +
+				`"phases":[{"name":"build","start":10,"end":12}],` +
+				`"frames_sent":2,"bytes_sent":64,"bytes_full_send":256,"params_sent":4,"params_total":16}]}`},
+		{msgClockProbe, clockProbe{T0: 1}, `{"t0":1}`},
+		{msgClockEcho, clockEcho{T0: 1, T1: 2, T2: 3}, `{"t0":1,"t1":2,"t2":3}`},
+		{msgEpoch, ep, `{"id":7,"apply_at_round":42,"members":[` +
+			`{"id":0,"addr":"h0:1","peers":[3],"row":[0.6,0.4]},` +
+			`{"id":3,"addr":"h3:1","peers":[0],"row":[0.4,0.6]}],` +
+			`"lambda_bar_max":0.2,"objective":"slem"}`},
+	} {
+		var buf bytes.Buffer
+		if err := writeFrameTo(&buf, tc.typ, tc.payload); err != nil {
+			t.Fatal(err)
+		}
+		if body := buf.String()[8:]; body != tc.want {
+			t.Errorf("%v frame body:\n got %s\nwant %s", tc.typ, body, tc.want)
+		}
 	}
 }
 

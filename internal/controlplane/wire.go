@@ -89,14 +89,15 @@ func (t msgType) String() string {
 	}
 }
 
-//snap:wire
+// The frame bodies below are the coordinator↔node wire contract; their
+// JSON encodings are pinned byte for byte in TestWireRoundTrip.
+
 type joinReq struct {
 	// Addr is the node's data-plane listen address, as reachable by the
 	// other members.
 	Addr string `json:"addr"`
 }
 
-//snap:wire
 type joinResp struct {
 	// ID is the node id the coordinator assigned. Ids are monotonic and
 	// never reused, so a node that dies and rejoins gets a fresh identity
@@ -104,17 +105,14 @@ type joinResp struct {
 	ID int `json:"id"`
 }
 
-//snap:wire
 type leaveReq struct {
 	ID int `json:"id"`
 }
 
-//snap:wire
 type rejectResp struct {
 	Reason string `json:"reason"`
 }
 
-//snap:wire
 type heartbeat struct {
 	ID int `json:"id"`
 	// Round is the node's current training round; the coordinator uses the
@@ -132,8 +130,6 @@ type heartbeat struct {
 // clockProbe is the coordinator's NTP-style probe: T0 is the
 // coordinator's clock at send time, echoed back so the coordinator can
 // pair the reply without per-member state.
-//
-//snap:wire
 type clockProbe struct {
 	T0 int64 `json:"t0"`
 }
@@ -141,8 +137,6 @@ type clockProbe struct {
 // clockEcho is the node's reply: T0 from the probe, T1 the node's clock
 // at receive, T2 the node's clock at reply. The coordinator stamps T3 on
 // arrival and feeds all four into trace.Aggregator.ObserveClock.
-//
-//snap:wire
 type clockEcho struct {
 	T0 int64 `json:"t0"`
 	T1 int64 `json:"t1"`
@@ -150,8 +144,6 @@ type clockEcho struct {
 }
 
 // EpochMember is one cluster member as described by an epoch.
-//
-//snap:wire
 type EpochMember struct {
 	// ID is the member's permanent node id.
 	ID int `json:"id"`
@@ -167,8 +159,6 @@ type EpochMember struct {
 // Epoch is one versioned cluster configuration: the authoritative member
 // list, topology, and per-node weight rows. Nodes apply an epoch at the
 // boundary of round ApplyAtRound (immediately, if already past it).
-//
-//snap:wire
 type Epoch struct {
 	// ID is the epoch number, starting at 1 and strictly increasing.
 	ID int `json:"id"`

@@ -398,8 +398,6 @@ func (e *Engine) timed() bool { return e.cfg.Obs != nil || e.cfg.Trace != nil }
 //
 // The returned *codec.Update is engine-owned scratch: it is valid until
 // the next BuildUpdate call and must not be retained or mutated.
-//
-//snap:returns-borrowed
 func (e *Engine) BuildUpdate(round int) (*codec.Update, error) {
 	if len(e.lastSent) != len(e.x) {
 		return nil, fmt.Errorf("core: node %d sent-baseline has %d params, iterate has %d",
@@ -564,8 +562,6 @@ func (e *Engine) ComputeGradient(round int) {
 //
 // The returned vector is the engine's live iterate: read-only, valid
 // until the next StepMix. Use Params for a stable copy.
-//
-//snap:returns-borrowed
 func (e *Engine) StepMix(round int) linalg.Vector {
 	var start time.Time
 	if e.timed() {

@@ -225,9 +225,9 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 			xPrev.Set(i, j, init[j])
 		}
 	}
-	wTilde := w.Add(linalg.Identity(n)).Scale(0.5)
+	wTilde := axpy(linalg.NewMatrix(n, n), 0.5, axpy(w, 1, linalg.Identity(n)))
 	gPrev := grad(xPrev)
-	xCur := w.Mul(xPrev).Sub(gPrev.Scale(alpha)) // x¹
+	xCur := axpy(matMul(w, xPrev), -alpha, gPrev) // x¹
 
 	runRound := func(round int) {
 		// Broadcast full params, then integrate and step.
@@ -261,8 +261,9 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 	for k := 1; k < iters; k++ {
 		runRound(k)
 		gCur := grad(xCur)
-		xNext := xCur.Add(w.Mul(xCur)).Sub(wTilde.Mul(xPrev)).
-			Sub(gCur.Sub(gPrev).Scale(alpha))
+		// x^{k+1} = (I+W)x^k − W̃x^{k−1} − α(∇f(x^k) − ∇f(x^{k−1})).
+		xNext := axpy(axpy(xCur, 1, matMul(w, xCur)), -1, matMul(wTilde, xPrev))
+		xNext = axpy(axpy(xNext, -alpha, gCur), alpha, gPrev)
 		xPrev, xCur, gPrev = xCur, xNext, gCur
 		for i := 0; i < n; i++ {
 			if !engines[i].Params().Equal(xCur.Row(i), 1e-8) {
@@ -271,6 +272,25 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 			}
 		}
 	}
+}
+
+// axpy returns x + c·y for matrices of one shape.
+func axpy(x *linalg.Matrix, c float64, y *linalg.Matrix) *linalg.Matrix {
+	out := x.Clone()
+	linalg.Vector(out.Data).AXPYInPlace(c, y.Data)
+	return out
+}
+
+// matMul returns the matrix product a·b.
+func matMul(a, b *linalg.Matrix) *linalg.Matrix {
+	out := linalg.NewMatrix(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		row := linalg.Vector(out.Data[i*out.Cols : (i+1)*out.Cols])
+		for k := 0; k < a.Cols; k++ {
+			row.AXPYInPlace(a.At(i, k), b.Row(k))
+		}
+	}
+	return out
 }
 
 func TestSendPolicyString(t *testing.T) {

@@ -130,6 +130,27 @@ func TestElasticJoinSurvivesFaultyLink(t *testing.T) {
 		mu.Unlock()
 		_, errs[slot] = pn.Run(rounds)
 	}
+	// A concurrent Epoch() reader polls every registered member for the
+	// whole run: Run writes the epoch when it applies a reconfiguration,
+	// so under -race an unsynchronized epoch field fails this test.
+	stopPoll, pollDone := make(chan struct{}), make(chan struct{})
+	defer func() { close(stopPoll); <-pollDone }()
+	go func() {
+		defer close(pollDone)
+		for {
+			select {
+			case <-stopPoll:
+				return
+			default:
+			}
+			mu.Lock()
+			for _, pn := range nodes {
+				_ = pn.Epoch()
+			}
+			mu.Unlock()
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	for i := 0; i < founders; i++ {
 		wg.Add(1)
 		// Coordinator ids are assigned by join order, not goroutine index,

@@ -1,7 +1,14 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -107,13 +114,18 @@ func TestPeerNodeTraceStats(t *testing.T) {
 // TestPeerNodeObserverMetrics wires an Observer into every node of a real
 // TCP cluster and checks the headline series land in the registry:
 // per-link byte counters, the gather-wait histogram, and per-round phase
-// timings.
+// timings. Every family, label key and event type the run exports must
+// be a declared name constant: dashboards and the trace tooling join
+// series across nodes on these strings, so an inline literal that
+// drifts from its constant splits one series into two.
 func TestPeerNodeObserverMetrics(t *testing.T) {
 	regs := make([]*obs.Registry, 3)
+	logs := make([]*bytes.Buffer, 3)
 	runSmallPeerCluster(t, 3, 6, func(i int) *obs.Observer {
-		regs[i] = obs.NewRegistry()
-		return &obs.Observer{Reg: regs[i]}
+		regs[i], logs[i] = obs.NewRegistry(), new(bytes.Buffer)
+		return &obs.Observer{Reg: regs[i], Log: obs.NewEventLog(logs[i])}
 	})
+	declared := declaredNames(t)
 	for i, reg := range regs {
 		text := reg.Text()
 		for _, want := range []string{
@@ -125,7 +137,7 @@ func TestPeerNodeObserverMetrics(t *testing.T) {
 			}
 		}
 		snap := reg.Snapshot()
-		sent, ok := snap[obs.Label(obs.MLinkBytesSent, "peer", "0")]
+		sent, ok := snap[obs.Label(obs.MLinkBytesSent, obs.LPeer, "0")]
 		if i != 0 {
 			if !ok {
 				t.Errorf("node %d: no %s series for peer 0", i, obs.MLinkBytesSent)
@@ -133,5 +145,69 @@ func TestPeerNodeObserverMetrics(t *testing.T) {
 				t.Errorf("node %d: bytes sent to peer 0 = %v, want > 0", i, sent)
 			}
 		}
+		for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+			if fam, ok := strings.CutPrefix(line, "# TYPE "); ok {
+				if fam, _, _ = strings.Cut(fam, " "); !declared[fam] {
+					t.Errorf("node %d: metric family %q is not a declared constant", i, fam)
+				}
+				continue
+			}
+			_, labels, _ := strings.Cut(line, "{")
+			labels, _, _ = strings.Cut(labels, "}")
+			for _, pair := range strings.Split(labels, ",") {
+				if key, _, _ := strings.Cut(pair, "="); key != "" && key != "le" && !declared[key] {
+					t.Errorf("node %d: label key %q in %q is not a declared constant", i, key, line)
+				}
+			}
+		}
+		dec := json.NewDecoder(logs[i])
+		for {
+			var ev obs.Event
+			if err := dec.Decode(&ev); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatalf("node %d: event log: %v", i, err)
+			}
+			if !declared[ev.Type] {
+				t.Errorf("node %d: event type %q is not a declared constant", i, ev.Type)
+			}
+		}
 	}
+}
+
+// declaredNames returns the values of every exported string constant in
+// the obs, serve and trace names.go files and obs/events.go: the metric
+// families, label keys, event types and span names the system exports.
+func declaredNames(t *testing.T) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range []string{"../obs/names.go", "../obs/events.go", "../serve/names.go", "../trace/names.go"} {
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range file.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					if i >= len(vs.Values) || !name.IsExported() {
+						continue
+					}
+					if lit, ok := vs.Values[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						v, err := strconv.Unquote(lit.Value)
+						if err != nil {
+							t.Fatal(err)
+						}
+						out[v] = true
+					}
+				}
+			}
+		}
+	}
+	return out
 }

@@ -50,7 +50,8 @@ func (e *Engine) Integrate(updates []*codec.Update) error {
 	return nil
 }
 
-//snap:returns-borrowed
+// Step returns StepMix's live iterate: read-only, valid until the next
+// Step.
 func (e *Engine) Step(round int) linalg.Vector {
 	e.ComputeGradient(round)
 	return e.StepMix(round)

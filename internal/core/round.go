@@ -234,7 +234,8 @@ func (nr *nodeRound) send(round int) error {
 // pending gradient is joined on the error return too, so the host gets
 // the loop back with no worker in flight.
 //
-//snap:returns-borrowed
+// The returned vector is StepMix's: the engine's live iterate, read-only
+// and valid until the next receive.
 func (nr *nodeRound) receive(round int) (linalg.Vector, error) {
 	err := nr.ingest(round)
 	if nr.grad != nil {

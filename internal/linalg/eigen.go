@@ -141,12 +141,6 @@ func (e *EigenResult) Vector(k int) Vector {
 	return out
 }
 
-// Min returns the smallest eigenvalue.
-func (e *EigenResult) Min() float64 { return e.Values[0] }
-
-// Max returns the largest eigenvalue.
-func (e *EigenResult) Max() float64 { return e.Values[len(e.Values)-1] }
-
 // Spectrum summarizes the eigenvalues of a symmetric doubly stochastic
 // matrix in the terms the SNAP paper uses.
 type Spectrum struct {

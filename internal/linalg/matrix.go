@@ -3,7 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Matrix is a dense row-major matrix.
@@ -29,23 +28,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// MatrixFromRows builds a matrix from row slices. All rows must have equal
-// length.
-func MatrixFromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			panic(fmt.Sprintf("linalg: ragged rows: row %d has %d cols, want %d", i, len(r), cols))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -64,95 +46,6 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.checkSameShape(b)
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + b.Data[i]
-	}
-	return out
-}
-
-// Sub returns m - b.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.checkSameShape(b)
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// Scale returns c*m.
-func (m *Matrix) Scale(c float64) *Matrix {
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = c * m.Data[i]
-	}
-	return out
-}
-
-// Mul returns the matrix product m*b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[i*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j := range brow {
-				orow[j] += a * brow[j]
-			}
-		}
-	}
-	return out
-}
-
-// MulVec returns m*v.
-func (m *Matrix) MulVec(v Vector) Vector {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("linalg: MulVec shape mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
-	}
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		var s float64
-		for j, a := range row {
-			s += a * v[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Trace returns the sum of the diagonal of a square matrix.
-func (m *Matrix) Trace() float64 {
-	m.checkSquare()
-	var s float64
-	for i := 0; i < m.Rows; i++ {
-		s += m.At(i, i)
-	}
-	return s
 }
 
 // IsSymmetric reports whether m equals its transpose within tol.
@@ -219,32 +112,4 @@ func (m *Matrix) FrobeniusNorm() float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// String renders the matrix for debugging.
-func (m *Matrix) String() string {
-	var b strings.Builder
-	for i := 0; i < m.Rows; i++ {
-		b.WriteString("[")
-		for j := 0; j < m.Cols; j++ {
-			if j > 0 {
-				b.WriteString(" ")
-			}
-			fmt.Fprintf(&b, "%8.4f", m.At(i, j))
-		}
-		b.WriteString("]\n")
-	}
-	return b.String()
-}
-
-func (m *Matrix) checkSameShape(b *Matrix) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-}
-
-func (m *Matrix) checkSquare() {
-	if m.Rows != m.Cols {
-		panic(fmt.Sprintf("linalg: matrix %dx%d is not square", m.Rows, m.Cols))
-	}
 }

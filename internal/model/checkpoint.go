@@ -1,6 +1,7 @@
 package model
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -65,10 +66,13 @@ func LoadParams(r io.Reader) (linalg.Vector, error) {
 	if dim > maxDim {
 		return nil, fmt.Errorf("model: checkpoint dimension %d exceeds limit", dim)
 	}
-	payload := make([]byte, 8*dim)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	// dim is untrusted: the buffer grows only with the bytes that arrive,
+	// so a forged header costs no more memory than the body behind it.
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(8*dim)); err != nil {
 		return nil, fmt.Errorf("model: reading checkpoint payload: %w", err)
 	}
+	payload := buf.Bytes()
 	var tail [4]byte
 	if _, err := io.ReadFull(r, tail[:]); err != nil {
 		return nil, fmt.Errorf("model: reading checkpoint checksum: %w", err)

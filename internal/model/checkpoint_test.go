@@ -2,8 +2,10 @@ package model
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -95,6 +97,81 @@ func TestCheckpointRejectsHugeDim(t *testing.T) {
 	if _, err := LoadParams(bytes.NewReader(forged)); err == nil {
 		t.Error("absurd dimension accepted")
 	}
+}
+
+// hugeDimHeader is a 14-byte checkpoint header that claims the largest
+// accepted dimension (2 GiB of float64s) and is followed by no payload.
+func hugeDimHeader() []byte {
+	h := append([]byte("SNAP"), 0, 1)
+	return binary.BigEndian.AppendUint64(h, 1<<28)
+}
+
+// allocDuring returns the bytes the process allocated while f ran.
+func allocDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckpointHugeDimAllocBounded: a header within the dimension limit
+// but with nothing behind it is refused without allocating for the
+// claimed dimension, since the header arrives from untrusted peers.
+func TestCheckpointHugeDimAllocBounded(t *testing.T) {
+	var err error
+	alloc := allocDuring(func() { _, err = LoadParams(bytes.NewReader(hugeDimHeader())) })
+	if err == nil {
+		t.Fatal("checkpoint with a missing payload accepted")
+	}
+	if alloc >= 1<<20 {
+		t.Fatalf("14-byte checkpoint allocated %d bytes, want < 1 MiB", alloc)
+	}
+}
+
+// FuzzLoadParams: LoadParams never panics, allocates in proportion to the
+// bytes it is given, and an accepted input re-encodes through SaveParams
+// to exactly the bytes it consumed.
+func FuzzLoadParams(f *testing.F) {
+	seq := linalg.NewVector(24)
+	for i := range seq {
+		seq[i] = float64(i) - 11.5
+	}
+	var frames [][]byte
+	for _, p := range []linalg.Vector{{}, {1.5}, seq, {math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}} {
+		var buf bytes.Buffer
+		if err := SaveParams(&buf, p); err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, buf.Bytes())
+		f.Add(buf.Bytes())
+	}
+	full := frames[2]
+	f.Add(full[:len(full)-7])
+	flipped := append([]byte(nil), full...)
+	flipped[len(flipped)-1] ^= 0xFF
+	f.Add(flipped)
+	f.Add(hugeDimHeader())
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var params linalg.Vector
+		var err error
+		alloc := allocDuring(func() { params, err = LoadParams(r) })
+		if limit := 1<<20 + 8*uint64(len(data)); alloc > limit {
+			t.Fatalf("%d-byte input allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveParams(&out, params); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := data[:len(data)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-encoding differs from the %d bytes consumed", len(consumed))
+		}
+	})
 }
 
 // Property: round trip is exact for arbitrary vectors.

@@ -85,7 +85,8 @@ const (
 
 // Label keys used with Label(...). Dashboards and the trace tooling
 // join series on these strings, so call sites must use the constants
-// (the obsname analyzer rejects inline literals).
+// (TestPeerNodeObserverMetrics fails on an exported key not declared
+// here).
 const (
 	LPeer  = "peer"  // neighbor id on per-link transport series
 	LNode  = "node"  // node id on engine series (simulator shares one registry)

@@ -50,10 +50,10 @@ func exportedStringConsts(t *testing.T) map[string]string {
 	return out
 }
 
-// TestNameConstantsUnique enforces the registry contract behind the
-// obsname analyzer: no two exported name constants (metric families,
-// event types, label keys) may share a string, or two call sites would
-// silently write into one series.
+// TestNameConstantsUnique enforces the registry contract: no two
+// exported name constants (metric families, event types, label keys)
+// may share a string, or two call sites would silently write into one
+// series.
 func TestNameConstantsUnique(t *testing.T) {
 	consts := exportedStringConsts(t)
 	if len(consts) == 0 {

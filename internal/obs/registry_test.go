@@ -113,6 +113,28 @@ func TestLabeledHistogramText(t *testing.T) {
 	}
 }
 
+// TestHistogramBucketsCopies: Buckets hands the caller slices it owns.
+// Scribbling on them must not change what the next caller (the /metrics
+// scrape, a snapshot) reads.
+func TestHistogramBucketsCopies(t *testing.T) {
+	h := NewRegistry().Histogram(MGatherWait, []float64{0.1, 1})
+	h.Observe(0.5)
+	bounds, cum := h.Buckets()
+	for i := range bounds {
+		bounds[i] = -1
+	}
+	for i := range cum {
+		cum[i] = -1
+	}
+	bounds, cum = h.Buckets()
+	if len(bounds) != 2 || bounds[0] != 0.1 || bounds[1] != 1 {
+		t.Errorf("bounds after mutating a returned slice = %v, want [0.1 1]", bounds)
+	}
+	if len(cum) != 3 || cum[0] != 0 || cum[1] != 1 || cum[2] != 1 {
+		t.Errorf("cumulative counts after mutating a returned slice = %v, want [0 1 1]", cum)
+	}
+}
+
 // TestFamilyTypeConflictPanics documents that reusing one family across
 // metric types is a programming error.
 func TestFamilyTypeConflictPanics(t *testing.T) {

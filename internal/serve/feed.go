@@ -27,8 +27,6 @@ type Snapshot struct {
 
 // Params returns the snapshot's parameter vector. Callers must treat it
 // as read-only and must not retain it past Release.
-//
-//snap:returns-borrowed
 func (s *Snapshot) Params() linalg.Vector { return s.params }
 
 // Round returns the training round the snapshot was taken at.

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/model"
+	"github.com/snapml/snap/internal/obs"
 )
 
 func postPredict(h http.Handler, body string) *httptest.ResponseRecorder {
@@ -169,7 +171,8 @@ func TestHTTPNoModel(t *testing.T) {
 
 func TestHTTPModelLifecycle(t *testing.T) {
 	m := model.NewLinearSVM(4)
-	g := newTestGateway(t, Config{Model: m, Features: 4})
+	reg := obs.NewRegistry()
+	g := newTestGateway(t, Config{Model: m, Features: 4, Obs: &obs.Observer{Reg: reg}})
 	h := NewHTTPHandler(g)
 
 	// Unloaded info.
@@ -236,6 +239,19 @@ func TestHTTPModelLifecycle(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("PUT garbage checkpoint: status %d, want 400", w.Code)
+	}
+
+	// A header claiming 2^28 params with no payload behind it is refused
+	// as a decode failure (model.LoadParams allocates only what arrives).
+	huge := binary.BigEndian.AppendUint64(append([]byte("SNAP"), 0, 1), 1<<28)
+	req = httptest.NewRequest(http.MethodPut, "/v1/model", bytes.NewReader(huge))
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("PUT huge-dim header: status %d, want 400", w.Code)
+	}
+	if got := reg.Counter(obs.Label(MServeSwapRejects, LReason, ReasonDecode)).Value(); got != 2 {
+		t.Fatalf("decode swap rejects = %d, want 2 (garbage + huge-dim header)", got)
 	}
 
 	// Bad version query is refused.

@@ -12,8 +12,8 @@
 package serve
 
 // Metric names exported by the serving plane. Like internal/obs/names.go
-// these are the closed namespace the obsname analyzer enforces: every
-// registry call site must use these constants, and no two may collide.
+// these are a closed namespace: every registry call site must use these
+// constants, and no two may collide.
 const (
 	// MServeRequests counts prediction requests admitted to the gateway
 	// (before queueing; rejected requests are counted too).

@@ -9,8 +9,6 @@ import (
 // estimated offset of that node's clock relative to the coordinator's
 // (positive = node clock ahead), the round-trip delay of the probe the
 // estimate came from, and how many probes have been observed.
-//
-//snap:wire
 type OffsetSample struct {
 	OffsetNanos int64 `json:"offset"`
 	DelayNanos  int64 `json:"delay"`
@@ -19,8 +17,6 @@ type OffsetSample struct {
 
 // NodeRound is one node's digest plus the clock correction applied to it
 // inside a merged ClusterRound.
-//
-//snap:wire
 type NodeRound struct {
 	Digest      RoundDigest `json:"digest"`
 	OffsetNanos int64       `json:"offset"`
@@ -29,8 +25,6 @@ type NodeRound struct {
 // Blame attributes round lengthening to one node: LagNanos is how much
 // later this node's frames arrived at some receiver than the rest of the
 // round's traffic (reference-clock adjusted).
-//
-//snap:wire
 type Blame struct {
 	Node     int   `json:"node"`
 	LagNanos int64 `json:"lag"`
@@ -38,8 +32,6 @@ type Blame struct {
 
 // PathStep is one span on the reconstructed cross-node critical path,
 // in reference-clock (coordinator) time.
-//
-//snap:wire
 type PathStep struct {
 	Node           int    `json:"node"`
 	Span           string `json:"span"`
@@ -51,8 +43,6 @@ type PathStep struct {
 // reporting node's digest with its clock correction, which members are
 // missing, the straggler verdict, and the round's communication
 // accounting. All timestamps are in the coordinator's reference clock.
-//
-//snap:wire
 type ClusterRound struct {
 	Round        int         `json:"round"`
 	Nodes        []NodeRound `json:"nodes"`

@@ -198,6 +198,22 @@ func TestMergeToleratesSilentNode(t *testing.T) {
 	if cr.Straggler != 2 {
 		t.Fatalf("straggler = %d, want 2", cr.Straggler)
 	}
+	pinJSON(t, cr, `{"round":1,"nodes":[`+
+		`{"digest":{"node":0,"round":1,"trace_id":1,"start":0,"end":50000000,`+
+		`"phases":[{"name":"gather","start":10000000,"end":50000000}],`+
+		`"recvs":[{"from":1,"bytes":100,"trace_id":0,"send":0,"recv":20000000},{"from":2,"bytes":100,"trace_id":0,"send":0,"recv":45000000}],`+
+		`"frames_sent":0,"bytes_sent":0,"bytes_full_send":0,"params_sent":0,"params_total":0},"offset":0},`+
+		`{"digest":{"node":1,"round":1,"trace_id":4294967297,"start":0,"end":50000000,`+
+		`"phases":[{"name":"gather","start":10000000,"end":50000000}],`+
+		`"recvs":[{"from":0,"bytes":100,"trace_id":0,"send":0,"recv":20000000},{"from":2,"bytes":100,"trace_id":0,"send":0,"recv":45000000}],`+
+		`"frames_sent":0,"bytes_sent":0,"bytes_full_send":0,"params_sent":0,"params_total":0},"offset":0},`+
+		`{"digest":{"node":2,"round":1,"trace_id":8589934593,"start":0,"end":30000000,`+
+		`"phases":[{"name":"gather","start":10000000,"end":30000000}],`+
+		`"recvs":[{"from":0,"bytes":100,"trace_id":0,"send":0,"recv":20000000},{"from":1,"bytes":100,"trace_id":0,"send":0,"recv":22000000}],`+
+		`"frames_sent":0,"bytes_sent":0,"bytes_full_send":0,"params_sent":0,"params_total":0},"offset":0}],`+
+		`"missing":[3],"completeness":0.75,"start":0,"end":50000000,"straggler":2,"straggler_lag":50000000,`+
+		`"blames":[{"node":2,"lag":50000000},{"node":1,"lag":2000000}],`+
+		`"critical_path":[{"node":0,"span":"gather","start":10000000,"end":50000000}],"bytes_sent":0,"bytes_full_send":0}`)
 }
 
 func TestAggregatorBytesAccounting(t *testing.T) {

@@ -3,12 +3,10 @@ package trace
 // Wire/JSON digest types. These cross process boundaries twice — pushed
 // from nodes to the coordinator inside control-plane heartbeats, and
 // served over HTTP to snaptrace — so every exported field carries an
-// explicit json tag (enforced by the wiretag analyzer).
+// explicit json tag, and the trace tests pin the encoding byte for byte.
 
 // SpanDigest is one completed span (a pipeline phase or an extra child
 // span) in the node's local clock, Unix nanoseconds.
-//
-//snap:wire
 type SpanDigest struct {
 	Name           string `json:"name"`
 	StartUnixNanos int64  `json:"start"`
@@ -19,8 +17,6 @@ type SpanDigest struct {
 // the local arrival time. SendUnixNanos is the *sender's* clock,
 // RecvUnixNanos the receiver's — the aggregator reconciles the two with
 // its per-node offset estimates.
-//
-//snap:wire
 type RecvDigest struct {
 	From          int    `json:"from"`
 	Bytes         int    `json:"bytes"`
@@ -33,8 +29,6 @@ type RecvDigest struct {
 // the fixed pipeline phases, extra spans, receive observations, and the
 // send-side byte accounting (actual selective-send bytes vs. the
 // full-parameter-send baseline the paper compares against).
-//
-//snap:wire
 type RoundDigest struct {
 	Node           int          `json:"node"`
 	Round          int          `json:"round"`

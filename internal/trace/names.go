@@ -2,9 +2,9 @@ package trace
 
 // Span names used by the round tracer. Every span recorded through
 // Tracer.Span (and every phase name exported in digests) must be one of
-// these constants — the obsname analyzer rejects inline literals, exactly
-// as it does for metric names: snaptrace, the Chrome trace export, and
-// the aggregator's critical-path walk all join on these strings.
+// these constants, as metric names must be obs constants: snaptrace, the
+// Chrome trace export, and the aggregator's critical-path walk all join
+// on these strings.
 const (
 	// SpanRound is the per-round root span on each node.
 	SpanRound = "round"

@@ -242,9 +242,8 @@ func (t *Tracer) Phase(round int, p PhaseID, start, end time.Time) {
 }
 
 // Span records an extra child span (e.g. the engine's grad/mix
-// sub-spans). name must be a constant from names.go (enforced by the
-// obsname analyzer). Spans beyond the preallocated capacity are counted
-// as dropped, never stored.
+// sub-spans). name must be a constant from names.go. Spans beyond the
+// preallocated capacity are counted as dropped, never stored.
 func (t *Tracer) Span(round int, name string, start, end time.Time) {
 	if t == nil {
 		return

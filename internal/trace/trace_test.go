@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"encoding/json"
 	"testing"
 	"time"
 )
@@ -74,6 +75,26 @@ func TestTracerDigest(t *testing.T) {
 	if d.ParamsSent != 10 || d.ParamsTotal != 100 {
 		t.Fatalf("param accounting wrong: %+v", d)
 	}
+	pinJSON(t, d, `{"node":3,"round":5,"trace_id":12884901893,"start":100,"end":160,`+
+		`"phases":[{"name":"build","start":100,"end":110},{"name":"gather","start":120,"end":150}],`+
+		`"spans":[{"name":"grad","start":101,"end":105}],`+
+		`"recvs":[{"from":1,"bytes":64,"trace_id":4294967301,"send":118,"recv":130}],`+
+		`"frames_sent":2,"bytes_sent":200,"bytes_full_send":1000,"params_sent":10,"params_total":100}`)
+}
+
+// pinJSON fails unless v marshals to exactly want. Digests cross process
+// boundaries (heartbeats, /trace), so their JSON is a wire contract: a
+// renamed field or tag changes what an older coordinator or snaptrace
+// reads.
+func pinJSON(t *testing.T, v any, want string) {
+	t.Helper()
+	got, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Errorf("wire JSON changed:\n got %s\nwant %s", got, want)
+	}
 }
 
 // TestTracerRingReuse: a round that laps the ring must fully reset the
@@ -143,6 +164,11 @@ func TestTracerCapacityDrops(t *testing.T) {
 	if len(d.Spans) != 1 || d.DroppedSpans != 1 {
 		t.Fatalf("spans=%d dropped=%d, want 1/1", len(d.Spans), d.DroppedSpans)
 	}
+	pinJSON(t, d, `{"node":0,"round":0,"trace_id":0,"start":1,"end":4,`+
+		`"spans":[{"name":"grad","start":1,"end":2}],`+
+		`"recvs":[{"from":1,"bytes":1,"trace_id":0,"send":0,"recv":2}],`+
+		`"frames_sent":0,"bytes_sent":0,"bytes_full_send":0,"params_sent":0,"params_total":0,`+
+		`"dropped_spans":1,"dropped_recvs":1}`)
 }
 
 func TestDigestsSince(t *testing.T) {

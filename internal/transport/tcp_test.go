@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -208,6 +209,23 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // Broadcast stops erroring.
 func TestPeerEvictsDeadConn(t *testing.T) {
 	peers := startPeers(t, 3)
+
+	// A concurrent Stats() reader spans the eviction, which writes the
+	// dead link's stats: under -race an unlocked stats path fails here.
+	stopPoll, pollDone := make(chan struct{}), make(chan struct{})
+	defer func() { close(stopPoll); <-pollDone }()
+	go func() {
+		defer close(pollDone)
+		for {
+			select {
+			case <-stopPoll:
+				return
+			default:
+				_ = peers[0].Stats()
+				runtime.Gosched()
+			}
+		}
+	}()
 	peers[2].Close()
 
 	waitFor(t, 5*time.Second, "eviction of dead conn", func() bool {
