@@ -185,6 +185,8 @@ func runCustom(n int, degree float64, scheme string, samples int, alpha, failure
 		ternCfg.BatchSize = 2
 		res, err = snap.TrainTernGrad(ternCfg)
 	case "dgd":
+		// DGD runs on the simulated SNAP round with full parameter frames,
+		// so its cost= is the encoded frame bytes the simulator charges.
 		res, err = snap.TrainDGD(baseCfg)
 	case "centralized":
 		res, err = snap.TrainCentralized(baseCfg)

@@ -21,8 +21,8 @@ type (
 	Epoch = controlplane.Epoch
 	// EpochMember is one member as described by an Epoch.
 	EpochMember = controlplane.EpochMember
-	// BoundParams are the problem constants of the paper's simplified
-	// convergence-rate bound (eq. 17), used to pick the best W candidate.
+	// BoundParams sets the step size at which the paper's simplified
+	// convergence-rate bound (eq. 17) picks the best W candidate.
 	BoundParams = weights.BoundParams
 )
 

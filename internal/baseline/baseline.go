@@ -16,9 +16,11 @@
 //     but adds variance, which slows convergence and costs accuracy —
 //     the paper's central criticism of it.
 //
-// All of them, and DGD and gossip beside them, run through one training
-// loop (harness.go) and report the same core.Result, so the experiment
-// harness can compare them directly with the SNAP cluster runs.
+// All three keep one iterate every node shares and run through one
+// training loop (harness.go) that reports the same core.Result as the
+// SNAP cluster runs, so the experiment harness can compare them directly.
+// The decentralized comparisons (SNAP-0, SNO and classic DGD) run on
+// core's own round instead.
 package baseline
 
 import (
@@ -66,7 +68,7 @@ func RunCentralized(cfg CentralizedConfig) (*core.Result, error) {
 		pooled = append(pooled, part.Samples...)
 	}
 	x := cfg.Model.InitParams(cfg.Seed)
-	return p.run([]linalg.Vector{x}, func(int) error {
+	return p.run(x, func(int) error {
 		g := cfg.Model.Gradient(x, pooled)
 		x.AXPYInPlace(-cfg.Alpha, g)
 		return nil
@@ -123,7 +125,7 @@ func RunPS(cfg PSConfig) (*core.Result, error) {
 	dim := cfg.Model.NumParams()
 	x := cfg.Model.InitParams(cfg.Seed)
 
-	return p.run([]linalg.Vector{x}, func(round int) error {
+	return p.run(x, func(round int) error {
 		// Workers compute local gradients at the shared parameters and
 		// ship them to the server.
 		sum := linalg.NewVector(dim)

@@ -14,7 +14,7 @@ import (
 )
 
 // problem is what every scheme's config has in common. A scheme supplies
-// its iterate(s) and what one round does to them; validation, defaults,
+// its iterate and what one round does to it; validation, defaults,
 // per-round evaluation, the stopping rule and the result are run's.
 type problem struct {
 	scheme        string       // Result.Scheme
@@ -64,9 +64,10 @@ func (p *problem) check(networked bool) error {
 }
 
 // run executes step once per round until the stopping rule fires or the
-// iteration cap is reached. x holds the iterates step advances in place:
-// one vector per node, or a single vector every node shares.
-func (p *problem) run(x []linalg.Vector, step func(round int) error) (*core.Result, error) {
+// iteration cap is reached. x is the iterate step advances in place: one
+// vector every node shares, so the nodes never disagree and each round's
+// consensus residual is zero.
+func (p *problem) run(x linalg.Vector, step func(round int) error) (*core.Result, error) {
 	res := &core.Result{Scheme: p.scheme, FinalAccuracy: math.NaN()}
 	for round := 0; round < p.maxIterations; round++ {
 		if p.net != nil {
@@ -76,16 +77,8 @@ func (p *problem) run(x []linalg.Vector, step func(round int) error) (*core.Resu
 			return nil, err
 		}
 		stat := metrics.IterationStat{Round: round, Loss: p.aggregateLoss(x), Accuracy: math.NaN()}
-		avg := average(x)
-		if len(x) > 1 {
-			for i := range x {
-				if d := x[i].Sub(avg).NormInf(); d > stat.Consensus {
-					stat.Consensus = d
-				}
-			}
-		}
 		if p.test != nil && (round%p.evalEvery == 0 || round == p.maxIterations-1) {
-			stat.Accuracy = model.Accuracy(p.model, avg, p.test)
+			stat.Accuracy = model.Accuracy(p.model, x, p.test)
 		}
 		if p.net != nil {
 			stat.RoundCost = p.net.Ledger().RoundCost(round)
@@ -99,7 +92,7 @@ func (p *problem) run(x []linalg.Vector, step func(round int) error) (*core.Resu
 	}
 	res.FinalLoss = p.aggregateLoss(x)
 	if p.test != nil {
-		res.FinalAccuracy = model.Accuracy(p.model, average(x), p.test)
+		res.FinalAccuracy = model.Accuracy(p.model, x, p.test)
 	}
 	if p.net != nil {
 		res.TotalCost = p.net.Ledger().Total()
@@ -108,33 +101,12 @@ func (p *problem) run(x []linalg.Vector, step func(round int) error) (*core.Resu
 	return res, nil
 }
 
-// aggregateLoss returns Σ_i f_i(x_i), the paper's objective (1).
-func (p *problem) aggregateLoss(x []linalg.Vector) float64 {
+// aggregateLoss returns Σ_i f_i(x), the paper's objective (1) at the
+// shared iterate.
+func (p *problem) aggregateLoss(x linalg.Vector) float64 {
 	var total float64
-	for i, part := range p.partitions {
-		total += p.model.Loss(x[i%len(x)], part.Samples) // x[i], or the one shared iterate
+	for _, part := range p.partitions {
+		total += p.model.Loss(x, part.Samples)
 	}
 	return total
-}
-
-// average returns the across-node mean iterate, the model accuracy is
-// evaluated on. A shared iterate is its own mean, exactly.
-func average(x []linalg.Vector) linalg.Vector {
-	if len(x) == 1 {
-		return x[0]
-	}
-	avg := linalg.NewVector(len(x[0]))
-	for i := range x {
-		avg.AddInPlace(x[i])
-	}
-	return avg.Scale(1 / float64(len(x)))
-}
-
-// cloneAll returns n independent copies of init.
-func cloneAll(init linalg.Vector, n int) []linalg.Vector {
-	x := make([]linalg.Vector, n)
-	for i := range x {
-		x[i] = init.Clone()
-	}
-	return x
 }

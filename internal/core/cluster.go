@@ -30,6 +30,9 @@ type ClusterConfig struct {
 	Alpha float64
 	// Policy selects SNAP / SNAP-0 / SNO transmission.
 	Policy SendPolicy
+	// DGD trains with classic decentralized gradient descent instead of
+	// EXTRA (see EngineConfig.DGD); the result's Scheme is then "dgd".
+	DGD bool
 	// APE configures Algorithm 1 (Policy == SendSelected).
 	APE APEConfig
 	// OptimizeWeights enables the paper's weight-matrix optimization; when
@@ -43,10 +46,6 @@ type ClusterConfig struct {
 	WeightOpt weights.Options
 	// BatchSize limits per-iteration gradients (0 = full batch).
 	BatchSize int
-	// GradWorkers caps the goroutines each engine uses for its sharded
-	// gradient (≤1 = serial; results are bitwise-identical either way,
-	// see model.GradientTo).
-	GradWorkers int
 	// MaxIterations bounds the run. Default 500.
 	MaxIterations int
 	// Convergence configures the stopping rule; zero values use defaults.
@@ -294,7 +293,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			WRow:           w.Row(i),
 			Neighbors:      cfg.Topology.Neighbors(i),
 			BatchSize:      cfg.BatchSize,
-			GradWorkers:    cfg.GradWorkers,
+			DGD:            cfg.DGD,
 			Policy:         cfg.Policy,
 			APE:            cfg.APE,
 			RefreshEvery:   cfg.RefreshEvery,
@@ -323,7 +322,11 @@ func (c *Cluster) Network() *transport.Sim { return c.net }
 func (c *Cluster) Run() (*Result, error) {
 	cfg := c.cfg
 	detector := cfg.Convergence
-	res := &Result{Scheme: cfg.Policy.String(), FinalAccuracy: math.NaN()}
+	scheme := cfg.Policy.String()
+	if cfg.DGD {
+		scheme = "dgd"
+	}
+	res := &Result{Scheme: scheme, FinalAccuracy: math.NaN()}
 
 	c.startRunners()
 	defer c.stopRunners()

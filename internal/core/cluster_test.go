@@ -332,6 +332,18 @@ func TestClusterSuppliedWeightsValidation(t *testing.T) {
 		t.Error("non-stochastic weight matrix accepted")
 	}
 
+	// Symmetric and doubly stochastic, but with weight on the ring's
+	// non-edges: a node never receives a non-neighbor's parameters, so the
+	// cluster could not mix with the matrix it was given.
+	m4, parts4, _ := creditSetup(t, 4, 400, 9)
+	ringWithChords := ClusterConfig{
+		Topology: graph.Ring(4), Model: m4, Partitions: parts4, Alpha: 0.1,
+		Weights: weights.Metropolis(graph.Complete(4), 0),
+	}
+	if _, err := NewCluster(ringWithChords); err == nil {
+		t.Error("weight matrix with weight on non-edges accepted")
+	}
+
 	good := base
 	good.Weights = weights.Metropolis(graph.Complete(3), 0)
 	c, err := NewCluster(good)

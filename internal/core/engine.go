@@ -62,11 +62,12 @@ type EngineConfig struct {
 	// BatchSize limits the per-iteration gradient batch (0 = full local
 	// data, the deterministic EXTRA setting).
 	BatchSize int
-	// GradWorkers caps the goroutines used for the sharded gradient
-	// (≤1 = serial). The result is bitwise-identical for every value:
-	// shard boundaries and the reduction tree depend only on the batch
-	// length (see model.GradientTo).
-	GradWorkers int
+	// DGD runs classic decentralized gradient descent (Nedić-Ozdaglar)
+	// instead of EXTRA: every StepMix takes EXTRA's first step,
+	// x⁺ = W·x − α∇f(x), and the two-term recursion never starts. With a
+	// constant step size DGD only reaches an O(α)-neighborhood of the
+	// optimum — the bias EXTRA's correction term removes.
+	DGD bool
 	// Policy selects the transmission scheme.
 	Policy SendPolicy
 	// APE configures the threshold schedule (used when Policy ==
@@ -136,7 +137,7 @@ type Engine struct {
 	gPrev linalg.Vector // ∇f_i(x^k)
 	mix   linalg.Vector // Σ_j w_ij·x_j scratch
 	next  linalg.Vector // x^{k+2} under construction
-	k     int           // EXTRA iteration counter (reset on APE restart)
+	k     int           // EXTRA iteration counter (reset on APE restart; 0 throughout DGD)
 
 	// Neighbor views are stored in slot arrays indexed by the position of
 	// the neighbor id in the sorted nbrIDs slice; nbrIdx maps id → slot
@@ -201,7 +202,10 @@ func newEngineMetrics(o *obs.Observer, nodeID int) engineMetrics {
 
 // validateTopology checks a weight row and neighbor set for node id:
 // the row must cover the node and every neighbor, neighbors must be
-// distinct ids other than the node itself, and the row must sum to 1.
+// distinct ids other than the node itself, the row must sum to 1, and
+// only the diagonal and the neighbors may carry weight: the node never
+// receives anyone else's parameters, so weight there would silently drop
+// out of the mix and leave the cluster mixing with a different W.
 func validateTopology(id int, wRow linalg.Vector, neighbors []int) error {
 	if len(wRow) <= id {
 		return fmt.Errorf("core: node %d weight row has length %d", id, len(wRow))
@@ -213,12 +217,20 @@ func validateTopology(id int, wRow linalg.Vector, neighbors []int) error {
 	if math.Abs(rowSum-1) > 1e-6 {
 		return fmt.Errorf("core: node %d weight row sums to %g, want 1", id, rowSum)
 	}
+	mixed := make([]bool, len(wRow)) // mixed[j]: x_j enters node id's mix
+	mixed[id] = true
 	for _, j := range neighbors {
 		if j < 0 || j >= len(wRow) {
 			return fmt.Errorf("core: node %d neighbor %d outside weight row of length %d", id, j, len(wRow))
 		}
 		if j == id {
 			return fmt.Errorf("core: node %d lists itself as a neighbor", id)
+		}
+		mixed[j] = true
+	}
+	for j, w := range wRow {
+		if w != 0 && !mixed[j] {
+			return fmt.Errorf("core: node %d weight row has weight %g for non-neighbor %d", id, w, j)
 		}
 	}
 	return nil
@@ -543,10 +555,10 @@ func (e *Engine) ComputeGradient(round int) {
 	data := e.cfg.Data.Samples
 	if bs := e.cfg.BatchSize; bs > 0 && bs < len(data) {
 		e.batchBuf = e.cfg.Data.BatchInto(e.batchBuf, round, bs)
-		model.GradientTo(e.cfg.Model, e.grad, e.x, e.batchBuf, &e.gradSc, e.cfg.GradWorkers)
+		model.GradientTo(e.cfg.Model, e.grad, e.x, e.batchBuf, &e.gradSc, 1)
 		e.gradLoss = e.cfg.Model.Loss(e.x, data)
 	} else {
-		e.gradLoss = model.GradientLossTo(e.cfg.Model, e.grad, e.x, data, &e.gradSc, e.cfg.GradWorkers)
+		e.gradLoss = model.GradientLossTo(e.cfg.Model, e.grad, e.x, data, &e.gradSc, 1)
 	}
 	if e.timed() {
 		end := time.Now()
@@ -573,7 +585,7 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	linalg.MixTo(e.mix, e.wRow[e.cfg.ID], e.x, e.nbrW, e.nbrCur)
 
 	if e.k == 0 {
-		// x^1 = W·x^0 − α∇f(x^0).
+		// x^1 = W·x^0 − α∇f(x^0): EXTRA's first step, and every DGD step.
 		linalg.AXPYTo(e.next, e.mix, -e.cfg.Alpha, e.grad)
 	} else {
 		// x^{k+2} = x^{k+1} + W·x^{k+1} − W̃·x^k − α(∇f(x^{k+1}) − ∇f(x^k))
@@ -603,7 +615,9 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	// gradient pair swaps the same way.
 	e.xPrev, e.x, e.next = e.x, e.next, e.xPrev
 	e.grad, e.gPrev = e.gPrev, e.grad
-	e.k++
+	if !e.cfg.DGD {
+		e.k++
+	}
 
 	if e.ape != nil && e.ape.AfterIteration() {
 		// Stage transition: publish the new schedule point and, when the

@@ -89,6 +89,12 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(bad); err == nil {
 		t.Error("short weight row accepted")
 	}
+
+	bad = base
+	bad.Neighbors = []int{1} // the row still gives node 2 a third of the mix
+	if _, err := NewEngine(bad); err == nil {
+		t.Error("weight on a non-neighbor accepted")
+	}
 }
 
 func TestBuildUpdatePolicies(t *testing.T) {
@@ -274,6 +280,79 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesMatrixDGD checks the DGD rule bit for bit against its
+// matrix form x^{k+1} = W·x^k − α∇f(x^k) on a 4-node ring. The reference
+// sums row i of W·x diagonal first and then the neighbors in id order —
+// the order MixTo fixes — so no rounding may differ, and the engine must
+// never leave EXTRA's k = 0 step.
+func TestEngineMatchesMatrixDGD(t *testing.T) {
+	const (
+		n     = 4
+		alpha = 0.05
+		iters = 12
+	)
+	_, parts := smallPartitions(t, n, 25, 3)
+	g := graph.Ring(n)
+	w := weights.Metropolis(g, 0)
+	m := model.NewLogisticRegression(8)
+	init := m.InitParams(11)
+
+	engines := make([]*Engine, n)
+	x := make([]linalg.Vector, n) // the reference iterates, one row per node
+	for i := range engines {
+		eng, err := NewEngine(EngineConfig{
+			ID: i, Model: m, Data: parts[i], Alpha: alpha,
+			WRow: w.Row(i), Neighbors: g.Neighbors(i),
+			Policy: SendAll, DGD: true, Init: init,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[i], x[i] = eng, init
+	}
+
+	for round := 0; round < iters; round++ {
+		next := make([]linalg.Vector, n)
+		for i := range next {
+			row := x[i].Scale(w.At(i, i))
+			for j := range x {
+				if j != i && w.At(i, j) != 0 {
+					row.AXPYInPlace(w.At(i, j), x[j])
+				}
+			}
+			next[i] = row.AXPYInPlace(-alpha, m.Gradient(x[i], parts[i].Samples))
+		}
+		x = next
+
+		frames := make([]*codec.Update, n)
+		for i, e := range engines {
+			u, err := e.BuildUpdate(round)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames[i] = u
+		}
+		for i, e := range engines {
+			var inbox []*codec.Update
+			for _, j := range g.Neighbors(i) {
+				inbox = append(inbox, frames[j])
+			}
+			if err := e.Integrate(inbox); err != nil {
+				t.Fatal(err)
+			}
+			got := e.Step(round)
+			if e.k != 0 {
+				t.Fatalf("round %d: node %d left the first step (k = %d)", round, i, e.k)
+			}
+			for j := range got {
+				if math.Float64bits(got[j]) != math.Float64bits(x[i][j]) {
+					t.Fatalf("round %d: node %d param %d = %v, matrix DGD %v", round, i, j, got[j], x[i][j])
+				}
+			}
+		}
+	}
+}
+
 // axpy returns x + c·y for matrices of one shape.
 func axpy(x *linalg.Matrix, c float64, y *linalg.Matrix) *linalg.Matrix {
 	out := x.Clone()
@@ -394,6 +473,9 @@ func TestEngineReconfigure(t *testing.T) {
 	}
 	if err := eng.Reconfigure(linalg.Vector{}, nil); err == nil {
 		t.Error("short row accepted")
+	}
+	if err := eng.Reconfigure(linalg.Vector{0.4, 0.3, 0.3}, []int{1}); err == nil {
+		t.Error("weight on non-neighbor 2 accepted")
 	}
 }
 

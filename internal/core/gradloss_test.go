@@ -37,7 +37,7 @@ func TestGradientLossMatchesModelLoss(t *testing.T) {
 			// engine runs plain gradient descent through the full round path.
 			e, err := NewEngine(EngineConfig{
 				Model: m, Data: data, Alpha: 0.1, WRow: linalg.Vector{1},
-				BatchSize: tc.batchSize, GradWorkers: 2, Init: m.InitParams(5),
+				BatchSize: tc.batchSize, Init: m.InitParams(5),
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -304,44 +304,3 @@ func TestEngineRoundAllocFree(t *testing.T) {
 		})
 	}
 }
-
-// TestClusterDeterministicAcrossGradWorkers checks the parallel gradient
-// end to end: a full simulated run must be bitwise-identical for every
-// GradWorkers setting, because shard boundaries and the pairwise reduction
-// tree depend only on the batch length, never on the worker count.
-func TestClusterDeterministicAcrossGradWorkers(t *testing.T) {
-	m, parts, test := creditSetup(t, 4, 800, 5)
-	topo := graph.Ring(4)
-	run := func(workers int) (*Result, []float64) {
-		c, err := NewCluster(ClusterConfig{
-			Topology: topo, Model: m, Partitions: parts, Test: test,
-			Alpha: 0.1, Policy: SendSelected, MaxIterations: 40,
-			GradWorkers: workers, Seed: 23, EvalEvery: 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, c.AverageParams()
-	}
-	serialRes, serialParams := run(1)
-	for _, workers := range []int{2, 8} {
-		res, params := run(workers)
-		if res.Iterations != serialRes.Iterations {
-			t.Fatalf("GradWorkers=%d ran %d iterations, serial ran %d",
-				workers, res.Iterations, serialRes.Iterations)
-		}
-		if math.Float64bits(res.TotalCost) != math.Float64bits(serialRes.TotalCost) {
-			t.Fatalf("GradWorkers=%d total cost %v, serial %v", workers, res.TotalCost, serialRes.TotalCost)
-		}
-		for i := range serialParams {
-			if math.Float64bits(params[i]) != math.Float64bits(serialParams[i]) {
-				t.Fatalf("GradWorkers=%d param %d = %v, serial = %v",
-					workers, i, params[i], serialParams[i])
-			}
-		}
-	}
-}

@@ -22,7 +22,8 @@ import (
 // of the round body — core.Cluster over the lockstep simulator and five
 // PeerNodes over loopback TCP — and requires every node's final iterate
 // to agree bit for bit: the hosts differ only in where the gradient runs
-// and in what carries the frames, and neither may reach the numbers.
+// and in what carries the frames, and neither may reach the numbers. It
+// does so for SNAP's EXTRA and for DGD, EXTRA's first step repeated.
 func TestClusterAndPeerNodesBitIdentical(t *testing.T) {
 	const (
 		n      = 5
@@ -35,68 +36,79 @@ func TestClusterAndPeerNodesBitIdentical(t *testing.T) {
 	w := weights.Metropolis(g, 0)
 	m := model.NewLinearSVM(8)
 
-	c, err := NewCluster(ClusterConfig{
-		Topology: g, Model: m, Partitions: parts, Alpha: alpha,
-		Policy: SendSelected, Weights: w, Seed: seed, MaxIterations: rounds,
-		Convergence: metrics.ConvergenceDetector{Patience: rounds + 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != rounds {
-		t.Fatalf("cluster ran %d rounds, want %d", res.Iterations, rounds)
-	}
+	for _, tc := range []struct {
+		name   string
+		policy SendPolicy
+		dgd    bool
+	}{
+		{"snap", SendSelected, false},
+		{"dgd", SendAll, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{
+				Topology: g, Model: m, Partitions: parts, Alpha: alpha,
+				Policy: tc.policy, DGD: tc.dgd, Weights: w, Seed: seed, MaxIterations: rounds,
+				Convergence: metrics.ConvergenceDetector{Patience: rounds + 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != rounds {
+				t.Fatalf("cluster ran %d rounds, want %d", res.Iterations, rounds)
+			}
 
-	nodes := make([]*PeerNode, n)
-	for i := range nodes {
-		pn, err := NewPeerNode(PeerNodeConfig{
-			Engine: EngineConfig{
-				ID: i, Model: m, Data: parts[i], Alpha: alpha,
-				WRow: w.Row(i), Neighbors: g.Neighbors(i),
-				Policy: SendSelected, Init: m.InitParams(seed),
-			},
-			ListenAddr:   "127.0.0.1:0",
-			RoundTimeout: 30 * time.Second,
+			nodes := make([]*PeerNode, n)
+			for i := range nodes {
+				pn, err := NewPeerNode(PeerNodeConfig{
+					Engine: EngineConfig{
+						ID: i, Model: m, Data: parts[i], Alpha: alpha,
+						WRow: w.Row(i), Neighbors: g.Neighbors(i),
+						Policy: tc.policy, DGD: tc.dgd, Init: m.InitParams(seed),
+					},
+					ListenAddr:   "127.0.0.1:0",
+					RoundTimeout: 30 * time.Second,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes[i] = pn
+				defer pn.Close()
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, n)
+			for i, pn := range nodes {
+				wg.Add(1)
+				go func(i int, pn *PeerNode) {
+					defer wg.Done()
+					neighbors := make(map[int]string)
+					for _, j := range g.Neighbors(i) {
+						neighbors[j] = nodes[j].Addr()
+					}
+					if errs[i] = pn.Connect(neighbors); errs[i] == nil {
+						_, errs[i] = pn.Run(rounds)
+					}
+				}(i, pn)
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("node %d: %v", i, err)
+				}
+			}
+
+			for i, e := range c.Engines() {
+				sim, tcp := e.Params(), nodes[i].Engine().Params()
+				for j := range sim {
+					if math.Float64bits(sim[j]) != math.Float64bits(tcp[j]) {
+						t.Fatalf("node %d param %d: Cluster %v, PeerNode %v", i, j, sim[j], tcp[j])
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes[i] = pn
-		defer pn.Close()
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i, pn := range nodes {
-		wg.Add(1)
-		go func(i int, pn *PeerNode) {
-			defer wg.Done()
-			neighbors := make(map[int]string)
-			for _, j := range g.Neighbors(i) {
-				neighbors[j] = nodes[j].Addr()
-			}
-			if errs[i] = pn.Connect(neighbors); errs[i] == nil {
-				_, errs[i] = pn.Run(rounds)
-			}
-		}(i, pn)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("node %d: %v", i, err)
-		}
-	}
-
-	for i, e := range c.Engines() {
-		sim, tcp := e.Params(), nodes[i].Engine().Params()
-		for j := range sim {
-			if math.Float64bits(sim[j]) != math.Float64bits(tcp[j]) {
-				t.Fatalf("node %d param %d: Cluster %v, PeerNode %v", i, j, sim[j], tcp[j])
-			}
-		}
 	}
 }
 

@@ -9,40 +9,30 @@ import (
 	"github.com/snapml/snap/internal/linalg"
 )
 
-// BoundParams are the problem constants that appear in the paper's
-// simplified linear-rate bound, eq. (17). The zero value selects the
-// defaults below.
+// BoundParams sets the step size at which the paper's simplified
+// linear-rate bound, eq. (17), is evaluated. The zero value selects the
+// default below.
 type BoundParams struct {
 	// Alpha is the EXTRA step size α (default 0.01).
 	Alpha float64
-	// Lf is the gradient Lipschitz constant L_f (default 1).
-	Lf float64
-	// MuG is the strong-convexity constant μ_g of g(x) (default 1).
-	MuG float64
-	// Theta is the free parameter θ > 1 (default 2).
-	Theta float64
-	// Eta is the free parameter η ∈ (0, 2μ_g) (default μ_g).
-	Eta float64
 }
 
 func (p BoundParams) withDefaults() BoundParams {
 	if p.Alpha <= 0 {
 		p.Alpha = 0.01
 	}
-	if p.Lf <= 0 {
-		p.Lf = 1
-	}
-	if p.MuG <= 0 {
-		p.MuG = 1
-	}
-	if p.Theta <= 1 {
-		p.Theta = 2
-	}
-	if p.Eta <= 0 || p.Eta >= 2*p.MuG {
-		p.Eta = p.MuG
-	}
 	return p
 }
+
+// The other constants of eq. (17). They are defaults, not the constants
+// of the problem being trained: no workload's L_f or μ_g is measured, and
+// the bound is evaluated at these values for every workload.
+const (
+	boundLf    = 1.0      // gradient Lipschitz constant L_f
+	boundMuG   = 1.0      // strong-convexity constant μ_g of g(x)
+	boundTheta = 2.0      // free parameter θ > 1
+	boundEta   = boundMuG // free parameter η ∈ (0, 2μ_g)
+)
 
 // DeltaBound evaluates the paper's simplified convergence-rate bound,
 // eq. (17): the EXTRA iterates contract at rate O((1+δ)^−k) where
@@ -50,15 +40,17 @@ func (p BoundParams) withDefaults() BoundParams {
 //	δ ≤ min( α(2μ_g−η)·λ̄min(I−W) / (2θα²L_f² + λ̄min(I−W)),
 //	         (θ−1)(η+ηλ_min(W)−2αL_f²)·λ̄min(I−W) / (4θη(1+αL_f)²) )
 //
-// with λ̄min(I−W) = 1 − λ̄max(W). A larger δ means faster convergence, so
-// the weight matrix with the larger bound is preferred.
+// with λ̄min(I−W) = 1 − λ̄max(W). Only α comes from p; L_f, μ_g, θ and η
+// are the defaults above (L_f = μ_g = 1, θ = 2, η = μ_g), not the
+// workload's own constants. A larger δ means faster convergence, so the
+// weight matrix with the larger bound is preferred.
 func DeltaBound(sp *linalg.Spectrum, p BoundParams) float64 {
 	p = p.withDefaults()
 	lamBarMinIW := 1 - sp.LambdaBarMax // λ̄min(I−W)
-	term1 := p.Alpha * (2*p.MuG - p.Eta) * lamBarMinIW /
-		(2*p.Theta*p.Alpha*p.Alpha*p.Lf*p.Lf + lamBarMinIW)
-	term2 := (p.Theta - 1) * (p.Eta + p.Eta*sp.LambdaMin - 2*p.Alpha*p.Lf*p.Lf) * lamBarMinIW /
-		(4 * p.Theta * p.Eta * (1 + p.Alpha*p.Lf) * (1 + p.Alpha*p.Lf))
+	term1 := p.Alpha * (2*boundMuG - boundEta) * lamBarMinIW /
+		(2*boundTheta*p.Alpha*p.Alpha*boundLf*boundLf + lamBarMinIW)
+	term2 := (boundTheta - 1) * (boundEta + boundEta*sp.LambdaMin - 2*p.Alpha*boundLf*boundLf) * lamBarMinIW /
+		(4 * boundTheta * boundEta * (1 + p.Alpha*boundLf) * (1 + p.Alpha*boundLf))
 	return math.Min(term1, term2)
 }
 

@@ -228,10 +228,6 @@ func TestDeltaBoundDefaults(t *testing.T) {
 	if d := DeltaBound(sp, BoundParams{}); d <= 0 {
 		t.Errorf("default-parameter bound = %v, want positive", d)
 	}
-	// Invalid parameters are replaced, not propagated.
-	if d := DeltaBound(sp, BoundParams{Theta: 0.5, Eta: -1}); d <= 0 {
-		t.Errorf("bound with invalid params = %v, want positive", d)
-	}
 }
 
 func TestOptimizeBestReturnsValidMatrix(t *testing.T) {

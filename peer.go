@@ -2,7 +2,6 @@ package snap
 
 import (
 	"fmt"
-	"math"
 	"net"
 	"time"
 
@@ -54,9 +53,6 @@ type PeerConfig struct {
 	APE APEConfig
 	// BatchSize limits per-iteration gradients (0 = full).
 	BatchSize int
-	// GradWorkers caps the goroutines used for the local gradient
-	// (≤1 = serial). Any value produces bitwise-identical results.
-	GradWorkers int
 	// Float32Wire transmits parameter values as float32, halving value
 	// bytes on the wire. All peers must agree on this setting.
 	Float32Wire bool
@@ -176,7 +172,6 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 			WRow:           plan.WRow,
 			Neighbors:      plan.Neighbors,
 			BatchSize:      cfg.BatchSize,
-			GradWorkers:    cfg.GradWorkers,
 			Float32Wire:    cfg.Float32Wire,
 			Policy:         cfg.Policy,
 			APE:            cfg.APE,
@@ -221,8 +216,9 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 }
 
 // staticPlan places a static-mode node from Topology/ID: its neighbors
-// and the Metropolis weight row, or the supplied WRow validated against
-// the topology. Epoch and start round stay 0.
+// and the Metropolis weight row, or the supplied WRow sized for the
+// topology (the engine checks its sum and support). Epoch and start round
+// stay 0.
 func staticPlan(cfg PeerConfig) (*controlplane.Plan, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("snap: peer config requires a topology")
@@ -233,33 +229,10 @@ func staticPlan(cfg PeerConfig) (*controlplane.Plan, error) {
 	row := Vector(cfg.WRow)
 	if row == nil {
 		row = weights.Metropolis(cfg.Topology, 0).Row(cfg.ID)
-	} else if err := validateWRow(row, cfg.Topology, cfg.ID); err != nil {
-		return nil, err
+	} else if len(row) != cfg.Topology.N() {
+		return nil, fmt.Errorf("snap: weight row has %d entries for a %d-node topology", len(row), cfg.Topology.N())
 	}
 	return &controlplane.Plan{WRow: row, Neighbors: cfg.Topology.Neighbors(cfg.ID)}, nil
-}
-
-// validateWRow checks a user-supplied weight row against the topology:
-// right length, row-stochastic, and supported only on the diagonal plus
-// the node's neighbors (a nonzero weight for a non-neighbor would mix
-// parameters the node never receives).
-func validateWRow(row Vector, topo *Topology, id int) error {
-	if len(row) != topo.N() {
-		return fmt.Errorf("snap: weight row has %d entries for a %d-node topology", len(row), topo.N())
-	}
-	var sum float64
-	for _, w := range row {
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-6 {
-		return fmt.Errorf("snap: weight row sums to %g, want 1", sum)
-	}
-	for j, w := range row {
-		if w != 0 && j != id && !topo.HasEdge(id, j) {
-			return fmt.Errorf("snap: weight row has nonzero entry %g for non-neighbor %d", w, j)
-		}
-	}
-	return nil
 }
 
 // joinCluster implements the elastic join: it binds the data-plane

@@ -30,9 +30,9 @@
 //	})
 //
 // The package also exposes the paper's baselines (Centralized, PS,
-// TernGrad) for comparison, a real TCP peer mode for multi-process
-// deployments, and the full experiment harness that regenerates every
-// figure of the paper's evaluation (see cmd/snapsim).
+// TernGrad) and classic DGD for comparison, a real TCP peer mode for
+// multi-process deployments, and the full experiment harness that
+// regenerates every figure of the paper's evaluation (see cmd/snapsim).
 package snap
 
 import (
@@ -174,10 +174,6 @@ type Config struct {
 	WeightOpt WeightOptions
 	// BatchSize limits per-iteration gradients (0 = full batch).
 	BatchSize int
-	// GradWorkers caps the goroutines each node uses for its gradient
-	// (≤1 = serial). Any value produces bitwise-identical results; this
-	// only trades wall-clock time for CPU on large batches.
-	GradWorkers int
 	// MaxIterations caps the run (default 500).
 	MaxIterations int
 	// Convergence sets the stopping rule.
@@ -217,7 +213,6 @@ func Train(cfg Config) (*Result, error) {
 		OptimizeWeights: cfg.OptimizeWeights,
 		WeightOpt:       cfg.WeightOpt,
 		BatchSize:       cfg.BatchSize,
-		GradWorkers:     cfg.GradWorkers,
 		MaxIterations:   cfg.MaxIterations,
 		Convergence:     cfg.Convergence,
 		EvalEvery:       cfg.EvalEvery,
@@ -235,7 +230,7 @@ func Train(cfg Config) (*Result, error) {
 
 // BaselineConfig configures the paper's comparison schemes.
 type BaselineConfig struct {
-	// Topology is required for PS and TernGrad (ignored by Centralized).
+	// Topology is required for PS, TernGrad and DGD (ignored by Centralized).
 	Topology *Topology
 	// Model, Partitions, Alpha as in Config.
 	Model      Model
@@ -282,35 +277,28 @@ func TrainPS(cfg BaselineConfig) (*Result, error) {
 // TrainDGD runs classic decentralized gradient descent over cfg.Topology
 // — the inexact peer-to-peer baseline EXTRA (and therefore SNAP)
 // improves on: with a constant step size DGD's nodes never fully agree.
+// DGD is EXTRA's first step, x⁺ = W·x − α∇f(x), taken every round; it
+// runs on the simulated SNAP round with Metropolis weights and full
+// parameter frames, whose encoded bytes are its cost. BatchSize is
+// ignored.
 func TrainDGD(cfg BaselineConfig) (*Result, error) {
-	return baseline.RunDGD(baseline.DGDConfig{
+	cluster, err := core.NewCluster(core.ClusterConfig{
 		Topology:      cfg.Topology,
 		Model:         cfg.Model,
 		Partitions:    cfg.Partitions,
 		Test:          cfg.Test,
 		Alpha:         cfg.Alpha,
+		Policy:        core.SendAll,
+		DGD:           true,
 		MaxIterations: cfg.MaxIterations,
 		Convergence:   cfg.Convergence,
 		EvalEvery:     cfg.EvalEvery,
 		Seed:          cfg.Seed,
 	})
-}
-
-// TrainGossip runs randomized pairwise gossip SGD over cfg.Topology:
-// each round a matching of random edges activates, the endpoints average
-// their parameters, and every node takes a local gradient step.
-func TrainGossip(cfg BaselineConfig) (*Result, error) {
-	return baseline.RunGossip(baseline.GossipConfig{
-		Topology:      cfg.Topology,
-		Model:         cfg.Model,
-		Partitions:    cfg.Partitions,
-		Test:          cfg.Test,
-		Alpha:         cfg.Alpha,
-		MaxIterations: cfg.MaxIterations,
-		Convergence:   cfg.Convergence,
-		EvalEvery:     cfg.EvalEvery,
-		Seed:          cfg.Seed,
-	})
+	if err != nil {
+		return nil, err
+	}
+	return cluster.Run()
 }
 
 // TrainTernGrad runs the TernGrad baseline (PS with 2-bit ternary
