@@ -226,6 +226,9 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	if got, _ := snapMetrics[obs.MEpochsApplied].(int64); got < 1 {
 		t.Errorf("node snapshot %s = %v, want >= 1", obs.MEpochsApplied, snapMetrics[obs.MEpochsApplied])
 	}
+	if got := nodeReg.Histogram(obs.MReconfigSeconds, obs.TimeBuckets).Count(); got < 1 {
+		t.Errorf("node %s observed %d epoch switches, want >= 1", obs.MReconfigSeconds, got)
+	}
 	if !strings.Contains(eventBuf.String(), obs.EvEpochApplied) {
 		t.Errorf("event log has no %q event", obs.EvEpochApplied)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -121,9 +120,6 @@ type PeerNode struct {
 	gradCmd  chan int
 	gradStop sync.Once
 	grad     gradJoin
-	// heavyGrad marks this node's gradient as heavy compute, which takes
-	// a process-wide slot (see heavyGradSlots).
-	heavyGrad bool
 
 	met roundMetrics
 }
@@ -166,23 +162,6 @@ func newRoundMetrics(o *obs.Observer) roundMetrics {
 	return m
 }
 
-// heavyGradCost is the gradient size, in parameters × local samples, from
-// which a node's gradient counts as heavy compute: about a third of a
-// millisecond of uninterruptible work (Go preempts a running goroutine
-// only after 10 ms). Below it, queueing for a slot would cost more than
-// the compute it orders.
-const heavyGradCost = 1 << 20
-
-// heavyGradSlots bounds how many heavy gradients the PeerNodes of one
-// process compute at once: one fewer than the Ps the process started
-// with, at least one. A process that hosts one node — the deployment the
-// paper describes — never waits for a slot. A process that hosts a whole
-// cluster (tests, examples, snapbench) on fewer cores than nodes would
-// otherwise put a gradient on every P: the round loops and frame readers
-// then queue behind whole gradients, and which node gets which P when
-// decides the round time (DESIGN.md §14).
-var heavyGradSlots = make(chan struct{}, max(1, runtime.GOMAXPROCS(0)-1))
-
 // NewPeerNode builds the engine and starts listening. Call Connect before
 // Run.
 func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
@@ -219,7 +198,6 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 	pn := &PeerNode{cfg: cfg, engine: eng, peer: peer, met: newRoundMetrics(cfg.Obs)}
 	pn.round = newNodeRound(eng, tcpLink{peer: peer, timeout: cfg.RoundTimeout}, &pn.met, pn.logf)
 	pn.round.grad = &pn.grad
-	pn.heavyGrad = cfg.Engine.Model.NumParams()*cfg.Engine.Data.Len() >= heavyGradCost
 	pn.epoch.Store(int64(cfg.Epoch))
 	pn.met.epoch.Set(float64(cfg.Epoch))
 	peer.SetReconnectHandler(func(nid int) {
@@ -242,24 +220,11 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 // cancellation).
 func (pn *PeerNode) gradWorker() {
 	for round := range pn.gradCmd {
-		pn.computeGradient(round)
+		pn.engine.ComputeGradient(round)
 		pn.grad.finished = pn.round.now()
 		pn.grad.running.Store(false)
 		pn.grad.done <- struct{}{}
 	}
-}
-
-// computeGradient is Engine.ComputeGradient inside a heavy-gradient slot
-// when this node's gradient needs one. The slot is held for the
-// computation only, so a holder never waits on another node.
-func (pn *PeerNode) computeGradient(round int) {
-	if !pn.heavyGrad {
-		pn.engine.ComputeGradient(round)
-		return
-	}
-	heavyGradSlots <- struct{}{}
-	pn.engine.ComputeGradient(round)
-	<-heavyGradSlots
 }
 
 func (pn *PeerNode) logf(format string, args ...any) {
@@ -441,7 +406,7 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 		return nil
 	}
 	id := pn.engine.ID()
-	start := time.Now()
+	start := pn.round.now()
 	oldSet := make(map[int]bool)
 	for _, nid := range pn.engine.Neighbors() {
 		oldSet[nid] = true
@@ -479,11 +444,17 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 	}
 	pn.epoch.Store(int64(plan.Epoch))
 	pn.cfg.Control.ReportEpoch(plan.Epoch)
-	sec := time.Since(start).Seconds()
 	pn.met.epoch.Set(float64(plan.Epoch))
 	pn.met.epochsApplied.Inc()
-	pn.met.reconfigSeconds.Observe(sec)
-	if pn.cfg.Obs.LogEnabled() {
+	// The switch is timed on the round's clock, which runs only when
+	// someone consumes the timings; unobserved, there is no duration.
+	sec, took := 0.0, ""
+	if pn.engine.timed() {
+		sec = pn.round.now().Sub(start).Seconds()
+		pn.met.reconfigSeconds.Observe(sec)
+		took = fmt.Sprintf(", %.1fms", sec*1000)
+	}
+	if pn.cfg.Obs.LogEnabled() { // an event log implies an Observer, so the clock is on
 		f := obs.GetFields()
 		f["epoch"] = plan.Epoch
 		f["neighbors"] = len(plan.Neighbors)
@@ -491,8 +462,8 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 		pn.cfg.Obs.Emit(id, obs.EvEpochApplied, round, -1, f)
 		obs.PutFields(f)
 	}
-	pn.logf("node %d: applied epoch %d at round %d (%d neighbors, %.1fms)",
-		id, plan.Epoch, round, len(plan.Neighbors), sec*1000)
+	pn.logf("node %d: applied epoch %d at round %d (%d neighbors%s)",
+		id, plan.Epoch, round, len(plan.Neighbors), took)
 	return nil
 }
 

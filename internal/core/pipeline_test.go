@@ -30,7 +30,7 @@ func runSequential(pn *PeerNode, rounds int) error {
 		if err := pn.round.ingest(round); err != nil {
 			return err
 		}
-		pn.computeGradient(round)
+		pn.engine.ComputeGradient(round)
 		pn.engine.StepMix(round)
 		pn.peer.ForgetRound(round)
 	}
