@@ -174,16 +174,16 @@ func BenchmarkFrameCodec(b *testing.B) {
 	dst := make([]float64, p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u, err := codec.Diff(0, i, baseline, current, 0)
+		u := &codec.Update{}
+		if err := codec.DiffInto(u, 0, i, baseline, current, 0); err != nil {
+			b.Fatal(err)
+		}
+		frame, _, err := codec.EncodeTo(nil, u)
 		if err != nil {
 			b.Fatal(err)
 		}
-		frame, _, err := codec.Encode(u)
-		if err != nil {
-			b.Fatal(err)
-		}
-		got, err := codec.Decode(frame)
-		if err != nil {
+		got := &codec.Update{}
+		if err := codec.DecodeInto(got, frame); err != nil {
 			b.Fatal(err)
 		}
 		copy(dst, baseline)
@@ -315,7 +315,6 @@ func BenchmarkAblationWeightObjective(b *testing.B) {
 	}
 	for _, obj := range []weights.Objective{
 		weights.MinimizeLambdaBarMax,
-		weights.MaximizeLambdaMin,
 		weights.MinimizeSLEM,
 		weights.JointSpectral,
 	} {

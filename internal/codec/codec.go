@@ -108,7 +108,7 @@ func ChooseFormat(n, m int) Format {
 // savings are measured against, and the ground truth for the tracer's
 // bytes-saved accounting. A full send withholds nothing (m = 0) and the
 // chooser always picks the same layout it would pick for a real full
-// send, so the figure matches what BuildUpdate+Encode would emit.
+// send, so the figure matches what BuildUpdate+EncodeTo would emit.
 func FullFrameBytes(numParams int, lossy bool) int {
 	f := ChooseFormat(numParams, 0)
 	if lossy {
@@ -135,16 +135,10 @@ func PayloadBytes(n, m int, f Format) int {
 	}
 }
 
-// Encode serializes u in the cheaper of the two formats and returns the
+// EncodeTo serializes u in the cheaper of the two formats and returns the
 // frame plus the chosen format. The frame is HeaderBytes + PayloadBytes
-// long.
-func Encode(u *Update) ([]byte, Format, error) {
-	return EncodeTo(nil, u)
-}
-
-// EncodeTo is Encode into a caller-owned buffer: the frame is appended
-// to buf[:0] (reusing its capacity; buf may be nil) and returned. The
-// returned slice aliases buf when the capacity sufficed, so the caller
+// long and is appended to buf[:0] (reusing its capacity; buf may be nil).
+// The returned slice aliases buf when the capacity sufficed, so the caller
 // owns exactly one buffer — the returned one — and must not reuse it
 // while the frame is still referenced by a transport.
 func EncodeTo(buf []byte, u *Update) ([]byte, Format, error) {
@@ -156,14 +150,8 @@ func EncodeTo(buf []byte, u *Update) ([]byte, Format, error) {
 	return out, f, err
 }
 
-// EncodeAs serializes u using a specific format (used by tests and
-// ablations; Encode picks the cheaper one automatically).
-func EncodeAs(u *Update, f Format) ([]byte, error) {
-	return EncodeAsTo(nil, u, f)
-}
-
-// EncodeAsTo is EncodeAs into a caller-owned buffer (see EncodeTo for
-// the ownership rule).
+// EncodeAsTo serializes u using a specific format into buf (see EncodeTo
+// for the ownership rule; EncodeTo picks the cheaper format itself).
 func EncodeAsTo(buf []byte, u *Update, f Format) ([]byte, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
@@ -201,24 +189,16 @@ func EncodeAsTo(buf []byte, u *Update, f Format) ([]byte, error) {
 	return buf, nil
 }
 
-// Decode parses a frame produced by Encode/EncodeAs.
-func Decode(frame []byte) (*Update, error) {
-	u := &Update{}
-	if err := DecodeInto(u, frame); err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
-// DecodeInto is Decode into a caller-owned Update: u's Indices/Values
-// slices are reused via append(s[:0], ...) so a warm Update decodes
-// without allocating. All scalar fields of u are overwritten. The
+// DecodeInto parses a frame produced by EncodeTo, EncodeAsTo or
+// EncodeLossyTo into a caller-owned Update: u's Indices/Values slices are
+// reused via append(s[:0], ...) so a warm Update decodes without
+// allocating. All scalar fields of u are overwritten. The
 // decoded slices never alias frame; the frame may be recycled as soon
 // as DecodeInto returns.
 //
 // DecodeInto is stricter than the wire format strictly requires: the
 // unchanged-index list of formats 1 and 3 must be strictly increasing
-// (which Encode always produces), so the complement can be emitted with
+// (which the encoders always produce), so the complement can be emitted with
 // a single cursor walk instead of a per-frame set.
 func DecodeInto(u *Update, frame []byte) error {
 	if len(frame) < HeaderBytes {
@@ -342,23 +322,15 @@ func Apply(dst []float64, u *Update) error {
 	return nil
 }
 
-// Diff builds the Update a sender should transmit given the receiver-known
-// baseline and the sender's current parameters: every index whose absolute
-// accumulated change exceeds threshold is included. threshold < 0 is
-// treated as 0 (send every changed parameter — the SNAP-0 scheme).
-func Diff(sender, round int, baseline, current []float64, threshold float64) (*Update, error) {
-	u := &Update{}
-	if err := DiffInto(u, sender, round, baseline, current, threshold); err != nil {
-		return nil, err
-	}
-	return u, nil
-}
-
-// DiffInto is Diff into a caller-owned Update, reusing u's Indices and
-// Values capacity. All fields of u are overwritten.
+// DiffInto builds into u the Update a sender should transmit given the
+// receiver-known baseline and the sender's current parameters: every index
+// whose absolute accumulated change exceeds threshold is included.
+// threshold < 0 is treated as 0 (send every changed parameter — the SNAP-0
+// scheme). u's Indices and Values capacity is reused; all fields of u are
+// overwritten.
 func DiffInto(u *Update, sender, round int, baseline, current []float64, threshold float64) error {
 	if len(baseline) != len(current) {
-		return fmt.Errorf("codec: Diff length mismatch %d vs %d", len(baseline), len(current))
+		return fmt.Errorf("codec: DiffInto length mismatch %d vs %d", len(baseline), len(current))
 	}
 	if threshold < 0 {
 		threshold = 0

@@ -88,16 +88,16 @@ func TestEncodeDecodeRoundTripBothFormats(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		u := randomUpdate(rng, 1+rng.Intn(40))
 		for _, f := range []Format{FormatUnchangedList, FormatIndexValue} {
-			frame, err := EncodeAs(u, f)
+			frame, err := EncodeAsTo(nil, u, f)
 			if err != nil {
-				t.Fatalf("EncodeAs(%v): %v", f, err)
+				t.Fatalf("EncodeAsTo(%v): %v", f, err)
 			}
 			wantLen := HeaderBytes + PayloadBytes(u.NumParams, u.NumWithheld(), f)
 			if len(frame) != wantLen {
 				t.Fatalf("format %v frame is %d bytes, want %d", f, len(frame), wantLen)
 			}
-			got, err := Decode(frame)
-			if err != nil {
+			got := &Update{}
+			if err := DecodeInto(got, frame); err != nil {
 				t.Fatalf("Decode(%v): %v", f, err)
 			}
 			if !updatesEqual(u, got) {
@@ -114,7 +114,7 @@ func TestEncodePicksCheaperFormat(t *testing.T) {
 		u.Indices = append(u.Indices, i)
 		u.Values = append(u.Values, float64(i))
 	}
-	_, f, err := Encode(u)
+	_, f, err := EncodeTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestEncodePicksCheaperFormat(t *testing.T) {
 	}
 	// Almost nothing updated → format 2.
 	u2 := &Update{NumParams: 50, Indices: []int{3}, Values: []float64{1}}
-	_, f2, err := Encode(u2)
+	_, f2, err := EncodeTo(nil, u2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,12 @@ func TestRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		u := randomUpdate(rng, 1+int(nRaw)%64)
-		frame, _, err := Encode(u)
+		frame, _, err := EncodeTo(nil, u)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(frame)
-		if err != nil {
+		got := &Update{}
+		if err := DecodeInto(got, frame); err != nil {
 			return false
 		}
 		return updatesEqual(u, got)
@@ -169,7 +169,7 @@ func TestValidateRejectsBadUpdates(t *testing.T) {
 			if err := tc.u.Validate(); err == nil {
 				t.Error("invalid update accepted")
 			}
-			if _, _, err := Encode(&tc.u); err == nil {
+			if _, _, err := EncodeTo(nil, &tc.u); err == nil {
 				t.Error("Encode accepted invalid update")
 			}
 		})
@@ -184,7 +184,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		append([]byte{2}, make([]byte, HeaderBytes-1+5)...), // format 2, body not multiple of 12
 	}
 	for i, frame := range cases {
-		if _, err := Decode(frame); err == nil {
+		if err := DecodeInto(&Update{}, frame); err == nil {
 			t.Errorf("case %d: garbage frame decoded", i)
 		}
 	}
@@ -192,11 +192,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestDecodeRejectsTruncatedUnchangedList(t *testing.T) {
 	u := &Update{NumParams: 10, Indices: []int{0, 1, 2, 3, 4, 5, 6, 7}, Values: make([]float64, 8)}
-	frame, err := EncodeAs(u, FormatUnchangedList)
+	frame, err := EncodeAsTo(nil, u, FormatUnchangedList)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(frame[:len(frame)-3]); err == nil {
+	if err := DecodeInto(&Update{}, frame[:len(frame)-3]); err == nil {
 		t.Error("truncated frame decoded")
 	}
 }
@@ -225,8 +225,8 @@ func TestApplyDimensionError(t *testing.T) {
 func TestDiffThreshold(t *testing.T) {
 	baseline := []float64{1, 2, 3, 4}
 	current := []float64{1, 2.5, 3.001, 5}
-	u, err := Diff(7, 3, baseline, current, 0.1)
-	if err != nil {
+	u := &Update{}
+	if err := DiffInto(u, 7, 3, baseline, current, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	if u.Sender != 7 || u.Round != 3 {
@@ -243,16 +243,16 @@ func TestDiffThreshold(t *testing.T) {
 func TestDiffZeroThresholdSkipsExactlyUnchanged(t *testing.T) {
 	baseline := []float64{1, 2, 3}
 	current := []float64{1, 2, 3.5}
-	u, err := Diff(0, 0, baseline, current, 0)
-	if err != nil {
+	u := &Update{}
+	if err := DiffInto(u, 0, 0, baseline, current, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(u.Indices) != 1 || u.Indices[0] != 2 {
 		t.Errorf("Diff(0) indices = %v, want [2]", u.Indices)
 	}
 	// Negative threshold behaves as zero.
-	u2, err := Diff(0, 0, baseline, current, -5)
-	if err != nil {
+	u2 := &Update{}
+	if err := DiffInto(u2, 0, 0, baseline, current, -5); err != nil {
 		t.Fatal(err)
 	}
 	if len(u2.Indices) != 1 {
@@ -261,7 +261,7 @@ func TestDiffZeroThresholdSkipsExactlyUnchanged(t *testing.T) {
 }
 
 func TestDiffLengthMismatch(t *testing.T) {
-	if _, err := Diff(0, 0, []float64{1}, []float64{1, 2}, 0); err == nil {
+	if err := DiffInto(&Update{}, 0, 0, []float64{1}, []float64{1, 2}, 0); err == nil {
 		t.Error("mismatched Diff accepted")
 	}
 }
@@ -280,16 +280,16 @@ func TestDiffApplyProperty(t *testing.T) {
 			baseline[i] = rng.NormFloat64()
 			current[i] = baseline[i] + rng.NormFloat64()
 		}
-		u, err := Diff(1, 1, baseline, current, threshold)
+		u := &Update{}
+		if err := DiffInto(u, 1, 1, baseline, current, threshold); err != nil {
+			return false
+		}
+		frame, _, err := EncodeTo(nil, u)
 		if err != nil {
 			return false
 		}
-		frame, _, err := Encode(u)
-		if err != nil {
-			return false
-		}
-		got, err := Decode(frame)
-		if err != nil {
+		got := &Update{}
+		if err := DecodeInto(got, frame); err != nil {
 			return false
 		}
 		reconstructed := append([]float64(nil), baseline...)

@@ -33,17 +33,11 @@ func ChooseFormat32(n, m int) Format {
 	return FormatIndexValue32
 }
 
-// EncodeLossy serializes u with float32 values in the cheaper float32
+// EncodeLossyTo serializes u with float32 values in the cheaper float32
 // format. Values are rounded to float32 — the receiver reconstructs them
 // with ~1e-7 relative error, which is orders of magnitude below SNAP's
-// send thresholds.
-func EncodeLossy(u *Update) ([]byte, Format, error) {
-	return EncodeLossyTo(nil, u)
-}
-
-// EncodeLossyTo is EncodeLossy into a caller-owned buffer: the frame is
-// appended to buf[:0] (buf may be nil) and returned; see EncodeTo for
-// the ownership rule.
+// send thresholds. The frame is appended to buf[:0] (buf may be nil) and
+// returned; see EncodeTo for the ownership rule.
 func EncodeLossyTo(buf []byte, u *Update) ([]byte, Format, error) {
 	if err := u.Validate(); err != nil {
 		return nil, 0, err

@@ -54,11 +54,11 @@ func TestEncodeLossyHalvesBytes(t *testing.T) {
 		u.Indices = append(u.Indices, i)
 		u.Values = append(u.Values, float64(i)*0.001)
 	}
-	full, _, err := Encode(u)
+	full, _, err := EncodeTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lossy, f, err := EncodeLossy(u)
+	lossy, f, err := EncodeLossyTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +76,12 @@ func TestLossyRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		u := randomUpdate(rng, 1+int(nRaw)%64)
-		frame, _, err := EncodeLossy(u)
+		frame, _, err := EncodeLossyTo(nil, u)
 		if err != nil {
 			return false
 		}
-		got, err := Decode(frame)
-		if err != nil {
+		got := &Update{}
+		if err := DecodeInto(got, frame); err != nil {
 			return false
 		}
 		if got.Sender != u.Sender || got.Round != u.Round || got.NumParams != u.NumParams {
@@ -112,7 +112,7 @@ func TestLossyBothFormatsExercised(t *testing.T) {
 		dense.Indices = append(dense.Indices, i)
 		dense.Values = append(dense.Values, float64(i))
 	}
-	_, f, err := EncodeLossy(dense)
+	_, f, err := EncodeLossyTo(nil, dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +120,15 @@ func TestLossyBothFormatsExercised(t *testing.T) {
 		t.Errorf("dense = %v", f)
 	}
 	sparse := &Update{NumParams: 20, Indices: []int{3}, Values: []float64{1.5}}
-	frame, f2, err := EncodeLossy(sparse)
+	frame, f2, err := EncodeLossyTo(nil, sparse)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f2 != FormatIndexValue32 {
 		t.Errorf("sparse = %v", f2)
 	}
-	got, err := Decode(frame)
-	if err != nil {
+	got := &Update{}
+	if err := DecodeInto(got, frame); err != nil {
 		t.Fatal(err)
 	}
 	if got.Values[0] != 1.5 {
@@ -138,18 +138,18 @@ func TestLossyBothFormatsExercised(t *testing.T) {
 
 func TestDecode32RejectsGarbage(t *testing.T) {
 	u := &Update{NumParams: 10, Indices: []int{0, 1}, Values: []float64{1, 2}}
-	frame, _, err := EncodeLossy(u)
+	frame, _, err := EncodeLossyTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(frame[:len(frame)-1]); err == nil {
+	if err := DecodeInto(&Update{}, frame[:len(frame)-1]); err == nil {
 		t.Error("truncated float32 frame decoded")
 	}
 	// Corrupt the format tag into the other float32 format with a body
 	// that cannot parse.
 	bad := append([]byte(nil), frame...)
 	bad[0] = byte(FormatUnchangedList32)
-	if _, err := Decode(bad); err == nil {
+	if err := DecodeInto(&Update{}, bad); err == nil {
 		t.Error("mismatched float32 body decoded")
 	}
 }
@@ -163,12 +163,12 @@ func TestFloat32FormatNames(t *testing.T) {
 
 func TestFloat32PrecisionBound(t *testing.T) {
 	u := &Update{NumParams: 3, Indices: []int{0, 1, 2}, Values: []float64{math.Pi, -math.E, 1e-8}}
-	frame, _, err := EncodeLossy(u)
+	frame, _, err := EncodeLossyTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(frame)
-	if err != nil {
+	got := &Update{}
+	if err := DecodeInto(got, frame); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range u.Values {

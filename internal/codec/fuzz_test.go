@@ -12,10 +12,10 @@ func FuzzDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 8; trial++ {
 		u := randomUpdate(rng, 1+rng.Intn(30))
-		if frame, _, err := Encode(u); err == nil {
+		if frame, _, err := EncodeTo(nil, u); err == nil {
 			f.Add(frame)
 		}
-		if frame, _, err := EncodeLossy(u); err == nil {
+		if frame, _, err := EncodeLossyTo(nil, u); err == nil {
 			f.Add(frame)
 		}
 	}
@@ -25,27 +25,27 @@ func FuzzDecode(f *testing.F) {
 	// the decoder would see if a transport ever failed to strip the block.
 	// It must be rejected (or decoded as garbage-that-validates), never
 	// panic on.
-	if frame, _, err := Encode(randomUpdate(rng, 12)); err == nil {
+	if frame, _, err := EncodeTo(nil, randomUpdate(rng, 12)); err == nil {
 		block := make([]byte, 24, 24+len(frame))
 		block[0], block[7], block[23] = 0xde, 0xad, 0x07
 		f.Add(append(block, frame...))
 	}
 
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		u, err := Decode(frame)
-		if err != nil {
+		u := &Update{}
+		if err := DecodeInto(u, frame); err != nil {
 			return // rejection is fine; panics are not
 		}
 		if err := u.Validate(); err != nil {
 			t.Fatalf("Decode returned invalid update: %v", err)
 		}
 		// Round trip through the full-precision encoder.
-		re, _, err := Encode(u)
+		re, _, err := EncodeTo(nil, u)
 		if err != nil {
 			t.Fatalf("re-encode of decoded update failed: %v", err)
 		}
-		u2, err := Decode(re)
-		if err != nil {
+		u2 := &Update{}
+		if err := DecodeInto(u2, re); err != nil {
 			t.Fatalf("decode of re-encoded frame failed: %v", err)
 		}
 		if u2.NumParams != u.NumParams || len(u2.Indices) != len(u.Indices) {
@@ -71,16 +71,16 @@ func FuzzDiffApply(f *testing.F) {
 			current[i] = baseline[i] + float64(int8(raw[i]))/64
 		}
 		threshold := float64(raw[0]) / 255
-		u, err := Diff(0, 0, baseline, current, threshold)
+		u := &Update{}
+		if err := DiffInto(u, 0, 0, baseline, current, threshold); err != nil {
+			t.Fatal(err)
+		}
+		frame, _, err := EncodeTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, err := Encode(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Decode(frame)
-		if err != nil {
+		got := &Update{}
+		if err := DecodeInto(got, frame); err != nil {
 			t.Fatal(err)
 		}
 		dst := append([]float64(nil), baseline...)

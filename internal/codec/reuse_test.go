@@ -8,15 +8,16 @@ import (
 	"testing"
 )
 
-// TestEncodeToMatchesEncode pins the buffer-reusing encoders to the
-// allocating ones byte-for-byte, across formats and withheld fractions.
+// TestEncodeToMatchesEncode pins the encoders writing into a reused,
+// warm buffer to the same encoders on a nil one byte-for-byte, across
+// formats and withheld fractions.
 func TestEncodeToMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var buf []byte
 	for trial := 0; trial < 50; trial++ {
 		u := randomUpdate(rng, 1+rng.Intn(64))
 
-		want, wantF, err := Encode(u)
+		want, wantF, err := EncodeTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,10 +27,10 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotF != wantF || !bytes.Equal(buf, want) {
-			t.Fatalf("trial %d: EncodeTo (format %v) differs from Encode (format %v)", trial, gotF, wantF)
+			t.Fatalf("trial %d: EncodeTo on a reused buffer (format %v) differs from a fresh one (format %v)", trial, gotF, wantF)
 		}
 
-		wantL, wantLF, err := EncodeLossy(u)
+		wantL, wantLF, err := EncodeLossyTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		if gotF != wantLF || !bytes.Equal(buf, wantL) {
-			t.Fatalf("trial %d: EncodeLossyTo differs from EncodeLossy", trial)
+			t.Fatalf("trial %d: EncodeLossyTo on a reused buffer differs from a fresh one", trial)
 		}
 	}
 
@@ -91,15 +92,15 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 			var frame []byte
 			var err error
 			if lossy {
-				frame, _, err = EncodeLossy(orig)
+				frame, _, err = EncodeLossyTo(nil, orig)
 			} else {
-				frame, _, err = Encode(orig)
+				frame, _, err = EncodeTo(nil, orig)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Decode(frame)
-			if err != nil {
+			want := &Update{}
+			if err := DecodeInto(want, frame); err != nil {
 				t.Fatal(err)
 			}
 			if err := DecodeInto(&u, frame); err != nil {
@@ -125,7 +126,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // unchanged-index lists must be strictly increasing on the wire.
 func TestDecodeIntoRejectsUnsortedUnchanged(t *testing.T) {
 	u := &Update{Sender: 1, Round: 2, NumParams: 6, Indices: []int{0, 3, 5}, Values: []float64{1, 2, 3}}
-	frame, err := EncodeAs(u, FormatUnchangedList)
+	frame, err := EncodeAsTo(nil, u, FormatUnchangedList)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,12 +135,13 @@ func TestDecodeIntoRejectsUnsortedUnchanged(t *testing.T) {
 	bad := append([]byte(nil), frame...)
 	copy(bad[17:21], frame[21:25])
 	copy(bad[21:25], frame[17:21])
-	if _, err := Decode(bad); err == nil {
+	if err := DecodeInto(&Update{}, bad); err == nil {
 		t.Fatal("Decode accepted out-of-order unchanged indices")
 	}
 }
 
-// TestDiffIntoMatchesDiff pins DiffInto to Diff with a reused Update.
+// TestDiffIntoMatchesDiff pins DiffInto on a reused Update to DiffInto on
+// a fresh one.
 func TestDiffIntoMatchesDiff(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	var u Update
@@ -152,8 +154,8 @@ func TestDiffIntoMatchesDiff(t *testing.T) {
 			current[i] = baseline[i] + rng.NormFloat64()*0.1
 		}
 		threshold := rng.Float64() * 0.1
-		want, err := Diff(3, trial, baseline, current, threshold)
-		if err != nil {
+		want := &Update{}
+		if err := DiffInto(want, 3, trial, baseline, current, threshold); err != nil {
 			t.Fatal(err)
 		}
 		if err := DiffInto(&u, 3, trial, baseline, current, threshold); err != nil {
@@ -182,7 +184,7 @@ func TestCodecReuseAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := append([]byte(nil), buf...)
-	frame32, _, err := EncodeLossy(orig)
+	frame32, _, err := EncodeLossyTo(nil, orig)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func TestAPEZeroInitDegradesToSnapZero(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, _, err := codec.Encode(u)
+			frame, _, err := codec.EncodeTo(nil, u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,8 +188,8 @@ func TestAPEZeroInitDegradesToSnapZero(t *testing.T) {
 		for i, e := range engines {
 			var updates []*codec.Update
 			for _, j := range g.Neighbors(i) {
-				u, err := codec.Decode(frames[j])
-				if err != nil {
+				u := &codec.Update{}
+				if err := codec.DecodeInto(u, frames[j]); err != nil {
 					t.Fatal(err)
 				}
 				updates = append(updates, u)

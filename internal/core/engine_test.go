@@ -314,7 +314,7 @@ func TestEngineMatchesMatrixDGD(t *testing.T) {
 	for round := 0; round < iters; round++ {
 		next := make([]linalg.Vector, n)
 		for i := range next {
-			row := x[i].Scale(w.At(i, i))
+			row := linalg.ScaleTo(linalg.NewVector(len(x[i])), w.At(i, i), x[i])
 			for j := range x {
 				if j != i && w.At(i, j) != 0 {
 					row.AXPYInPlace(w.At(i, j), x[j])

@@ -182,12 +182,12 @@ func TestFloat32WireBaselineMatchesReceiver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame, _, err := codec.EncodeLossy(u)
+		frame, _, err := codec.EncodeLossyTo(nil, u)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := codec.Decode(frame)
-		if err != nil {
+		got := &codec.Update{}
+		if err := codec.DecodeInto(got, frame); err != nil {
 			t.Fatal(err)
 		}
 		if err := codec.Apply(receiver, got); err != nil {
@@ -210,12 +210,12 @@ func TestFloat32WireBaselineMatchesReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, _, err := codec.EncodeLossy(u)
+	frame, _, err := codec.EncodeLossyTo(nil, u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := codec.Decode(frame)
-	if err != nil {
+	got := &codec.Update{}
+	if err := codec.DecodeInto(got, frame); err != nil {
 		t.Fatal(err)
 	}
 	before := receiver.Clone()

@@ -133,14 +133,14 @@ func TestPeerNodesMatchSimulatedCluster(t *testing.T) {
 // encodeForTest and decodeAllForTest route reference-engine frames through
 // the same codec the TCP path uses, so both runs see identical bytes.
 func encodeForTest(u *codec.Update) ([]byte, codec.Format, error) {
-	return codec.Encode(u)
+	return codec.EncodeTo(nil, u)
 }
 
 func decodeAllForTest(frames [][]byte, self int, g *graph.Graph) ([]*codec.Update, error) {
 	var out []*codec.Update
 	for _, j := range g.Neighbors(self) {
-		u, err := codec.Decode(frames[j])
-		if err != nil {
+		u := &codec.Update{}
+		if err := codec.DecodeInto(u, frames[j]); err != nil {
 			return nil, err
 		}
 		out = append(out, u)

@@ -118,7 +118,7 @@ func TestClusterAndPeerNodesBitIdentical(t *testing.T) {
 // last view, over the simulator — where only a codec bug can produce one
 // — the round fails with the decode error.
 func TestCorruptFramePolicy(t *testing.T) {
-	good, _, err := codec.Encode(&codec.Update{Sender: 1, NumParams: 9, Indices: []int{0}, Values: []float64{1}})
+	good, _, err := codec.EncodeTo(nil, &codec.Update{Sender: 1, NumParams: 9, Indices: []int{0}, Values: []float64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func Fig5(opt Options) (*FigResult, error) {
 		ID:     "fig5",
 		Tables: []*metrics.Table{tabA, tabB},
 		Notes: []string{
-			"the optimizer solves paper problems (21) and (22) by projected subgradient and keeps the better candidate under the rate bound (17);",
+			"the optimizer solves paper problem (21) and the SLEM and joint (20) problems by projected subgradient and keeps the best candidate under the rate bound (17); problem (22) is not solved, since its optimum W = I never mixes;",
 			"at degree 2 the random graph is nearly a ring, where uniform weights are already optimal — no improvement is expected (the paper observes the same).",
 		},
 	}, nil

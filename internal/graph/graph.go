@@ -275,28 +275,6 @@ func Star(n int) *Graph {
 	return g
 }
 
-// Grid returns an approximately square 2-D grid graph on n vertices:
-// rows x cols with rows = floor(sqrt(n)) and a possibly ragged last row.
-func Grid(n int) *Graph {
-	g := New(n)
-	if n <= 1 {
-		return g
-	}
-	cols := 1
-	for cols*cols < n {
-		cols++
-	}
-	for i := 0; i < n; i++ {
-		if (i+1)%cols != 0 && i+1 < n {
-			g.AddEdge(i, i+1)
-		}
-		if i+cols < n {
-			g.AddEdge(i, i+cols)
-		}
-	}
-	return g
-}
-
 // RandomConnected generates a random connected graph on n vertices whose
 // average degree approximates avgDegree, deterministically from rng.
 //

@@ -104,23 +104,6 @@ func TestStarGraph(t *testing.T) {
 	}
 }
 
-func TestGridGraph(t *testing.T) {
-	g := Grid(9) // 3x3
-	if !g.IsConnected() {
-		t.Fatal("3x3 grid disconnected")
-	}
-	if got := g.NumEdges(); got != 12 {
-		t.Errorf("3x3 grid edges = %d, want 12", got)
-	}
-	if got := g.Diameter(); got != 4 {
-		t.Errorf("3x3 grid diameter = %d, want 4", got)
-	}
-	// Ragged grid still connected.
-	if !Grid(7).IsConnected() {
-		t.Error("ragged grid disconnected")
-	}
-}
-
 func TestHopCounts(t *testing.T) {
 	// Path 0-1-2-3.
 	g := New(4)

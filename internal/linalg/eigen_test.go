@@ -52,7 +52,7 @@ func TestSymEigenReconstruction(t *testing.T) {
 		for i := range av {
 			av[i] = a.Row(i).Dot(v)
 		}
-		lv := v.Scale(eig.Values[k])
+		lv := ScaleTo(NewVector(n), eig.Values[k], v)
 		if !av.Equal(lv, 1e-8) {
 			t.Errorf("eigenpair %d: ||Av - λv||inf = %v", k, av.Sub(lv).NormInf())
 		}

@@ -30,16 +30,6 @@ func AddTo(dst, v, w Vector) Vector {
 	return dst
 }
 
-// SubTo sets dst = v - w and returns dst.
-func SubTo(dst, v, w Vector) Vector {
-	checkLen(dst, v)
-	checkLen(v, w)
-	for i, x := range v {
-		dst[i] = x - w[i]
-	}
-	return dst
-}
-
 // AXPYTo sets dst = v + c*w and returns dst.
 func AXPYTo(dst Vector, v Vector, c float64, w Vector) Vector {
 	checkLen(dst, v)

@@ -31,12 +31,17 @@ func bitsEqual(v, w Vector) bool {
 func TestScaleTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := randVec(9, rng)
-	dst := NewVector(9)
-	if got := ScaleTo(dst, 2.5, v); !bitsEqual(got, v.Scale(2.5)) {
-		t.Errorf("ScaleTo = %v, want %v", got, v.Scale(2.5))
+	want := NewVector(9)
+	for i, x := range v {
+		want[i] = 2.5 * x
+	}
+	if got := ScaleTo(NewVector(9), 2.5, v); !bitsEqual(got, want) {
+		t.Errorf("ScaleTo = %v, want %v", got, want)
 	}
 	// Aliasing dst = v is allowed.
-	want := v.Scale(-3)
+	for i, x := range v {
+		want[i] = -3 * x
+	}
 	ScaleTo(v, -3, v)
 	if !bitsEqual(v, want) {
 		t.Error("ScaleTo with dst aliasing v diverged")
@@ -50,8 +55,10 @@ func TestAddSubTo(t *testing.T) {
 	if got := AddTo(dst, v, w); !bitsEqual(got, v.Add(w)) {
 		t.Error("AddTo mismatch")
 	}
-	if got := SubTo(dst, v, w); !bitsEqual(got, v.Sub(w)) {
-		t.Error("SubTo mismatch")
+	// Subtraction into a buffer is AXPYTo with c = −1: x + (−1)·y rounds
+	// exactly as x − y.
+	if got := AXPYTo(dst, v, -1, w); !bitsEqual(got, v.Sub(w)) {
+		t.Error("AXPYTo(−1) differs from Sub")
 	}
 }
 
@@ -84,7 +91,7 @@ func TestMixToMatchesSequential(t *testing.T) {
 		ws[j] = rng.Float64()
 		xs[j] = randVec(n, rng)
 	}
-	want := v.Scale(0.31)
+	want := ScaleTo(NewVector(n), 0.31, v)
 	for j := range xs {
 		want.AXPYInPlace(ws[j], xs[j])
 	}
@@ -93,7 +100,7 @@ func TestMixToMatchesSequential(t *testing.T) {
 		t.Errorf("MixTo = %v, want sequential result %v", got, want)
 	}
 	// Zero neighbors degenerates to ScaleTo.
-	if got := MixTo(dst, 2, v, nil, nil); !bitsEqual(got, v.Scale(2)) {
+	if got := MixTo(dst, 2, v, nil, nil); !bitsEqual(got, ScaleTo(NewVector(n), 2, v)) {
 		t.Error("MixTo with no neighbors != ScaleTo")
 	}
 }
@@ -127,7 +134,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		ScaleTo(dst, 2, v)
 		AddTo(dst, v, w)
-		SubTo(dst, v, w)
 		AXPYTo(dst, v, 3, w)
 		MixTo(dst, 0.5, v, ws, xs)
 		DistInf(v, w)

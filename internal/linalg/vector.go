@@ -45,15 +45,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return out
 }
 
-// Scale returns c*v.
-func (v Vector) Scale(c float64) Vector {
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = c * v[i]
-	}
-	return out
-}
-
 // AddInPlace sets v = v + w and returns v.
 func (v Vector) AddInPlace(w Vector) Vector {
 	checkLen(v, w)

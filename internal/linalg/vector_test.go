@@ -21,9 +21,9 @@ func TestVectorAddSub(t *testing.T) {
 
 func TestVectorScale(t *testing.T) {
 	v := Vector{1, -2, 0}
-	got := v.Scale(-3)
+	got := ScaleTo(NewVector(3), -3, v)
 	if want := (Vector{-3, 6, 0}); !got.Equal(want, 0) {
-		t.Errorf("Scale = %v, want %v", got, want)
+		t.Errorf("ScaleTo = %v, want %v", got, want)
 	}
 }
 

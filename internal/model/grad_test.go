@@ -98,7 +98,7 @@ func TestGradientToEmptyAndFallback(t *testing.T) {
 	m := NewLinearSVM(6)
 	params := m.InitParams(1)
 	g := GradientTo(m, linalg.NewVector(6), params, nil, nil, 4)
-	want := params.Scale(m.Lambda)
+	want := linalg.ScaleTo(linalg.NewVector(6), m.Lambda, params)
 	if at := bitsDiffer(g, want); at != 6 {
 		t.Errorf("empty-batch gradient differs from λw at %d", at)
 	}

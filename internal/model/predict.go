@@ -1,9 +1,6 @@
 package model
 
-import (
-	"github.com/snapml/snap/internal/dataset"
-	"github.com/snapml/snap/internal/linalg"
-)
+import "github.com/snapml/snap/internal/linalg"
 
 // BatchPredictor is the optional fast-inference capability: a model that
 // can predict into caller-owned buffers without allocating. All four
@@ -52,29 +49,4 @@ func PredictBatchInto(m Model, dst []int, params linalg.Vector, xs [][]float64, 
 		dst[i] = bp.PredictInto(params, x, work)
 	}
 	return dst[:len(xs)]
-}
-
-// AccuracyBatch evaluates params on ds through the alloc-free batch
-// predict path, returning the fraction predicted correctly (0 for an
-// empty dataset). It matches Accuracy exactly; it exists so evaluation
-// loops can reuse a scratch.
-func AccuracyBatch(m Model, params linalg.Vector, ds *dataset.Dataset, sc *PredictScratch) float64 {
-	if ds.Len() == 0 {
-		return 0
-	}
-	bp, ok := m.(BatchPredictor)
-	if !ok {
-		return Accuracy(m, params, ds)
-	}
-	if sc == nil {
-		sc = &PredictScratch{}
-	}
-	work := sc.work.ensure(bp.ScratchSize())
-	correct := 0
-	for _, s := range ds.Samples {
-		if bp.PredictInto(params, s.X, work) == s.Label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(ds.Len())
 }

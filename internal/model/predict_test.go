@@ -3,9 +3,6 @@ package model
 import (
 	"math/rand"
 	"testing"
-
-	"github.com/snapml/snap/internal/dataset"
-	"github.com/snapml/snap/internal/linalg"
 )
 
 // randomRows builds n feature rows of dimension d.
@@ -114,31 +111,5 @@ func TestPredictBatchIntoAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: PredictBatchInto allocates %.1f/op in steady state, want 0", tc.name, allocs)
 		}
-	}
-}
-
-// TestAccuracyBatchMatchesAccuracy pins the scratch-reusing evaluator to
-// the reference Accuracy.
-func TestAccuracyBatchMatchesAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, tc := range predictModels() {
-		params := tc.m.InitParams(8)
-		ds := &dataset.Dataset{NumFeature: tc.features, NumClasses: 10}
-		for i := 0; i < 50; i++ {
-			row := make([]float64, tc.features)
-			for j := range row {
-				row[j] = rng.NormFloat64()
-			}
-			ds.Samples = append(ds.Samples, dataset.Sample{X: row, Label: rng.Intn(2)})
-		}
-		want := Accuracy(tc.m, params, ds)
-		got := AccuracyBatch(tc.m, params, ds, nil)
-		if got != want {
-			t.Errorf("%s: AccuracyBatch = %v, Accuracy = %v", tc.name, got, want)
-		}
-	}
-	empty := &dataset.Dataset{}
-	if got := AccuracyBatch(NewLinearSVM(2), linalg.NewVector(2), empty, nil); got != 0 {
-		t.Errorf("empty dataset: AccuracyBatch = %v, want 0", got)
 	}
 }

@@ -364,7 +364,7 @@ func TestFollower(t *testing.T) {
 	ctx := context.Background()
 
 	// Trainer not ready yet: poll succeeds but loads nothing.
-	if err := fw.PollOnce(ctx); err != nil {
+	if err := fw.pollOnce(ctx); err != nil {
 		t.Fatalf("poll before publish: %v", err)
 	}
 	if g.Ready() {
@@ -372,7 +372,7 @@ func TestFollower(t *testing.T) {
 	}
 
 	publishN(feed, 10, 1, 4, 2.5)
-	if err := fw.PollOnce(ctx); err != nil {
+	if err := fw.pollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	round, epoch, _, ok := g.Feed().Version()
@@ -381,7 +381,7 @@ func TestFollower(t *testing.T) {
 	}
 
 	// Unchanged: the 304 path must not republish.
-	if err := fw.PollOnce(ctx); err != nil {
+	if err := fw.pollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, seq, _ := g.Feed().Version(); seq != 1 {
@@ -389,7 +389,7 @@ func TestFollower(t *testing.T) {
 	}
 
 	publishN(feed, 20, 1, 4, 3.5)
-	if err := fw.PollOnce(ctx); err != nil {
+	if err := fw.pollOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if round, _, seq, _ := g.Feed().Version(); round != 20 || seq != 2 {

@@ -82,10 +82,8 @@ func (fw *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// PollOnce fetches the node's current snapshot if it changed since the
-// last successful poll. Exposed for tests and one-shot loading.
-func (fw *Follower) PollOnce(ctx context.Context) error { return fw.pollOnce(ctx) }
-
+// pollOnce fetches the node's current snapshot if it changed since the
+// last successful poll.
 func (fw *Follower) pollOnce(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, fw.URL+"/params", nil)
 	if err != nil {

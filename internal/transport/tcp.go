@@ -31,12 +31,12 @@ const maxFrameBytes = 64 << 20
 const frameFlagTrace = 1 << 31
 
 const (
-	// dialAttemptTimeout caps a single TCP dial attempt so a hanging SYN
-	// (blackholed route, dropped packets) cannot consume the whole retry
-	// budget — the overall deadline still bounds the retry loop.
+	// dialAttemptTimeout caps a single TCP dial attempt and its hello so
+	// a hanging SYN (blackholed route, dropped packets) cannot stall a
+	// link's dial loop.
 	dialAttemptTimeout = 1 * time.Second
 	// reconnectBaseDelay and reconnectMaxDelay bound the exponential
-	// backoff between re-dial attempts after a connection dies.
+	// backoff between a link's failed dial attempts.
 	reconnectBaseDelay = 50 * time.Millisecond
 	reconnectMaxDelay  = 2 * time.Second
 )
@@ -44,15 +44,15 @@ const (
 // LinkStats counts connection lifecycle events on one neighbor link.
 type LinkStats struct {
 	// Connects is the number of connections ever established (initial
-	// connects, reconnects, and duplicate-resolution replacements).
+	// connects and reconnects).
 	Connects int
-	// Disconnects is the number of times the registered connection died.
+	// Disconnects is the number of times the registered connection died
+	// or was replaced.
 	Disconnects int
 	// Reconnects is the number of link healings: either a new connection
 	// filled a slot the link had before (the dead conn was already
-	// evicted), or a canonical duplicate replaced a registered connection
-	// — which only happens in reconnection races, when the remote's
-	// re-dial outran our read loop's error.
+	// evicted), or it replaced a registered connection — which happens
+	// when the dialer's re-dial outran our read loop's error.
 	Reconnects int
 }
 
@@ -64,11 +64,11 @@ type LinkStats struct {
 //
 // The transport is fault tolerant: a dead connection is evicted as soon as
 // its read loop observes the failure (so GatherStream stops waiting for
-// it), and both sides re-dial with exponential backoff and jitter. For initial
-// connection establishment the lower-id peer accepts and the higher-id
-// peer dials; during reconnection either side may dial, and duplicate
-// connections are resolved deterministically by keeping the one dialed by
-// the higher-id peer.
+// it), and the link is dialed again with exponential backoff and jitter.
+// Each link has one dialer, the lower-id peer, and at most one dial loop
+// in flight; the higher-id peer only accepts. The newest connection a
+// link registers replaces any older one, and since one side dials them
+// in order, both ends keep the same connection.
 type Peer struct {
 	id       int
 	listener net.Listener
@@ -76,7 +76,7 @@ type Peer struct {
 	mu        sync.Mutex
 	conns     map[int]*peerConn    // guarded by mu
 	addrs     map[int]string       // guarded by mu; known neighbor listen addresses (for re-dial)
-	redialing map[int]bool         // guarded by mu; a reconnectLoop is running for this neighbor
+	dialing   map[int]bool         // guarded by mu; a dialLoop is running for this neighbor
 	stats     map[int]*LinkStats   // guarded by mu
 	linkM     map[int]*linkMetrics // guarded by mu; per-link metric handles (lazy)
 	downSince map[int]time.Time    // guarded by mu; link-down timestamp, for reconnect latency
@@ -144,7 +144,6 @@ type linkMetrics struct {
 type peerConn struct {
 	writeMu sync.Mutex
 	conn    net.Conn
-	dialed  bool   // we dialed this connection (vs. accepted it)
 	delayed []byte // guarded by writeMu; copy of a frame held back by FaultDelay
 }
 
@@ -174,7 +173,7 @@ func NewPeerFromListener(id int, ln net.Listener) *Peer {
 		listener:   ln,
 		conns:      make(map[int]*peerConn),
 		addrs:      make(map[int]string),
-		redialing:  make(map[int]bool),
+		dialing:    make(map[int]bool),
 		stats:      make(map[int]*LinkStats),
 		linkM:      make(map[int]*linkMetrics),
 		downSince:  make(map[int]time.Time),
@@ -277,8 +276,8 @@ func (p *Peer) SetFaults(f *FaultSet) {
 func (p *Peer) LatestRound() int { return int(p.latestRound.Load()) - 1 }
 
 // Drop removes neighbor nid from the peer's neighbor set: the connection
-// (if any) is closed, the stored address is forgotten so no reconnect
-// loop revives the link, and GatherStream stops expecting frames from it. Used
+// (if any) is closed, the stored address is forgotten so no dial loop
+// revives the link, and GatherStream stops expecting frames from it. Used
 // when an epoch reconfiguration removes a topology edge or a member
 // leaves the cluster. Dropping an unknown neighbor is a no-op.
 func (p *Peer) Drop(nid int) {
@@ -292,7 +291,7 @@ func (p *Peer) Drop(nid int) {
 	p.mu.Unlock()
 	if ok {
 		// The read loop's removeConn will find the registry no longer
-		// holds pc and exit quietly; no reconnect loop is spawned because
+		// holds pc and exit quietly; no dial loop is started because
 		// the address is gone.
 		pc.conn.Close()
 		o.Emit(p.id, obs.EvLinkDrop, -1, nid, nil)
@@ -330,12 +329,17 @@ func (p *Peer) statsFor(nid int) *LinkStats {
 	return st
 }
 
-// Connect establishes connections to all neighbors: it dials every
-// neighbor with a higher id and waits until connections with all listed
-// neighbors (dialed or accepted) exist, or the timeout expires. The
-// addresses are remembered so that either side can re-dial if a
-// connection later dies.
+// Connect registers the neighbors' addresses, starts a dial loop toward
+// every higher-id neighbor that is neither connected nor already being
+// dialed (the lower id dials each link; the higher id accepts), and waits
+// until connections with all listed neighbors exist, or the timeout
+// expires. The dial loops outlive a timeout: a neighbor that starts
+// listening later is still connected, and a link that dies later is
+// dialed again.
 func (p *Peer) Connect(neighbors map[int]string, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	p.mu.Lock()
 	for nid, addr := range neighbors {
 		if nid == p.id {
@@ -343,25 +347,30 @@ func (p *Peer) Connect(neighbors map[int]string, timeout time.Duration) error {
 			return fmt.Errorf("transport: peer %d listed as its own neighbor", p.id)
 		}
 		p.addrs[nid] = addr
+		if _, up := p.conns[nid]; !up && nid > p.id {
+			p.startDial(nid)
+		}
 	}
 	p.mu.Unlock()
-	for nid, addr := range neighbors {
-		if nid > p.id {
-			if err := p.dial(nid, addr, timeout); err != nil {
-				return err
-			}
+	// The dialed links first: addConn's membership nudge wakes the wait,
+	// and one nudge is passed on afterwards in case a GatherStream was
+	// blocked on it too.
+	for expired := false; !expired && p.missing(neighbors, p.id) > 0; {
+		select {
+		case <-p.membership:
+		case <-timer.C:
+			expired = true
+		case <-p.closed:
+			return fmt.Errorf("transport: peer %d closed while connecting", p.id)
 		}
 	}
-	deadline := time.Now().Add(timeout)
+	p.notifyMembership()
+	// Then the accepted links, polled every 5 ms. An elastic joiner picks
+	// its start round from the frames buffered when Connect returns
+	// (core.PeerNode.Run); returning the instant its last accepted link
+	// registers would often beat its new neighbors' first frames.
 	for {
-		p.mu.Lock()
-		missing := 0
-		for nid := range neighbors {
-			if _, ok := p.conns[nid]; !ok {
-				missing++
-			}
-		}
-		p.mu.Unlock()
+		missing := p.missing(neighbors, -1)
 		if missing == 0 {
 			return nil
 		}
@@ -372,58 +381,22 @@ func (p *Peer) Connect(neighbors map[int]string, timeout time.Duration) error {
 	}
 }
 
-// dial connects to a neighbor, retrying until the deadline — peers start
-// in arbitrary order, so the target may not be listening yet. Each attempt
-// is individually capped so a single hanging SYN cannot consume the whole
-// retry budget.
-func (p *Peer) dial(nid int, addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	// One timer reused across retries instead of a time.After per
-	// iteration, which would leak a live timer into the runtime heap on
-	// every attempt. Each loop iteration consumes the timer's channel
-	// before Reset, so reuse is race-free; paths that return without
-	// consuming it are covered by the deferred Stop.
-	var retry *time.Timer
-	defer func() {
-		if retry != nil {
-			retry.Stop()
-		}
-	}()
-	for {
-		conn, err := p.dialOnce(addr, deadline)
-		if err == nil {
-			if p.addConn(nid, conn, true) {
-				return nil
-			}
-			// A duplicate connection won; the link is up either way.
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: peer %d dial %d@%s: %w", p.id, nid, addr, err)
-		}
-		if retry == nil {
-			retry = time.NewTimer(50 * time.Millisecond)
-		} else {
-			retry.Reset(50 * time.Millisecond)
-		}
-		select {
-		case <-p.closed:
-			return fmt.Errorf("transport: peer %d closed while dialing %d", p.id, nid)
-		case <-retry.C:
+// missing counts the neighbors above id that have no connection.
+func (p *Peer) missing(neighbors map[int]string, above int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for nid := range neighbors {
+		if _, ok := p.conns[nid]; !ok && nid > above {
+			n++
 		}
 	}
+	return n
 }
 
 // dialOnce performs one capped dial attempt plus the hello handshake.
-func (p *Peer) dialOnce(addr string, deadline time.Time) (net.Conn, error) {
-	attempt := dialAttemptTimeout
-	if remaining := time.Until(deadline); remaining < attempt {
-		attempt = remaining
-	}
-	if attempt <= 0 {
-		attempt = time.Millisecond
-	}
-	conn, err := net.DialTimeout("tcp", addr, attempt)
+func (p *Peer) dialOnce(addr string) (net.Conn, error) {
+	conn, err := net.DialTimeout("tcp", addr, dialAttemptTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -462,17 +435,15 @@ func (p *Peer) acceptLoop() {
 			continue
 		}
 		conn.SetReadDeadline(time.Time{})
-		p.addConn(int(binary.BigEndian.Uint32(hello[:])), conn, false)
+		p.addConn(int(binary.BigEndian.Uint32(hello[:])), conn)
 	}
 }
 
-// addConn registers a connection for neighbor nid, resolving duplicates
-// deterministically: the canonical connection for a pair is the one dialed
-// by the higher-id peer, so when both sides re-dial concurrently both
-// independently keep the same TCP connection. Returns false if the
-// connection was rejected (peer closed, or a canonical duplicate already
-// exists).
-func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
+// addConn registers a connection for neighbor nid, replacing any
+// connection the link still has registered, and ends the link's dial
+// loop: the loop returns right after handing its connection here, so a
+// failure of this connection may start the next one.
+func (p *Peer) addConn(nid int, conn net.Conn) {
 	// Disable Nagle explicitly on every registered conn, dialed or
 	// accepted. Go's dialer does this by default, but the round loop's
 	// latency budget depends on it (a delayed small frame stalls the
@@ -480,30 +451,24 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	canonical := dialed == (p.id > nid)
 	p.mu.Lock()
 	select {
 	case <-p.closed:
 		p.mu.Unlock()
 		conn.Close()
-		return false
+		return
 	default:
 	}
+	delete(p.dialing, nid)
 	old, existed := p.conns[nid]
 	if existed {
-		oldCanonical := old.dialed == (p.id > nid)
-		if oldCanonical && !canonical {
-			p.mu.Unlock()
-			conn.Close()
-			return false
-		}
 		// Replace: the old conn's readLoop will exit and see it has been
-		// superseded (identity check in removeConn), so no reconnect is
-		// spawned for it — and nothing is counted there: superseding a
+		// superseded (identity check in removeConn), so no dial loop is
+		// started for it — and nothing is counted there: superseding a
 		// registered conn is that conn's disconnect, accounted below.
 		old.conn.Close()
 	}
-	pc := &peerConn{conn: conn, dialed: dialed}
+	pc := &peerConn{conn: conn}
 	st := p.statsFor(nid)
 	lm := p.linkMetricsFor(nid)
 	if existed {
@@ -512,13 +477,12 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 	}
 	// A link heals in one of two ways: a new connection fills an empty
 	// slot the link had before (the read loop already evicted the dead
-	// conn), or — when the remote's re-dial outraces our read loop's
-	// error — a canonical duplicate replaces a connection that is still
-	// registered. Initial connection establishment never produces
-	// replacements (only the higher-id peer dials), so a replacement is
-	// always a reconnection race and must fire the same down→up handling:
-	// frames may have died with the old connection, and the neighbor
-	// needs the full-parameter refresh.
+	// conn), or — when the dialer's re-dial outraces this side's read
+	// loop error — it replaces a connection that is still registered. The
+	// initial dial never replaces anything, so a replacement is always a
+	// reconnection and must fire the same down→up handling: frames may
+	// have died with the old connection, and the neighbor needs the
+	// full-parameter refresh.
 	reconnected := existed || st.Connects > 0
 	st.Connects++
 	lm.connects.Inc()
@@ -563,12 +527,11 @@ func (p *Peer) addConn(nid int, conn net.Conn, dialed bool) bool {
 	if reconnected && cb != nil {
 		cb(nid)
 	}
-	return true
 }
 
 // removeConn evicts pc if it is still the registered connection for nid,
-// and — unless the peer is closing — spawns a reconnect loop so the link
-// heals itself.
+// and — if this peer dials the link — starts the dial loop so the link
+// heals itself. The higher-id side waits to accept the re-dial.
 func (p *Peer) removeConn(nid int, pc *peerConn) {
 	p.mu.Lock()
 	cur, ok := p.conns[nid]
@@ -584,41 +547,42 @@ func (p *Peer) removeConn(nid int, pc *peerConn) {
 	p.linkMetricsFor(nid).disconnects.Inc()
 	p.downSince[nid] = time.Now()
 	o := p.obs
-	addr, haveAddr := p.addrs[nid]
-	spawn := false
-	select {
-	case <-p.closed:
-	default:
-		if haveAddr && !p.redialing[nid] {
-			p.redialing[nid] = true
-			p.wg.Add(1)
-			spawn = true
-		}
+	if _, wanted := p.addrs[nid]; wanted && nid > p.id {
+		p.startDial(nid)
 	}
 	p.mu.Unlock()
 	pc.conn.Close()
 	o.Emit(p.id, obs.EvLinkDown, -1, nid, nil)
 	p.notifyMembership()
-	if spawn {
-		go p.reconnectLoop(nid, addr)
-	}
 }
 
-// reconnectLoop re-dials a dead neighbor link with exponential backoff and
-// jitter until the link is up again (dialed by us or re-accepted from the
-// other side) or the peer closes. Either side of a link runs this; the
-// canonical-connection rule in addConn dedups concurrent re-dials.
-func (p *Peer) reconnectLoop(nid int, addr string) {
+// startDial starts the dial loop toward nid unless one is already running
+// or the peer is closing. Caller holds p.mu, which orders the wg.Add
+// against Close (see addConn).
+func (p *Peer) startDial(nid int) {
+	select {
+	case <-p.closed:
+		return
+	default:
+	}
+	if p.dialing[nid] {
+		return
+	}
+	p.dialing[nid] = true
+	p.wg.Add(1)
+	go p.dialLoop(nid)
+}
+
+// dialLoop dials the link to nid — at once, then with exponential backoff
+// and jitter after each failure — until a connection is registered, the
+// neighbor is Dropped, or the peer closes. It is the link's only dialer;
+// peers start in arbitrary order, so the target may not be listening yet.
+func (p *Peer) dialLoop(nid int) {
 	defer p.wg.Done()
-	defer func() {
-		p.mu.Lock()
-		p.redialing[nid] = false
-		p.mu.Unlock()
-	}()
 	backoff := reconnectBaseDelay
-	// Reused backoff timer (see dial): reconnect loops can spin for the
-	// whole lifetime of a partition, and a time.After per attempt keeps
-	// feeding garbage timers to the runtime.
+	// One timer reused across retries instead of a time.After per attempt:
+	// a loop can spin for the whole lifetime of a partition, and each
+	// time.After would feed the runtime a garbage timer.
 	var retry *time.Timer
 	defer func() {
 		if retry != nil {
@@ -626,24 +590,18 @@ func (p *Peer) reconnectLoop(nid int, addr string) {
 		}
 	}()
 	for {
-		select {
-		case <-p.closed:
-			return
-		default:
-		}
 		p.mu.Lock()
-		_, up := p.conns[nid]
-		_, wanted := p.addrs[nid]
-		p.mu.Unlock()
-		if up {
-			return // the other side reconnected to us
+		addr, wanted := p.addrs[nid]
+		if !wanted {
+			delete(p.dialing, nid)
 		}
+		p.mu.Unlock()
 		if !wanted {
 			return // neighbor was Dropped; stop trying to revive the link
 		}
-		conn, err := p.dialOnce(addr, time.Now().Add(dialAttemptTimeout))
+		conn, err := p.dialOnce(addr)
 		if err == nil {
-			p.addConn(nid, conn, true)
+			p.addConn(nid, conn)
 			return
 		}
 		// Full jitter on top of the exponential base keeps a partitioned
@@ -677,7 +635,7 @@ func (p *Peer) notifyMembership() {
 
 // readLoop parses length-prefixed frames: [len u32][round u32][payload].
 // On any read error the connection is evicted from the registry (so GatherStream
-// stops counting it) and a reconnect loop takes over.
+// stops counting it) and the link's dialer dials it again.
 func (p *Peer) readLoop(from int, pc *peerConn) {
 	defer p.wg.Done()
 	defer p.removeConn(from, pc)
@@ -743,7 +701,7 @@ func (p *Peer) readLoop(from int, pc *peerConn) {
 
 // Send transmits a round-tagged frame to one neighbor. A send to a
 // currently-down link fails fast (the caller should treat the neighbor as
-// a straggler for the round); the background reconnect loop heals the link.
+// a straggler for the round); the background dial loop heals the link.
 // Send has finished with frame when it returns, so the caller may reuse it.
 func (p *Peer) Send(to, round int, frame []byte) error {
 	p.mu.Lock()
@@ -871,10 +829,9 @@ func (p *Peer) expectedConns() []int {
 // the expected neighbor set are withheld, left buffered for a later
 // epoch; the expected count is re-evaluated on every membership change,
 // so a neighbor that dies mid-round costs at most this one timeout —
-// subsequent rounds no longer wait for it. Frames stay buffered until
-// ForgetRound, so a repeated call for the same round re-delivers them.
-// Frame ownership transfers to deliver — the caller recycles (or
-// retains) each frame it is handed.
+// subsequent rounds no longer wait for it. Frame ownership transfers to
+// deliver — the caller recycles (or retains) each frame it is handed — so
+// a frame is delivered once: gather each round once, then ForgetRound it.
 //
 // GatherStream and the deliver callback run on the caller's goroutine;
 // the transport never calls deliver concurrently.
@@ -1016,7 +973,7 @@ func (p *Peer) ForgetRound(round int) {
 	}
 }
 
-// Close shuts down the listener, all connections, and any reconnect loops.
+// Close shuts down the listener, all connections, and any dial loops.
 func (p *Peer) Close() error {
 	p.closeOnce.Do(func() {
 		p.mu.Lock()

@@ -303,30 +303,84 @@ func TestPeerReconnectAfterReset(t *testing.T) {
 	}
 }
 
-// TestPeerConnectFailsWithinBudget checks the dial retry loop respects its
-// overall deadline even though each attempt is individually capped.
+// TestPeerConnectFailsWithinBudget checks that Connect returns once its
+// budget is spent, while the dial loop it started keeps retrying.
 func TestPeerConnectFailsWithinBudget(t *testing.T) {
 	p, err := NewPeer(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	// Reserve a port with nothing listening on it.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ln.Addr().String()
-	ln.Close()
-
 	start := time.Now()
-	err = p.Connect(map[int]string{1: dead}, 500*time.Millisecond)
+	err = p.Connect(map[int]string{1: deadAddr(t)}, 500*time.Millisecond)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("connect to dead address succeeded")
 	}
 	if elapsed > 500*time.Millisecond+2*dialAttemptTimeout {
 		t.Errorf("connect took %v, want bounded by the %v budget plus one capped attempt", elapsed, 500*time.Millisecond)
+	}
+}
+
+// deadAddr reserves a loopback port and releases it, so nothing listens
+// there until a test binds it again.
+func deadAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// TestPeerConnectRetriesUnreachedNeighbor checks that a neighbor nobody
+// listens for while Connect runs is still dialed afterwards: once it
+// listens, the link forms without a second Connect on the dialing side.
+func TestPeerConnectRetriesUnreachedNeighbor(t *testing.T) {
+	p0, err := NewPeer(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p0.Close()
+	addr := deadAddr(t)
+	if err := p0.Connect(map[int]string{1: addr}, 200*time.Millisecond); err == nil {
+		t.Fatal("connect to an address nobody listens on succeeded")
+	}
+	p1, err := NewPeer(1, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p1.Close()
+	if err := p1.Connect(map[int]string{0: p0.Addr()}, 3*time.Second); err != nil {
+		t.Fatalf("link never formed after the neighbor started listening: %v", err)
+	}
+	if !p0.Healthy(1) {
+		t.Error("the dialing side has no connection to 1")
+	}
+}
+
+// TestPeerConnectDialsEveryReachableNeighbor gives Connect one dead and
+// one live higher-id neighbor: the live one must be connected whatever
+// order the neighbor map is visited in, which the trials cover.
+func TestPeerConnectDialsEveryReachableNeighbor(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		p0, err := NewPeer(0, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		p2, err := NewPeer(2, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p0.Connect(map[int]string{1: deadAddr(t), 2: p2.Addr()}, 50*time.Millisecond); err == nil {
+			t.Fatal("connect with a dead neighbor succeeded")
+		}
+		waitFor(t, 5*time.Second, "link to the live neighbor", func() bool {
+			return p0.Healthy(2) && p2.Healthy(0)
+		})
+		p0.Close()
+		p2.Close()
 	}
 }
 

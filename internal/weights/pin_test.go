@@ -26,15 +26,14 @@ func pinOf(r *Result) pin {
 }
 
 // optimizePins are Optimize(g, obj, Options{}) per graph and objective.
-var optimizePins = map[string][4]pin{
-	// Objectives in order: min-lambda-bar-max, max-lambda-min, min-slem,
-	// joint-spectral.
-	"ring12":   {{0x5430fffc607d93ed, 0x3febb70751e76a7c}, {0x26e77e15dbd6ac65, 0x3ff0000000000000}, {0xe194ca04f6a48c8d, 0x3febfc89bebd3833}, {0x5430fffc607d93ed, 0x3febb70751e76a7c}},
-	"K6":       {{0x1a700782098c5c25, 0xbfc991bcbc9544eb}, {0x32d4b8e07e820085, 0x3ff0000000000000}, {0x29156760d8fb6375, 0x3fb28bd8889f5904}, {0x1a700782098c5c25, 0xbfc991bcbc9544eb}},
-	"star6":    {{0x42ec37b76f0615fd, 0x3fe999ed78247279}, {0x32d4b8e07e820085, 0x3ff0000000000000}, {0x42ec37b76f0615fd, 0x3fe999ed78247279}, {0x42ec37b76f0615fd, 0x3fe999ed78247279}},
-	"random20": {{0x2d3e0c96f8b41ed6, 0x3fec173d43d6c547}, {0x88b6ff78c563c1e5, 0x3ff0000000000000}, {0x2d3e0c96f8b41ed6, 0x3fec173d43d6c547}, {0x7732322c6f711da2, 0x3fec5c950d25057c}},
-	"random25": {{0x546a713e8876b0d8, 0x3feccb39eb4fed5e}, {0x9518265c31b31cb8, 0x3ff0000000000000}, {0x546a713e8876b0d8, 0x3feccb39eb4fed5e}, {0x0d343137a975bd85, 0x3fed38518759c3dd}},
-	"random30": {{0xa595143bc39e1f88, 0x3fee5161224315ab}, {0x14c0d0616f61cb05, 0x3ff0000000000000}, {0xa595143bc39e1f88, 0x3fee5161224315ab}, {0x2d42abc6c52b7869, 0x3fee766456fa385f}},
+var optimizePins = map[string][3]pin{
+	// Objectives in order: min-lambda-bar-max, min-slem, joint-spectral.
+	"ring12":   {{0x5430fffc607d93ed, 0x3febb70751e76a7c}, {0xe194ca04f6a48c8d, 0x3febfc89bebd3833}, {0x5430fffc607d93ed, 0x3febb70751e76a7c}},
+	"K6":       {{0x1a700782098c5c25, 0xbfc991bcbc9544eb}, {0x29156760d8fb6375, 0x3fb28bd8889f5904}, {0x1a700782098c5c25, 0xbfc991bcbc9544eb}},
+	"star6":    {{0x42ec37b76f0615fd, 0x3fe999ed78247279}, {0x42ec37b76f0615fd, 0x3fe999ed78247279}, {0x42ec37b76f0615fd, 0x3fe999ed78247279}},
+	"random20": {{0x2d3e0c96f8b41ed6, 0x3fec173d43d6c547}, {0x2d3e0c96f8b41ed6, 0x3fec173d43d6c547}, {0x7732322c6f711da2, 0x3fec5c950d25057c}},
+	"random25": {{0x546a713e8876b0d8, 0x3feccb39eb4fed5e}, {0x546a713e8876b0d8, 0x3feccb39eb4fed5e}, {0x0d343137a975bd85, 0x3fed38518759c3dd}},
+	"random30": {{0xa595143bc39e1f88, 0x3fee5161224315ab}, {0xa595143bc39e1f88, 0x3fee5161224315ab}, {0x2d42abc6c52b7869, 0x3fee766456fa385f}},
 }
 
 // bestPins are OptimizeBest(g, BoundParams{Alpha: 0.1}, opts) per graph
@@ -66,7 +65,7 @@ func TestOptimizerPinned(t *testing.T) {
 		"random25": graph.RandomConnected(25, 3, rand.New(rand.NewSource(21))),
 		"random30": graph.RandomConnected(30, 3, rand.New(rand.NewSource(7))),
 	}
-	objectives := []Objective{MinimizeLambdaBarMax, MaximizeLambdaMin, MinimizeSLEM, JointSpectral}
+	objectives := []Objective{MinimizeLambdaBarMax, MinimizeSLEM, JointSpectral}
 	production := []Options{{}, {Iterations: 300, Step: 3}}
 	for name, g := range graphs {
 		t.Run(name, func(t *testing.T) {

@@ -54,24 +54,23 @@ func DeltaBound(sp *linalg.Spectrum, p BoundParams) float64 {
 	return math.Min(term1, term2)
 }
 
-// OptimizeBest implements the paper's Section IV-B policy: solve problem
-// (21)/(23) (minimize λ̄max) and problem (22) (maximize λmin) separately,
-// evaluate the candidates with the convergence bound eq. (17), and keep
-// the matrix with the larger bound.
+// OptimizeBest implements the paper's Section IV-B policy: solve the
+// candidate problems separately, evaluate each with the convergence bound
+// eq. (17), and keep the matrix with the larger bound.
 //
-// Two pragmatic additions beyond the paper's text: the SLEM-minimizing
-// matrix is considered as a third candidate (it balances both ends of the
-// spectrum, which eq. 17 rewards but neither subproblem optimizes
-// jointly), and the Metropolis starting matrix is kept as a floor so the
-// "optimized" matrix can never be worse than the unoptimized baseline
-// under the bound. Problem (22) alone is degenerate — W = I is feasible and
-// maximal but does not mix at all. Its bound is exactly 0, which still
-// beats a Metropolis matrix whose λmin < 2αL_f²/η − 1 makes the bound
-// negative, so a candidate without a spectral gap (λ̄max ≥ 1 − 1e-9) is
-// never selected.
+// The paper's candidates are problem (21)/(23) (minimize λ̄max) and
+// problem (22) (maximize λmin). Problem (22) is not solved: λmin ≤ 1 with
+// equality only at W = I, so its optimum never mixes and is never
+// selected. The λmin end of the spectrum is served instead by two
+// candidates beyond the paper's text: the SLEM-minimizing matrix and the
+// joint problem (20). The Metropolis starting matrix is kept as a floor so
+// the "optimized" matrix can never be worse than the unoptimized baseline
+// under the bound. A candidate without a spectral gap (λ̄max ≥ 1 − 1e-9)
+// is never selected: its bound of 0 would still beat a Metropolis matrix
+// whose λmin < 2αL_f²/η − 1 makes the bound negative.
 //
-// The candidates are solved concurrently, each in its own goroutine with
-// its own state, and then compared in the fixed order below with a strict
+// The candidates are solved concurrently, each goroutine with its own
+// state, and then compared in the fixed order below with a strict
 // "larger bound wins", so the choice does not depend on scheduling. The
 // SLEM problem is solved only when the λ̄max trajectory saw λ̄max < −λmin
 // at some step: otherwise its every step is the λ̄max run's, its bound
@@ -85,24 +84,23 @@ func OptimizeBest(g *graph.Graph, p BoundParams, opts Options) (*Result, error) 
 	best := &Result{W: metro, Spectrum: metroSpec, Objective: MetropolisBaseline, Value: metroSpec.LambdaBarMax}
 	bestBound := DeltaBound(metroSpec, p)
 
-	objectives := [...]Objective{MinimizeLambdaBarMax, MaximizeLambdaMin, MinimizeSLEM, JointSpectral}
+	objectives := [...]Objective{MinimizeLambdaBarMax, MinimizeSLEM, JointSpectral}
 	var (
 		results [len(objectives)]*Result
 		errs    [len(objectives)]error
 		wg      sync.WaitGroup
 	)
 	solve := func(i int) { results[i], errs[i] = Optimize(g, objectives[i], opts) }
-	wg.Add(3)
+	wg.Add(2)
 	go func() {
 		defer wg.Done()
 		var slemIsBarMax bool
 		results[0], slemIsBarMax, errs[0] = optimize(g, objectives[0], opts)
 		if errs[0] == nil && !slemIsBarMax {
-			solve(2)
+			solve(1)
 		}
 	}()
-	go func() { defer wg.Done(); solve(1) }()
-	go func() { defer wg.Done(); solve(3) }()
+	go func() { defer wg.Done(); solve(2) }()
 	wg.Wait()
 
 	for i, r := range results {

@@ -9,10 +9,10 @@
 //     for the optimizer.
 //
 //   - Optimize: the paper's weight-matrix optimization (Section IV-B).
-//     Problems (21)/(23) (minimize λ̄max(W)) and (22) (maximize λmin(W))
-//     are convex over the set of symmetric doubly stochastic matrices with
-//     a fixed sparsity pattern. The paper solves them with an interior-point
-//     method; we solve them with projected subgradient on the edge
+//     Problem (21)/(23) (minimize λ̄max(W)) is convex over the set of
+//     symmetric doubly stochastic matrices with a fixed sparsity pattern.
+//     The paper solves it with an interior-point method; we solve it and
+//     the other objectives below with projected subgradient on the edge
 //     parameterization W = I − Σ_e w_e·L_e (L_e the edge Laplacian), which
 //     keeps W symmetric with unit row sums by construction and needs only
 //     the box/degree constraints w_e ≥ 0, Σ_{e∋i} w_e ≤ 1. The exact
@@ -66,9 +66,6 @@ const (
 	// MinimizeLambdaBarMax solves paper problem (21)/(23): minimize the
 	// largest eigenvalue of W strictly below 1.
 	MinimizeLambdaBarMax Objective = iota
-	// MaximizeLambdaMin solves paper problem (22): maximize the smallest
-	// eigenvalue of W.
-	MaximizeLambdaMin
 	// MinimizeSLEM minimizes max(λ̄max, −λmin), the second-largest
 	// eigenvalue modulus — the fastest-mixing-Markov-chain objective.
 	// Offered as an ablation; not one of the paper's two subproblems.
@@ -89,8 +86,6 @@ func (o Objective) String() string {
 		return "metropolis"
 	case MinimizeLambdaBarMax:
 		return "min-lambda-bar-max"
-	case MaximizeLambdaMin:
-		return "max-lambda-min"
 	case MinimizeSLEM:
 		return "min-slem"
 	case JointSpectral:
@@ -126,7 +121,7 @@ type Result struct {
 	W         *linalg.Matrix
 	Spectrum  *linalg.Spectrum
 	Objective Objective
-	Value     float64 // the objective value of W (λ̄max, λmin, or SLEM)
+	Value     float64 // the objective value of W (λ̄max, SLEM, or the joint penalty form)
 }
 
 // Optimize solves the selected spectral problem over symmetric doubly
@@ -177,8 +172,7 @@ func optimize(g *graph.Graph, obj Objective, opts Options) (res *Result, slemIsB
 
 		step := opts.Step / math.Sqrt(float64(it+1))
 		for k := range w {
-			// All objectives are phrased as minimization in
-			// fillSubgradient, so step against the subgradient.
+			// Every objective minimizes, so step against the subgradient.
 			w[k] -= step * grad[k]
 		}
 		projectFeasible(n, edges, w)
@@ -190,7 +184,7 @@ func optimize(g *graph.Graph, obj Objective, opts Options) (res *Result, slemIsB
 			slemIsBarMax = false
 		}
 		val := view.objectiveValue(obj, floor)
-		if better(obj, val, bestVal) {
+		if val < bestVal {
 			bestVal = val
 			copy(best, w)
 		}
@@ -265,13 +259,11 @@ func (view *spectralView) slemIsMin() bool {
 	return view.lambda2 < -view.lambdaMin
 }
 
-// objectiveValue evaluates the minimization form of obj on the view.
+// objectiveValue evaluates obj on the view.
 func (view *spectralView) objectiveValue(obj Objective, floor float64) float64 {
 	switch obj {
 	case MinimizeLambdaBarMax:
 		return view.lambda2
-	case MaximizeLambdaMin:
-		return view.lambdaMin
 	case MinimizeSLEM:
 		return math.Max(view.lambda2, -view.lambdaMin)
 	case JointSpectral:
@@ -281,19 +273,15 @@ func (view *spectralView) objectiveValue(obj Objective, floor float64) float64 {
 	}
 }
 
-// fillSubgradient writes a subgradient of the minimization form of obj into
-// grad. For an eigenvalue λ of W with unit eigenvector v,
+// fillSubgradient writes a subgradient of obj into grad. For an eigenvalue λ of W with unit eigenvector v,
 // ∂λ/∂w_e = −(v_i − v_j)², since ∂W/∂w_e = −L_e. floor is the λmin floor
 // used by JointSpectral.
 func fillSubgradient(grad []float64, edges []graph.Edge, view *spectralView, obj Objective, floor float64) {
 	v := view.v2
-	sign := 1.0 // multiplier converting to minimization form
+	sign := 1.0 // −1 when the objective is −λmin
 	switch obj {
 	case MinimizeLambdaBarMax:
 		// v already v2.
-	case MaximizeLambdaMin:
-		v = view.vMin
-		sign = -1 // maximize λmin == minimize −λmin
 	case MinimizeSLEM:
 		if view.slemIsMin() {
 			v = view.vMin
@@ -347,11 +335,4 @@ func projectFeasible(n int, edges []graph.Edge, w []float64) {
 		}
 		w[k] *= f
 	}
-}
-
-func better(obj Objective, candidate, incumbent float64) bool {
-	if obj == MaximizeLambdaMin {
-		return candidate > incumbent
-	}
-	return candidate < incumbent
 }

@@ -107,24 +107,6 @@ func TestOptimizeImprovesSpectralGap(t *testing.T) {
 	}
 }
 
-func TestOptimizeMaxLambdaMin(t *testing.T) {
-	g := graph.Ring(10)
-	base, err := linalg.AnalyzeSpectrum(Metropolis(g, 1e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Optimize(g, MaximizeLambdaMin, Options{Iterations: 150})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Spectrum.LambdaMin < base.LambdaMin-1e-12 {
-		t.Errorf("optimizer decreased λmin: %v < %v", res.Spectrum.LambdaMin, base.LambdaMin)
-	}
-	if !res.W.IsDoublyStochastic(1e-8) {
-		t.Error("optimized matrix not doubly stochastic")
-	}
-}
-
 func TestOptimizeSLEM(t *testing.T) {
 	g := graph.RandomConnected(25, 3, rand.New(rand.NewSource(21)))
 	base, err := linalg.AnalyzeSpectrum(Metropolis(g, 1e-3))
@@ -180,7 +162,6 @@ func TestObjectiveString(t *testing.T) {
 		want string
 	}{
 		{MinimizeLambdaBarMax, "min-lambda-bar-max"},
-		{MaximizeLambdaMin, "max-lambda-min"},
 		{MinimizeSLEM, "min-slem"},
 		{JointSpectral, "joint-spectral"},
 		{MetropolisBaseline, "metropolis"},
@@ -251,9 +232,9 @@ func TestOptimizeBestReturnsValidMatrix(t *testing.T) {
 
 // TestOptimizeBestNeverSelectsGaplessMatrix covers α = 0.1, where the
 // Metropolis matrices of ring12 and path-5 have λmin < 2αL_f²/η − 1 and so
-// a negative eq. (17) bound. The problem (22) optimum W = I (λ̄max = 1,
-// bound exactly 0) wins that comparison on the bound alone, although it
-// does not mix.
+// a negative eq. (17) bound. A matrix without a spectral gap such as
+// W = I (λ̄max = 1, bound exactly 0) would win that comparison on the
+// bound alone, although it does not mix.
 func TestOptimizeBestNeverSelectsGaplessMatrix(t *testing.T) {
 	path5 := graph.New(5)
 	for i := 0; i+1 < 5; i++ {
