@@ -45,9 +45,9 @@ import (
 func main() {
 	var o options
 	flag.StringVar(&o.Listen, "listen", "127.0.0.1:8080", "prediction API listen address")
-	flag.StringVar(&o.ModelName, "model", "svm", "model architecture: svm, logreg, softmax, or mlp (must match the training cluster)")
+	flag.StringVar(&o.ModelName, "model", "svm", "model architecture: svm or mlp (must match the training cluster)")
 	flag.IntVar(&o.Features, "features", 24, "feature dimensionality")
-	flag.IntVar(&o.Classes, "classes", 10, "class count (softmax and mlp)")
+	flag.IntVar(&o.Classes, "classes", 10, "class count (mlp)")
 	flag.IntVar(&o.Hidden, "hidden", 30, "hidden units (mlp)")
 	flag.StringVar(&o.Checkpoint, "checkpoint", "", "load initial parameters from this snap.SaveParams checkpoint file")
 	flag.IntVar(&o.Round, "checkpoint-round", 0, "round stamp for -checkpoint")
@@ -105,14 +105,13 @@ func buildModel(o options) (snap.Model, error) {
 	switch o.ModelName {
 	case "svm":
 		return snap.NewLinearSVM(o.Features), nil
-	case "logreg":
-		return snap.NewLogisticRegression(o.Features), nil
-	case "softmax":
-		return snap.NewSoftmaxRegression(o.Features, o.Classes), nil
 	case "mlp":
+		if o.Hidden <= 0 || o.Classes <= 0 {
+			return nil, fmt.Errorf("-hidden and -classes must be positive for mlp, got %d and %d", o.Hidden, o.Classes)
+		}
 		return snap.NewMLP(o.Features, o.Hidden, o.Classes), nil
 	default:
-		return nil, fmt.Errorf("unknown -model %q (want svm, logreg, softmax, or mlp)", o.ModelName)
+		return nil, fmt.Errorf("unknown -model %q (want svm or mlp)", o.ModelName)
 	}
 }
 

@@ -214,8 +214,8 @@ func TestSnapserveSmoke(t *testing.T) {
 		if err := json.Unmarshal(data, &pr); err != nil {
 			t.Fatalf("predict sample %d: bad body %s: %v", i, data, err)
 		}
-		if len(pr.Predictions) != 1 || pr.Predictions[0] != m.Predict(params, s.X) {
-			t.Fatalf("sample %d: served %v, local model says %d", i, pr.Predictions, m.Predict(params, s.X))
+		if want := m.PredictInto(params, s.X, nil); len(pr.Predictions) != 1 || pr.Predictions[0] != want {
+			t.Fatalf("sample %d: served %v, local model says %d", i, pr.Predictions, want)
 		}
 		if pr.ModelRound != rounds-1 {
 			t.Fatalf("sample %d served by model round %d, want %d", i, pr.ModelRound, rounds-1)
@@ -290,8 +290,8 @@ func TestSnapserveCheckpoint(t *testing.T) {
 	if err := json.Unmarshal(data, &pr); err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.Predictions) != 1 || pr.Predictions[0] != m.Predict(params, x) {
-		t.Fatalf("served %v, local model says %d", pr.Predictions, m.Predict(params, x))
+	if want := m.PredictInto(params, x, nil); len(pr.Predictions) != 1 || pr.Predictions[0] != want {
+		t.Fatalf("served %v, local model says %d", pr.Predictions, want)
 	}
 	if pr.ModelRound != 7 || pr.ModelEpoch != 2 {
 		t.Fatalf("served version %d/%d, want checkpoint stamp 7/2", pr.ModelRound, pr.ModelEpoch)
@@ -302,18 +302,24 @@ func TestSnapserveCheckpoint(t *testing.T) {
 }
 
 // TestSnapserveBuildModel pins the flag-to-architecture mapping and its
-// error cases.
+// error cases: a bad shape is an error, never a panic.
 func TestSnapserveBuildModel(t *testing.T) {
-	for _, name := range []string{"svm", "logreg", "softmax", "mlp"} {
+	for _, name := range []string{"svm", "mlp"} {
 		m, err := buildModel(options{ModelName: name, Features: 6, Classes: 3, Hidden: 4})
 		if err != nil || m == nil {
 			t.Errorf("buildModel(%q): %v", name, err)
 		}
 	}
-	if _, err := buildModel(options{ModelName: "resnet", Features: 6}); err == nil {
-		t.Error("unknown model accepted")
-	}
-	if _, err := buildModel(options{ModelName: "svm", Features: 0}); err == nil {
-		t.Error("zero features accepted")
+	for _, o := range []options{
+		{ModelName: "resnet", Features: 6},
+		{ModelName: "logreg", Features: 6, Classes: 3, Hidden: 4},
+		{ModelName: "svm", Features: 0},
+		{ModelName: "mlp", Features: 0, Classes: 3, Hidden: 4},
+		{ModelName: "mlp", Features: 4, Classes: 10, Hidden: 0},
+		{ModelName: "mlp", Features: 4, Classes: 0, Hidden: 30},
+	} {
+		if _, err := buildModel(o); err == nil {
+			t.Errorf("buildModel(%+v) accepted", o)
+		}
 	}
 }

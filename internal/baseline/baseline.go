@@ -68,8 +68,9 @@ func RunCentralized(cfg CentralizedConfig) (*core.Result, error) {
 		pooled = append(pooled, part.Samples...)
 	}
 	x := cfg.Model.InitParams(cfg.Seed)
+	g := linalg.NewVector(len(x))
 	return p.run(x, func(int) error {
-		g := cfg.Model.Gradient(x, pooled)
+		model.GradientTo(cfg.Model, g, x, pooled, nil, 1)
 		x.AXPYInPlace(-cfg.Alpha, g)
 		return nil
 	})
@@ -124,6 +125,7 @@ func RunPS(cfg PSConfig) (*core.Result, error) {
 	server := rng.Intn(n)
 	dim := cfg.Model.NumParams()
 	x := cfg.Model.InitParams(cfg.Seed)
+	local := linalg.NewVector(dim)
 
 	return p.run(x, func(round int) error {
 		// Workers compute local gradients at the shared parameters and
@@ -134,7 +136,7 @@ func RunPS(cfg PSConfig) (*core.Result, error) {
 			if cfg.BatchSize > 0 {
 				batch = cfg.Partitions[i].Batch(round, cfg.BatchSize)
 			}
-			g := cfg.Model.Gradient(x, batch)
+			g := model.GradientTo(cfg.Model, local, x, batch, nil, 1)
 			if cfg.Ternary {
 				g = ternarize(g, rng)
 			}

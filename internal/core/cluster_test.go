@@ -39,8 +39,9 @@ func centralizedAggregateLoss(m model.Model, parts []*dataset.Dataset, steps int
 		all = append(all, p.Samples...)
 	}
 	x := m.InitParams(seed)
+	g := linalg.NewVector(len(x))
 	for s := 0; s < steps; s++ {
-		g := m.Gradient(x, all)
+		model.GradientTo(m, g, x, all, nil, 1)
 		x.AXPYInPlace(-lr, g)
 	}
 	var total float64

@@ -98,7 +98,7 @@ type EngineConfig struct {
 	// converges from any initial point), bounding the staleness bias.
 	RestartEvery int
 	// Float32Wire declares that this node's updates travel as float32
-	// (codec.EncodeLossy). The engine then records the float32-rounded
+	// (codec.EncodeLossyTo). The engine then records the float32-rounded
 	// value — what the receiver actually reconstructs — in its sent
 	// baseline, so the selective diff is computed against the true remote
 	// view rather than a full-precision value the neighbor never saw.

@@ -32,7 +32,7 @@ func newTestEngine(t *testing.T, policy SendPolicy, tune ...func(*EngineConfig))
 	_, parts := smallPartitions(t, 3, 30, 1)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	cfg := EngineConfig{
 		ID:        0,
 		Model:     m,
@@ -60,7 +60,7 @@ func TestNewEngineValidation(t *testing.T) {
 	_, parts := smallPartitions(t, 3, 10, 2)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	base := EngineConfig{
 		ID: 0, Model: m, Data: parts[0], Alpha: 0.05,
 		WRow: w.Row(0), Neighbors: g.Neighbors(0), Init: m.InitParams(1),
@@ -196,7 +196,7 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 	_, parts := smallPartitions(t, n, 25, 3)
 	g := graph.Ring(n)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	p := m.NumParams()
 	init := m.InitParams(11)
 
@@ -218,7 +218,7 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 	grad := func(x *linalg.Matrix) *linalg.Matrix {
 		out := linalg.NewMatrix(n, p)
 		for i := 0; i < n; i++ {
-			gi := m.Gradient(x.Row(i), parts[i].Samples)
+			gi := model.GradientTo(m, linalg.NewVector(p), x.Row(i), parts[i].Samples, nil, 1)
 			for j := 0; j < p; j++ {
 				out.Set(i, j, gi[j])
 			}
@@ -294,7 +294,7 @@ func TestEngineMatchesMatrixDGD(t *testing.T) {
 	_, parts := smallPartitions(t, n, 25, 3)
 	g := graph.Ring(n)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	init := m.InitParams(11)
 
 	engines := make([]*Engine, n)
@@ -320,7 +320,7 @@ func TestEngineMatchesMatrixDGD(t *testing.T) {
 					row.AXPYInPlace(w.At(i, j), x[j])
 				}
 			}
-			next[i] = row.AXPYInPlace(-alpha, m.Gradient(x[i], parts[i].Samples))
+			next[i] = row.AXPYInPlace(-alpha, model.GradientTo(m, linalg.NewVector(len(x[i])), x[i], parts[i].Samples, nil, 1))
 		}
 		x = next
 
@@ -401,7 +401,7 @@ func TestEngineRestartsWhenRequested(t *testing.T) {
 	_, parts := smallPartitions(t, 3, 30, 1)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	eng, err := NewEngine(EngineConfig{
 		ID: 0, Model: m, Data: parts[0], Alpha: 0.05,
 		WRow: w.Row(0), Neighbors: g.Neighbors(0),

@@ -32,7 +32,7 @@ func TestGradientLossMatchesModelLoss(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := dataset.SyntheticCredit(dataset.CreditConfig{Samples: tc.samples, Features: 8}, rand.New(rand.NewSource(4)))
-			m := model.NewLogisticRegression(8)
+			m := model.NewLinearSVM(8)
 			// A one-node cluster: the mixing row is the identity, so the
 			// engine runs plain gradient descent through the full round path.
 			e, err := NewEngine(EngineConfig{

@@ -157,7 +157,7 @@ func TestFloat32WireBaselineMatchesReceiver(t *testing.T) {
 	_, parts := smallPartitions(t, 3, 30, 1)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	eng, err := NewEngine(EngineConfig{
 		ID:          0,
 		Model:       m,

@@ -19,7 +19,7 @@ import (
 // mode: each node is a process exchanging frames over sockets).
 type PeerNodeConfig struct {
 	// Engine configures the local EXTRA engine. Engine.Neighbors must
-	// match the keys of NeighborAddrs. The engine's repair knobs
+	// match the keys of the address map passed to Connect. The engine's repair knobs
 	// (RefreshEvery, FullSendRound0, RestartEvery) apply to the TCP path
 	// exactly as to the simulator and are what make selective
 	// transmission safe on flaky links.

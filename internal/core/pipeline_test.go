@@ -251,7 +251,7 @@ func newTestEngines(t *testing.T, n int, policy SendPolicy, tune ...func(*Engine
 	_, parts := smallPartitions(t, n, 30, 1)
 	g := graph.Complete(n)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	init := m.InitParams(7)
 	engines := make([]*Engine, n)
 	for i := 0; i < n; i++ {

@@ -15,7 +15,7 @@ func TestFullSendRound0(t *testing.T) {
 	_, parts := smallPartitions(t, 3, 20, 51)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	eng, err := NewEngine(EngineConfig{
 		ID: 0, Model: m, Data: parts[0], Alpha: 0.05,
 		WRow: w.Row(0), Neighbors: g.Neighbors(0),
@@ -47,7 +47,7 @@ func TestRefreshEveryForcesFullSend(t *testing.T) {
 	_, parts := smallPartitions(t, 3, 20, 52)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	eng, err := NewEngine(EngineConfig{
 		ID: 0, Model: m, Data: parts[0], Alpha: 0.05,
 		WRow: w.Row(0), Neighbors: g.Neighbors(0),
@@ -77,7 +77,7 @@ func TestRestartEveryResetsRecursion(t *testing.T) {
 	_, parts := smallPartitions(t, 3, 20, 53)
 	g := graph.Complete(3)
 	w := weights.Metropolis(g, 0)
-	m := model.NewLogisticRegression(8)
+	m := model.NewLinearSVM(8)
 	eng, err := NewEngine(EngineConfig{
 		ID: 0, Model: m, Data: parts[0], Alpha: 0.05,
 		WRow: w.Row(0), Neighbors: g.Neighbors(0),

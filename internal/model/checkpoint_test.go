@@ -207,7 +207,7 @@ func TestCheckpointTrainedModel(t *testing.T) {
 	batch := creditBatch(100, 30)
 	w := m.InitParams(31)
 	for step := 0; step < 100; step++ {
-		w.AXPYInPlace(-0.1, m.Gradient(w, batch))
+		w.AXPYInPlace(-0.1, gradient(m, w, batch))
 	}
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, w); err != nil {
@@ -218,7 +218,7 @@ func TestCheckpointTrainedModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range batch {
-		if m.Predict(w, s.X) != m.Predict(got, s.X) {
+		if predict(m, w, s.X) != predict(m, got, s.X) {
 			t.Fatal("reloaded model predicts differently")
 		}
 	}

@@ -8,31 +8,6 @@ import (
 	"github.com/snapml/snap/internal/linalg"
 )
 
-// BatchAccumulator is the optional fast-gradient capability: a model that
-// can split its gradient into a batch-independent term plus a sum of
-// per-sample terms accumulated into a caller-owned buffer, and hands back
-// the per-sample losses its forward pass computed on the way.
-// GradientLossTo uses it to compute gradients without allocating and —
-// for large batches — in parallel. All four built-in models implement it.
-type BatchAccumulator interface {
-	Model
-	// RegGradTo overwrites dst with the batch-independent gradient term
-	// (the regularizer ∇r(params); all zeros for unregularized models).
-	// The matching loss term r(params) is Loss on an empty batch.
-	RegGradTo(dst, params linalg.Vector)
-	// ScratchSize returns how many F and I slots of a Scratch one
-	// AccumGrad or PredictInto call needs (0, 0 for the linear models,
-	// whose score is a single dot product).
-	ScratchSize() (floats, ints int)
-	// AccumGrad adds the unscaled per-sample loss-gradient terms of
-	// batch to dst, dst += Σ_s ∇ℓ(params; s), and returns the unscaled
-	// data loss Σ_s ℓ(params; s), summed in batch order. The 1/m mean
-	// scaling is applied once by GradientLossTo, not per sample.
-	// Implementations must be safe for concurrent calls with disjoint
-	// dst and sc.
-	AccumGrad(dst, params linalg.Vector, batch []dataset.Sample, sc *Scratch) float64
-}
-
 // GradShardSize is the fixed shard width of the sharded gradient path.
 // The shard decomposition depends only on the batch length — never on
 // the worker count — which is what makes the parallel gradient
@@ -72,7 +47,7 @@ func (sc *GradScratch) ensure(shards, p, floats, ints int) {
 // goroutines pulling shard indices from a shared counter. Which worker
 // computes which shard is scheduling-dependent, but each shard lands in
 // its own buffer, so the subsequent reduction is order-independent.
-func (sc *GradScratch) accumParallel(acc BatchAccumulator, params linalg.Vector, batch []dataset.Sample, shards, workers int) {
+func (sc *GradScratch) accumParallel(m Model, params linalg.Vector, batch []dataset.Sample, shards, workers int) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -84,14 +59,14 @@ func (sc *GradScratch) accumParallel(acc BatchAccumulator, params linalg.Vector,
 				if k >= shards {
 					return
 				}
-				sc.accumShard(acc, params, batch, k)
+				sc.accumShard(m, params, batch, k)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-func (sc *GradScratch) accumShard(acc BatchAccumulator, params linalg.Vector, batch []dataset.Sample, k int) {
+func (sc *GradScratch) accumShard(m Model, params linalg.Vector, batch []dataset.Sample, k int) {
 	lo := k * GradShardSize
 	hi := lo + GradShardSize
 	if hi > len(batch) {
@@ -99,7 +74,7 @@ func (sc *GradScratch) accumShard(acc BatchAccumulator, params linalg.Vector, ba
 	}
 	sh := &sc.shards[k]
 	sh.partial.Fill(0)
-	sh.loss = acc.AccumGrad(sh.partial, params, batch[lo:hi], &sh.work)
+	sh.loss = m.AccumGrad(sh.partial, params, batch[lo:hi], &sh.work)
 }
 
 // GradientTo computes ∇Loss(params) on batch into dst and returns dst:
@@ -113,8 +88,7 @@ func GradientTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *
 // Loss(params, batch), which the gradient's forward pass yields as a
 // by-product.
 //
-// For models implementing BatchAccumulator the batch is cut into
-// fixed-width shards (GradShardSize samples), each shard's unscaled term
+// The batch is cut into fixed-width shards (GradShardSize samples), each shard's unscaled term
 // sums (gradient and loss) are accumulated into dedicated scratch, and
 // the shard partials are combined by a fixed-shape pairwise tree
 // reduction before the 1/m scaling is applied. Because both the shard
@@ -125,17 +99,9 @@ func GradientTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *
 // allocation-free, and their loss equals Model.Loss bit for bit; over
 // several shards the tree sums the same terms in a different order than
 // Loss's single left-to-right pass, so the two agree to rounding only.
-//
-// Models without the capability fall back to Model.Gradient and
-// Model.Loss (one allocation, two passes, serial).
 func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, sc *GradScratch, workers int) float64 {
-	acc, ok := m.(BatchAccumulator)
-	if !ok {
-		copy(dst, m.Gradient(params, batch))
-		return m.Loss(params, batch)
-	}
-	acc.RegGradTo(dst, params)
-	reg := acc.Loss(params, nil)
+	m.RegGradTo(dst, params)
+	reg := m.Loss(params, nil)
 	if len(batch) == 0 {
 		return reg
 	}
@@ -143,19 +109,19 @@ func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, 
 	if sc == nil {
 		sc = &GradScratch{}
 	}
-	floats, ints := acc.ScratchSize()
+	floats, ints := m.ScratchSize()
 	sc.ensure(shards, len(dst), floats, ints)
 	if workers > shards {
 		workers = shards
 	}
 	if workers <= 1 {
 		for k := 0; k < shards; k++ {
-			sc.accumShard(acc, params, batch, k)
+			sc.accumShard(m, params, batch, k)
 		}
 	} else {
 		// Kept out of line so the escaping WaitGroup/counter locals are
 		// only heap-allocated when the parallel path actually runs.
-		sc.accumParallel(acc, params, batch, shards, workers)
+		sc.accumParallel(m, params, batch, shards, workers)
 	}
 	// Fixed-shape pairwise reduction over the shard partials. The combine
 	// order is a function of the shard count alone, so worker scheduling

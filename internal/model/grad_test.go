@@ -22,6 +22,11 @@ func gradTestBatch(n, features, classes int, seed int64) []dataset.Sample {
 	return batch
 }
 
+// gradient is ∇Loss(p) on batch as a fresh vector.
+func gradient(m Model, p linalg.Vector, batch []dataset.Sample) linalg.Vector {
+	return GradientTo(m, linalg.NewVector(m.NumParams()), p, batch, nil, 1)
+}
+
 func bitsDiffer(v, w linalg.Vector) int {
 	if len(v) != len(w) {
 		return -1
@@ -44,8 +49,6 @@ func TestGradientToDeterministicAcrossWorkers(t *testing.T) {
 		m    Model
 	}{
 		{"svm", NewLinearSVM(12)},
-		{"logreg", NewLogisticRegression(12)},
-		{"softmax", NewSoftmaxRegression(12, 4)},
 		{"mlp", NewMLP(12, 6, 4)},
 	}
 	for _, tc := range models {
@@ -63,10 +66,6 @@ func TestGradientToDeterministicAcrossWorkers(t *testing.T) {
 					t.Errorf("workers=%d: gradient differs from serial at index %d", workers, at)
 				}
 			}
-			// Model.Gradient is the same computation.
-			if at := bitsDiffer(ref, tc.m.Gradient(params, batch)); at != p {
-				t.Errorf("Gradient differs from GradientTo at index %d", at)
-			}
 		})
 	}
 }
@@ -75,10 +74,10 @@ func TestGradientToDeterministicAcrossWorkers(t *testing.T) {
 // against central finite differences (the rescaled summation must still
 // be the same mathematical gradient).
 func TestGradientToMatchesNumerical(t *testing.T) {
-	m := NewLogisticRegression(5)
+	m := NewLinearSVM(5)
 	batch := gradTestBatch(40, 5, 2, 3)
 	params := m.InitParams(9)
-	g := m.Gradient(params, batch)
+	g := gradient(m, params, batch)
 	const h = 1e-6
 	for i := range params {
 		pp := params.Clone()
@@ -93,7 +92,7 @@ func TestGradientToMatchesNumerical(t *testing.T) {
 }
 
 // TestGradientToEmptyAndFallback covers the degenerate batch and the
-// non-accumulator fallback path.
+// nil-scratch fallback, which builds a fresh GradScratch per call.
 func TestGradientToEmptyAndFallback(t *testing.T) {
 	m := NewLinearSVM(6)
 	params := m.InitParams(1)
@@ -103,21 +102,17 @@ func TestGradientToEmptyAndFallback(t *testing.T) {
 		t.Errorf("empty-batch gradient differs from λw at %d", at)
 	}
 
-	// A model that does not implement BatchAccumulator falls back to
-	// Model.Gradient.
-	fb := plainModel{m}
-	batch := gradTestBatch(10, 6, 2, 5)
-	got := GradientTo(fb, linalg.NewVector(6), params, batch, nil, 4)
-	if at := bitsDiffer(got, fb.Gradient(params, batch)); at != 6 {
-		t.Errorf("fallback gradient differs at %d", at)
+	// A nil scratch gives the same bits as a reused warm one.
+	batch := gradTestBatch(3*GradShardSize+5, 6, 2, 5)
+	var sc GradScratch
+	warm := linalg.NewVector(6)
+	GradientTo(m, warm, params, batch, &sc, 1)
+	GradientTo(m, warm, params, batch, &sc, 1)
+	got := GradientTo(m, linalg.NewVector(6), params, batch, nil, 4)
+	if at := bitsDiffer(got, warm); at != 6 {
+		t.Errorf("nil-scratch gradient differs from warm-scratch gradient at %d", at)
 	}
 }
-
-// plainModel hides LinearSVM's BatchAccumulator methods.
-type plainModel struct{ *LinearSVM }
-
-func (p plainModel) RegGradTo() {}
-func (p plainModel) AccumGrad() {}
 
 // TestGradientToSerialAllocFree pins the hot-path budget: with a warm
 // scratch, the serial sharded gradient (with and without the loss it
@@ -138,9 +133,8 @@ func TestGradientToSerialAllocFree(t *testing.T) {
 	}
 }
 
-// TestLossAllocFree is the same budget for the two Model methods whose
-// workspace comes from the package pool, Loss and Predict: zero
-// allocations once the pool is warm.
+// TestLossAllocFree is the same budget for Model.Loss, whose workspace
+// comes from the package pool: zero allocations once the pool is warm.
 func TestLossAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random")
@@ -151,9 +145,8 @@ func TestLossAllocFree(t *testing.T) {
 		tc.m.Loss(params, batch) // warm the pool
 		if n := testing.AllocsPerRun(20, func() {
 			tc.m.Loss(params, batch)
-			tc.m.Predict(params, batch[0].X)
 		}); n != 0 {
-			t.Errorf("%s: Loss/Predict allocated %v times per run, want 0", tc.name, n)
+			t.Errorf("%s: Loss allocated %v times per run, want 0", tc.name, n)
 		}
 	}
 }

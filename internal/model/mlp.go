@@ -17,11 +17,7 @@ type MLP struct {
 	In, Hidden, Out int
 }
 
-var (
-	_ Model            = (*MLP)(nil)
-	_ BatchAccumulator = (*MLP)(nil)
-	_ BatchPredictor   = (*MLP)(nil)
-)
+var _ Model = (*MLP)(nil)
 
 // NewMLP returns the paper's 784-30-10 network when called as
 // NewMLP(784, 30, 10).
@@ -49,9 +45,8 @@ func (m *MLP) offsets() (w1, b1, w2, b2 int) {
 	return
 }
 
-// ScratchSize implements BatchAccumulator and BatchPredictor: hidden
-// activations, output scores, hidden deltas and the compacted input
-// (values in F, positions in I).
+// ScratchSize implements Model: hidden activations, output scores, hidden
+// deltas and the compacted input (values in F, positions in I).
 func (m *MLP) ScratchSize() (floats, ints int) {
 	return 2*m.Hidden + m.Out + m.In, m.In
 }
@@ -86,18 +81,13 @@ func (m *MLP) Loss(p linalg.Vector, batch []dataset.Sample) float64 {
 	return ce / float64(len(batch))
 }
 
-// Gradient implements Model via backpropagation.
-func (m *MLP) Gradient(p linalg.Vector, batch []dataset.Sample) linalg.Vector {
-	return GradientTo(m, linalg.NewVector(m.NumParams()), p, batch, nil, 1)
-}
-
-// RegGradTo implements BatchAccumulator: the MLP is unregularized.
+// RegGradTo implements Model: the MLP is unregularized.
 func (m *MLP) RegGradTo(dst, p linalg.Vector) {
 	m.checkDim(p)
 	dst.Fill(0)
 }
 
-// AccumGrad implements BatchAccumulator (unscaled per-sample backprop
+// AccumGrad implements Model via backpropagation (unscaled per-sample
 // terms; GradientLossTo applies the 1/m), returning the cross-entropy
 // sum. A nil dst skips the backward pass and leaves only the loss.
 func (m *MLP) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratch) float64 {
@@ -131,17 +121,9 @@ func (m *MLP) AccumGrad(dst, p linalg.Vector, batch []dataset.Sample, sc *Scratc
 	return ce
 }
 
-// Predict implements Model: the most probable class.
-func (m *MLP) Predict(p linalg.Vector, x []float64) int {
-	sc := borrowScratch(m.ScratchSize())
-	label := m.PredictInto(p, x, sc)
-	returnScratch(sc)
-	return label
-}
-
-// PredictInto implements BatchPredictor. Softmax is monotone, so the
-// argmax over the output scores is the most probable class without the
-// exp/normalize pass.
+// PredictInto implements Model: the most probable class. Softmax is
+// monotone, so the argmax over the output scores is that class without
+// the exp/normalize pass.
 func (m *MLP) PredictInto(p linalg.Vector, x []float64, sc *Scratch) int {
 	_, logits, _, _ := m.forward(p, x, sc)
 	return argmax(logits)
@@ -168,4 +150,34 @@ func (m *MLP) checkDim(p linalg.Vector) {
 	if len(p) != m.NumParams() {
 		panic(fmt.Sprintf("model: mlp params have %d entries, want %d", len(p), m.NumParams()))
 	}
+}
+
+// softmaxInPlace overwrites logits with their stable softmax.
+func softmaxInPlace(z []float64) {
+	maxZ := z[0]
+	for _, v := range z[1:] {
+		if v > maxZ {
+			maxZ = v
+		}
+	}
+	var sum float64
+	for i, v := range z {
+		e := math.Exp(v - maxZ)
+		z[i] = e
+		sum += e
+	}
+	for i := range z {
+		z[i] /= sum
+	}
+}
+
+// argmax returns the position of the first largest entry of z.
+func argmax(z []float64) int {
+	best, bestV := 0, z[0]
+	for i, v := range z[1:] {
+		if v > bestV {
+			best, bestV = i+1, v
+		}
+	}
+	return best
 }

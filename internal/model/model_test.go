@@ -9,12 +9,12 @@ import (
 	"github.com/snapml/snap/internal/linalg"
 )
 
-// numericalGradCheck verifies m.Gradient against central finite differences
+// numericalGradCheck verifies the gradient against central finite differences
 // on a random batch and random parameter point.
 func numericalGradCheck(t *testing.T, m Model, batch []dataset.Sample, tol float64) {
 	t.Helper()
 	p := m.InitParams(123)
-	analytic := m.Gradient(p, batch)
+	analytic := gradient(m, p, batch)
 	const h = 1e-6
 	// Check a sample of coordinates (all if small).
 	step := 1
@@ -46,11 +46,6 @@ func TestSVMGradientNumerical(t *testing.T) {
 	// The hinge is non-differentiable exactly at margin 1, but random data
 	// almost surely avoids that point.
 	numericalGradCheck(t, m, creditBatch(20, 1), 1e-4)
-}
-
-func TestLogRegGradientNumerical(t *testing.T) {
-	m := NewLogisticRegression(10)
-	numericalGradCheck(t, m, creditBatch(20, 2), 1e-4)
 }
 
 func TestMLPGradientNumerical(t *testing.T) {
@@ -87,27 +82,11 @@ func TestSVMTrainsOnSeparableData(t *testing.T) {
 	m := NewLinearSVM(2)
 	w := m.InitParams(5)
 	for step := 0; step < 300; step++ {
-		g := m.Gradient(w, ds.Samples)
+		g := gradient(m, w, ds.Samples)
 		w.AXPYInPlace(-0.1, g)
 	}
 	if acc := Accuracy(m, w, ds); acc < 0.97 {
 		t.Errorf("SVM accuracy on separable data = %v, want ≥ 0.97", acc)
-	}
-}
-
-func TestLogRegTrainsOnCredit(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	ds := dataset.SyntheticCredit(dataset.CreditConfig{Samples: 6000}, rng)
-	train, test := ds.Split(0.8, rng)
-	m := NewLogisticRegression(ds.NumFeature)
-	p := m.InitParams(7)
-	for step := 0; step < 600; step++ {
-		g := m.Gradient(p, train.Batch(step, 128))
-		p.AXPYInPlace(-0.5, g)
-	}
-	// Majority class is ~70%; a trained model must clearly beat it.
-	if acc := Accuracy(m, p, test); acc < 0.80 {
-		t.Errorf("logreg test accuracy = %v, want ≥ 0.80", acc)
 	}
 }
 
@@ -121,7 +100,7 @@ func TestMLPTrainsOnDigits(t *testing.T) {
 	m := NewMLP(train.NumFeature, 20, 10)
 	p := m.InitParams(9)
 	for step := 0; step < 400; step++ {
-		g := m.Gradient(p, train.Batch(step, 64))
+		g := gradient(m, p, train.Batch(step, 64))
 		p.AXPYInPlace(-0.5, g)
 	}
 	if acc := Accuracy(m, p, test); acc < 0.8 {
@@ -136,13 +115,10 @@ func TestNumParams(t *testing.T) {
 	if got := NewLinearSVM(24).NumParams(); got != 24 {
 		t.Errorf("SVM params = %d, want 24 (paper: 24 parameters per SVM)", got)
 	}
-	if got := NewLogisticRegression(24).NumParams(); got != 25 {
-		t.Errorf("logreg params = %d, want 25", got)
-	}
 }
 
 func TestInitParamsDeterministic(t *testing.T) {
-	for _, m := range []Model{NewLinearSVM(5), NewLogisticRegression(5), NewMLP(4, 3, 2)} {
+	for _, m := range []Model{NewLinearSVM(5), NewMLP(4, 3, 2)} {
 		a, b := m.InitParams(42), m.InitParams(42)
 		if !a.Equal(b, 0) {
 			t.Errorf("%s: InitParams not deterministic", m.Name())
@@ -155,31 +131,29 @@ func TestInitParamsDeterministic(t *testing.T) {
 }
 
 func TestGradientDimensionPanics(t *testing.T) {
-	for _, m := range []Model{NewLinearSVM(5), NewLogisticRegression(5), NewMLP(4, 3, 2)} {
+	for _, m := range []Model{NewLinearSVM(5), NewMLP(4, 3, 2)} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s: wrong-dim params did not panic", m.Name())
 				}
 			}()
-			m.Gradient(linalg.NewVector(1), nil)
+			gradient(m, linalg.NewVector(1), nil)
 		}()
 	}
 }
 
 func TestEmptyBatchGradient(t *testing.T) {
-	m := NewLogisticRegression(3)
-	p := m.InitParams(1)
-	g := m.Gradient(p, nil)
-	// Only the regularization term contributes.
-	for j := 0; j < 3; j++ {
-		want := m.lambda() * p[j]
-		if math.Abs(g[j]-want) > 1e-15 {
-			t.Errorf("empty-batch grad[%d] = %v, want %v", j, g[j], want)
-		}
+	m := NewMLP(4, 3, 2)
+	params := m.InitParams(1)
+	dst := linalg.NewVector(m.NumParams())
+	dst.Fill(7) // stale contents must be overwritten
+	// The MLP is unregularized: nothing contributes.
+	if loss := GradientLossTo(m, dst, params, nil, nil, 4); loss != 0 {
+		t.Errorf("empty-batch loss = %v, want 0", loss)
 	}
-	if g[3] != 0 {
-		t.Errorf("bias grad = %v, want 0", g[3])
+	if at := bitsDiffer(dst, linalg.NewVector(m.NumParams())); at != len(dst) {
+		t.Errorf("empty-batch gradient nonzero at %d", at)
 	}
 }
 
@@ -199,7 +173,7 @@ func TestPredictLabelsInRange(t *testing.T) {
 		for j := range x {
 			x[j] = rng.NormFloat64()
 		}
-		if got := m.Predict(p, x); got < 0 || got >= 3 {
+		if got := predict(m, p, x); got < 0 || got >= 3 {
 			t.Fatalf("Predict = %d out of range", got)
 		}
 	}
@@ -214,18 +188,6 @@ func TestSigmoidStable(t *testing.T) {
 	}
 	if v := sigmoid(0); v != 0.5 {
 		t.Errorf("sigmoid(0) = %v, want 0.5", v)
-	}
-}
-
-func TestSoftplusStable(t *testing.T) {
-	if v := softplus(100); v != 100 {
-		t.Errorf("softplus(100) = %v, want 100", v)
-	}
-	if v := softplus(-100); v > 1e-40 {
-		t.Errorf("softplus(-100) = %v, want ≈ 0", v)
-	}
-	if v := softplus(0); math.Abs(v-math.Log(2)) > 1e-12 {
-		t.Errorf("softplus(0) = %v, want ln 2", v)
 	}
 }
 

@@ -94,97 +94,6 @@ func svmOracle(m *LinearSVM) oracle {
 	}
 }
 
-func logregOracle(m *LogisticRegression) oracle {
-	return oracle{
-		loss: func(p linalg.Vector, batch []dataset.Sample) float64 {
-			w, b := p[:m.Features], p[m.Features]
-			loss := 0.0
-			for j := 0; j < m.Features; j++ {
-				loss += m.lambda() / 2 * w[j] * w[j]
-			}
-			if len(batch) == 0 {
-				return loss
-			}
-			var ce float64
-			for _, s := range batch {
-				z := oracleDot(w, s.X) + b
-				ce += softplus(-signedLabel(s.Label) * z)
-			}
-			return loss + ce/float64(len(batch))
-		},
-		accum: func(dst, p linalg.Vector, batch []dataset.Sample) {
-			w, b := p[:m.Features], p[m.Features]
-			for _, s := range batch {
-				z := oracleDot(w, s.X) + b
-				y := signedLabel(s.Label)
-				coeff := -y * sigmoid(-y*z)
-				for j, xj := range s.X {
-					dst[j] += coeff * xj
-				}
-				dst[m.Features] += coeff
-			}
-		},
-		predict: func(p linalg.Vector, x []float64) int {
-			if oracleDot(p[:m.Features], x)+p[m.Features] > 0 {
-				return 1
-			}
-			return 0
-		},
-	}
-}
-
-func softmaxOracle(m *SoftmaxRegression) oracle {
-	logits := func(p linalg.Vector, x []float64) []float64 {
-		out := make([]float64, m.Classes)
-		biasOff := m.Classes * m.Features
-		for c := 0; c < m.Classes; c++ {
-			z := p[biasOff+c]
-			row := p[c*m.Features : (c+1)*m.Features]
-			for j, xj := range x {
-				z += row[j] * xj
-			}
-			out[c] = z
-		}
-		return out
-	}
-	return oracle{
-		loss: func(p linalg.Vector, batch []dataset.Sample) float64 {
-			var reg float64
-			for i := 0; i < m.Classes*m.Features; i++ {
-				reg += p[i] * p[i]
-			}
-			loss := m.lambda() / 2 * reg
-			if len(batch) == 0 {
-				return loss
-			}
-			var ce float64
-			for _, s := range batch {
-				probs := oracleSoftmax(logits(p, s.X))
-				ce += -math.Log(math.Max(probs[s.Label], 1e-15))
-			}
-			return loss + ce/float64(len(batch))
-		},
-		accum: func(dst, p linalg.Vector, batch []dataset.Sample) {
-			biasOff := m.Classes * m.Features
-			for _, s := range batch {
-				probs := oracleSoftmax(logits(p, s.X))
-				for c := 0; c < m.Classes; c++ {
-					delta := probs[c]
-					if c == s.Label {
-						delta--
-					}
-					dst[biasOff+c] += delta
-					grow := dst[c*m.Features : (c+1)*m.Features]
-					for j, xj := range s.X {
-						grow[j] += delta * xj
-					}
-				}
-			}
-		},
-		predict: func(p linalg.Vector, x []float64) int { return oracleArgmax(logits(p, x)) },
-	}
-}
-
 func mlpOracle(m *MLP) oracle {
 	forward := func(p linalg.Vector, x []float64) (hidden, logits []float64) {
 		w1o, b1o, w2o, b2o := m.offsets()
@@ -259,7 +168,7 @@ func mlpOracle(m *MLP) oracle {
 
 // oracleGradient is GradientTo as it was: regularizer, fixed-width shards
 // accumulated by the oracle loop, pairwise tree, one 1/m scaling.
-func oracleGradient(m BatchAccumulator, o oracle, p linalg.Vector, batch []dataset.Sample) linalg.Vector {
+func oracleGradient(m Model, o oracle, p linalg.Vector, batch []dataset.Sample) linalg.Vector {
 	dst := linalg.NewVector(len(p))
 	m.RegGradTo(dst, p)
 	if len(batch) == 0 {
@@ -279,7 +188,7 @@ func oracleGradient(m BatchAccumulator, o oracle, p linalg.Vector, batch []datas
 	return dst.AXPYInPlace(1/float64(len(batch)), partials[0])
 }
 
-// TestModelsMatchOracles pins all four models to the loops they replaced
+// TestModelsMatchOracles pins both models to the loops they replaced
 // on the benchmark's corpora (SyntheticDigits rows are mostly zeros,
 // SyntheticCredit rows are dense): gradient, loss and predictions are
 // bit-equal for batches of one shard and of several, at lengths that
@@ -289,17 +198,14 @@ func TestModelsMatchOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	digits, _ := dataset.SyntheticDigits(dataset.DigitsConfig{Train: 601, Test: 1, Side: 28}, rng)
 	credit := dataset.SyntheticCredit(dataset.CreditConfig{Samples: 601, Features: 24}, rng)
-	svm, logreg := NewLinearSVM(24), NewLogisticRegression(24)
-	softmax, mlp := NewSoftmaxRegression(784, 10), NewMLP(784, 30, 10)
+	svm, mlp := NewLinearSVM(24), NewMLP(784, 30, 10)
 	cases := []struct {
 		name string
-		m    BatchAccumulator
+		m    Model
 		o    oracle
 		data []dataset.Sample
 	}{
 		{"svm", svm, svmOracle(svm), credit.Samples},
-		{"logreg", logreg, logregOracle(logreg), credit.Samples},
-		{"softmax", softmax, softmaxOracle(softmax), digits.Samples},
 		{"mlp", mlp, mlpOracle(mlp), digits.Samples},
 	}
 	for _, tc := range cases {
@@ -328,15 +234,14 @@ func TestModelsMatchOracles(t *testing.T) {
 					t.Errorf("n=%d: fused loss = %v, Loss = %v", n, fused, loss)
 				}
 			}
-			bp := tc.m.(BatchPredictor)
 			xs := make([][]float64, 128)
 			for i := range xs {
 				xs[i] = tc.data[i].X
 			}
-			labels := PredictBatchInto(bp, make([]int, len(xs)), p, xs, nil)
+			labels := PredictBatchInto(tc.m, make([]int, len(xs)), p, xs, nil)
 			for i, x := range xs {
-				if want := tc.o.predict(p, x); labels[i] != want || bp.Predict(p, x) != want {
-					t.Fatalf("row %d: PredictBatchInto = %d, Predict = %d, oracle %d", i, labels[i], bp.Predict(p, x), want)
+				if want := tc.o.predict(p, x); labels[i] != want {
+					t.Fatalf("row %d: PredictBatchInto = %d, oracle %d", i, labels[i], want)
 				}
 			}
 		})

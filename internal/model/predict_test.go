@@ -3,6 +3,8 @@ package model
 import (
 	"math/rand"
 	"testing"
+
+	"github.com/snapml/snap/internal/linalg"
 )
 
 // randomRows builds n feature rows of dimension d.
@@ -18,7 +20,13 @@ func randomRows(rng *rand.Rand, n, d int) [][]float64 {
 	return xs
 }
 
-// predictModels is the full built-in model zoo with a feature dimension
+// predict is the label of one row, predicted in a fresh scratch.
+func predict(m Model, p linalg.Vector, x []float64) int {
+	var sc Scratch
+	return m.PredictInto(p, x, sc.ensure(m.ScratchSize()))
+}
+
+// predictModels is both built-in models with a feature dimension
 // for test inputs.
 func predictModels() []struct {
 	name     string
@@ -31,15 +39,14 @@ func predictModels() []struct {
 		features int
 	}{
 		{"svm", NewLinearSVM(24), 24},
-		{"logreg", NewLogisticRegression(24), 24},
-		{"softmax", NewSoftmaxRegression(16, 10), 16},
 		{"mlp", NewMLP(16, 8, 10), 16},
 	}
 }
 
-// TestPredictBatchIntoMatchesPredict pins the batch path to the reference
-// Predict implementation for every built-in model: the serving gateway
-// swaps one for the other, so any divergence is a silent model change.
+// TestPredictBatchIntoMatchesPredict pins the batch path, which reuses
+// one scratch across rows, to a fresh-scratch prediction of each row for
+// every built-in model: a scratch that carried state from one row to the
+// next would be a silent model change.
 func TestPredictBatchIntoMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range predictModels() {
@@ -52,8 +59,8 @@ func TestPredictBatchIntoMatchesPredict(t *testing.T) {
 			t.Fatalf("%s: PredictBatchInto returned %d labels for %d rows", tc.name, len(got), len(xs))
 		}
 		for i, x := range xs {
-			if want := tc.m.Predict(params, x); got[i] != want {
-				t.Errorf("%s: row %d: PredictBatchInto = %d, Predict = %d", tc.name, i, got[i], want)
+			if want := predict(tc.m, params, x); got[i] != want {
+				t.Errorf("%s: row %d: PredictBatchInto = %d, PredictInto = %d", tc.name, i, got[i], want)
 			}
 		}
 	}
@@ -69,26 +76,7 @@ func TestPredictBatchIntoNilScratch(t *testing.T) {
 	dst := make([]int, len(xs))
 	got := PredictBatchInto(m, dst, params, xs, nil)
 	for i, x := range xs {
-		if want := m.Predict(params, x); got[i] != want {
-			t.Fatalf("row %d: got %d, want %d", i, got[i], want)
-		}
-	}
-}
-
-// TestPredictBatchIntoFallback checks models without the capability run
-// through Model.Predict. The anonymous wrapper promotes only the Model
-// methods, so the BatchPredictor type assertion fails while Predict
-// still works.
-func TestPredictBatchIntoFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	inner := NewLinearSVM(8)
-	var m Model = struct{ Model }{inner} // interface wrapper: no PredictInto
-	params := inner.InitParams(4)
-	xs := randomRows(rng, 16, 8)
-	dst := make([]int, len(xs))
-	got := PredictBatchInto(m, dst, params, xs, nil)
-	for i, x := range xs {
-		if want := inner.Predict(params, x); got[i] != want {
+		if want := predict(m, params, x); got[i] != want {
 			t.Fatalf("row %d: got %d, want %d", i, got[i], want)
 		}
 	}

@@ -6,8 +6,8 @@ import "sync"
 // holds intermediate activations and the compacted input values, I the
 // compacted input positions. The caller sizes it from the model's
 // ScratchSize; a Scratch belongs to one goroutine at a time and carries
-// nothing from one call to the next. The linear models need none and
-// accept nil.
+// nothing from one call to the next. The linear SVM needs none and
+// accepts nil.
 type Scratch struct {
 	F []float64
 	I []int
@@ -24,8 +24,8 @@ func (sc *Scratch) ensure(floats, ints int) *Scratch {
 	return sc
 }
 
-// scratchPool serves the Model methods whose signature has no room for a
-// caller-owned workspace (Loss, Predict).
+// scratchPool serves Model.Loss, whose signature has no room for a
+// caller-owned workspace.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 func borrowScratch(floats, ints int) *Scratch {

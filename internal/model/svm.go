@@ -25,11 +25,7 @@ type LinearSVM struct {
 	Lambda float64
 }
 
-var (
-	_ Model            = (*LinearSVM)(nil)
-	_ BatchAccumulator = (*LinearSVM)(nil)
-	_ BatchPredictor   = (*LinearSVM)(nil)
-)
+var _ Model = (*LinearSVM)(nil)
 
 // NewLinearSVM returns a LinearSVM for d features with the default
 // regularization.
@@ -59,7 +55,7 @@ func (m *LinearSVM) Loss(w linalg.Vector, batch []dataset.Sample) float64 {
 	return loss + m.AccumGrad(nil, w, batch, nil)/float64(len(batch))
 }
 
-// AccumGrad implements BatchAccumulator and is the model's one pass over
+// AccumGrad implements Model and is the model's one pass over
 // a batch: it returns the unscaled hinge sum Σ max(0, 1−y·w·x)² and,
 // unless dst is nil (Loss), subtracts every violating sample's gradient
 // term 2·max(0, 1−y·w·x)·y·x from dst (GradientLossTo applies the 1/m).
@@ -93,32 +89,23 @@ func svmTerm(dst linalg.Vector, s dataset.Sample, z float64) float64 {
 	return (1 - margin) * (1 - margin)
 }
 
-// Gradient implements Model: λw − (2/m)Σ max(0, 1−y·w·x)·y·x.
-func (m *LinearSVM) Gradient(w linalg.Vector, batch []dataset.Sample) linalg.Vector {
-	return GradientTo(m, linalg.NewVector(m.Features), w, batch, nil, 1)
-}
-
-// RegGradTo implements BatchAccumulator: ∇(λ/2)||w||² = λw.
+// RegGradTo implements Model: ∇(λ/2)||w||² = λw; with AccumGrad the
+// gradient is λw − (2/m)Σ max(0, 1−y·w·x)·y·x.
 func (m *LinearSVM) RegGradTo(dst, w linalg.Vector) {
 	m.checkDim(w)
 	linalg.ScaleTo(dst, m.lambda(), w)
 }
 
-// ScratchSize implements BatchAccumulator and BatchPredictor: the score
-// is a single dot product, no scratch needed.
+// ScratchSize implements Model: the score is a single dot product, no
+// scratch needed.
 func (m *LinearSVM) ScratchSize() (floats, ints int) { return 0, 0 }
 
-// Predict implements Model: positive margin means class 1.
-func (m *LinearSVM) Predict(w linalg.Vector, x []float64) int {
+// PredictInto implements Model: positive margin means class 1.
+func (m *LinearSVM) PredictInto(w linalg.Vector, x []float64, _ *Scratch) int {
 	if linalg.Vector(x).Dot(w) > 0 {
 		return 1
 	}
 	return 0
-}
-
-// PredictInto implements BatchPredictor.
-func (m *LinearSVM) PredictInto(w linalg.Vector, x []float64, _ *Scratch) int {
-	return m.Predict(w, x)
 }
 
 // InitParams implements Model: small random weights so that the initial

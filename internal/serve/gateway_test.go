@@ -20,21 +20,23 @@ type signModel struct{ params int }
 
 func (m *signModel) Name() string                                 { return "sign" }
 func (m *signModel) NumParams() int                               { return m.params }
+func (m *signModel) InitParams(int64) linalg.Vector               { return linalg.NewVector(m.params) }
 func (m *signModel) Loss(linalg.Vector, []dataset.Sample) float64 { return 0 }
-func (m *signModel) Gradient(linalg.Vector, []dataset.Sample) linalg.Vector {
-	return linalg.NewVector(m.params)
+func (m *signModel) RegGradTo(dst, _ linalg.Vector)               { dst.Fill(0) }
+func (m *signModel) ScratchSize() (floats, ints int)              { return 0, 0 }
+func (m *signModel) AccumGrad(_, _ linalg.Vector, _ []dataset.Sample, _ *model.Scratch) float64 {
+	return 0
 }
-func (m *signModel) InitParams(int64) linalg.Vector { return linalg.NewVector(m.params) }
-func (m *signModel) Predict(_ linalg.Vector, x []float64) int {
+func (m *signModel) PredictInto(_ linalg.Vector, x []float64, _ *model.Scratch) int {
 	if x[0] > 0 {
 		return 1
 	}
 	return 0
 }
 
-// gateModel blocks every Predict until the gate channel is closed,
+// gateModel blocks every PredictInto until the gate channel is closed,
 // letting tests hold a worker busy while they fill the queue. Each entry
-// into Predict is announced on entered first.
+// into PredictInto is announced on entered first.
 type gateModel struct {
 	signModel
 	gate    chan struct{}
@@ -49,10 +51,10 @@ func newGateModel() *gateModel {
 	}
 }
 
-func (m *gateModel) Predict(p linalg.Vector, x []float64) int {
+func (m *gateModel) PredictInto(p linalg.Vector, x []float64, sc *model.Scratch) int {
 	m.entered <- struct{}{}
 	<-m.gate
-	return m.signModel.Predict(p, x)
+	return m.signModel.PredictInto(p, x, sc)
 }
 
 func newTestGateway(t *testing.T, cfg Config) *Gateway {
@@ -120,8 +122,8 @@ func TestGatewayRealModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m.Predict(params, x); label != want {
-		t.Fatalf("gateway label %d, direct Predict %d", label, want)
+	if want := m.PredictInto(params, x, nil); label != want {
+		t.Fatalf("gateway label %d, direct PredictInto %d", label, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/snapml/snap/internal/linalg"
+	"github.com/snapml/snap/internal/model"
 )
 
 // coherentModel is the torn-read detector: it predicts 1 only when every
@@ -15,7 +16,7 @@ import (
 // snapshot.
 type coherentModel struct{ signModel }
 
-func (m *coherentModel) Predict(p linalg.Vector, _ []float64) int {
+func (m *coherentModel) PredictInto(p linalg.Vector, _ []float64, _ *model.Scratch) int {
 	v := p[0]
 	for _, pv := range p {
 		if pv != v {

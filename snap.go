@@ -96,13 +96,9 @@ const (
 var (
 	// NewLinearSVM returns the paper's d-parameter squared-hinge SVM.
 	NewLinearSVM = model.NewLinearSVM
-	// NewLogisticRegression returns an L2-regularized logistic model.
-	NewLogisticRegression = model.NewLogisticRegression
 	// NewMLP returns the paper's 3-layer perceptron (784-30-10 testbed
 	// model when called as NewMLP(784, 30, 10)).
 	NewMLP = model.NewMLP
-	// NewSoftmaxRegression returns a convex multiclass linear classifier.
-	NewSoftmaxRegression = model.NewSoftmaxRegression
 	// Accuracy evaluates a model's accuracy over a dataset.
 	Accuracy = model.Accuracy
 )
