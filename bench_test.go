@@ -555,13 +555,14 @@ func BenchmarkAblationDGDvsEXTRA(b *testing.B) {
 	}
 	topo := snap.RandomTopology(6, 3, 24)
 	noStop := metrics.ConvergenceDetector{RelTol: 1e-15, Patience: 1 << 30}
-	base := snap.BaselineConfig{
+	dgd := snap.Config{
 		Topology: topo, Model: snap.NewLinearSVM(data.NumFeature), Partitions: parts, Test: test,
-		Alpha: 0.1, MaxIterations: 300, Convergence: noStop, EvalEvery: 100, Seed: 25,
+		Alpha: 0.1, Policy: snap.SNO, DGD: true, MaxIterations: 300,
+		Convergence: noStop, EvalEvery: 100, Seed: 25,
 	}
 	b.Run("dgd", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := snap.TrainDGD(base)
+			res, err := snap.Train(dgd)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -574,7 +575,7 @@ func BenchmarkAblationDGDvsEXTRA(b *testing.B) {
 	b.Run("extra", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := snap.Train(snap.Config{
-				Topology: topo, Model: base.Model, Partitions: parts, Test: test,
+				Topology: topo, Model: dgd.Model, Partitions: parts, Test: test,
 				Alpha: 0.1, Policy: snap.SNAP0, MaxIterations: 300,
 				Convergence: noStop, EvalEvery: 100, Seed: 25,
 			})

@@ -45,82 +45,64 @@ import (
 
 func main() {
 	var (
-		id       = flag.Int("id", -1, "this node's index (0-based)")
-		peersArg = flag.String("peers", "", "comma-separated listen addresses for ALL nodes, index-aligned")
-		topology = flag.String("topology", "complete", "neighbor graph: complete, ring, or random")
-		degree   = flag.Float64("degree", 3, "average degree for -topology random")
-		rounds   = flag.Int("rounds", 60, "training rounds")
-		alpha    = flag.Float64("alpha", 0.1, "EXTRA step size")
-		policy   = flag.String("policy", "snap", "transmission policy: snap, snap0, sno")
-		seed     = flag.Int64("seed", 1, "shared seed for initial parameters and topology")
-		dataSeed = flag.Int64("data-seed", 2, "shared seed for the synthetic dataset")
-		samples  = flag.Int("samples", 12000, "total synthetic samples across the cluster")
-		timeout  = flag.Duration("round-timeout", 5*time.Second, "per-round straggler timeout")
-
-		connectTimeout = flag.Duration("connect-timeout", 10*time.Second, "cluster-formation timeout")
-		refreshEvery   = flag.Int("refresh-every", 0, "broadcast full parameters every N rounds (0 = never); heals staleness on lossy links")
-		restartEvery   = flag.Int("restart-every", 0, "restart the EXTRA recursion every N rounds (0 = never); bounds staleness bias")
-		fullSendRound0 = flag.Bool("full-send-round0", false, "broadcast full parameters in round 0 (required for non-identical inits)")
-		verbose        = flag.Bool("verbose", false, "log tolerated faults (failed sends, reconnects, refreshes)")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics (Prometheus text), /snapshot (JSON) and /trace on this address while training (e.g. 127.0.0.1:9090; empty = off)")
-		eventsPath  = flag.String("events", "", "append round-lifecycle events as JSON lines to this file (\"-\" = stderr; empty = off)")
-		pprofOn     = flag.Bool("pprof", true, "also mount /debug/pprof on -metrics-addr; disable on any address reachable beyond the operator (profiles expose memory contents)")
-		traceRounds = flag.Int("trace-rounds", 0, "record per-round distributed traces in a ring of this many rounds, served at /trace and pushed to the coordinator in elastic mode (0 = off)")
-		serveParams = flag.Bool("serve-params", true, "with -metrics-addr, also publish the model every round and serve the current snapshot at /params so snapserve gateways can follow this node live")
-
-		coordinator = flag.String("coordinator", "", "coordinator control-plane address; enables elastic mode (-id/-peers/-topology are then ignored)")
-		joinWait    = flag.Duration("join", 2*time.Minute, "elastic mode: how long to wait for admission and the founding quorum")
-		listenAddr  = flag.String("listen", "127.0.0.1:0", "elastic mode: data-plane listen address")
-		advertise   = flag.String("advertise", "", "elastic mode: data-plane address other members dial (default: the bound listen address)")
-		shards      = flag.Int("shards", 8, "elastic mode: number of data shards; a node with id i trains shard i mod shards")
+		cfg  snap.PeerConfig
+		opts nodeFlags
 	)
+	flag.IntVar(&cfg.ID, "id", -1, "this node's index (0-based)")
+	flag.StringVar(&opts.Peers, "peers", "", "comma-separated listen addresses for ALL nodes, index-aligned")
+	flag.StringVar(&opts.Topology, "topology", "complete", "neighbor graph: complete, ring, or random")
+	flag.Float64Var(&opts.Degree, "degree", 3, "average degree for -topology random")
+	flag.IntVar(&opts.Rounds, "rounds", 60, "training rounds")
+	flag.Float64Var(&cfg.Alpha, "alpha", 0.1, "EXTRA step size")
+	flag.StringVar(&opts.Policy, "policy", "snap", "transmission policy: snap, snap0, sno")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "shared seed for initial parameters and topology")
+	flag.Int64Var(&opts.DataSeed, "data-seed", 2, "shared seed for the synthetic dataset")
+	flag.IntVar(&opts.Samples, "samples", 12000, "total synthetic samples across the cluster")
+	flag.DurationVar(&cfg.RoundTimeout, "round-timeout", 5*time.Second, "per-round straggler timeout")
+
+	flag.DurationVar(&cfg.ConnectTimeout, "connect-timeout", 10*time.Second, "cluster-formation timeout")
+	flag.IntVar(&cfg.RefreshEvery, "refresh-every", 0, "broadcast full parameters every N rounds (0 = never); heals staleness on lossy links")
+	flag.IntVar(&cfg.RestartEvery, "restart-every", 0, "restart the EXTRA recursion every N rounds (0 = never); bounds staleness bias")
+	flag.BoolVar(&cfg.FullSendRound0, "full-send-round0", false, "broadcast full parameters in round 0 (required for non-identical inits)")
+	flag.BoolVar(&opts.Verbose, "verbose", false, "log tolerated faults (failed sends, reconnects, refreshes)")
+
+	flag.StringVar(&opts.MetricsAddr, "metrics-addr", "", "serve /metrics (Prometheus text), /snapshot (JSON) and /trace on this address while training (e.g. 127.0.0.1:9090; empty = off)")
+	flag.StringVar(&opts.EventsPath, "events", "", "append round-lifecycle events as JSON lines to this file (\"-\" = stderr; empty = off)")
+	flag.BoolVar(&opts.Pprof, "pprof", true, "also mount /debug/pprof on -metrics-addr; disable on any address reachable beyond the operator (profiles expose memory contents)")
+	flag.IntVar(&cfg.TraceRounds, "trace-rounds", 0, "record per-round distributed traces in a ring of this many rounds, served at /trace and pushed to the coordinator in elastic mode (0 = off)")
+	flag.BoolVar(&opts.ServeParams, "serve-params", true, "with -metrics-addr, also publish the model every round and serve the current snapshot at /params so snapserve gateways can follow this node live")
+
+	flag.StringVar(&cfg.CoordinatorAddr, "coordinator", "", "coordinator control-plane address; enables elastic mode (-id/-peers/-topology are then ignored)")
+	flag.DurationVar(&cfg.JoinWait, "join", 2*time.Minute, "elastic mode: how long to wait for admission and the founding quorum")
+	flag.StringVar(&cfg.ListenAddr, "listen", "127.0.0.1:0", "elastic mode: data-plane listen address")
+	flag.StringVar(&cfg.Advertise, "advertise", "", "elastic mode: data-plane address other members dial (default: the bound listen address)")
+	flag.IntVar(&opts.Shards, "shards", 8, "elastic mode: number of data shards; a node with id i trains shard i mod shards")
 	flag.Parse()
 
-	if err := run(*id, *peersArg, *topology, *degree, *rounds, *alpha, *policy,
-		*seed, *dataSeed, *samples, *timeout,
-		faultOpts{
-			ConnectTimeout: *connectTimeout,
-			RefreshEvery:   *refreshEvery,
-			RestartEvery:   *restartEvery,
-			FullSendRound0: *fullSendRound0,
-			Verbose:        *verbose,
-			MetricsAddr:    *metricsAddr,
-			EventsPath:     *eventsPath,
-			Pprof:          *pprofOn,
-			TraceRounds:    *traceRounds,
-			ServeParams:    *serveParams,
-			Coordinator:    *coordinator,
-			JoinWait:       *joinWait,
-			ListenAddr:     *listenAddr,
-			Advertise:      *advertise,
-			Shards:         *shards,
-		}); err != nil {
+	if err := run(cfg, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "snapnode:", err)
 		os.Exit(1)
 	}
 }
 
-// faultOpts bundles the fault-tolerance and observability knobs so run's
-// signature stays manageable.
-type faultOpts struct {
-	ConnectTimeout time.Duration
-	RefreshEvery   int
-	RestartEvery   int
-	FullSendRound0 bool
-	Verbose        bool
-	MetricsAddr    string
-	EventsPath     string
-	Pprof          bool
-	TraceRounds    int
-	ServeParams    bool
+// nodeFlags holds the flags that are the command's own rather than
+// PeerConfig fields: the static cluster layout, the run length, the
+// synthetic data and what the node serves.
+type nodeFlags struct {
+	Peers    string // static mode: index-aligned listen addresses
+	Topology string // static mode: complete, ring or random
+	Degree   float64
+	Rounds   int
+	Policy   string
+	DataSeed int64
+	Samples  int
+	Shards   int // elastic mode: a node with id i trains shard i mod Shards
 
-	// Elastic mode (all unused unless Coordinator is set).
-	Coordinator string
-	JoinWait    time.Duration
-	ListenAddr  string
-	Advertise   string
-	Shards      int
+	MetricsAddr string
+	EventsPath  string
+	Pprof       bool
+	ServeParams bool
+	Verbose     bool
 }
 
 // parsePolicy maps the -policy flag to a SendPolicy.
@@ -143,18 +125,18 @@ func parsePolicy(name string) (snap.SendPolicy, error) {
 // O_APPEND log can mean dropped events, so callers must check it;
 // serving over HTTP is the caller's job, since the node id may not be
 // known yet.
-func observability(fo faultOpts) (*snap.Observer, *snap.MetricsRegistry, *snap.EventLog, func() error, error) {
+func observability(opts nodeFlags) (*snap.Observer, *snap.MetricsRegistry, *snap.EventLog, func() error, error) {
 	cleanup := func() error { return nil }
-	if fo.MetricsAddr == "" && fo.EventsPath == "" {
+	if opts.MetricsAddr == "" && opts.EventsPath == "" {
 		return nil, nil, nil, cleanup, nil
 	}
 	reg := snap.NewMetricsRegistry()
 	var eventLog *snap.EventLog
-	if fo.EventsPath != "" {
-		if fo.EventsPath == "-" {
+	if opts.EventsPath != "" {
+		if opts.EventsPath == "-" {
 			eventLog = snap.NewEventLog(os.Stderr)
 		} else {
-			f, err := os.OpenFile(fo.EventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			f, err := os.OpenFile(opts.EventsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return nil, nil, nil, cleanup, fmt.Errorf("open -events file: %w", err)
 			}
@@ -167,8 +149,8 @@ func observability(fo faultOpts) (*snap.Observer, *snap.MetricsRegistry, *snap.E
 
 // paramFeed builds the per-round model publication feed when the node
 // serves one (-metrics-addr set and -serve-params on). Nil otherwise.
-func paramFeed(fo faultOpts) *snap.ParamFeed {
-	if fo.MetricsAddr == "" || !fo.ServeParams {
+func paramFeed(opts nodeFlags) *snap.ParamFeed {
+	if opts.MetricsAddr == "" || !opts.ServeParams {
 		return nil
 	}
 	return snap.NewParamFeed()
@@ -180,24 +162,24 @@ func paramFeed(fo faultOpts) *snap.ParamFeed {
 // current model snapshot at /params (404 unless -serve-params), and
 // /debug/pprof only while the operator keeps -pprof on. Returns the
 // server's close function.
-func serveNodeObservability(fo faultOpts, id int, reg *snap.MetricsRegistry,
+func serveNodeObservability(opts nodeFlags, id int, reg *snap.MetricsRegistry,
 	eventLog *snap.EventLog, node *snap.PeerNode, feed *snap.ParamFeed) (func() error, error) {
 	var params = snap.ObserveConfig{
 		Node:         id,
 		Reg:          reg,
 		Log:          eventLog,
-		PprofEnabled: fo.Pprof,
+		PprofEnabled: opts.Pprof,
 		Trace:        snap.TraceHandler(node.Tracer()),
 	}
 	if feed != nil {
 		params.Params = snap.ParamsHandler(feed)
 	}
-	srv, addr, err := snap.ServeObservabilityWith(fo.MetricsAddr, params)
+	srv, addr, err := snap.ServeObservabilityWith(opts.MetricsAddr, params)
 	if err != nil {
 		return nil, fmt.Errorf("start metrics server: %w", err)
 	}
 	fmt.Printf("node %d metrics on http://%s/metrics\n", id, addr)
-	if fo.TraceRounds > 0 {
+	if node.Tracer() != nil {
 		fmt.Printf("node %d trace on http://%s/trace\n", id, addr)
 	}
 	if feed != nil {
@@ -219,117 +201,91 @@ func closeAnd(err *error, what string, close func() error) {
 // run trains one node. Without -coordinator the node takes shard -id of
 // len(peers) shards and its place in the -topology graph over -peers;
 // with it, the coordinator assigns the id, neighbors and weights, and the
-// node trains shard id mod -shards.
-func run(id int, peersArg, topology string, degree float64, rounds int,
-	alpha float64, policyName string, seed, dataSeed int64, samples int,
-	timeout time.Duration, fo faultOpts) (err error) {
-	elastic := fo.Coordinator != ""
-	var (
-		peers  []string
-		topo   *snap.Topology
-		listen = fo.ListenAddr
-		shards = fo.Shards
-	)
+// node trains shard id mod -shards. cfg carries the flags that are
+// PeerConfig fields; run fills in the rest.
+func run(cfg snap.PeerConfig, opts nodeFlags) (err error) {
+	elastic := cfg.CoordinatorAddr != ""
+	var peers []string
+	shards := opts.Shards
 	if elastic {
 		if shards <= 0 {
-			return fmt.Errorf("-shards must be positive, got %d", fo.Shards)
+			return fmt.Errorf("-shards must be positive, got %d", opts.Shards)
 		}
 	} else {
-		peers = strings.Split(peersArg, ",")
+		peers = strings.Split(opts.Peers, ",")
 		n := len(peers)
-		if peersArg == "" || n < 2 {
+		if opts.Peers == "" || n < 2 {
 			return fmt.Errorf("-peers must list at least two addresses")
 		}
-		if id < 0 || id >= n {
-			return fmt.Errorf("-id %d out of range for %d peers", id, n)
+		if cfg.ID < 0 || cfg.ID >= n {
+			return fmt.Errorf("-id %d out of range for %d peers", cfg.ID, n)
 		}
-		switch topology {
+		switch opts.Topology {
 		case "complete":
-			topo = snap.CompleteTopology(n)
+			cfg.Topology = snap.CompleteTopology(n)
 		case "ring":
-			topo = snap.RingTopology(n)
+			cfg.Topology = snap.RingTopology(n)
 		case "random":
-			topo = snap.RandomTopology(n, degree, seed)
+			cfg.Topology = snap.RandomTopology(n, opts.Degree, cfg.Seed)
 		default:
-			return fmt.Errorf("unknown -topology %q", topology)
+			return fmt.Errorf("unknown -topology %q", opts.Topology)
 		}
-		listen, shards = peers[id], n
+		cfg.ListenAddr, shards = peers[cfg.ID], n
 	}
 
-	policy, err := parsePolicy(policyName)
-	if err != nil {
+	if cfg.Policy, err = parsePolicy(opts.Policy); err != nil {
 		return err
 	}
 
 	// Every node generates the same dataset and trains shard id mod shards
 	// of it; an elastic node's id is only known after admission.
-	rng := rand.New(rand.NewSource(dataSeed))
-	ds := snap.SyntheticCredit(snap.CreditConfig{Samples: samples}, rng)
+	rng := rand.New(rand.NewSource(opts.DataSeed))
+	ds := snap.SyntheticCredit(snap.CreditConfig{Samples: opts.Samples}, rng)
 	train, test := ds.Split(0.85, rng)
 	parts, err := train.Partition(shards, rng)
 	if err != nil {
 		return err
 	}
+	cfg.DataForID = func(id int) *snap.Dataset { return parts[id%shards] }
+	cfg.Model = snap.NewLinearSVM(ds.NumFeature)
 
-	var logf func(format string, args ...any)
-	if fo.Verbose {
-		logf = func(format string, args ...any) {
+	if opts.Verbose {
+		cfg.Logf = func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
 
 	// Observability: metrics registry + JSONL event log, served over HTTP
 	// once the node (and therefore its id and tracer) exists.
-	observer, reg, eventLog, cleanup, err := observability(fo)
+	observer, reg, eventLog, cleanup, err := observability(opts)
 	if err != nil {
 		return err
 	}
 	defer closeAnd(&err, "close -events file", cleanup)
+	cfg.Obs = observer
 
-	model := snap.NewLinearSVM(ds.NumFeature)
-	feed := paramFeed(fo)
+	cfg.Feed = paramFeed(opts)
 	if elastic {
-		fmt.Printf("joining cluster via coordinator %s\n", fo.Coordinator)
+		fmt.Printf("joining cluster via coordinator %s\n", cfg.CoordinatorAddr)
 	}
-	node, err := snap.NewPeerNode(snap.PeerConfig{
-		ID:              id,
-		Topology:        topo,
-		Model:           model,
-		DataForID:       func(id int) *snap.Dataset { return parts[id%shards] },
-		Alpha:           alpha,
-		Policy:          policy,
-		Seed:            seed,
-		RefreshEvery:    fo.RefreshEvery,
-		RestartEvery:    fo.RestartEvery,
-		FullSendRound0:  fo.FullSendRound0,
-		ListenAddr:      listen,
-		CoordinatorAddr: fo.Coordinator,
-		Advertise:       fo.Advertise,
-		JoinWait:        fo.JoinWait,
-		RoundTimeout:    timeout,
-		ConnectTimeout:  fo.ConnectTimeout,
-		Logf:            logf,
-		Obs:             observer,
-		TraceRounds:     fo.TraceRounds,
-		Feed:            feed,
-	})
+	node, err := snap.NewPeerNode(cfg)
 	if err != nil {
 		return err
 	}
 	defer closeAnd(&err, "close node", node.Close)
-	id = node.Engine().ID()
-	if feed != nil {
+	id := node.Engine().ID()
+	if cfg.Feed != nil {
 		// Publications start with the first training round, so wiring the
 		// observer here is race-free.
-		feed.SetObserver(observer, id)
+		cfg.Feed.SetObserver(observer, id)
 	}
 	if elastic {
 		fmt.Printf("node %d admitted (epoch %d), listening on %s; training to round %d\n",
-			id, node.Epoch(), node.Addr(), rounds)
+			id, node.Epoch(), node.Addr(), opts.Rounds)
 	}
 
-	if fo.MetricsAddr != "" {
-		closeSrv, err := serveNodeObservability(fo, id, reg, eventLog, node, feed)
+	if opts.MetricsAddr != "" {
+		closeSrv, err := serveNodeObservability(opts, id, reg, eventLog, node, cfg.Feed)
 		if err != nil {
 			return err
 		}
@@ -338,24 +294,24 @@ func run(id int, peersArg, topology string, degree float64, rounds int,
 
 	if !elastic {
 		neighbors := make(map[int]string)
-		for _, j := range topo.Neighbors(id) {
+		for _, j := range cfg.Topology.Neighbors(id) {
 			neighbors[j] = peers[j]
 		}
-		fmt.Printf("node %d listening on %s, neighbors %v\n", id, node.Addr(), topo.Neighbors(id))
+		fmt.Printf("node %d listening on %s, neighbors %v\n", id, node.Addr(), cfg.Topology.Neighbors(id))
 		if err := node.Connect(neighbors); err != nil {
 			return err
 		}
-		fmt.Printf("node %d connected; training %d rounds\n", id, rounds)
+		fmt.Printf("node %d connected; training %d rounds\n", id, opts.Rounds)
 	}
 
 	start := time.Now()
-	trace, err := node.Run(rounds)
+	trace, err := node.Run(opts.Rounds)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(start)
 
-	localAcc := snap.Accuracy(model, node.Engine().Params(), test)
+	localAcc := snap.Accuracy(cfg.Model, node.Engine().Params(), test)
 	lastLoss := 0.0
 	if stat, ok := trace.Last(); ok {
 		lastLoss = stat.Loss

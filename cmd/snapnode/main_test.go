@@ -41,8 +41,8 @@ func TestThreeNodeCluster(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			errs[id] = run(id, peers, "complete", 3, 15, 0.1, "snap",
-				7, 8, 600, 5*time.Second, faultOpts{})
+			errs[id] = run(snap.PeerConfig{ID: id, Alpha: 0.1, Seed: 7, RoundTimeout: 5 * time.Second},
+				nodeFlags{Peers: peers, Topology: "complete", Degree: 3, Rounds: 15, Policy: "snap", DataSeed: 8, Samples: 600})
 		}(id)
 	}
 	wg.Wait()
@@ -54,26 +54,23 @@ func TestThreeNodeCluster(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
+	opts := nodeFlags{Peers: "a:1,b:2", Topology: "complete", Degree: 3, Rounds: 1, Policy: "snap", DataSeed: 2, Samples: 100}
 	cases := []struct {
 		name string
-		f    func() error
+		id   int
+		edit func(*nodeFlags)
 	}{
-		{"noPeers", func() error {
-			return run(0, "", "complete", 3, 1, 0.1, "snap", 1, 2, 100, time.Second, faultOpts{})
-		}},
-		{"idOutOfRange", func() error {
-			return run(5, "a:1,b:2", "complete", 3, 1, 0.1, "snap", 1, 2, 100, time.Second, faultOpts{})
-		}},
-		{"badTopology", func() error {
-			return run(0, "a:1,b:2", "mesh", 3, 1, 0.1, "snap", 1, 2, 100, time.Second, faultOpts{})
-		}},
-		{"badPolicy", func() error {
-			return run(0, "a:1,b:2", "complete", 3, 1, 0.1, "blast", 1, 2, 100, time.Second, faultOpts{})
-		}},
+		{"noPeers", 0, func(o *nodeFlags) { o.Peers = "" }},
+		{"idOutOfRange", 5, func(*nodeFlags) {}},
+		{"badTopology", 0, func(o *nodeFlags) { o.Topology = "mesh" }},
+		{"badPolicy", 0, func(o *nodeFlags) { o.Policy = "blast" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.f(); err == nil {
+			o := opts
+			tc.edit(&o)
+			cfg := snap.PeerConfig{ID: tc.id, Alpha: 0.1, Seed: 1, RoundTimeout: time.Second}
+			if err := run(cfg, o); err == nil {
 				t.Error("invalid flags accepted")
 			}
 		})
@@ -92,13 +89,14 @@ func TestElasticCluster(t *testing.T) {
 	}
 	defer coord.Close()
 
-	fo := faultOpts{
-		ConnectTimeout: 5 * time.Second,
-		Coordinator:    coord.Addr(),
-		JoinWait:       10 * time.Second,
-		ListenAddr:     "127.0.0.1:0",
-		Shards:         4,
+	cfg := snap.PeerConfig{
+		ID: -1, Alpha: 0.1, Seed: 7, RoundTimeout: 2 * time.Second,
+		ConnectTimeout:  5 * time.Second,
+		CoordinatorAddr: coord.Addr(),
+		JoinWait:        10 * time.Second,
+		ListenAddr:      "127.0.0.1:0",
 	}
+	opts := nodeFlags{Rounds: 12, Policy: "snap", DataSeed: 8, Samples: 600, Shards: 4}
 	var wg sync.WaitGroup
 	errs := make([]error, 3)
 	for i := 0; i < 3; i++ {
@@ -106,7 +104,7 @@ func TestElasticCluster(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// id/-peers/-topology are ignored in elastic mode.
-			errs[i] = run(-1, "", "", 0, 12, 0.1, "snap", 7, 8, 600, 2*time.Second, fo)
+			errs[i] = run(cfg, opts)
 		}(i)
 	}
 	wg.Wait()
@@ -123,16 +121,16 @@ func TestElasticCluster(t *testing.T) {
 func TestRunValidationElastic(t *testing.T) {
 	cases := []struct {
 		name string
-		fo   faultOpts
+		opts nodeFlags
 	}{
-		{"badPolicyElastic", faultOpts{Coordinator: "127.0.0.1:1", Shards: 4}},
-		{"badShards", faultOpts{Coordinator: "127.0.0.1:1", Shards: 0}},
+		{"badPolicyElastic", nodeFlags{Policy: "blast", Shards: 4}},
+		{"badShards", nodeFlags{Policy: "snap", Shards: 0}},
 	}
-	policy := map[string]string{"badPolicyElastic": "blast", "badShards": "snap"}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := run(-1, "", "", 0, 1, 0.1, policy[tc.name], 1, 2, 100, time.Second, tc.fo)
-			if err == nil {
+			tc.opts.Rounds, tc.opts.DataSeed, tc.opts.Samples = 1, 2, 100
+			cfg := snap.PeerConfig{ID: -1, Alpha: 0.1, Seed: 1, RoundTimeout: time.Second, CoordinatorAddr: "127.0.0.1:1"}
+			if err := run(cfg, tc.opts); err == nil {
 				t.Error("invalid elastic flags accepted")
 			}
 		})

@@ -14,6 +14,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,7 +71,7 @@ func main() {
 		return
 	}
 	if *custom {
-		if err := runCustom(*n, *degree, *scheme, *samples, *alpha, *failures, *seed); err != nil {
+		if err := runCustom(os.Stdout, *n, *degree, *scheme, *samples, *alpha, *failures, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "snapsim:", err)
 			os.Exit(1)
 		}
@@ -144,8 +145,8 @@ func writeCSVs(dir string, res *experiments.FigResult) error {
 	return nil
 }
 
-// runCustom trains one configuration and prints its summary row.
-func runCustom(n int, degree float64, scheme string, samples int, alpha, failures float64, seed int64) error {
+// runCustom trains one configuration and writes its summary rows to w.
+func runCustom(w io.Writer, n int, degree float64, scheme string, samples int, alpha, failures float64, seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	data := snap.SyntheticCredit(snap.CreditConfig{Samples: samples}, rng)
 	train, test := data.Split(0.85, rng)
@@ -155,39 +156,40 @@ func runCustom(n int, degree float64, scheme string, samples int, alpha, failure
 	}
 	topo := snap.RandomTopology(n, degree, seed)
 	model := snap.NewLinearSVM(data.NumFeature)
-	det := snap.ConvergenceDetector{RelTol: 1e-3, Patience: 3, ConsensusTol: 0.01}
 	baseCfg := snap.BaselineConfig{
 		Topology: topo, Model: model, Partitions: parts, Test: test,
 		Alpha: alpha, MaxIterations: 500, EvalEvery: 100, Seed: seed,
 		Convergence: snap.ConvergenceDetector{RelTol: 1e-3, Patience: 3},
 	}
+	cfg := snap.Config{
+		Topology: topo, Model: model, Partitions: parts, Test: test,
+		Alpha: alpha, MaxIterations: 500, EvalEvery: 100, Seed: seed,
+		Convergence: baseCfg.Convergence,
+	}
 
 	var res *snap.Result
 	switch scheme {
 	case "snap", "snap-0", "sno":
-		policy := snap.SNAP
 		switch scheme {
 		case "snap-0":
-			policy = snap.SNAP0
+			cfg.Policy = snap.SNAP0
 		case "sno":
-			policy = snap.SNO
+			cfg.Policy = snap.SNO
 		}
-		res, err = snap.Train(snap.Config{
-			Topology: topo, Model: model, Partitions: parts, Test: test,
-			Alpha: alpha, Policy: policy, OptimizeWeights: true,
-			MaxIterations: 500, Convergence: det, EvalEvery: 100,
-			Seed: seed, FailureRate: failures,
-		})
+		cfg.OptimizeWeights, cfg.FailureRate = true, failures
+		cfg.Convergence.ConsensusTol = 0.01
+		res, err = snap.Train(cfg)
 	case "ps":
 		res, err = snap.TrainPS(baseCfg)
 	case "terngrad":
-		ternCfg := baseCfg
-		ternCfg.BatchSize = 2
-		res, err = snap.TrainTernGrad(ternCfg)
+		baseCfg.Ternary, baseCfg.BatchSize = true, 2
+		res, err = snap.TrainPS(baseCfg)
 	case "dgd":
-		// DGD runs on the simulated SNAP round with full parameter frames,
-		// so its cost= is the encoded frame bytes the simulator charges.
-		res, err = snap.TrainDGD(baseCfg)
+		// DGD runs on the simulated SNAP round with Metropolis weights and
+		// full parameter frames, so its cost= is the encoded frame bytes
+		// the simulator charges.
+		cfg.Policy, cfg.DGD = snap.SNO, true
+		res, err = snap.Train(cfg)
 	case "centralized":
 		res, err = snap.TrainCentralized(baseCfg)
 	default:
@@ -196,11 +198,11 @@ func runCustom(n int, degree float64, scheme string, samples int, alpha, failure
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scheme=%s n=%d degree=%g alpha=%g failures=%g\n", scheme, n, degree, alpha, failures)
-	fmt.Printf("iterations=%d converged=%v accuracy=%.4f cost=%.0f\n",
+	fmt.Fprintf(w, "scheme=%s n=%d degree=%g alpha=%g failures=%g\n", scheme, n, degree, alpha, failures)
+	fmt.Fprintf(w, "iterations=%d converged=%v accuracy=%.4f cost=%.0f\n",
 		res.Iterations, res.Converged, res.FinalAccuracy, res.TotalCost)
 	if stat, ok := res.Trace.Last(); ok {
-		fmt.Printf("finalLoss=%.4f consensus=%.3e\n", stat.Loss, stat.Consensus)
+		fmt.Fprintf(w, "finalLoss=%.4f consensus=%.3e\n", stat.Loss, stat.Consensus)
 	}
 	return nil
 }

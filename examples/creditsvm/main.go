@@ -40,6 +40,7 @@ func main() {
 		Convergence: snap.ConvergenceDetector{RelTol: 1e-3, Patience: 3},
 	}
 	ternCfg := base
+	ternCfg.Ternary = true
 	ternCfg.BatchSize = 2 // TernGrad runs in its native minibatch regime
 
 	decentralized := func(policy snap.SendPolicy) func() (*snap.Result, error) {
@@ -58,7 +59,7 @@ func main() {
 		{"snap-0", decentralized(snap.SNAP0)},
 		{"sno", decentralized(snap.SNO)},
 		{"ps", func() (*snap.Result, error) { return snap.TrainPS(base) }},
-		{"terngrad", func() (*snap.Result, error) { return snap.TrainTernGrad(ternCfg) }},
+		{"terngrad", func() (*snap.Result, error) { return snap.TrainPS(ternCfg) }},
 	}
 
 	fmt.Printf("%-12s %10s %10s %16s\n", "scheme", "iters", "accuracy", "cost (hop-bytes)")

@@ -53,19 +53,18 @@ func main() {
 	model := snap.NewLinearSVM(data.NumFeature)
 	noStop := snap.ConvergenceDetector{RelTol: 1e-15, Patience: 1 << 30}
 
-	dgd, err := snap.TrainDGD(snap.BaselineConfig{
+	cfg := snap.Config{
 		Topology: topo, Model: model, Partitions: parts, Test: test,
-		Alpha: 0.05, MaxIterations: rounds, Convergence: noStop,
-		EvalEvery: 50, Seed: 32,
-	})
+		Alpha: 0.05, MaxIterations: rounds,
+		Convergence: noStop, EvalEvery: 50, Seed: 32,
+	}
+	snapRes, err := snap.Train(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	snapRes, err := snap.Train(snap.Config{
-		Topology: topo, Model: model, Partitions: parts, Test: test,
-		Alpha: 0.05, Policy: snap.SNAP, MaxIterations: rounds,
-		Convergence: noStop, EvalEvery: 50, Seed: 32,
-	})
+	// Classic DGD: EXTRA's first step every round, full parameter frames.
+	cfg.DGD, cfg.Policy = true, snap.SNO
+	dgd, err := snap.Train(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

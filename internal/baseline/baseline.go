@@ -41,25 +41,45 @@ import (
 // accounted consistently with SNAP frames.
 const frameHeaderBytes = 13
 
-// CentralizedConfig configures the pooled-data baseline.
-type CentralizedConfig struct {
-	Model         model.Model
-	Partitions    []*dataset.Dataset // pooled for training; kept split to evaluate Σ f_i
-	Test          *dataset.Dataset
+// Config configures every baseline scheme.
+type Config struct {
+	// Topology is the physical network; PS and TernGrad charge their
+	// gradient and parameter traffic along least-hop paths over it.
+	// Centralized ignores it.
+	Topology   *graph.Graph
+	Model      model.Model
+	Partitions []*dataset.Dataset // Centralized pools them for training; kept split to evaluate Σ f_i
+	Test       *dataset.Dataset
+	// Alpha is the gradient-descent step (PS: the server's step on the
+	// averaged gradient).
 	Alpha         float64
 	MaxIterations int
 	Convergence   metrics.ConvergenceDetector
-	Seed          int64
+	// Seed drives the initial parameters and, for PS, the random server
+	// selection and (for TernGrad) the stochastic ternarization.
+	Seed int64
+	// Ternary enables TernGrad's 2-bit worker→server gradient encoding
+	// (PS only).
+	Ternary bool
+	// BatchSize limits each PS worker's per-round gradient batch (0 =
+	// full local data). TernGrad is defined on minibatch SGD, and its
+	// characteristic slowdown/accuracy loss only appears in that regime:
+	// with full-batch gradients the quantization noise scales with
+	// max|∇f| and vanishes as training converges.
+	BatchSize int
+	// EvalEvery computes test accuracy every this many rounds (default 1).
+	EvalEvery int
 }
+
+// CentralizedConfig is the name cmd/snapbench still uses for Config;
+// ROADMAP item 1 deletes it.
+type CentralizedConfig = Config
 
 // RunCentralized trains on the union of all partitions with plain gradient
 // descent. It incurs no communication cost by definition (the paper uses
 // it purely as the accuracy/convergence yardstick).
-func RunCentralized(cfg CentralizedConfig) (*core.Result, error) {
-	p := problem{
-		scheme: "centralized", model: cfg.Model, partitions: cfg.Partitions, test: cfg.Test,
-		alpha: cfg.Alpha, maxIterations: cfg.MaxIterations, convergence: cfg.Convergence,
-	}
+func RunCentralized(cfg Config) (*core.Result, error) {
+	p := problem{Config: cfg, scheme: "centralized"}
 	if err := p.check(false); err != nil {
 		return nil, err
 	}
@@ -76,43 +96,12 @@ func RunCentralized(cfg CentralizedConfig) (*core.Result, error) {
 	})
 }
 
-// PSConfig configures the parameter-server and TernGrad baselines.
-type PSConfig struct {
-	// Topology is the physical network; gradient/parameter traffic is
-	// charged along least-hop paths over it.
-	Topology   *graph.Graph
-	Model      model.Model
-	Partitions []*dataset.Dataset
-	Test       *dataset.Dataset
-	// Alpha is the server's gradient-descent step on the averaged
-	// gradient.
-	Alpha         float64
-	MaxIterations int
-	Convergence   metrics.ConvergenceDetector
-	// Seed drives the initial parameters, the random server selection and
-	// (for TernGrad) the stochastic ternarization.
-	Seed int64
-	// Ternary enables TernGrad's 2-bit worker→server gradient encoding.
-	Ternary bool
-	// BatchSize limits each worker's per-round gradient batch (0 = full
-	// local data). TernGrad is defined on minibatch SGD, and its
-	// characteristic slowdown/accuracy loss only appears in that regime:
-	// with full-batch gradients the quantization noise scales with
-	// max|∇f| and vanishes as training converges.
-	BatchSize int
-	// EvalEvery computes test accuracy every this many rounds (default 1).
-	EvalEvery int
-}
-
 // RunPS executes the parameter-server scheme (or TernGrad when
 // cfg.Ternary): each round every worker sends its local gradient to the
 // randomly chosen server along least-hop paths; the server averages,
 // steps, and pushes the full parameters back the same way.
-func RunPS(cfg PSConfig) (*core.Result, error) {
-	p := problem{
-		scheme: "ps", topology: cfg.Topology, model: cfg.Model, partitions: cfg.Partitions, test: cfg.Test,
-		alpha: cfg.Alpha, maxIterations: cfg.MaxIterations, evalEvery: cfg.EvalEvery, convergence: cfg.Convergence,
-	}
+func RunPS(cfg Config) (*core.Result, error) {
+	p := problem{Config: cfg, scheme: "ps"}
 	encode := encodeDense
 	if cfg.Ternary {
 		p.scheme, encode = "terngrad", encodeTernary

@@ -32,7 +32,7 @@ func detector() metrics.ConvergenceDetector {
 
 func TestCentralizedConverges(t *testing.T) {
 	m, parts, test := setup(t, 4, 2000, 1)
-	res, err := RunCentralized(CentralizedConfig{
+	res, err := RunCentralized(Config{
 		Model: m, Partitions: parts, Test: test,
 		Alpha: 0.1, MaxIterations: 400, Convergence: detector(), Seed: 3,
 	})
@@ -55,21 +55,24 @@ func TestCentralizedConverges(t *testing.T) {
 
 func TestCentralizedValidation(t *testing.T) {
 	m, parts, _ := setup(t, 2, 100, 2)
-	if _, err := RunCentralized(CentralizedConfig{Model: nil, Partitions: parts, Alpha: 0.1}); err == nil {
+	if _, err := RunCentralized(Config{Model: nil, Partitions: parts, Alpha: 0.1}); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := RunCentralized(CentralizedConfig{Model: m, Partitions: nil, Alpha: 0.1}); err == nil {
+	if _, err := RunCentralized(Config{Model: m, Partitions: nil, Alpha: 0.1}); err == nil {
 		t.Error("no data accepted")
 	}
-	if _, err := RunCentralized(CentralizedConfig{Model: m, Partitions: parts, Alpha: 0}); err == nil {
+	if _, err := RunCentralized(Config{Model: m, Partitions: parts, Alpha: 0}); err == nil {
 		t.Error("zero alpha accepted")
+	}
+	if _, err := RunCentralized(Config{Model: m, Partitions: []*dataset.Dataset{parts[0], nil}, Alpha: 0.1}); err == nil {
+		t.Error("nil partition accepted")
 	}
 }
 
 func TestPSConvergesAndChargesHops(t *testing.T) {
 	m, parts, test := setup(t, 6, 2400, 3)
 	topo := graph.RandomConnected(6, 3, rand.New(rand.NewSource(7)))
-	res, err := RunPS(PSConfig{
+	res, err := RunPS(Config{
 		Topology: topo, Model: m, Partitions: parts, Test: test,
 		Alpha: 0.1, MaxIterations: 400, Convergence: detector(), Seed: 5, EvalEvery: 50,
 	})
@@ -100,7 +103,7 @@ func TestPSMatchesCentralizedTrajectory(t *testing.T) {
 	// losses must match round for round.
 	m, parts, _ := setup(t, 4, 1200, 4)
 	topo := graph.Ring(4)
-	ps, err := RunPS(PSConfig{
+	ps, err := RunPS(Config{
 		Topology: topo, Model: m, Partitions: parts,
 		Alpha: 0.1, MaxIterations: 30,
 		Convergence: metrics.ConvergenceDetector{RelTol: 1e-12, Patience: 1000},
@@ -109,7 +112,7 @@ func TestPSMatchesCentralizedTrajectory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	central, err := RunCentralized(CentralizedConfig{
+	central, err := RunCentralized(Config{
 		Model: m, Partitions: parts,
 		Alpha: 0.1, MaxIterations: 30,
 		Convergence: metrics.ConvergenceDetector{RelTol: 1e-12, Patience: 1000},
@@ -141,7 +144,7 @@ func TestTernGradWorseThanPSInMinibatchRegime(t *testing.T) {
 	m, parts, test := setup(t, 6, 2400, 5)
 	topo := graph.RandomConnected(6, 3, rand.New(rand.NewSource(11)))
 	run := func(ternary bool) *core.Result {
-		r, err := RunPS(PSConfig{
+		r, err := RunPS(Config{
 			Topology: topo, Model: m, Partitions: parts, Test: test,
 			Alpha: 0.1, MaxIterations: 150,
 			Convergence: metrics.ConvergenceDetector{RelTol: 1e-12, Patience: 100000},
@@ -175,12 +178,13 @@ func TestPSValidation(t *testing.T) {
 	topo := graph.Ring(3)
 	cases := []struct {
 		name string
-		cfg  PSConfig
+		cfg  Config
 	}{
-		{"nilTopology", PSConfig{Model: m, Partitions: parts, Alpha: 0.1}},
-		{"partitionMismatch", PSConfig{Topology: topo, Model: m, Partitions: parts[:2], Alpha: 0.1}},
-		{"nilModel", PSConfig{Topology: topo, Partitions: parts, Alpha: 0.1}},
-		{"zeroAlpha", PSConfig{Topology: topo, Model: m, Partitions: parts}},
+		{"nilTopology", Config{Model: m, Partitions: parts, Alpha: 0.1}},
+		{"partitionMismatch", Config{Topology: topo, Model: m, Partitions: parts[:2], Alpha: 0.1}},
+		{"nilModel", Config{Topology: topo, Partitions: parts, Alpha: 0.1}},
+		{"zeroAlpha", Config{Topology: topo, Model: m, Partitions: parts}},
+		{"nilPartition", Config{Topology: topo, Model: m, Partitions: []*dataset.Dataset{parts[0], nil, parts[2]}, Alpha: 0.1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,7 +194,7 @@ func TestPSValidation(t *testing.T) {
 		})
 	}
 	disconnected := graph.New(3)
-	if _, err := RunPS(PSConfig{Topology: disconnected, Model: m, Partitions: parts, Alpha: 0.1}); err == nil {
+	if _, err := RunPS(Config{Topology: disconnected, Model: m, Partitions: parts, Alpha: 0.1}); err == nil {
 		t.Error("disconnected topology accepted")
 	}
 }

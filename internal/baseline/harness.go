@@ -5,29 +5,19 @@ import (
 	"math"
 
 	"github.com/snapml/snap/internal/core"
-	"github.com/snapml/snap/internal/dataset"
-	"github.com/snapml/snap/internal/graph"
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/metrics"
 	"github.com/snapml/snap/internal/model"
 	"github.com/snapml/snap/internal/transport"
 )
 
-// problem is what every scheme's config has in common. A scheme supplies
-// its iterate and what one round does to it; validation, defaults,
-// per-round evaluation, the stopping rule and the result are run's.
+// problem is one scheme's run of a Config. A scheme supplies its iterate
+// and what one round does to it; validation, defaults, per-round
+// evaluation, the stopping rule and the result are run's.
 type problem struct {
-	scheme        string       // Result.Scheme
-	topology      *graph.Graph // unset for a scheme without a network
-	model         model.Model
-	partitions    []*dataset.Dataset
-	test          *dataset.Dataset
-	alpha         float64
-	maxIterations int
-	evalEvery     int
-	convergence   metrics.ConvergenceDetector
-
-	net *transport.Sim // built by check for a networked scheme; its ledger is the run's cost
+	Config
+	scheme string         // Result.Scheme
+	net    *transport.Sim // built by check for a networked scheme; its ledger is the run's cost
 }
 
 // check validates the problem and fills in defaults. A networked scheme
@@ -35,30 +25,35 @@ type problem struct {
 func (p *problem) check(networked bool) error {
 	switch {
 	case !networked:
-		if len(p.partitions) == 0 {
+		if len(p.Partitions) == 0 {
 			return fmt.Errorf("baseline: %s requires data", p.scheme)
 		}
-	case p.topology == nil || p.topology.N() == 0:
+	case p.Topology == nil || p.Topology.N() == 0:
 		return fmt.Errorf("baseline: %s requires a topology", p.scheme)
-	case !p.topology.IsConnected():
+	case !p.Topology.IsConnected():
 		return fmt.Errorf("baseline: %s topology must be connected", p.scheme)
-	case len(p.partitions) != p.topology.N():
-		return fmt.Errorf("baseline: %d partitions for %d nodes", len(p.partitions), p.topology.N())
+	case len(p.Partitions) != p.Topology.N():
+		return fmt.Errorf("baseline: %d partitions for %d nodes", len(p.Partitions), p.Topology.N())
 	}
-	if p.model == nil {
+	for i, part := range p.Partitions {
+		if part == nil {
+			return fmt.Errorf("baseline: %s partition %d is nil", p.scheme, i)
+		}
+	}
+	if p.Model == nil {
 		return fmt.Errorf("baseline: %s requires a model", p.scheme)
 	}
-	if p.alpha <= 0 {
+	if p.Alpha <= 0 {
 		return fmt.Errorf("baseline: %s requires positive Alpha", p.scheme)
 	}
-	if p.maxIterations <= 0 {
-		p.maxIterations = 500
+	if p.MaxIterations <= 0 {
+		p.MaxIterations = 500
 	}
-	if p.evalEvery <= 0 {
-		p.evalEvery = 1
+	if p.EvalEvery <= 0 {
+		p.EvalEvery = 1
 	}
 	if networked {
-		p.net = transport.NewSim(p.topology, nil)
+		p.net = transport.NewSim(p.Topology, nil)
 	}
 	return nil
 }
@@ -69,7 +64,7 @@ func (p *problem) check(networked bool) error {
 // consensus residual is zero.
 func (p *problem) run(x linalg.Vector, step func(round int) error) (*core.Result, error) {
 	res := &core.Result{Scheme: p.scheme, FinalAccuracy: math.NaN()}
-	for round := 0; round < p.maxIterations; round++ {
+	for round := 0; round < p.MaxIterations; round++ {
 		if p.net != nil {
 			p.net.BeginRound(round)
 		}
@@ -77,22 +72,22 @@ func (p *problem) run(x linalg.Vector, step func(round int) error) (*core.Result
 			return nil, err
 		}
 		stat := metrics.IterationStat{Round: round, Loss: p.aggregateLoss(x), Accuracy: math.NaN()}
-		if p.test != nil && (round%p.evalEvery == 0 || round == p.maxIterations-1) {
-			stat.Accuracy = model.Accuracy(p.model, x, p.test)
+		if p.Test != nil && (round%p.EvalEvery == 0 || round == p.MaxIterations-1) {
+			stat.Accuracy = model.Accuracy(p.Model, x, p.Test)
 		}
 		if p.net != nil {
 			stat.RoundCost = p.net.Ledger().RoundCost(round)
 		}
 		res.Trace.Append(stat)
 		res.Iterations = round + 1
-		if p.convergence.Observe(stat.Loss, stat.Consensus) {
+		if p.Convergence.Observe(stat.Loss, stat.Consensus) {
 			res.Converged = true
 			break
 		}
 	}
 	res.FinalLoss = p.aggregateLoss(x)
-	if p.test != nil {
-		res.FinalAccuracy = model.Accuracy(p.model, x, p.test)
+	if p.Test != nil {
+		res.FinalAccuracy = model.Accuracy(p.Model, x, p.Test)
 	}
 	if p.net != nil {
 		res.TotalCost = p.net.Ledger().Total()
@@ -105,8 +100,8 @@ func (p *problem) run(x linalg.Vector, step func(round int) error) (*core.Result
 // shared iterate.
 func (p *problem) aggregateLoss(x linalg.Vector) float64 {
 	var total float64
-	for _, part := range p.partitions {
-		total += p.model.Loss(x, part.Samples)
+	for _, part := range p.Partitions {
+		total += p.Model.Loss(x, part.Samples)
 	}
 	return total
 }

@@ -246,6 +246,9 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Alpha <= 0 {
 		return nil, fmt.Errorf("core: node %d requires positive Alpha", cfg.ID)
 	}
+	if cfg.Data == nil {
+		return nil, fmt.Errorf("core: node %d has no local data", cfg.ID)
+	}
 	if err := validateTopology(cfg.ID, cfg.WRow, cfg.Neighbors); err != nil {
 		return nil, err
 	}

@@ -95,6 +95,12 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(bad); err == nil {
 		t.Error("weight on a non-neighbor accepted")
 	}
+
+	bad = base
+	bad.Data = nil
+	if _, err := NewEngine(bad); err == nil {
+		t.Error("missing data accepted")
+	}
 }
 
 func TestBuildUpdatePolicies(t *testing.T) {

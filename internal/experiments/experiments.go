@@ -224,7 +224,7 @@ func schemeRun(scheme string, topo *graph.Graph, w *svmWorkload, opt Options, op
 		}
 		return cluster.Run()
 	case "ps", "terngrad":
-		cfg := baseline.PSConfig{
+		cfg := baseline.Config{
 			Topology:      topo,
 			Model:         w.model,
 			Partitions:    w.parts,
@@ -241,7 +241,7 @@ func schemeRun(scheme string, topo *graph.Graph, w *svmWorkload, opt Options, op
 		}
 		return baseline.RunPS(cfg)
 	case "centralized":
-		return baseline.RunCentralized(baseline.CentralizedConfig{
+		return baseline.RunCentralized(baseline.Config{
 			Model:         w.model,
 			Partitions:    w.parts,
 			Test:          w.test,

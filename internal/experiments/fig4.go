@@ -53,7 +53,7 @@ func Fig4(opt Options) (*FigResult, error) {
 		return cluster.Run()
 	}
 	runPS := func(ternary bool, maxIter int, det metrics.ConvergenceDetector) (*core.Result, error) {
-		cfg := baseline.PSConfig{
+		cfg := baseline.Config{
 			Topology:      topo,
 			Model:         w.model,
 			Partitions:    w.parts,
@@ -91,7 +91,7 @@ func Fig4(opt Options) (*FigResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	central, err := baseline.RunCentralized(baseline.CentralizedConfig{
+	central, err := baseline.RunCentralized(baseline.Config{
 		Model:         w.model,
 		Partitions:    w.parts,
 		Test:          w.test,

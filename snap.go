@@ -29,8 +29,9 @@
 //		Alpha:      0.1,
 //	})
 //
-// The package also exposes the paper's baselines (Centralized, PS,
-// TernGrad) and classic DGD for comparison, a real TCP peer mode for
+// The package also exposes the paper's baselines (Centralized, PS and
+// TernGrad through TrainCentralized and TrainPS; classic DGD through
+// Config.DGD) for comparison, a real TCP peer mode for
 // multi-process deployments, and the full experiment harness that
 // regenerates every figure of the paper's evaluation (see cmd/snapsim).
 package snap
@@ -145,172 +146,33 @@ func ScaleFreeTopology(n, m int, seed int64) *Topology {
 	return graph.ScaleFree(n, m, rand.New(rand.NewSource(seed)))
 }
 
-// Config configures a decentralized SNAP training run. The zero values of
-// optional fields select paper defaults.
-type Config struct {
-	// Topology is the neighbor graph (required, connected).
-	Topology *Topology
-	// Model is the shared architecture (required).
-	Model Model
-	// Partitions holds each server's local data (required,
-	// len == Topology.N()).
-	Partitions []*Dataset
-	// Test enables accuracy evaluation (optional).
-	Test *Dataset
-	// Alpha is the EXTRA step size (required, positive).
-	Alpha float64
-	// Policy selects SNAP (default), SNAP0 or SNO.
-	Policy SendPolicy
-	// APE tunes Algorithm 1 (optional).
-	APE APEConfig
-	// OptimizeWeights enables the spectral weight-matrix optimization
-	// (paper §IV-B). Default off; the experiment harness turns it on.
-	OptimizeWeights bool
-	// WeightOpt tunes the optimizer.
-	WeightOpt WeightOptions
-	// BatchSize limits per-iteration gradients (0 = full batch).
-	BatchSize int
-	// MaxIterations caps the run (default 500).
-	MaxIterations int
-	// Convergence sets the stopping rule.
-	Convergence ConvergenceDetector
-	// EvalEvery sets the accuracy evaluation period (default 1).
-	EvalEvery int
-	// Seed makes the run reproducible.
-	Seed int64
-	// PerNodeInit gives every server an independent random initialization
-	// (with a full round-0 exchange), as in an uncoordinated deployment.
-	// Default: all servers share the Seed-derived initialization.
-	PerNodeInit bool
-	// Float32Wire transmits parameter values as float32, halving value
-	// bytes (an extension beyond the paper; rounding ~1e-7 relative).
-	Float32Wire bool
-	// FailureRate injects per-round link failures (stragglers). Periodic
-	// full refresh and recursion restarts are enabled automatically to
-	// keep the iteration exact under loss.
-	FailureRate float64
-	// Obs, when set, streams live metrics and round events from the
-	// simulated cluster: engine series are labeled node="<id>", phase
-	// histograms aggregate across nodes. See NewObserver.
-	Obs *Observer
-}
+// Config configures a decentralized SNAP training run over a simulated
+// network. The zero values of optional fields select paper defaults; set
+// DGD with Policy SNO for classic decentralized gradient descent, the
+// inexact peer-to-peer baseline EXTRA (and therefore SNAP) improves on.
+// Weights and OnIteration take internal types, so only callers inside
+// this module can set them.
+type Config = core.ClusterConfig
 
 // Train runs decentralized SNAP training over a simulated network and
 // returns the result.
 func Train(cfg Config) (*Result, error) {
-	cluster, err := core.NewCluster(core.ClusterConfig{
-		Topology:        cfg.Topology,
-		Model:           cfg.Model,
-		Partitions:      cfg.Partitions,
-		Test:            cfg.Test,
-		Alpha:           cfg.Alpha,
-		Policy:          cfg.Policy,
-		APE:             cfg.APE,
-		OptimizeWeights: cfg.OptimizeWeights,
-		WeightOpt:       cfg.WeightOpt,
-		BatchSize:       cfg.BatchSize,
-		MaxIterations:   cfg.MaxIterations,
-		Convergence:     cfg.Convergence,
-		EvalEvery:       cfg.EvalEvery,
-		Seed:            cfg.Seed,
-		PerNodeInit:     cfg.PerNodeInit,
-		Float32Wire:     cfg.Float32Wire,
-		FailureRate:     cfg.FailureRate,
-		Obs:             cfg.Obs,
-	})
+	cluster, err := core.NewCluster(cfg)
 	if err != nil {
 		return nil, err
 	}
 	return cluster.Run()
 }
 
-// BaselineConfig configures the paper's comparison schemes.
-type BaselineConfig struct {
-	// Topology is required for PS, TernGrad and DGD (ignored by Centralized).
-	Topology *Topology
-	// Model, Partitions, Alpha as in Config.
-	Model      Model
-	Partitions []*Dataset
-	Test       *Dataset
-	Alpha      float64
-	// BatchSize limits per-worker gradients for PS/TernGrad (0 = full).
-	BatchSize     int
-	MaxIterations int
-	Convergence   ConvergenceDetector
-	EvalEvery     int
-	Seed          int64
-}
+// BaselineConfig configures the paper's comparison schemes: Topology is
+// required by PS and TernGrad (set Ternary) and ignored by Centralized.
+type BaselineConfig = baseline.Config
 
-// TrainCentralized runs the pooled-data yardstick baseline.
-func TrainCentralized(cfg BaselineConfig) (*Result, error) {
-	return baseline.RunCentralized(baseline.CentralizedConfig{
-		Model:         cfg.Model,
-		Partitions:    cfg.Partitions,
-		Test:          cfg.Test,
-		Alpha:         cfg.Alpha,
-		MaxIterations: cfg.MaxIterations,
-		Convergence:   cfg.Convergence,
-		Seed:          cfg.Seed,
-	})
-}
-
-// TrainPS runs the parameter-server baseline over cfg.Topology.
-func TrainPS(cfg BaselineConfig) (*Result, error) {
-	return baseline.RunPS(baseline.PSConfig{
-		Topology:      cfg.Topology,
-		Model:         cfg.Model,
-		Partitions:    cfg.Partitions,
-		Test:          cfg.Test,
-		Alpha:         cfg.Alpha,
-		BatchSize:     cfg.BatchSize,
-		MaxIterations: cfg.MaxIterations,
-		Convergence:   cfg.Convergence,
-		EvalEvery:     cfg.EvalEvery,
-		Seed:          cfg.Seed,
-	})
-}
-
-// TrainDGD runs classic decentralized gradient descent over cfg.Topology
-// — the inexact peer-to-peer baseline EXTRA (and therefore SNAP)
-// improves on: with a constant step size DGD's nodes never fully agree.
-// DGD is EXTRA's first step, x⁺ = W·x − α∇f(x), taken every round; it
-// runs on the simulated SNAP round with Metropolis weights and full
-// parameter frames, whose encoded bytes are its cost. BatchSize is
-// ignored.
-func TrainDGD(cfg BaselineConfig) (*Result, error) {
-	cluster, err := core.NewCluster(core.ClusterConfig{
-		Topology:      cfg.Topology,
-		Model:         cfg.Model,
-		Partitions:    cfg.Partitions,
-		Test:          cfg.Test,
-		Alpha:         cfg.Alpha,
-		Policy:        core.SendAll,
-		DGD:           true,
-		MaxIterations: cfg.MaxIterations,
-		Convergence:   cfg.Convergence,
-		EvalEvery:     cfg.EvalEvery,
-		Seed:          cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cluster.Run()
-}
-
-// TrainTernGrad runs the TernGrad baseline (PS with 2-bit ternary
-// worker→server gradients) over cfg.Topology.
-func TrainTernGrad(cfg BaselineConfig) (*Result, error) {
-	return baseline.RunPS(baseline.PSConfig{
-		Topology:      cfg.Topology,
-		Model:         cfg.Model,
-		Partitions:    cfg.Partitions,
-		Test:          cfg.Test,
-		Alpha:         cfg.Alpha,
-		BatchSize:     cfg.BatchSize,
-		MaxIterations: cfg.MaxIterations,
-		Convergence:   cfg.Convergence,
-		EvalEvery:     cfg.EvalEvery,
-		Seed:          cfg.Seed,
-		Ternary:       true,
-	})
-}
+// Baseline runs.
+var (
+	// TrainCentralized runs the pooled-data yardstick baseline.
+	TrainCentralized = baseline.RunCentralized
+	// TrainPS runs the parameter-server baseline over cfg.Topology, or
+	// TernGrad (2-bit ternary worker→server gradients) when cfg.Ternary.
+	TrainPS = baseline.RunPS
+)

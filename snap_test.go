@@ -70,10 +70,40 @@ func TestTrainThroughFacade(t *testing.T) {
 	}
 }
 
+// TestTrainValidatesThroughFacade checks that Train rejects what the
+// cluster cannot run as an error rather than a panic in a runner goroutine.
 func TestTrainValidatesThroughFacade(t *testing.T) {
-	model, parts, _ := facadeWorkload(t, 4)
-	if _, err := snap.Train(snap.Config{Model: model, Partitions: parts, Alpha: 0.1}); err == nil {
-		t.Error("missing topology accepted")
+	model, parts, _ := facadeWorkload(t, 3)
+	topo := snap.RingTopology(3)
+	for _, tc := range []struct {
+		name string
+		cfg  snap.Config
+	}{
+		{"missing topology", snap.Config{Model: model, Partitions: parts, Alpha: 0.1}},
+		{"nil partition", snap.Config{Topology: topo, Model: model, Partitions: []*snap.Dataset{parts[0], nil, parts[2]}, Alpha: 0.1}},
+	} {
+		if _, err := snap.Train(tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// TestDGDValidation checks that Train with DGD set rejects what the
+// cluster cannot run.
+func TestDGDValidation(t *testing.T) {
+	model, parts, _ := facadeWorkload(t, 3)
+	topo := snap.RingTopology(3)
+	for _, tc := range []struct {
+		name string
+		cfg  snap.Config
+	}{
+		{"missing topology", snap.Config{DGD: true, Policy: snap.SNO, Model: model, Partitions: parts, Alpha: 0.1}},
+		{"partition mismatch", snap.Config{DGD: true, Policy: snap.SNO, Topology: topo, Model: model, Partitions: parts[:2], Alpha: 0.1}},
+		{"zero alpha", snap.Config{DGD: true, Policy: snap.SNO, Topology: topo, Model: model, Partitions: parts}},
+	} {
+		if _, err := snap.Train(tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
@@ -93,8 +123,8 @@ func TestBaselinesThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	ternCfg := cfg
-	ternCfg.BatchSize = 2
-	tern, err := snap.TrainTernGrad(ternCfg)
+	ternCfg.Ternary, ternCfg.BatchSize = true, 2
+	tern, err := snap.TrainPS(ternCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,25 +136,6 @@ func TestBaselinesThroughFacade(t *testing.T) {
 	}
 	if ps.TotalCost <= 0 || tern.TotalCost <= 0 {
 		t.Error("baseline costs missing")
-	}
-}
-
-// TestDGDValidation checks that TrainDGD rejects what the cluster cannot
-// run.
-func TestDGDValidation(t *testing.T) {
-	model, parts, _ := facadeWorkload(t, 3)
-	topo := snap.RingTopology(3)
-	for _, tc := range []struct {
-		name string
-		cfg  snap.BaselineConfig
-	}{
-		{"missing topology", snap.BaselineConfig{Model: model, Partitions: parts, Alpha: 0.1}},
-		{"partition mismatch", snap.BaselineConfig{Topology: topo, Model: model, Partitions: parts[:2], Alpha: 0.1}},
-		{"zero alpha", snap.BaselineConfig{Topology: topo, Model: model, Partitions: parts}},
-	} {
-		if _, err := snap.TrainDGD(tc.cfg); err == nil {
-			t.Errorf("%s accepted", tc.name)
-		}
 	}
 }
 
@@ -147,9 +158,10 @@ func TestDGDMakesProgressButStallsAboveEXTRA(t *testing.T) {
 	topo := snap.RandomTopology(6, 3, 42)
 	noStop := snap.ConvergenceDetector{RelTol: 1e-15, Patience: 1 << 30}
 
-	dgd, err := snap.TrainDGD(snap.BaselineConfig{
+	dgd, err := snap.Train(snap.Config{
 		Topology: topo, Model: model, Partitions: parts, Test: test,
-		Alpha: 0.1, MaxIterations: 300, Convergence: noStop, EvalEvery: 100, Seed: 43,
+		Alpha: 0.1, Policy: snap.SNO, DGD: true, MaxIterations: 300,
+		Convergence: noStop, EvalEvery: 100, Seed: 43,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -251,6 +263,10 @@ func TestPeerConfigValidation(t *testing.T) {
 	}
 	if _, err := snap.NewPeerNode(snap.PeerConfig{ID: 0, Topology: topo, Data: parts[0], Alpha: 0.1, ListenAddr: "127.0.0.1:0"}); err == nil {
 		t.Error("missing model accepted")
+	}
+	if node, err := snap.NewPeerNode(snap.PeerConfig{ID: 0, Topology: topo, Model: model, Alpha: 0.1, ListenAddr: "127.0.0.1:0"}); err == nil {
+		node.Close()
+		t.Error("missing data accepted")
 	}
 }
 
