@@ -8,8 +8,8 @@
 // package removes that assumption while preserving the algorithmic
 // contract: within one epoch the cluster runs plain SNAP/EXTRA over a
 // static topology and a centrally optimized W, and every epoch switch
-// restarts the EXTRA recursion and forces a full-parameter exchange, so
-// stale correction history never leaks across reconfigurations.
+// resets the EXTRA correction s and forces a full-parameter exchange, so
+// a correction summed under an old W never leaks across reconfigurations.
 //
 // Wire protocol: control connections carry length-prefixed frames in the
 // same style as the data plane ([len u32][type u32][payload]), with JSON

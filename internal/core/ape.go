@@ -37,7 +37,7 @@ type APEConfig struct {
 	// have some slight changes when the iteration converges)". Default
 	// 1e-4.
 	Epsilon float64
-	// RestartRecursion resets the EXTRA two-term recursion at each stage
+	// RestartRecursion resets the EXTRA correction, s := 0, at each stage
 	// transition, the literal reading of Algorithm 1's "restart the
 	// iteration from the solution derived by the first I_k iterations".
 	// Off by default: at EXTRA's fixed point each node's *local* gradient

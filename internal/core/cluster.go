@@ -76,10 +76,10 @@ type ClusterConfig struct {
 	// — far below any APE threshold. An extension beyond the paper;
 	// compare with BenchmarkAblationFloat32Wire.
 	Float32Wire bool
-	// RestartEvery restarts the EXTRA recursion every that many rounds
-	// (see EngineConfig.RestartEvery). When zero and FailureRate is
-	// positive it defaults to RefreshEvery, purging the staleness bias
-	// that dropped frames leave in EXTRA's correction history.
+	// RestartEvery resets the EXTRA correction s to zero every that many
+	// rounds (see EngineConfig.RestartEvery). When zero and FailureRate is
+	// positive it defaults to 4 × RefreshEvery, purging the staleness bias
+	// that dropped frames leave in s.
 	RestartEvery int
 	// OnIteration, when set, is invoked after every round's compute phase
 	// (before convergence is evaluated) with the just-finished round
@@ -105,7 +105,7 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 		// Four refresh periods: long enough for consensus to re-settle
 		// after the restart kick (each restart perturbs node i by
 		// α·∇f_i, which differs across nodes), short enough to bound the
-		// staleness bias accumulating in the correction history.
+		// staleness bias accumulating in the correction s.
 		c.RestartEvery = 4 * c.RefreshEvery
 	}
 	if c.EvalEvery <= 0 {
@@ -201,7 +201,6 @@ func (r *engineRunner) run(cmd roundCmd) error {
 		if err := nr.send(cmd.round); err != nil {
 			return err
 		}
-		nr.eng.BeginIntegrate()
 		nr.eng.ComputeGradient(cmd.round)
 		return nil
 	}

@@ -63,10 +63,10 @@ type EngineConfig struct {
 	// data, the deterministic EXTRA setting).
 	BatchSize int
 	// DGD runs classic decentralized gradient descent (Nedić-Ozdaglar)
-	// instead of EXTRA: every StepMix takes EXTRA's first step,
-	// x⁺ = W·x − α∇f(x), and the two-term recursion never starts. With a
-	// constant step size DGD only reaches an O(α)-neighborhood of the
-	// optimum — the bias EXTRA's correction term removes.
+	// instead of EXTRA: the correction s stays zero, so every StepMix is
+	// x⁺ = W·x − α∇f(x). With a constant step size DGD only reaches an
+	// O(α)-neighborhood of the optimum — the bias EXTRA's correction
+	// removes.
 	DGD bool
 	// Policy selects the transmission scheme.
 	Policy SendPolicy
@@ -88,14 +88,14 @@ type EngineConfig struct {
 	// baseline, and the only baseline a fresh receiver has is its own
 	// init.
 	FullSendRound0 bool
-	// RestartEvery, when positive, restarts the EXTRA two-term recursion
+	// RestartEvery, when positive, resets the EXTRA correction s to zero
 	// every that many rounds. Needed alongside RefreshEvery on lossy
-	// links: EXTRA's optimality is carried by its accumulated correction
-	// term Σ(W̃−W)x^t, and rounds computed on stale neighbor views
-	// corrupt that history permanently — the iteration then converges to
-	// a consensual but non-optimal point. A restart discards the
-	// corrupted history and re-converges from the current iterate (EXTRA
-	// converges from any initial point), bounding the staleness bias.
+	// links: EXTRA's optimality is carried by s = Σ_t ½(x^t − (Wx)^t),
+	// and rounds computed on stale neighbor views corrupt that sum
+	// permanently — the iteration then converges to a consensual but
+	// non-optimal point. A restart discards the corrupted sum and
+	// re-converges from the current iterate (EXTRA converges from any
+	// initial point), bounding the staleness bias.
 	RestartEvery int
 	// Float32Wire declares that this node's updates travel as float32
 	// (codec.EncodeLossyTo). The engine then records the float32-rounded
@@ -117,9 +117,9 @@ type EngineConfig struct {
 	Trace *trace.Tracer
 }
 
-// Engine is one edge server's training state: the EXTRA two-term recursion
-// over its own parameters plus its view of each neighbor's parameters,
-// fed by selective updates.
+// Engine is one edge server's training state: its EXTRA iterate and
+// correction s (paper eq. 8 in Shi et al.'s summed form) plus its view of
+// each neighbor's parameters, fed by selective updates.
 //
 // Buffer ownership: the engine preallocates every vector the round loop
 // touches at construction and recycles them across rounds (see DESIGN.md
@@ -131,23 +131,19 @@ type Engine struct {
 	cfg  EngineConfig
 	wRow linalg.Vector
 
-	x     linalg.Vector // x^{k+1}, the current iterate
-	xPrev linalg.Vector // x^k
-	grad  linalg.Vector // ∇f_i(x^{k+1}) scratch for the current step
-	gPrev linalg.Vector // ∇f_i(x^k)
-	mix   linalg.Vector // Σ_j w_ij·x_j scratch
-	next  linalg.Vector // x^{k+2} under construction
-	k     int           // EXTRA iteration counter (reset on APE restart; 0 throughout DGD)
+	x    linalg.Vector // x^k, the current iterate
+	s    linalg.Vector // correction Σ_{t<k} ½(x^t − (Wx)^t); zero after a restart and throughout DGD
+	grad linalg.Vector // ∇f_i(x^k) scratch for the current step
+	mix  linalg.Vector // (Wx)^k = Σ_j w_ij·x_j scratch
 
 	// Neighbor views are stored in slot arrays indexed by the position of
 	// the neighbor id in the sorted nbrIDs slice; nbrIdx maps id → slot
 	// (lookups only — iteration always walks the slices, in id order, so
 	// float summation is deterministic).
-	nbrIDs  []int
-	nbrIdx  map[int]int
-	nbrW    []float64       // w_{ID,j} per slot
-	nbrCur  []linalg.Vector // view of x_j^{k+1} per slot
-	nbrPrev []linalg.Vector // view of x_j^k per slot
+	nbrIDs []int
+	nbrIdx map[int]int
+	nbrW   []float64       // w_{ID,j} per slot
+	nbrCur []linalg.Vector // view of x_j^k per slot
 
 	lastSent linalg.Vector // values the neighbors currently hold for us
 	ape      *APEController
@@ -256,20 +252,18 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		cfg:      cfg,
 		wRow:     cfg.WRow.Clone(),
 		x:        cfg.Init.Clone(),
-		xPrev:    linalg.NewVector(p),
+		s:        linalg.NewVector(p),
 		grad:     linalg.NewVector(p),
-		gPrev:    linalg.NewVector(p),
 		mix:      linalg.NewVector(p),
-		next:     linalg.NewVector(p),
 		lastSent: cfg.Init.Clone(),
 		gradLoss: math.NaN(),
 	}
 	e.upd.Indices = make([]int, 0, p)
 	e.upd.Values = make([]float64, 0, p)
-	e.setNeighbors(cfg.Neighbors, func(int) (linalg.Vector, linalg.Vector) {
+	e.setNeighbors(cfg.Neighbors, func(int) linalg.Vector {
 		// All nodes share the same initial parameters, so the initial
 		// neighbor view is exact without any round-0 full exchange.
-		return cfg.Init.Clone(), cfg.Init.Clone()
+		return cfg.Init.Clone()
 	})
 	if cfg.Policy == SendSelected {
 		apeCfg := cfg.APE
@@ -289,20 +283,19 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 }
 
 // setNeighbors rebuilds the slot arrays for the given neighbor set
-// (sorted copy) using seed to produce each slot's (cur, prev) views.
-// e.wRow must already hold the row the slots index into.
-func (e *Engine) setNeighbors(neighbors []int, seed func(j int) (cur, prev linalg.Vector)) {
+// (sorted copy) using seed to produce each slot's view. e.wRow must
+// already hold the row the slots index into.
+func (e *Engine) setNeighbors(neighbors []int, seed func(j int) linalg.Vector) {
 	ids := append([]int(nil), neighbors...)
 	sort.Ints(ids)
 	e.nbrIDs = ids
 	e.nbrIdx = make(map[int]int, len(ids))
 	e.nbrW = make([]float64, len(ids))
 	e.nbrCur = make([]linalg.Vector, len(ids))
-	e.nbrPrev = make([]linalg.Vector, len(ids))
 	for s, j := range ids {
 		e.nbrIdx[j] = s
 		e.nbrW[s] = e.wRow[j]
-		e.nbrCur[s], e.nbrPrev[s] = seed(j)
+		e.nbrCur[s] = seed(j)
 	}
 	e.cfg.Neighbors = ids
 }
@@ -312,7 +305,7 @@ func (e *Engine) setNeighbors(neighbors []int, seed func(j int) (cur, prev linal
 // survive (their parameters did not change just because the topology
 // did); views of new neighbors are seeded with the node's own iterate and
 // corrected by the full-parameter exchange the switch forces: Reconfigure
-// restarts the EXTRA recursion (stale correction history must not span a
+// resets the correction s to zero (a sum of old-W mixings must not span a
 // topology change) and schedules a full send, and every reconfiguring
 // peer does the same, so the first post-switch ingest replaces the
 // seeded views with exact ones before they are ever mixed.
@@ -327,15 +320,15 @@ func (e *Engine) Reconfigure(wRow linalg.Vector, neighbors []int) error {
 	if err := validateTopology(e.cfg.ID, wRow, neighbors); err != nil {
 		return fmt.Errorf("core: node %d reconfigure: %w", e.cfg.ID, err)
 	}
-	oldIdx, oldCur, oldPrev := e.nbrIdx, e.nbrCur, e.nbrPrev
+	oldIdx, oldCur := e.nbrIdx, e.nbrCur
 	e.wRow = wRow.Clone()
-	e.setNeighbors(neighbors, func(j int) (linalg.Vector, linalg.Vector) {
+	e.setNeighbors(neighbors, func(j int) linalg.Vector {
 		if s, ok := oldIdx[j]; ok {
-			return oldCur[s], oldPrev[s]
+			return oldCur[s]
 		}
-		return e.x.Clone(), e.x.Clone()
+		return e.x.Clone()
 	})
-	e.RestartNow()
+	e.restartRecursion()
 	e.forceFull = true
 	return nil
 }
@@ -344,13 +337,6 @@ func (e *Engine) Reconfigure(wRow linalg.Vector, neighbors []int) error {
 func (e *Engine) Neighbors() []int {
 	return append([]int(nil), e.nbrIDs...)
 }
-
-// RestartNow restarts the EXTRA two-term recursion immediately: the next
-// StepMix applies the k=0 equation from the current iterate, discarding the
-// accumulated correction history. RestartEvery is this, on a timer;
-// explicit callers use it when the history is known to be invalid (e.g.
-// the topology or weight matrix just changed).
-func (e *Engine) RestartNow() { e.restartRecursion() }
 
 // publishAPE mirrors the APE controller's state into the gauges.
 func (e *Engine) publishAPE() {
@@ -382,8 +368,9 @@ func (e *Engine) ParamsInto(dst linalg.Vector) linalg.Vector {
 	return dst
 }
 
-// Restarts returns how many APE stage transitions have restarted the
-// EXTRA recursion.
+// Restarts returns how many times the EXTRA correction s has been reset
+// to zero: by Reconfigure, RestartEvery, or an APE stage transition with
+// RestartRecursion.
 func (e *Engine) Restarts() int { return e.restarts }
 
 // LocalLoss evaluates the node's objective f_i at its current iterate over
@@ -480,8 +467,8 @@ func (e *Engine) emitRefresh(round int, reason string) {
 // parameter vector regardless of policy. PeerNode calls this after a
 // neighbor link reconnects: a dropped or reset connection leaves the
 // neighbor holding stale values the selective-diff protocol would never
-// retransmit, and EXTRA's accumulated correction term turns that silent
-// staleness into a permanent bias. Not safe for concurrent use with
+// retransmit, and EXTRA's correction s sums that silent staleness into a
+// permanent bias. Not safe for concurrent use with
 // BuildUpdate (call from the training-loop goroutine).
 func (e *Engine) RequestFullSend() { e.forceFull = true }
 
@@ -503,25 +490,17 @@ func (e *Engine) markSent(u *codec.Update) {
 	}
 }
 
-// BeginIntegrate opens a round's ingest window: every neighbor slot's
-// current view is rotated down into its x^k view, after which
-// IngestFrame may be called once per arriving neighbor update. It is its
-// own step so a pipelined round can rotate the views before the
-// streaming gather starts delivering frames. Must precede the round's
-// first IngestFrame.
-func (e *Engine) BeginIntegrate() {
-	for s := range e.nbrIDs {
-		copy(e.nbrPrev[s], e.nbrCur[s])
-	}
-}
+// BeginIntegrate does nothing: the correction form keeps no previous
+// neighbor view to rotate before a round's ingest. It remains only for
+// the frozen benchmark driver in cmd/snapbench, which still calls it.
+func (e *Engine) BeginIntegrate() {}
 
 // IngestFrame applies one neighbor's decoded update to that neighbor's
 // current view, decoding into the slot as the frame lands rather than
 // waiting for the whole round's batch. Each sender owns a dedicated
 // slot and StepMix walks the slots in sorted-id order, so the iterate
-// is bitwise-independent of frame arrival order. Call between
-// BeginIntegrate and StepMix; u is borrowed for the duration of the
-// call only.
+// is bitwise-independent of frame arrival order. Call before the round's
+// StepMix; u is borrowed for the duration of the call only.
 //
 // Missing neighbors (withheld parameters, stragglers, failed links)
 // simply keep their last values — the paper's staleness semantics.
@@ -536,15 +515,15 @@ func (e *Engine) IngestFrame(u *codec.Update) error {
 	return nil
 }
 
-// ComputeGradient evaluates ∇f_i(x^{k+1}) into the engine's gradient
+// ComputeGradient evaluates ∇f_i(x^k) into the engine's gradient
 // scratch for round (which selects the mini-batch when BatchSize > 0)
-// and leaves f_i(x^{k+1}) over the full partition for GradientLoss: a
+// and leaves f_i(x^k) over the full partition for GradientLoss: a
 // by-product of the same forward pass on a full batch, a second pass
 // inside this same window when a mini-batch was sampled.
 //
 // It reads only the iterate and the local partition and writes only the
-// gradient scratch — state disjoint from BeginIntegrate/IngestFrame and
-// from BuildUpdate (which read/write the neighbor views and the sent
+// gradient scratch — state disjoint from IngestFrame and from
+// BuildUpdate (which read/write the neighbor views and the sent
 // baseline) — so a pipelined round may run it on another goroutine
 // concurrently with build, broadcast, and the streaming gather. That
 // disjointness is the whole overlap invariant: see DESIGN.md §14. It
@@ -582,25 +561,23 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	if e.timed() {
 		start = time.Now()
 	}
-	// mix = Σ_j w_ij·x_j^{k+1} (including the self term). The fused kernel
+	// mix = Σ_j w_ij·x_j^k (including the self term). The fused kernel
 	// accumulates neighbors in slot (= sorted id) order, bitwise-matching
 	// the sequential Scale-then-AXPY loop it replaced.
 	linalg.MixTo(e.mix, e.wRow[e.cfg.ID], e.x, e.nbrW, e.nbrCur)
 
-	if e.k == 0 {
-		// x^1 = W·x^0 − α∇f(x^0): EXTRA's first step, and every DGD step.
-		linalg.AXPYTo(e.next, e.mix, -e.cfg.Alpha, e.grad)
-	} else {
-		// x^{k+2} = x^{k+1} + W·x^{k+1} − W̃·x^k − α(∇f(x^{k+1}) − ∇f(x^k))
-		// with W̃ = (W+I)/2, so the W̃ row is w_ij/2 off-diagonal and
-		// (w_ii+1)/2 on the diagonal.
-		linalg.AddTo(e.next, e.x, e.mix)
-		e.next.AXPYInPlace(-(e.wRow[e.cfg.ID]+1)/2, e.xPrev)
-		for s := range e.nbrIDs {
-			e.next.AXPYInPlace(-e.nbrW[s]/2, e.nbrPrev[s])
+	// x^{k+1} = W·x^k − α∇f(x^k) − s^k and s^{k+1} = s^k + ½(x^k − W·x^k):
+	// EXTRA's x^{k+2} = (I+W)x^{k+1} − W̃x^k − α(∇f^{k+1} − ∇f^k), summed
+	// over k. One in-place pass, reading element i before writing it.
+	// With s = 0 (DGD, or the first step after a restart) it is
+	// W·x − α∇f(x) bit for bit.
+	x, s, g, na, dgd := e.x, e.s, e.grad, -e.cfg.Alpha, e.cfg.DGD
+	for i, m := range e.mix {
+		xi := x[i]
+		x[i] = m + na*g[i] - s[i]
+		if !dgd {
+			s[i] += (xi - m) / 2
 		}
-		e.next.AXPYInPlace(-e.cfg.Alpha, e.grad)
-		e.next.AXPYInPlace(e.cfg.Alpha, e.gPrev)
 	}
 
 	// Compute seconds stay CPU time (gradient + mixing), not wall time:
@@ -610,16 +587,6 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 		end := time.Now()
 		e.cfg.Trace.Span(round, trace.SpanMix, start, end)
 		e.met.compute.Observe(e.gradSecs + end.Sub(start).Seconds())
-	}
-
-	// Rotate the scratch vectors instead of allocating: the old x becomes
-	// x^k, the freshly built iterate becomes x^{k+1}, and the old x^k
-	// buffer is recycled as the next round's construction space. The
-	// gradient pair swaps the same way.
-	e.xPrev, e.x, e.next = e.x, e.next, e.xPrev
-	e.grad, e.gPrev = e.gPrev, e.grad
-	if !e.cfg.DGD {
-		e.k++
 	}
 
 	if e.ape != nil && e.ape.AfterIteration() {
@@ -650,12 +617,10 @@ func (e *Engine) emitAPEStage(round int) {
 	}
 }
 
-// restartRecursion resets the EXTRA two-term recursion so the next StepMix
-// applies the k=0 equation from the current iterate. The xPrev/gPrev
-// buffers keep their storage (the k=0 step never reads them and
-// overwrites both via rotation).
+// restartRecursion resets the EXTRA correction, s := 0, so the next
+// StepMix is EXTRA's first step W·x − α∇f(x) from the current iterate.
 func (e *Engine) restartRecursion() {
-	e.k = 0
+	e.s.Fill(0)
 	e.restarts++
 	e.met.restarts.Inc()
 }

@@ -167,32 +167,10 @@ func TestIntegrateRejectsNonNeighbor(t *testing.T) {
 	}
 }
 
-func TestIntegrateShiftsPrevView(t *testing.T) {
-	eng := newTestEngine(t, SendAll)
-	p := eng.cfg.Model.NumParams()
-	u := &codec.Update{Sender: 1, NumParams: p, Indices: []int{0}, Values: []float64{42}}
-	if err := eng.Integrate([]*codec.Update{u}); err != nil {
-		t.Fatal(err)
-	}
-	slot := eng.nbrIdx[1]
-	if eng.nbrCur[slot][0] != 42 {
-		t.Errorf("neighbor cur view not updated: %v", eng.nbrCur[slot][0])
-	}
-	if eng.nbrPrev[slot][0] == 42 {
-		t.Error("neighbor prev view advanced to the new value too early")
-	}
-	// Second integrate: prev must now see 42.
-	if err := eng.Integrate(nil); err != nil {
-		t.Fatal(err)
-	}
-	if eng.nbrPrev[slot][0] != 42 {
-		t.Errorf("neighbor prev view = %v after shift, want 42", eng.nbrPrev[slot][0])
-	}
-}
-
 // TestEngineMatchesMatrixEXTRA verifies the distributed per-node recursion
-// (paper eq. 8) against the centralized matrix form (paper eq. 6), running
-// a 4-node ring with full information exchange.
+// (paper eq. 8, run in correction form) against the centralized two-term
+// matrix form (paper eq. 6), running a 4-node ring with full information
+// exchange.
 func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 	const (
 		n     = 4
@@ -231,15 +209,15 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 		}
 		return out
 	}
-	xPrev := linalg.NewMatrix(n, p)
+	xOld := linalg.NewMatrix(n, p)
 	for i := 0; i < n; i++ {
 		for j := 0; j < p; j++ {
-			xPrev.Set(i, j, init[j])
+			xOld.Set(i, j, init[j])
 		}
 	}
 	wTilde := axpy(linalg.NewMatrix(n, n), 0.5, axpy(w, 1, linalg.Identity(n)))
-	gPrev := grad(xPrev)
-	xCur := axpy(matMul(w, xPrev), -alpha, gPrev) // x¹
+	gOld := grad(xOld)
+	xCur := axpy(matMul(w, xOld), -alpha, gOld) // x¹
 
 	runRound := func(round int) {
 		// Broadcast full params, then integrate and step.
@@ -274,9 +252,9 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 		runRound(k)
 		gCur := grad(xCur)
 		// x^{k+1} = (I+W)x^k − W̃x^{k−1} − α(∇f(x^k) − ∇f(x^{k−1})).
-		xNext := axpy(axpy(xCur, 1, matMul(w, xCur)), -1, matMul(wTilde, xPrev))
-		xNext = axpy(axpy(xNext, -alpha, gCur), alpha, gPrev)
-		xPrev, xCur, gPrev = xCur, xNext, gCur
+		xNext := axpy(axpy(xCur, 1, matMul(w, xCur)), -1, matMul(wTilde, xOld))
+		xNext = axpy(axpy(xNext, -alpha, gCur), alpha, gOld)
+		xOld, xCur, gOld = xCur, xNext, gCur
 		for i := 0; i < n; i++ {
 			if !engines[i].Params().Equal(xCur.Row(i), 1e-8) {
 				t.Fatalf("iteration %d: node %d diverged from matrix EXTRA (max diff %v)",
@@ -289,8 +267,8 @@ func TestEngineMatchesMatrixEXTRA(t *testing.T) {
 // TestEngineMatchesMatrixDGD checks the DGD rule bit for bit against its
 // matrix form x^{k+1} = W·x^k − α∇f(x^k) on a 4-node ring. The reference
 // sums row i of W·x diagonal first and then the neighbors in id order —
-// the order MixTo fixes — so no rounding may differ, and the engine must
-// never leave EXTRA's k = 0 step.
+// the order MixTo fixes — so no rounding may differ, and the correction s
+// must stay all zero.
 func TestEngineMatchesMatrixDGD(t *testing.T) {
 	const (
 		n     = 4
@@ -347,8 +325,8 @@ func TestEngineMatchesMatrixDGD(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := e.Step(round)
-			if e.k != 0 {
-				t.Fatalf("round %d: node %d left the first step (k = %d)", round, i, e.k)
+			if !allZero(e.s) {
+				t.Fatalf("round %d: node %d has a nonzero EXTRA correction under DGD", round, i)
 			}
 			for j := range got {
 				if math.Float64bits(got[j]) != math.Float64bits(x[i][j]) {
@@ -357,6 +335,16 @@ func TestEngineMatchesMatrixDGD(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allZero reports whether every entry of v is exactly zero.
+func allZero(v linalg.Vector) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // axpy returns x + c·y for matrices of one shape.
@@ -432,6 +420,9 @@ func TestEngineReconfigure(t *testing.T) {
 		eng.Step(round)
 	}
 	restartsBefore := eng.Restarts()
+	if allZero(eng.s) {
+		t.Fatal("EXTRA correction still zero after 5 steps")
+	}
 
 	// New cluster: neighbor 2 left, neighbor 3 joined (sparse row in
 	// node-id space).
@@ -446,8 +437,8 @@ func TestEngineReconfigure(t *testing.T) {
 		t.Errorf("Reconfigure did not restart the recursion (restarts %d -> %d)",
 			restartsBefore, eng.Restarts())
 	}
-	if eng.k != 0 {
-		t.Errorf("k = %d after Reconfigure, want 0", eng.k)
+	if !allZero(eng.s) {
+		t.Error("Reconfigure left a nonzero EXTRA correction")
 	}
 	// The view of the new neighbor is seeded with our own iterate.
 	if got := eng.nbrCur[eng.nbrIdx[3]]; math.Abs(got[0]-eng.x[0]) > 1e-15 {
@@ -465,8 +456,7 @@ func TestEngineReconfigure(t *testing.T) {
 		t.Errorf("post-reconfigure update carries %d params, want all %d",
 			len(u.Indices), eng.cfg.Model.NumParams())
 	}
-	// A further step runs the k=0 recursion without touching the old
-	// neighbor-prev state.
+	// A further step is EXTRA's first step from the current iterate.
 	eng.Step(7)
 
 	if err := eng.Reconfigure(linalg.Vector{1}, nil); err != nil {
@@ -482,24 +472,5 @@ func TestEngineReconfigure(t *testing.T) {
 	}
 	if err := eng.Reconfigure(linalg.Vector{0.4, 0.3, 0.3}, []int{1}); err == nil {
 		t.Error("weight on non-neighbor 2 accepted")
-	}
-}
-
-func TestEngineRestartNow(t *testing.T) {
-	eng := newTestEngine(t, SendAll)
-	for round := 0; round < 3; round++ {
-		eng.Step(round)
-	}
-	if eng.k == 0 {
-		t.Fatal("k did not advance")
-	}
-	before := eng.Restarts()
-	eng.RestartNow()
-	if eng.k != 0 || eng.Restarts() != before+1 {
-		t.Errorf("RestartNow: k = %d, restarts %d -> %d", eng.k, before, eng.Restarts())
-	}
-	eng.Step(3)
-	if eng.k != 1 {
-		t.Errorf("k = %d after post-restart step, want 1", eng.k)
 	}
 }

@@ -88,9 +88,9 @@ type PeerNodeConfig struct {
 // straggler), dead links are evicted so later rounds do not wait for
 // them, the transport reconnects with backoff, and after a reconnect the
 // node broadcasts its complete parameter vector once — EXTRA's
-// accumulated correction history makes a silently stale neighbor view
-// poisonous, so the refresh is required for re-convergence, not merely
-// nice to have.
+// correction s sums a silently stale neighbor view into a permanent
+// bias, so the refresh is required for re-convergence, not merely nice
+// to have.
 type PeerNode struct {
 	cfg    PeerNodeConfig
 	engine *Engine
@@ -321,14 +321,13 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 			pn.met.refreshes.Inc()
 		}
 
-		// Open the ingest window and kick the gradient worker before even
-		// building the outgoing update: ComputeGradient reads only the
-		// iterate and local data, state disjoint from everything
-		// build/encode/broadcast/ingest touch (DESIGN.md §14), so the
-		// whole comms window can hide behind it. Every kick is paired
-		// with exactly one grad.done receive — here if send fails, else
-		// inside receive — before StepMix or the next round's kick.
-		pn.engine.BeginIntegrate()
+		// Kick the gradient worker before even building the outgoing
+		// update: ComputeGradient reads only the iterate and local data,
+		// state disjoint from everything build/encode/broadcast/ingest
+		// touch (DESIGN.md §14), so the whole comms window can hide
+		// behind it. Every kick is paired with exactly one grad.done
+		// receive — here if send fails, else inside receive — before
+		// StepMix or the next round's kick.
 		pn.grad.running.Store(true)
 		pn.gradCmd <- round
 		if err := nr.send(round); err != nil {

@@ -26,7 +26,6 @@ func runSequential(pn *PeerNode, rounds int) error {
 		if err := pn.round.send(round); err != nil {
 			return err
 		}
-		pn.engine.BeginIntegrate()
 		if err := pn.round.ingest(round); err != nil {
 			return err
 		}
@@ -37,11 +36,10 @@ func runSequential(pn *PeerNode, rounds int) error {
 	return nil
 }
 
-// Integrate and Step are the batch forms of BeginIntegrate + IngestFrame
-// and ComputeGradient + StepMix that the engine-level tests are written
+// Integrate and Step are the batch forms of IngestFrame and
+// ComputeGradient + StepMix that the engine-level tests are written
 // against.
 func (e *Engine) Integrate(updates []*codec.Update) error {
-	e.BeginIntegrate()
 	for _, u := range updates {
 		if err := e.IngestFrame(u); err != nil {
 			return err
@@ -115,8 +113,8 @@ func TestPipelinedMatchesSequentialTCP(t *testing.T) {
 }
 
 // TestPipelinedRoundAllocFree is the alloc budget of the pipelined round
-// as PeerNode.Run composes it: BeginIntegrate, the gradient handed to the
-// node's persistent worker, send, then receive — streaming ingest, the
+// as PeerNode.Run composes it: the gradient handed to the node's
+// persistent worker, send, then receive — streaming ingest, the
 // join, the overlap accounting and StepMix. Three engines of a complete
 // graph run it over the lockstep simulator with a registry-only Observer
 // and a tracer attached; a steady-state round must allocate nothing,
@@ -144,7 +142,6 @@ func TestPipelinedRoundAllocFree(t *testing.T) {
 			iterate := func() {
 				net.BeginRound(round)
 				for _, pn := range nodes {
-					pn.engine.BeginIntegrate()
 					pn.grad.running.Store(true)
 					pn.gradCmd <- round
 					if err := pn.round.send(round); err != nil {
@@ -169,7 +166,7 @@ func TestPipelinedRoundAllocFree(t *testing.T) {
 }
 
 // TestPipelineSplitMatchesStep checks the refactoring seam directly:
-// BeginIntegrate plus per-frame IngestFrame is Integrate, and
+// per-frame IngestFrame is Integrate, and
 // ComputeGradient followed by StepMix is Step, bit for bit. Two engine
 // sets run the same schedule through the old and new entry points —
 // the split set even computes the gradient *before* building/ingesting
@@ -210,7 +207,6 @@ func TestPipelineSplitMatchesStep(t *testing.T) {
 
 		// Split path: the pipelined primitive sequence.
 		for _, e := range split {
-			e.BeginIntegrate()
 			e.ComputeGradient(round)
 		}
 		for i, e := range split {

@@ -94,9 +94,9 @@ type gradJoin struct {
 // ingest the neighbors' frames as they arrive, then apply the EXTRA step.
 // The lockstep simulator needs a cluster-wide barrier between sending
 // and receiving, so the round comes in those two halves. Where the
-// gradient runs is the host's business: it calls BeginIntegrate before
-// receive, and the round's ComputeGradient is complete — or joinable
-// through grad — by the time receive steps (DESIGN.md §14).
+// gradient runs is the host's business: the round's ComputeGradient is
+// complete — or joinable through grad — by the time receive steps
+// (DESIGN.md §14).
 type nodeRound struct {
 	eng  *Engine
 	link roundLink

@@ -182,7 +182,6 @@ func TestCorruptFramePolicy(t *testing.T) {
 			met := newRoundMetrics(o)
 			nr := newNodeRound(eng, tc.link(t), &met, t.Logf)
 
-			eng.BeginIntegrate()
 			eng.ComputeGradient(0)
 			iter, err := nr.receive(0)
 			if tc.wantDrop {

@@ -20,16 +20,6 @@ func ScaleTo(dst Vector, c float64, v Vector) Vector {
 	return dst
 }
 
-// AddTo sets dst = v + w and returns dst.
-func AddTo(dst, v, w Vector) Vector {
-	checkLen(dst, v)
-	checkLen(v, w)
-	for i, x := range v {
-		dst[i] = x + w[i]
-	}
-	return dst
-}
-
 // AXPYTo sets dst = v + c*w and returns dst.
 func AXPYTo(dst Vector, v Vector, c float64, w Vector) Vector {
 	checkLen(dst, v)

@@ -52,11 +52,11 @@ func TestAddSubTo(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	v, w := randVec(7, rng), randVec(7, rng)
 	dst := NewVector(7)
-	if got := AddTo(dst, v, w); !bitsEqual(got, v.Add(w)) {
-		t.Error("AddTo mismatch")
+	// Addition and subtraction into a buffer are AXPYTo with c = ±1:
+	// x + 1·y rounds exactly as x + y, and x + (−1)·y as x − y.
+	if got := AXPYTo(dst, v, 1, w); !bitsEqual(got, v.Add(w)) {
+		t.Error("AXPYTo(1) differs from Add")
 	}
-	// Subtraction into a buffer is AXPYTo with c = −1: x + (−1)·y rounds
-	// exactly as x − y.
 	if got := AXPYTo(dst, v, -1, w); !bitsEqual(got, v.Sub(w)) {
 		t.Error("AXPYTo(−1) differs from Sub")
 	}
@@ -122,7 +122,7 @@ func TestKernelsPanicOnMismatch(t *testing.T) {
 			t.Error("no panic on length mismatch")
 		}
 	}()
-	AddTo(NewVector(3), NewVector(3), NewVector(4))
+	AXPYTo(NewVector(3), NewVector(3), 1, NewVector(4))
 }
 
 func TestKernelsAllocFree(t *testing.T) {
@@ -133,7 +133,6 @@ func TestKernelsAllocFree(t *testing.T) {
 	xs := []Vector{randVec(64, rng), randVec(64, rng)}
 	if n := testing.AllocsPerRun(100, func() {
 		ScaleTo(dst, 2, v)
-		AddTo(dst, v, w)
 		AXPYTo(dst, v, 3, w)
 		MixTo(dst, 0.5, v, ws, xs)
 		DistInf(v, w)

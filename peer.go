@@ -64,9 +64,9 @@ type PeerConfig struct {
 	// periodic full advertisement that heals receiver staleness from
 	// dropped frames on lossy links.
 	RefreshEvery int
-	// RestartEvery, when positive, restarts the EXTRA recursion every
-	// that many rounds, bounding the bias that rounds computed on stale
-	// neighbor views bake into EXTRA's correction history.
+	// RestartEvery, when positive, resets the EXTRA correction s to zero
+	// every that many rounds, bounding the bias that rounds computed on
+	// stale neighbor views bake into s.
 	RestartEvery int
 	// FullSendRound0 forces a complete parameter broadcast in round 0
 	// (required when nodes do not share identical initial parameters).
