@@ -2,8 +2,10 @@
 // plane service that admits and removes snapnode members at runtime, owns
 // the authoritative topology, re-optimizes the mixing weight matrix W
 // centrally on every membership change (the paper's Section IV-B
-// optimization), and pushes versioned epochs that nodes apply at round
-// boundaries.
+// optimization), and pushes versioned epochs. A node applies an epoch at
+// its next round boundary, and each edge takes its new weight on its own,
+// in the first round both ends' frames carry the epoch: there is no
+// cluster-wide switch round to agree on.
 //
 // A minimal elastic cluster:
 //
@@ -31,7 +33,6 @@ func main() {
 		listen       = flag.String("listen", "127.0.0.1:7100", "control-plane listen address")
 		minMembers   = flag.Int("min-members", 2, "defer the first epoch until this many members joined")
 		attachDegree = flag.Int("attach-degree", 2, "how many existing members a joining node links to")
-		applyMargin  = flag.Int("apply-margin", 3, "rounds between the cluster's newest round and a new epoch's apply boundary")
 		hbTimeout    = flag.Duration("heartbeat-timeout", 10*time.Second, "evict members silent for this long (0 = never evict)")
 		alpha        = flag.Float64("alpha", 0.1, "EXTRA step size assumed by the convergence bound (match the nodes' -alpha)")
 		verbose      = flag.Bool("verbose", false, "log joins, leaves, evictions, and epochs")
@@ -43,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*listen, *minMembers, *attachDegree, *applyMargin, *hbTimeout,
+	if err := run(*listen, *minMembers, *attachDegree, *hbTimeout,
 		*alpha, *verbose, *metricsAddr, *eventsPath, *pprofOn, *traceRounds); err != nil {
 		fmt.Fprintln(os.Stderr, "snapcoord:", err)
 		os.Exit(1)
@@ -60,7 +61,7 @@ func closeAnd(err *error, what string, close func() error) {
 	}
 }
 
-func run(listen string, minMembers, attachDegree, applyMargin int,
+func run(listen string, minMembers, attachDegree int,
 	hbTimeout time.Duration, alpha float64, verbose bool,
 	metricsAddr, eventsPath string, pprofOn bool, traceRounds int) (err error) {
 	var logf func(format string, args ...any)
@@ -96,7 +97,6 @@ func run(listen string, minMembers, attachDegree, applyMargin int,
 		ListenAddr:       listen,
 		MinMembers:       minMembers,
 		AttachDegree:     attachDegree,
-		ApplyMargin:      applyMargin,
 		HeartbeatTimeout: hbTimeout,
 		Bound:            snap.BoundParams{Alpha: alpha},
 		Logf:             logf,

@@ -2,8 +2,8 @@ package snap
 
 // End-to-end acceptance test for the elastic control plane: a TCP
 // cluster founded through a coordinator trains for some rounds, a new
-// node joins mid-run at an epoch boundary, the coordinator re-optimizes
-// W for the grown topology, members restart EXTRA and keep training,
+// node joins mid-run, the coordinator re-optimizes W for the grown
+// topology, members switch to it edge by edge without restarting EXTRA,
 // and the final loss matches a static run of the same (N+1)-node
 // problem. The test lives in the snap package (not snap_test) so it can
 // use the internal spectral machinery to verify the re-optimized W
@@ -11,6 +11,8 @@ package snap
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
@@ -28,12 +30,11 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	const (
 		founders = 4
 		total    = 5
-		// In-process rounds run in ~0.25ms while the heartbeats that feed
-		// the coordinator's apply-boundary estimate tick every second, so
-		// the join (started once the 20ms poll below sees round 5) lands
-		// around round 60-130 rather than at its nominal boundary. The
-		// horizon leaves plenty of joint rounds after even a late apply.
-		horizon = 1000
+		// The founders pause after round joinAt until the fifth node is
+		// admitted, so the join lands a round or two later whatever the
+		// machine's speed.
+		joinAt  = 5
+		horizon = 100
 		alpha   = 0.1
 		seed    = 7
 	)
@@ -49,7 +50,6 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	coord, err := NewCoordinator(CoordinatorConfig{
 		MinMembers:   founders,
 		AttachDegree: 2,
-		ApplyMargin:  3,
 		Bound:        BoundParams{Alpha: alpha},
 		Logf:         t.Logf,
 		Obs:          NewObserver(coordReg, nil),
@@ -59,19 +59,33 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	}
 	defer coord.Close()
 
-	// Founder 0 carries the node-side observability checked at the end.
+	// Every founder's event log pauses it at the end of round joinAt;
+	// the first to get there starts the join, and the fifth node's
+	// admission releases them all. Founder 0 also carries the node-side
+	// observability checked at the end.
 	nodeReg := NewMetricsRegistry()
 	var eventBuf bytes.Buffer
-	eventLog := NewEventLog(&eventBuf)
+	reached, admitted := make(chan struct{}), make(chan struct{})
+	var reachedOnce sync.Once
 
-	newNode := func(withObs bool) (*PeerNode, error) {
+	newNode := func(founder, withObs bool) (*PeerNode, error) {
 		var observer *Observer
-		if withObs {
-			observer = NewObserver(nodeReg, eventLog)
+		if founder {
+			tap := &roundTap{at: joinAt, reached: func() { reachedOnce.Do(func() { close(reached) }) }, release: admitted}
+			var reg *MetricsRegistry
+			if withObs {
+				tap.w, reg = &eventBuf, nodeReg
+			}
+			observer = NewObserver(reg, NewEventLog(tap))
 		}
 		return NewPeerNode(PeerConfig{
-			Model:           NewLinearSVM(data.NumFeature),
-			DataForID:       func(id int) *Dataset { return parts[id%total] },
+			Model: NewLinearSVM(data.NumFeature),
+			DataForID: func(id int) *Dataset {
+				if id == founders {
+					close(admitted) // called once the coordinator admitted the fifth node
+				}
+				return parts[id%total]
+			},
 			Alpha:           alpha,
 			Policy:          SNAP,
 			Seed:            seed,
@@ -91,7 +105,7 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	)
 	runNode := func(slot int, withObs bool) {
 		defer wg.Done()
-		node, err := newNode(withObs)
+		node, err := newNode(slot < founders, withObs)
 		if err != nil {
 			errs[slot] = err
 			return
@@ -107,14 +121,11 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 		go runNode(i, i == 0)
 	}
 
-	// Wait until the founding quorum is training, then join the fifth
-	// node mid-run.
-	deadline := time.Now().Add(30 * time.Second)
-	for nodeReg.Gauge(obs.MRound).Value() < 5 {
-		if time.Now().After(deadline) {
-			t.Fatal("founders never progressed past round 5")
-		}
-		time.Sleep(20 * time.Millisecond)
+	// Join the fifth node once the founders have trained joinAt rounds.
+	select {
+	case <-reached:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("founders never finished round %d", joinAt)
 	}
 	wg.Add(1)
 	go runNode(founders, false)
@@ -129,14 +140,14 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 		t.Fatalf("%d distinct node ids, want %d", len(nodes), total)
 	}
 
-	// Every member ends on epoch 2 (founding epoch + the join), and the
-	// founders restarted EXTRA when they applied it.
+	// Every member ends on epoch 2 (founding epoch + the join), and no
+	// member restarted EXTRA: each edge switched on its own.
 	for id, node := range nodes {
 		if node.Epoch() != 2 {
 			t.Errorf("node %d finished on epoch %d, want 2", id, node.Epoch())
 		}
-		if id < founders && node.Engine().Restarts() < 1 {
-			t.Errorf("founder %d never restarted EXTRA across the reconfiguration", id)
+		if r := node.Engine().Restarts(); r != 0 {
+			t.Errorf("node %d restarted EXTRA %d times", id, r)
 		}
 	}
 
@@ -238,4 +249,26 @@ func TestElasticClusterEndToEnd(t *testing.T) {
 	if got := coordReg.Counter(obs.MEpochsBroadcast).Value(); got != 2 {
 		t.Errorf("coordinator %s = %v, want 2", obs.MEpochsBroadcast, got)
 	}
+}
+
+// roundTap is an event-log writer that pauses its node at the end of
+// round at: it calls reached, then blocks until release is closed.
+// Events pass on to w when it is set.
+type roundTap struct {
+	at      int
+	reached func()
+	release <-chan struct{}
+	w       io.Writer
+}
+
+func (r *roundTap) Write(b []byte) (int, error) {
+	var ev obs.Event
+	if json.Unmarshal(b, &ev) == nil && ev.Type == obs.EvRoundEnd && ev.Round == r.at {
+		r.reached()
+		<-r.release
+	}
+	if r.w == nil {
+		return len(b), nil
+	}
+	return r.w.Write(b)
 }

@@ -16,7 +16,7 @@
 // Format 1 is smaller iff N > 2M+1, which is exactly ChooseFormat's rule.
 //
 // The actual byte encodings add a fixed 13-byte header (format tag, sender,
-// round, N) for framing and sanity checks; PayloadBytes reports the
+// epoch, N) for framing and sanity checks; PayloadBytes reports the
 // paper-accounted size, HeaderBytes the constant overhead.
 package codec
 
@@ -56,14 +56,17 @@ func (f Format) String() string {
 }
 
 // HeaderBytes is the constant framing overhead of the concrete encoding
-// (1 format tag + 4 sender + 4 round + 4 N). The paper's cost formulas
+// (1 format tag + 4 sender + 4 epoch + 4 N). The paper's cost formulas
 // exclude it; metrics may count it separately.
 const HeaderBytes = 13
 
 // Update is one node's selective parameter transmission for a round.
 type Update struct {
-	Sender    int
-	Round     int
+	Sender int
+	// Epoch is the id of the cluster epoch the sender was in when it
+	// built the update (0 in a static cluster). The round is not here:
+	// the transport header and the lockstep simulator carry it.
+	Epoch     int
 	NumParams int       // N: total parameters in the model
 	Indices   []int     // strictly increasing indices of updated parameters
 	Values    []float64 // Values[i] is the new value of parameter Indices[i]
@@ -160,7 +163,7 @@ func EncodeAsTo(buf []byte, u *Update, f Format) ([]byte, error) {
 	buf = growFrame(buf, HeaderBytes+PayloadBytes(n, m, f))
 	buf = append(buf[:0], byte(f))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(u.Sender))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(u.Round))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(u.Epoch))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 
 	switch f {
@@ -206,7 +209,7 @@ func DecodeInto(u *Update, frame []byte) error {
 	}
 	f := Format(frame[0])
 	u.Sender = int(binary.BigEndian.Uint32(frame[1:5]))
-	u.Round = int(binary.BigEndian.Uint32(frame[5:9]))
+	u.Epoch = int(binary.BigEndian.Uint32(frame[5:9]))
 	u.NumParams = int(binary.BigEndian.Uint32(frame[9:13]))
 	u.Indices = u.Indices[:0]
 	u.Values = u.Values[:0]
@@ -328,14 +331,14 @@ func Apply(dst []float64, u *Update) error {
 // threshold < 0 is treated as 0 (send every changed parameter — the SNAP-0
 // scheme). u's Indices and Values capacity is reused; all fields of u are
 // overwritten.
-func DiffInto(u *Update, sender, round int, baseline, current []float64, threshold float64) error {
+func DiffInto(u *Update, sender, epoch int, baseline, current []float64, threshold float64) error {
 	if len(baseline) != len(current) {
 		return fmt.Errorf("codec: DiffInto length mismatch %d vs %d", len(baseline), len(current))
 	}
 	if threshold < 0 {
 		threshold = 0
 	}
-	u.Sender, u.Round, u.NumParams = sender, round, len(current)
+	u.Sender, u.Epoch, u.NumParams = sender, epoch, len(current)
 	u.Indices = u.Indices[:0]
 	u.Values = u.Values[:0]
 	u.grow(len(current))

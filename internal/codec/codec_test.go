@@ -58,7 +58,7 @@ func TestChooseFormatIsOptimal(t *testing.T) {
 }
 
 func randomUpdate(rng *rand.Rand, n int) *Update {
-	u := &Update{Sender: rng.Intn(100), Round: rng.Intn(1000), NumParams: n}
+	u := &Update{Sender: rng.Intn(100), Epoch: rng.Intn(1000), NumParams: n}
 	for idx := 0; idx < n; idx++ {
 		if rng.Float64() < 0.5 {
 			u.Indices = append(u.Indices, idx)
@@ -69,7 +69,7 @@ func randomUpdate(rng *rand.Rand, n int) *Update {
 }
 
 func updatesEqual(a, b *Update) bool {
-	if a.Sender != b.Sender || a.Round != b.Round || a.NumParams != b.NumParams {
+	if a.Sender != b.Sender || a.Epoch != b.Epoch || a.NumParams != b.NumParams {
 		return false
 	}
 	if len(a.Indices) != len(b.Indices) {
@@ -229,7 +229,7 @@ func TestDiffThreshold(t *testing.T) {
 	if err := DiffInto(u, 7, 3, baseline, current, 0.1); err != nil {
 		t.Fatal(err)
 	}
-	if u.Sender != 7 || u.Round != 3 {
+	if u.Sender != 7 || u.Epoch != 3 {
 		t.Errorf("metadata lost: %+v", u)
 	}
 	if len(u.Indices) != 2 || u.Indices[0] != 1 || u.Indices[1] != 3 {

@@ -52,7 +52,7 @@ func encodeAs32(buf []byte, u *Update, f Format) ([]byte, error) {
 	buf = growFrame(buf, HeaderBytes+PayloadBytes(n, m, f))
 	buf = append(buf[:0], byte(f))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(u.Sender))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(u.Round))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(u.Epoch))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
 
 	switch f {

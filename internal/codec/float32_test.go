@@ -84,7 +84,7 @@ func TestLossyRoundTripProperty(t *testing.T) {
 		if err := DecodeInto(got, frame); err != nil {
 			return false
 		}
-		if got.Sender != u.Sender || got.Round != u.Round || got.NumParams != u.NumParams {
+		if got.Sender != u.Sender || got.Epoch != u.Epoch || got.NumParams != u.NumParams {
 			return false
 		}
 		if len(got.Indices) != len(u.Indices) {

@@ -45,9 +45,9 @@ func TestEncodeToMatchesEncode(t *testing.T) {
 
 	// Byte-exact goldens, one per wire format: the frame layout is the
 	// contract between nodes, so any change to it must show up here.
-	// Header: format | sender | round | N; then the format's payload.
-	most := &Update{Sender: 2, Round: 7, NumParams: 4, Indices: []int{0, 1, 3}, Values: []float64{1.5, -2, 0.25}}
-	few := &Update{Sender: 2, Round: 7, NumParams: 4, Indices: []int{1}, Values: []float64{-2}}
+	// Header: format | sender | epoch | N; then the format's payload.
+	most := &Update{Sender: 2, Epoch: 7, NumParams: 4, Indices: []int{0, 1, 3}, Values: []float64{1.5, -2, 0.25}}
+	few := &Update{Sender: 2, Epoch: 7, NumParams: 4, Indices: []int{1}, Values: []float64{-2}}
 	for _, tc := range []struct {
 		u      *Update
 		lossy  bool
@@ -106,7 +106,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 			if err := DecodeInto(&u, frame); err != nil {
 				t.Fatal(err)
 			}
-			if u.Sender != want.Sender || u.Round != want.Round || u.NumParams != want.NumParams {
+			if u.Sender != want.Sender || u.Epoch != want.Epoch || u.NumParams != want.NumParams {
 				t.Fatalf("trial %d lossy=%v: header mismatch", trial, lossy)
 			}
 			if len(u.Indices) != len(want.Indices) {
@@ -125,7 +125,7 @@ func TestDecodeIntoMatchesDecode(t *testing.T) {
 // TestDecodeIntoRejectsUnsortedUnchanged documents the stricter contract:
 // unchanged-index lists must be strictly increasing on the wire.
 func TestDecodeIntoRejectsUnsortedUnchanged(t *testing.T) {
-	u := &Update{Sender: 1, Round: 2, NumParams: 6, Indices: []int{0, 3, 5}, Values: []float64{1, 2, 3}}
+	u := &Update{Sender: 1, Epoch: 2, NumParams: 6, Indices: []int{0, 3, 5}, Values: []float64{1, 2, 3}}
 	frame, err := EncodeAsTo(nil, u, FormatUnchangedList)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,6 @@ type Client struct {
 	mu     sync.Mutex
 	latest *Epoch // guarded by mu
 
-	round        atomic.Int64 // latest round reported by the node
 	appliedEpoch atomic.Int64 // highest epoch id the node has applied
 
 	// tracer, when set, has its completed round digests piggybacked onto
@@ -143,25 +142,6 @@ func (c *Client) Latest() *Epoch {
 	defer c.mu.Unlock()
 	return c.latest
 }
-
-// PlanNewerThan returns this node's plan for the newest epoch if its id
-// exceeds cur, or nil when the node is already up to date. A malformed
-// epoch (or one that no longer includes this node, i.e. the node was
-// evicted) is reported as an error.
-func (c *Client) PlanNewerThan(cur int) (*Plan, error) {
-	c.mu.Lock()
-	ep := c.latest
-	c.mu.Unlock()
-	if ep == nil || ep.ID <= cur {
-		return nil, nil
-	}
-	return ep.PlanFor(c.id)
-}
-
-// ReportRound records the node's current training round; the heartbeat
-// loop forwards it so the coordinator can place ApplyAtRound ahead of the
-// whole cluster.
-func (c *Client) ReportRound(round int) { c.round.Store(int64(round)) }
 
 // ReportEpoch records the highest epoch id the node has applied.
 func (c *Client) ReportEpoch(id int) { c.appliedEpoch.Store(int64(id)) }
@@ -257,8 +237,8 @@ func (c *Client) readLoop() {
 			if stale {
 				continue
 			}
-			c.logf("controlplane: node %d: received epoch %d (%d members, apply at round %d)",
-				c.id, ep.ID, len(ep.Members), ep.ApplyAtRound)
+			c.logf("controlplane: node %d: received epoch %d (%d members)",
+				c.id, ep.ID, len(ep.Members))
 			if first {
 				first = false
 				close(c.firstEpoch)
@@ -318,7 +298,6 @@ func (c *Client) heartbeatLoop() {
 		}
 		hb := heartbeat{
 			ID:    c.id,
-			Round: int(c.round.Load()),
 			Epoch: int(c.appliedEpoch.Load()),
 		}
 		if tr := c.tracer.Load(); tr.Enabled() {

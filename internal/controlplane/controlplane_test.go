@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net"
 	"sync"
@@ -140,9 +141,6 @@ func TestQuorumBootstrap(t *testing.T) {
 		if ep.ID != 1 {
 			t.Errorf("first epoch id = %d, want 1", ep.ID)
 		}
-		if ep.ApplyAtRound != 0 {
-			t.Errorf("first epoch ApplyAtRound = %d, want 0", ep.ApplyAtRound)
-		}
 		if len(ep.Members) != 3 {
 			t.Errorf("first epoch has %d members, want 3", len(ep.Members))
 		}
@@ -160,21 +158,6 @@ func TestJoinAfterQuorumPublishesEpoch(t *testing.T) {
 	coord := startCoordinator(t, CoordinatorConfig{MinMembers: 2, AttachDegree: 2})
 	founders := joinAll(t, coord, []string{"10.0.0.1:9000", "10.0.0.2:9000"})
 
-	// Simulate training progress so ApplyAtRound lands in the future.
-	for _, c := range founders {
-		c.ReportRound(10)
-	}
-	waitFor(t, "heartbeat round to reach coordinator", func() bool {
-		coord.mu.Lock()
-		defer coord.mu.Unlock()
-		for _, m := range coord.members {
-			if m.round < 10 {
-				return false
-			}
-		}
-		return true
-	})
-
 	joiner := joinClient(t, coord, "10.0.0.3:9000")
 	ep := joiner.Latest()
 	if ep.ID != 2 {
@@ -182,9 +165,6 @@ func TestJoinAfterQuorumPublishesEpoch(t *testing.T) {
 	}
 	if len(ep.Members) != 3 {
 		t.Fatalf("epoch 2 has %d members, want 3", len(ep.Members))
-	}
-	if ep.ApplyAtRound < 13 {
-		t.Errorf("epoch 2 ApplyAtRound = %d, want >= 13 (max round 10 + margin 3)", ep.ApplyAtRound)
 	}
 	checkEpoch(t, ep)
 	// AttachDegree=2 with two existing members: the joiner links to both.
@@ -201,16 +181,13 @@ func TestJoinAfterQuorumPublishesEpoch(t *testing.T) {
 		})
 	}
 
-	// PlanNewerThan projects the epoch into node-id space.
-	plan, err := joiner.PlanNewerThan(0)
+	// PlanFor projects the epoch into node-id space.
+	plan, err := ep.PlanFor(joiner.ID())
 	if err != nil {
-		t.Fatalf("PlanNewerThan: %v", err)
+		t.Fatalf("PlanFor: %v", err)
 	}
 	if plan == nil || plan.Epoch != 2 {
 		t.Fatalf("plan = %+v, want epoch 2", plan)
-	}
-	if plan.StartRound != ep.ApplyAtRound {
-		t.Errorf("plan start round %d, want %d", plan.StartRound, ep.ApplyAtRound)
 	}
 	if len(plan.Addrs) != len(plan.Neighbors) {
 		t.Errorf("plan addrs %v do not cover neighbors %v", plan.Addrs, plan.Neighbors)
@@ -221,10 +198,6 @@ func TestJoinAfterQuorumPublishesEpoch(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("plan WRow sums to %g", sum)
-	}
-	// Up to date: no newer plan.
-	if p, err := joiner.PlanNewerThan(2); err != nil || p != nil {
-		t.Errorf("PlanNewerThan(2) = %v, %v; want nil, nil", p, err)
 	}
 }
 
@@ -301,8 +274,7 @@ func TestWireRoundTrip(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	ep := &Epoch{
-		ID:           7,
-		ApplyAtRound: 42,
+		ID: 7,
 		Members: []EpochMember{
 			{ID: 0, Addr: "h0:1", Peers: []int{3}, Row: []float64{0.6, 0.4}},
 			{ID: 3, Addr: "h3:1", Peers: []int{0}, Row: []float64{0.4, 0.6}},
@@ -324,7 +296,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err := unmarshal(body, &got); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if got.ID != 7 || got.ApplyAtRound != 42 || len(got.Members) != 2 {
+	if got.ID != 7 || len(got.Members) != 2 {
 		t.Fatalf("round-tripped epoch = %+v", got)
 	}
 
@@ -365,13 +337,13 @@ func TestWireRoundTrip(t *testing.T) {
 		{msgJoinOK, joinResp{ID: 3}, `{"id":3}`},
 		{msgLeave, leaveReq{ID: 3}, `{"id":3}`},
 		{msgReject, rejectResp{Reason: "no"}, `{"reason":"no"}`},
-		{msgHeartbeat, heartbeat{ID: 3, Round: 9, Epoch: 2, Traces: []trace.RoundDigest{digest}},
-			`{"id":3,"round":9,"epoch":2,"traces":[{"node":3,"round":9,"trace_id":5,"start":10,"end":20,` +
+		{msgHeartbeat, heartbeat{ID: 3, Epoch: 2, Traces: []trace.RoundDigest{digest}},
+			`{"id":3,"epoch":2,"traces":[{"node":3,"round":9,"trace_id":5,"start":10,"end":20,` +
 				`"phases":[{"name":"build","start":10,"end":12}],` +
 				`"frames_sent":2,"bytes_sent":64,"bytes_full_send":256,"params_sent":4,"params_total":16}]}`},
 		{msgClockProbe, clockProbe{T0: 1}, `{"t0":1}`},
 		{msgClockEcho, clockEcho{T0: 1, T1: 2, T2: 3}, `{"t0":1,"t1":2,"t2":3}`},
-		{msgEpoch, ep, `{"id":7,"apply_at_round":42,"members":[` +
+		{msgEpoch, ep, `{"id":7,"members":[` +
 			`{"id":0,"addr":"h0:1","peers":[3],"row":[0.6,0.4]},` +
 			`{"id":3,"addr":"h3:1","peers":[0],"row":[0.4,0.6]}],` +
 			`"lambda_bar_max":0.2,"objective":"slem"}`},
@@ -397,5 +369,62 @@ func TestMsgTypeString(t *testing.T) {
 		if got := typ.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", uint32(typ), got, want)
 		}
+	}
+}
+
+// TestEpochsNeverCutLiveEdges pins the invariant the nodes' edge-local
+// epoch switch relies on (DESIGN.md §8): joins attach and repairs bridge,
+// so they only add edges, and only a departed member's edges ever go.
+// Through joins, a leave and the eviction of a cut vertex, every edge
+// between two members of one epoch is still an edge of the next epoch
+// if both ends are still members.
+func TestEpochsNeverCutLiveEdges(t *testing.T) {
+	coord := startCoordinator(t, CoordinatorConfig{
+		MinMembers:       1,
+		AttachDegree:     1, // a tree: the eviction below splits it
+		HeartbeatTimeout: 250 * time.Millisecond,
+	})
+	edges := func(ep *Epoch) map[[2]int]bool {
+		out := make(map[[2]int]bool)
+		for _, m := range ep.Members {
+			for _, p := range m.Peers {
+				out[[2]int{min(m.ID, p), max(m.ID, p)}] = true
+			}
+		}
+		return out
+	}
+	prev := (*Epoch)(nil)
+	step := func(what string) {
+		t.Helper()
+		waitFor(t, what, func() bool { return prev == nil || coord.Epoch() > prev.ID })
+		ep := coord.CurrentEpoch()
+		checkEpoch(t, ep)
+		if prev != nil {
+			next := edges(ep)
+			for e := range edges(prev) {
+				if ep.Member(e[0]) != nil && ep.Member(e[1]) != nil && !next[e] {
+					t.Errorf("%s: epoch %d cut edge {%d,%d} between two members", what, ep.ID, e[0], e[1])
+				}
+			}
+		}
+		prev = ep
+	}
+
+	clients := []*Client{joinClient(t, coord, "10.0.0.0:9000")}
+	step("founding epoch")
+	for i := 1; i < 5; i++ {
+		clients = append(clients, joinClient(t, coord, fmt.Sprintf("10.0.0.%d:9000", i)))
+		step("join")
+	}
+	if err := clients[3].Leave(2 * time.Second); err != nil {
+		t.Fatalf("leave of a leaf: %v", err)
+	}
+	step("leave")
+	hub := clients[0] // the tree's root: its eviction splits the survivors
+	hub.Close()
+	step("eviction")
+	if ep := coord.CurrentEpoch(); ep.Member(hub.ID()) != nil || len(ep.Members) != 3 {
+		t.Fatalf("post-eviction epoch %d lists %d members, hub present: %v",
+			ep.ID, len(ep.Members), ep.Member(hub.ID()) != nil)
 	}
 }

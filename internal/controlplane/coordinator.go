@@ -31,10 +31,6 @@ type CoordinatorConfig struct {
 	// to (default 2, capped at the current member count). Attachment
 	// prefers the lowest-degree members, keeping the topology balanced.
 	AttachDegree int
-	// ApplyMargin is the number of rounds between the cluster's highest
-	// heartbeat-reported round and a new epoch's ApplyAtRound (default 3):
-	// slack for the epoch to reach every member before it takes effect.
-	ApplyMargin int
 	// HeartbeatTimeout evicts members that have not heartbeat for this
 	// long (0 disables eviction; then only graceful leaves shrink the
 	// cluster).
@@ -70,9 +66,6 @@ func (cfg CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if cfg.AttachDegree <= 0 {
 		cfg.AttachDegree = 2
 	}
-	if cfg.ApplyMargin <= 0 {
-		cfg.ApplyMargin = 3
-	}
 	if cfg.ClockSyncEvery <= 0 {
 		cfg.ClockSyncEvery = 2 * time.Second
 	}
@@ -87,8 +80,7 @@ type member struct {
 	writeMu sync.Mutex
 
 	// Progress bookkeeping, written by connection goroutines and read
-	// by the eviction sweep and epoch planner.
-	round    int       // guarded by Coordinator.mu
+	// by the eviction sweep.
 	epoch    int       // guarded by Coordinator.mu
 	lastBeat time.Time // guarded by Coordinator.mu
 
@@ -382,7 +374,6 @@ func (c *Coordinator) beat(m *member, body []byte) {
 	}
 	c.mu.Lock()
 	m.lastBeat = time.Now()
-	m.round = hb.Round
 	m.epoch = hb.Epoch
 	c.mu.Unlock()
 	c.ingestTraces(m, hb.Traces)
@@ -628,18 +619,10 @@ func (c *Coordinator) maybeNewEpochLocked() (*Epoch, []*member) {
 	w, lambda, objective := c.optimizeLocked()
 
 	id := 1
-	applyAt := 0
 	if c.epoch != nil {
 		id = c.epoch.ID + 1
-		maxRound := 0
-		for _, m := range c.members {
-			if m.round > maxRound {
-				maxRound = m.round
-			}
-		}
-		applyAt = maxRound + c.cfg.ApplyMargin
 	}
-	ep := &Epoch{ID: id, ApplyAtRound: applyAt, LambdaBarMax: lambda, Objective: objective}
+	ep := &Epoch{ID: id, LambdaBarMax: lambda, Objective: objective}
 	for v, mid := range c.order {
 		m := c.members[mid]
 		peers := make([]int, 0, c.topo.Degree(v))
@@ -658,15 +641,14 @@ func (c *Coordinator) maybeNewEpochLocked() (*Epoch, []*member) {
 	c.met.epoch.Set(float64(ep.ID))
 	c.met.lambda.Set(lambda)
 	c.met.broadcasts.Inc()
-	c.cfg.Obs.Emit(-1, obs.EvEpochBroadcast, applyAt, -1, map[string]any{
+	c.cfg.Obs.Emit(-1, obs.EvEpochBroadcast, -1, -1, map[string]any{
 		"epoch":          ep.ID,
 		"members":        len(ep.Members),
-		"apply_at_round": applyAt,
 		"lambda_bar_max": lambda,
 		"objective":      objective,
 	})
-	c.logf("coordinator: epoch %d: %d members, apply at round %d, λ̄max %.4f (%s)",
-		ep.ID, len(ep.Members), applyAt, lambda, objective)
+	c.logf("coordinator: epoch %d: %d members, λ̄max %.4f (%s)",
+		ep.ID, len(ep.Members), lambda, objective)
 	targets := make([]*member, 0, len(c.members))
 	for _, mid := range c.order {
 		targets = append(targets, c.members[mid])

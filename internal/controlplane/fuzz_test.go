@@ -23,8 +23,8 @@ func frameBytes(t *testing.F, typ msgType, payload any) []byte {
 // parses must survive a write/read round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(f, msgJoin, joinReq{Addr: "127.0.0.1:7000"}))
-	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3, Round: 17, Epoch: 2}))
-	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3, Round: 17, Epoch: 2,
+	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3, Epoch: 2}))
+	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3, Epoch: 2,
 		Traces: []trace.RoundDigest{{
 			Node: 3, Round: 17, TraceID: trace.ID(3, 17),
 			StartUnixNanos: 100, EndUnixNanos: 900,
@@ -34,8 +34,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(f, msgClockProbe, clockProbe{T0: 123456789}))
 	f.Add(frameBytes(f, msgClockEcho, clockEcho{T0: 1, T1: 2, T2: 3}))
 	f.Add(frameBytes(f, msgEpoch, Epoch{
-		ID:           1,
-		ApplyAtRound: 5,
+		ID: 1,
 		Members: []EpochMember{
 			{ID: 0, Addr: "a", Peers: []int{1}, Row: []float64{0.5, 0.5}},
 			{ID: 1, Addr: "b", Peers: []int{0}, Row: []float64{0.5, 0.5}},
@@ -73,8 +72,7 @@ func FuzzReadFrame(f *testing.F) {
 // produce an error from PlanFor, never a panic in the node.
 func FuzzEpochPlan(f *testing.F) {
 	good, _ := json.Marshal(Epoch{
-		ID:           2,
-		ApplyAtRound: 9,
+		ID: 2,
 		Members: []EpochMember{
 			{ID: 0, Addr: "a", Peers: []int{1, 2}, Row: []float64{0.4, 0.3, 0.3}},
 			{ID: 1, Addr: "b", Peers: []int{0}, Row: []float64{0.3, 0.7, 0}},
@@ -96,9 +94,8 @@ func FuzzEpochPlan(f *testing.F) {
 		if err != nil {
 			return // rejection is fine; panics and index escapes are not
 		}
-		if plan.Epoch != e.ID || plan.StartRound != e.ApplyAtRound {
-			t.Fatalf("plan carries wrong epoch identity: %+v vs epoch %d@%d",
-				plan, e.ID, e.ApplyAtRound)
+		if plan.Epoch != e.ID {
+			t.Fatalf("plan carries wrong epoch identity: %+v vs epoch %d", plan, e.ID)
 		}
 		for _, nid := range plan.Neighbors {
 			if _, ok := plan.Addrs[nid]; !ok {

@@ -6,10 +6,11 @@
 //
 // The paper fixes the set of edge servers before training starts; this
 // package removes that assumption while preserving the algorithmic
-// contract: within one epoch the cluster runs plain SNAP/EXTRA over a
-// static topology and a centrally optimized W, and every epoch switch
-// resets the EXTRA correction s and forces a full-parameter exchange, so
-// a correction summed under an old W never leaks across reconfigurations.
+// contract: the W in force is symmetric and doubly stochastic in every
+// round, because each node moves to a new epoch edge by edge — an edge
+// takes its new weight in the first round in which both ends' frames
+// carry the epoch (core.Engine.Reconfigure) — so EXTRA's correction s
+// carries over every switch and no switch round has to be agreed on.
 //
 // Wire protocol: control connections carry length-prefixed frames in the
 // same style as the data plane ([len u32][type u32][payload]), with JSON
@@ -115,9 +116,6 @@ type rejectResp struct {
 
 type heartbeat struct {
 	ID int `json:"id"`
-	// Round is the node's current training round; the coordinator uses the
-	// cluster maximum to place ApplyAtRound safely in the future.
-	Round int `json:"round"`
 	// Epoch is the highest epoch the node has applied.
 	Epoch int `json:"epoch"`
 	// Traces carries the node's completed round digests since the last
@@ -157,14 +155,11 @@ type EpochMember struct {
 }
 
 // Epoch is one versioned cluster configuration: the authoritative member
-// list, topology, and per-node weight rows. Nodes apply an epoch at the
-// boundary of round ApplyAtRound (immediately, if already past it).
+// list, topology, and per-node weight rows. A node applies an epoch at
+// its next round boundary after it arrives.
 type Epoch struct {
 	// ID is the epoch number, starting at 1 and strictly increasing.
 	ID int `json:"id"`
-	// ApplyAtRound is the round at whose start members switch to this
-	// configuration. A joining node starts its round counter here.
-	ApplyAtRound int `json:"apply_at_round"`
 	// Members is the full membership, sorted by node id. Row vectors are
 	// indexed by position in this slice.
 	Members []EpochMember `json:"members"`
@@ -192,8 +187,6 @@ func (e *Epoch) Member(id int) *EpochMember {
 type Plan struct {
 	// Epoch is the epoch id.
 	Epoch int
-	// StartRound is the round at whose boundary the plan applies.
-	StartRound int
 	// WRow is this node's sparse weight row indexed by node id (length
 	// max member id + 1; nonzero only at the diagonal and neighbors).
 	WRow []float64
@@ -240,11 +233,10 @@ func (e *Epoch) PlanFor(id int) (*Plan, error) {
 		addrs[nid] = addr
 	}
 	return &Plan{
-		Epoch:      e.ID,
-		StartRound: e.ApplyAtRound,
-		WRow:       wRow,
-		Neighbors:  neighbors,
-		Addrs:      addrs,
+		Epoch:     e.ID,
+		WRow:      wRow,
+		Neighbors: neighbors,
+		Addrs:     addrs,
 	}, nil
 }
 

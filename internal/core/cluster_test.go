@@ -422,7 +422,7 @@ func TestCorrectionSumConserved(t *testing.T) {
 	// run trains for rounds and returns max over rounds of |Σ_i ⟨s_i, r⟩|
 	// and of max_i |⟨s_i, r⟩|. At round 50 it resets s on the nodes in
 	// restart — a mutation OnIteration's contract forbids callers, made
-	// here to model an epoch switch.
+	// here to model a restart in one round or in several.
 	run := func(policy SendPolicy, perNodeInit bool, restart ...int) (sum, term float64) {
 		c, err := NewCluster(ClusterConfig{
 			Topology: topo, Model: m, Partitions: parts,
@@ -467,9 +467,9 @@ func TestCorrectionSumConserved(t *testing.T) {
 		t.Errorf("all nodes restarting in one round: max |Σ_i ⟨s_i, r⟩| = %g, want ≤ 1e-12", sum)
 	}
 	// One node zeroing s alone breaks the sum for good: the mechanism of
-	// the elastic epoch-switch Blocker (ROADMAP), where nodes restart in
-	// different rounds. Per-edge correction flows (ROADMAP item 14 step 3)
-	// keep the sum at zero and flip this case.
+	// the old elastic epoch switch, which restarted nodes in different
+	// rounds. Epoch switches now keep s (TestElasticStaggeredSwitch), and
+	// RestartEvery restarts every node in the same round.
 	if sum, _ := run(SendAll, false, 0); sum <= 1e-6 {
 		t.Errorf("node 0 restarting alone: max |Σ_i ⟨s_i, r⟩| = %g, want > 1e-6", sum)
 	}

@@ -128,22 +128,32 @@ type EngineConfig struct {
 // engine-owned scratch, valid only until the next call of the same
 // method.
 type Engine struct {
-	cfg  EngineConfig
-	wRow linalg.Vector
+	cfg EngineConfig
 
 	x    linalg.Vector // x^k, the current iterate
 	s    linalg.Vector // correction Σ_{t<k} ½(x^t − (Wx)^t); zero after a restart and throughout DGD
 	grad linalg.Vector // ∇f_i(x^k) scratch for the current step
 	mix  linalg.Vector // (Wx)^k = Σ_j w_ij·x_j scratch
 
-	// Neighbor views are stored in slot arrays indexed by the position of
+	// epoch is the cluster epoch the node is in (0 in a static cluster);
+	// BuildUpdate stamps it on every frame.
+	epoch int
+	// selfW is the diagonal weight w_ii in force.
+	selfW float64
+
+	// Neighbor state is stored in slot arrays indexed by the position of
 	// the neighbor id in the sorted nbrIDs slice; nbrIdx maps id → slot
 	// (lookups only — iteration always walks the slices, in id order, so
 	// float summation is deterministic).
-	nbrIDs []int
-	nbrIdx map[int]int
-	nbrW   []float64       // w_{ID,j} per slot
-	nbrCur []linalg.Vector // view of x_j^k per slot
+	nbrIDs   []int
+	nbrIdx   map[int]int
+	nbrW     []float64       // w_ij in force per slot
+	planW    []float64       // w_ij of the current plan per slot
+	nbrNew   []bool          // edge added by Reconfigure and not yet in force
+	nbrEpoch []int           // epoch on this round's frame from the neighbor, -1 while none arrived
+	nbrCur   []linalg.Vector // view of x_j^k per slot
+	phi      []linalg.Vector // flow φ_ij = Σ_t ½·w_ij·(x_i^t − x̂_j^t) per slot; Σ_j φ_ij = s_i
+	newEdges int             // slots with nbrNew set
 
 	lastSent linalg.Vector // values the neighbors currently hold for us
 	ape      *APEController
@@ -250,7 +260,7 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		wRow:     cfg.WRow.Clone(),
+		selfW:    cfg.WRow[cfg.ID],
 		x:        cfg.Init.Clone(),
 		s:        linalg.NewVector(p),
 		grad:     linalg.NewVector(p),
@@ -260,10 +270,13 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	e.upd.Indices = make([]int, 0, p)
 	e.upd.Values = make([]float64, 0, p)
-	e.setNeighbors(cfg.Neighbors, func(int) linalg.Vector {
-		// All nodes share the same initial parameters, so the initial
-		// neighbor view is exact without any round-0 full exchange.
-		return cfg.Init.Clone()
+	e.setNeighbors(cfg.WRow, cfg.Neighbors, func(s int) {
+		// Every node starts at round 0 with the same W, so the row is in
+		// force at once; and all nodes share the same initial parameters,
+		// so the initial neighbor view is exact without any round-0 full
+		// exchange.
+		e.nbrW[s] = e.planW[s]
+		e.nbrCur[s] = cfg.Init.Clone()
 	})
 	if cfg.Policy == SendSelected {
 		apeCfg := cfg.APE
@@ -282,33 +295,45 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	return e, nil
 }
 
-// setNeighbors rebuilds the slot arrays for the given neighbor set
-// (sorted copy) using seed to produce each slot's view. e.wRow must
-// already hold the row the slots index into.
-func (e *Engine) setNeighbors(neighbors []int, seed func(j int) linalg.Vector) {
+// setNeighbors rebuilds the slot arrays for a sorted copy of neighbors,
+// with the plan weights of wRow. A neighbor that already had a slot keeps
+// its view, flow, in-force weight and new-edge flag; add fills the
+// in-force weight and view of any other slot s (its flow starts at 0).
+func (e *Engine) setNeighbors(wRow linalg.Vector, neighbors []int, add func(s int)) {
 	ids := append([]int(nil), neighbors...)
 	sort.Ints(ids)
-	e.nbrIDs = ids
-	e.nbrIdx = make(map[int]int, len(ids))
-	e.nbrW = make([]float64, len(ids))
-	e.nbrCur = make([]linalg.Vector, len(ids))
+	oldIdx, oldW, oldNew, oldCur, oldPhi := e.nbrIdx, e.nbrW, e.nbrNew, e.nbrCur, e.phi
+	n := len(ids)
+	e.nbrIDs, e.nbrIdx = ids, make(map[int]int, n)
+	e.nbrW, e.planW, e.nbrNew, e.nbrEpoch = make([]float64, n), make([]float64, n), make([]bool, n), make([]int, n)
+	e.nbrCur, e.phi = make([]linalg.Vector, n), make([]linalg.Vector, n)
+	e.newEdges = 0
 	for s, j := range ids {
 		e.nbrIdx[j] = s
-		e.nbrW[s] = e.wRow[j]
-		e.nbrCur[s] = seed(j)
+		e.planW[s] = wRow[j]
+		e.nbrEpoch[s] = -1
+		if o, ok := oldIdx[j]; ok {
+			e.nbrW[s], e.nbrNew[s], e.nbrCur[s], e.phi[s] = oldW[o], oldNew[o], oldCur[o], oldPhi[o]
+		} else {
+			e.phi[s] = linalg.NewVector(len(e.x))
+			add(s)
+		}
+		if e.nbrNew[s] {
+			e.newEdges++
+		}
 	}
 	e.cfg.Neighbors = ids
 }
 
-// Reconfigure swaps the engine's mixing row and neighbor set in place —
-// the node-side half of an epoch switch. Views of retained neighbors
-// survive (their parameters did not change just because the topology
-// did); views of new neighbors are seeded with the node's own iterate and
-// corrected by the full-parameter exchange the switch forces: Reconfigure
-// resets the correction s to zero (a sum of old-W mixings must not span a
-// topology change) and schedules a full send, and every reconfiguring
-// peer does the same, so the first post-switch ingest replaces the
-// seeded views with exact ones before they are ever mixed.
+// Reconfigure moves the engine to epoch's plan — its row of the new W and
+// its neighbor set — without restarting EXTRA (DESIGN.md §8). An edge
+// takes the plan's weight in the first round in which both ends' frames
+// carry the epoch (StepMix); until then a kept edge keeps its old weight
+// and a new one has none. A new edge's view is seeded with the node's own
+// iterate, and BuildUpdate sends the full vector while any new edge
+// waits, so the activating round's views are exact. A neighbor the plan
+// drops (a leave or an eviction) takes its flow with it: φ_ij leaves s.
+// Whenever an in-force weight changes, the diagonal becomes 1 − Σ_j w_ij.
 //
 // The parameter dimensionality is fixed by the model, so lastSent, the
 // APE controller, and every scratch vector keep their size across a
@@ -316,21 +341,53 @@ func (e *Engine) setNeighbors(neighbors []int, seed func(j int) linalg.Vector) {
 //
 // Like the rest of the engine it must be called from the training-loop
 // goroutine, between rounds.
-func (e *Engine) Reconfigure(wRow linalg.Vector, neighbors []int) error {
+func (e *Engine) Reconfigure(epoch int, wRow linalg.Vector, neighbors []int) error {
 	if err := validateTopology(e.cfg.ID, wRow, neighbors); err != nil {
 		return fmt.Errorf("core: node %d reconfigure: %w", e.cfg.ID, err)
 	}
-	oldIdx, oldCur := e.nbrIdx, e.nbrCur
-	e.wRow = wRow.Clone()
-	e.setNeighbors(neighbors, func(j int) linalg.Vector {
-		if s, ok := oldIdx[j]; ok {
-			return oldCur[s]
-		}
-		return e.x.Clone()
+	oldIDs, oldW, oldPhi := e.nbrIDs, e.nbrW, e.phi
+	e.epoch = epoch
+	e.setNeighbors(wRow, neighbors, func(s int) {
+		e.nbrNew[s] = true
+		e.nbrCur[s] = e.x.Clone()
 	})
-	e.restartRecursion()
-	e.forceFull = true
+	for k, j := range oldIDs {
+		if _, kept := e.nbrIdx[j]; !kept {
+			e.s.AXPYInPlace(-1, oldPhi[k])
+			if oldW[k] != 0 {
+				e.resetDiagonal()
+			}
+		}
+	}
 	return nil
+}
+
+// resetDiagonal puts 1 − Σ_j w_ij in force on the diagonal.
+func (e *Engine) resetDiagonal() {
+	w := 1.0
+	for _, wj := range e.nbrW {
+		w -= wj
+	}
+	e.selfW = w
+}
+
+// switchEdges gives the plan's weight to every edge whose neighbor's
+// frame this round carried the node's epoch — the node's own frame did
+// too, so the neighbor, seeing the same two frames, switches the edge in
+// the same round — and forgets the round's frame epochs.
+func (e *Engine) switchEdges() {
+	for s, ep := range e.nbrEpoch {
+		e.nbrEpoch[s] = -1
+		if ep != e.epoch || (!e.nbrNew[s] && e.nbrW[s] == e.planW[s]) {
+			continue
+		}
+		if e.nbrNew[s] {
+			e.nbrNew[s] = false
+			e.newEdges--
+		}
+		e.nbrW[s] = e.planW[s]
+		e.resetDiagonal()
+	}
 }
 
 // Neighbors returns a copy of the current neighbor id set.
@@ -369,8 +426,8 @@ func (e *Engine) ParamsInto(dst linalg.Vector) linalg.Vector {
 }
 
 // Restarts returns how many times the EXTRA correction s has been reset
-// to zero: by Reconfigure, RestartEvery, or an APE stage transition with
-// RestartRecursion.
+// to zero: by RestartEvery, or by an APE stage transition with
+// RestartRecursion. An epoch switch never resets it.
 func (e *Engine) Restarts() int { return e.restarts }
 
 // LocalLoss evaluates the node's objective f_i at its current iterate over
@@ -417,10 +474,13 @@ func (e *Engine) BuildUpdate(round int) (*codec.Update, error) {
 		policy, fullReason = SendAll, "reconnect"
 		e.forceFull = false
 	}
+	if e.newEdges > 0 {
+		policy, fullReason = SendAll, "new_edge"
+	}
 	u := &e.upd
 	switch policy {
 	case SendAll:
-		u.Sender, u.Round, u.NumParams = e.cfg.ID, round, len(e.x)
+		u.Sender, u.Epoch, u.NumParams = e.cfg.ID, e.epoch, len(e.x)
 		u.Indices = u.Indices[:0]
 		u.Values = u.Values[:0]
 		for i, v := range e.x {
@@ -428,11 +488,11 @@ func (e *Engine) BuildUpdate(round int) (*codec.Update, error) {
 			u.Values = append(u.Values, v)
 		}
 	case SendChanged:
-		if err := codec.DiffInto(u, e.cfg.ID, round, e.lastSent, e.x, 0); err != nil {
+		if err := codec.DiffInto(u, e.cfg.ID, e.epoch, e.lastSent, e.x, 0); err != nil {
 			return nil, err
 		}
 	case SendSelected:
-		if err := codec.DiffInto(u, e.cfg.ID, round, e.lastSent, e.x, e.ape.SendThreshold()); err != nil {
+		if err := codec.DiffInto(u, e.cfg.ID, e.epoch, e.lastSent, e.x, e.ape.SendThreshold()); err != nil {
 			return nil, err
 		}
 	default:
@@ -497,7 +557,8 @@ func (e *Engine) BeginIntegrate() {}
 
 // IngestFrame applies one neighbor's decoded update to that neighbor's
 // current view, decoding into the slot as the frame lands rather than
-// waiting for the whole round's batch. Each sender owns a dedicated
+// waiting for the whole round's batch, and records the sender's epoch
+// for the round's edge switches. Each sender owns a dedicated
 // slot and StepMix walks the slots in sorted-id order, so the iterate
 // is bitwise-independent of frame arrival order. Call before the round's
 // StepMix; u is borrowed for the duration of the call only.
@@ -512,6 +573,7 @@ func (e *Engine) IngestFrame(u *codec.Update) error {
 	if err := codec.Apply(e.nbrCur[slot], u); err != nil {
 		return fmt.Errorf("core: node %d integrating from %d: %w", e.cfg.ID, u.Sender, err)
 	}
+	e.nbrEpoch[slot] = u.Epoch
 	return nil
 }
 
@@ -561,17 +623,29 @@ func (e *Engine) StepMix(round int) linalg.Vector {
 	if e.timed() {
 		start = time.Now()
 	}
+	e.switchEdges()
 	// mix = Σ_j w_ij·x_j^k (including the self term). The fused kernel
 	// accumulates neighbors in slot (= sorted id) order, bitwise-matching
 	// the sequential Scale-then-AXPY loop it replaced.
-	linalg.MixTo(e.mix, e.wRow[e.cfg.ID], e.x, e.nbrW, e.nbrCur)
+	linalg.MixTo(e.mix, e.selfW, e.x, e.nbrW, e.nbrCur)
+
+	// φ_ij += ½·w_ij·(x_i − x̂_j): s split by edge, so that a departing
+	// neighbor's share can leave with it (Reconfigure).
+	x, s, g, na, dgd := e.x, e.s, e.grad, -e.cfg.Alpha, e.cfg.DGD
+	if !dgd {
+		for k, w := range e.nbrW {
+			phi, v, hw := e.phi[k][:len(x)], e.nbrCur[k][:len(x)], w/2
+			for i, xi := range x {
+				phi[i] += hw * (xi - v[i])
+			}
+		}
+	}
 
 	// x^{k+1} = W·x^k − α∇f(x^k) − s^k and s^{k+1} = s^k + ½(x^k − W·x^k):
 	// EXTRA's x^{k+2} = (I+W)x^{k+1} − W̃x^k − α(∇f^{k+1} − ∇f^k), summed
 	// over k. One in-place pass, reading element i before writing it.
 	// With s = 0 (DGD, or the first step after a restart) it is
 	// W·x − α∇f(x) bit for bit.
-	x, s, g, na, dgd := e.x, e.s, e.grad, -e.cfg.Alpha, e.cfg.DGD
 	for i, m := range e.mix {
 		xi := x[i]
 		x[i] = m + na*g[i] - s[i]
@@ -617,10 +691,14 @@ func (e *Engine) emitAPEStage(round int) {
 	}
 }
 
-// restartRecursion resets the EXTRA correction, s := 0, so the next
-// StepMix is EXTRA's first step W·x − α∇f(x) from the current iterate.
+// restartRecursion resets the EXTRA correction, s := 0 and every flow
+// φ_ij := 0, so the next StepMix is EXTRA's first step W·x − α∇f(x) from
+// the current iterate.
 func (e *Engine) restartRecursion() {
 	e.s.Fill(0)
+	for _, phi := range e.phi {
+		phi.Fill(0)
+	}
 	e.restarts++
 	e.met.restarts.Inc()
 }

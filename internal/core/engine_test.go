@@ -419,26 +419,29 @@ func TestEngineReconfigure(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		eng.Step(round)
 	}
-	restartsBefore := eng.Restarts()
 	if allZero(eng.s) {
 		t.Fatal("EXTRA correction still zero after 5 steps")
 	}
+	oldW1 := eng.nbrW[eng.nbrIdx[1]]
+	want := eng.s.Clone().AXPYInPlace(-1, eng.phi[eng.nbrIdx[2]])
 
 	// New cluster: neighbor 2 left, neighbor 3 joined (sparse row in
 	// node-id space).
 	row := linalg.Vector{0.4, 0.3, 0, 0.3}
-	if err := eng.Reconfigure(row, []int{3, 1}); err != nil {
+	if err := eng.Reconfigure(1, row, []int{3, 1}); err != nil {
 		t.Fatalf("Reconfigure: %v", err)
 	}
 	if got := eng.Neighbors(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("Neighbors() = %v, want [1 3]", got)
 	}
-	if eng.Restarts() != restartsBefore+1 {
-		t.Errorf("Reconfigure did not restart the recursion (restarts %d -> %d)",
-			restartsBefore, eng.Restarts())
+	if eng.Restarts() != 0 {
+		t.Errorf("Reconfigure restarted the recursion %d times", eng.Restarts())
 	}
-	if !allZero(eng.s) {
-		t.Error("Reconfigure left a nonzero EXTRA correction")
+	// The departed neighbor's flow left s with it; the rest stays.
+	for i := range want {
+		if eng.s[i] != want[i] {
+			t.Fatalf("s[%d] = %g after the departure, want s − φ_02 = %g", i, eng.s[i], want[i])
+		}
 	}
 	// The view of the new neighbor is seeded with our own iterate.
 	if got := eng.nbrCur[eng.nbrIdx[3]]; math.Abs(got[0]-eng.x[0]) > 1e-15 {
@@ -447,30 +450,60 @@ func TestEngineReconfigure(t *testing.T) {
 	if _, ok := eng.nbrIdx[2]; ok {
 		t.Error("removed neighbor 2 still has a view")
 	}
-	// The switch forces a full send regardless of policy.
-	u, err := eng.BuildUpdate(6)
+	// Until frames carrying epoch 1 flow both ways, the kept edge keeps
+	// its old weight, the new one has none, and the diagonal takes the
+	// departed neighbor's share.
+	if w1, w3 := eng.nbrW[eng.nbrIdx[1]], eng.nbrW[eng.nbrIdx[3]]; w1 != oldW1 || w3 != 0 {
+		t.Errorf("in-force weights before the switch = (%g, %g), want (%g, 0)", w1, w3, oldW1)
+	}
+	if want := 1 - oldW1; math.Abs(eng.selfW-want) > 1e-15 {
+		t.Errorf("diagonal before the switch = %g, want %g", eng.selfW, want)
+	}
+	// While the new edge waits, every send is the full vector, stamped
+	// with the epoch.
+	u, err := eng.BuildUpdate(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(u.Indices) != eng.cfg.Model.NumParams() {
-		t.Errorf("post-reconfigure update carries %d params, want all %d",
-			len(u.Indices), eng.cfg.Model.NumParams())
+	if len(u.Indices) != eng.cfg.Model.NumParams() || u.Epoch != 1 {
+		t.Errorf("post-reconfigure update carries %d params of epoch %d, want all %d of epoch 1",
+			len(u.Indices), u.Epoch, eng.cfg.Model.NumParams())
 	}
-	// A further step is EXTRA's first step from the current iterate.
+	// A frame of epoch 0 from neighbor 1 switches nothing.
+	if err := eng.IngestFrame(&codec.Update{Sender: 1, NumParams: len(eng.x)}); err != nil {
+		t.Fatal(err)
+	}
+	eng.Step(5)
+	if w1, w3 := eng.nbrW[eng.nbrIdx[1]], eng.nbrW[eng.nbrIdx[3]]; w1 != oldW1 || w3 != 0 {
+		t.Errorf("an epoch-0 frame switched an edge: in-force weights (%g, %g)", w1, w3)
+	}
+	// Frames of epoch 1 from both neighbors switch both edges.
+	for _, j := range []int{1, 3} {
+		if err := eng.IngestFrame(&codec.Update{Sender: j, Epoch: 1, NumParams: len(eng.x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Step(6)
+	if w1, w3 := eng.nbrW[eng.nbrIdx[1]], eng.nbrW[eng.nbrIdx[3]]; w1 != 0.3 || w3 != 0.3 || eng.newEdges != 0 {
+		t.Errorf("in-force weights after the switch = (%g, %g), %d new edges waiting; want (0.3, 0.3), 0", w1, w3, eng.newEdges)
+	}
+	if math.Abs(eng.selfW-0.4) > 1e-15 {
+		t.Errorf("diagonal after the switch = %g, want 0.4", eng.selfW)
+	}
 	eng.Step(7)
 
-	if err := eng.Reconfigure(linalg.Vector{1}, nil); err != nil {
+	if err := eng.Reconfigure(2, linalg.Vector{1}, nil); err != nil {
 		t.Fatalf("Reconfigure to solo: %v", err)
 	}
 	eng.Step(8)
 
-	if err := eng.Reconfigure(linalg.Vector{0.5, 0.4}, []int{1}); err == nil {
+	if err := eng.Reconfigure(3, linalg.Vector{0.5, 0.4}, []int{1}); err == nil {
 		t.Error("non-stochastic row accepted")
 	}
-	if err := eng.Reconfigure(linalg.Vector{}, nil); err == nil {
+	if err := eng.Reconfigure(3, linalg.Vector{}, nil); err == nil {
 		t.Error("short row accepted")
 	}
-	if err := eng.Reconfigure(linalg.Vector{0.4, 0.3, 0.3}, []int{1}); err == nil {
+	if err := eng.Reconfigure(3, linalg.Vector{0.4, 0.3, 0.3}, []int{1}); err == nil {
 		t.Error("weight on non-neighbor 2 accepted")
 	}
 }

@@ -242,8 +242,9 @@ func TestReconfigureKeepsHotPathState(t *testing.T) {
 		}
 	}
 
-	// Shrink the 3-clique to a single edge 0–1.
-	if err := eng.Reconfigure([]float64{0.5, 0.5, 0}, []int{1}); err != nil {
+	// Swap neighbor 2 for a new neighbor 3, whose edge waits for a full
+	// exchange.
+	if err := eng.Reconfigure(1, []float64{0.4, 0.3, 0, 0.3}, []int{1, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := len(eng.lastSent), eng.cfg.Model.NumParams(); got != want {

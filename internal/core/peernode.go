@@ -31,19 +31,19 @@ type PeerNodeConfig struct {
 	// handshake advertises the data-plane address, so the socket must be
 	// bound before the node id (and hence the engine) exists.
 	Listener net.Listener
-	// Control, when set, attaches the node to a cluster coordinator: each
-	// round is reported via heartbeat, and newer epochs are applied at the
-	// next round boundary (links dropped/dialed, weight row swapped, EXTRA
-	// restarted, full-parameter refresh forced).
+	// Control, when set, attaches the node to a cluster coordinator. A
+	// newer epoch applies at the next round boundary after it arrives:
+	// links are dropped and dialed, and the engine moves to the new plan
+	// edge by edge (Engine.Reconfigure). Every edge of the initial
+	// configuration is new as well: the engine starts alone and takes
+	// each neighbor's weight when frames carrying Epoch flow both ways.
 	Control *controlplane.Client
 	// Epoch is the id of the epoch the initial Engine configuration was
 	// derived from (0 for a static cluster); only strictly newer epochs are
-	// applied.
+	// applied. In elastic mode an Epoch above 1 marks a node admitted
+	// mid-training: Run starts it at the round of the first data frame
+	// its neighbors send it. Members of the founding epoch start at 0.
 	Epoch int
-	// StartRound is the first round Run executes. Founders start at 0;
-	// a node joining mid-training starts at its admission epoch's
-	// ApplyAtRound, aligning its round counter with the cluster.
-	StartRound int
 	// RoundTimeout bounds how long a round waits for straggler neighbors
 	// before proceeding with whatever arrived (default 5s).
 	RoundTimeout time.Duration
@@ -100,6 +100,9 @@ type PeerNode struct {
 	// Written by the round loop in maybeReconfigure and read by Epoch()
 	// from any goroutine, so it is atomic.
 	epoch atomic.Int64
+	// ignored is the id of the newest epoch found not to include this
+	// node, so the round loop reports it once, not every round.
+	ignored int
 
 	// needRefresh is set by the transport's reconnect callback and
 	// consumed at the top of the next round: the node sends its full
@@ -173,9 +176,19 @@ func NewPeerNode(cfg PeerNodeConfig) (*PeerNode, error) {
 	}
 	cfg.Engine.Obs = cfg.Obs
 	cfg.Engine.Trace = cfg.Tracer
-	eng, err := NewEngine(cfg.Engine)
+	ecfg := cfg.Engine
+	if cfg.Control != nil {
+		ecfg.WRow = make([]float64, ecfg.ID+1)
+		ecfg.WRow[ecfg.ID], ecfg.Neighbors = 1, nil
+	}
+	eng, err := NewEngine(ecfg)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Control != nil {
+		if err := eng.Reconfigure(cfg.Epoch, cfg.Engine.WRow, cfg.Engine.Neighbors); err != nil {
+			return nil, err
+		}
 	}
 	var peer *transport.Peer
 	if cfg.Listener != nil {
@@ -272,13 +285,15 @@ func (pn *PeerNode) Connect(neighborAddrs map[int]string) error {
 	return pn.peer.Connect(neighborAddrs, pn.cfg.ConnectTimeout)
 }
 
-// Run executes rounds [StartRound, rounds) and returns the per-iteration
+// Run executes rounds [start, rounds) and returns the per-iteration
 // trace (loss is this node's local objective at the iterate the round
 // started from — the by-product of the round's gradient pass, see
 // Engine.GradientLoss; global metrics are the caller's concern since no
 // single node sees the whole cluster). rounds
-// is the cluster-wide round horizon, not a count: a node that joined at
-// StartRound 20 with rounds = 40 executes 20 rounds.
+// is the cluster-wide round horizon, not a count: start is 0, except
+// for a node admitted mid-training (see PeerNodeConfig.Epoch), which
+// starts at the round of the first data frame its neighbors send it —
+// with start 20 and rounds = 40 it executes 20 rounds.
 //
 // Per the paper's straggler semantics a failed neighbor link never aborts
 // the node: the send error is recorded and the round proceeds; the
@@ -286,28 +301,25 @@ func (pn *PeerNode) Connect(neighborAddrs map[int]string) error {
 // (engine, codec) are fatal.
 //
 // In elastic mode (Control set) each round boundary first applies any
-// newer epoch, then reports the round to the coordinator.
+// newer epoch.
 func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 	id := pn.engine.ID()
 	result := &metrics.Trace{}
 	tr, nr := pn.cfg.Tracer, pn.round
-	startRound := pn.cfg.StartRound
-	if pn.cfg.Control != nil {
-		// A joiner that was slow between admission and Run may find the
-		// cluster already past its epoch's ApplyAtRound; round-tagged
-		// frames buffered by the transport reveal how far, and skipping
-		// straight there avoids draining the backlog one round at a time.
-		if lr := pn.peer.LatestRound(); lr > startRound {
-			pn.logf("node %d: fast-forwarding from round %d to %d (cluster is ahead)", id, startRound, lr)
-			startRound = lr
+	startRound := 0
+	if pn.cfg.Control != nil && pn.cfg.Epoch > 1 && len(pn.engine.nbrIDs) > 0 {
+		// Admitted mid-training: the cluster's round is whatever its
+		// frames say. No frame within ConnectTimeout means no neighbor
+		// is training yet.
+		if r, ok := pn.peer.FirstRound(pn.cfg.ConnectTimeout); ok {
+			startRound = r
+		} else {
+			pn.logf("node %d: no data frame from a neighbor within %v; starting at round 0", id, pn.cfg.ConnectTimeout)
 		}
 	}
 	for round := startRound; round < rounds; round++ {
 		if err := pn.maybeReconfigure(round); err != nil {
 			return result, err
-		}
-		if pn.cfg.Control != nil {
-			pn.cfg.Control.ReportRound(round)
 		}
 		roundStart := nr.now()
 		bytesBefore := pn.peer.BytesSent()
@@ -383,28 +395,30 @@ func (pn *PeerNode) Run(rounds int) (*metrics.Trace, error) {
 // initial epoch until a reconfiguration happens).
 func (pn *PeerNode) Epoch() int { return int(pn.epoch.Load()) }
 
-// maybeReconfigure applies the newest coordinator epoch if the node has
-// reached its ApplyAtRound boundary: removed links are dropped, added
-// links dialed, the engine's weight row and neighbor set swapped, the
-// EXTRA recursion restarted, and a full-parameter refresh forced. Within
-// an epoch the node is indistinguishable from a static-cluster one.
+// maybeReconfigure applies the newest coordinator epoch, if one arrived
+// since the last round boundary: removed links are dropped, added links
+// dialed, and the engine moved to the new plan (Engine.Reconfigure).
+// Once every edge has switched, the node is indistinguishable from a
+// static-cluster one.
 func (pn *PeerNode) maybeReconfigure(round int) error {
 	if pn.cfg.Control == nil {
 		return nil
 	}
-	plan, err := pn.cfg.Control.PlanNewerThan(int(pn.epoch.Load()))
+	id := pn.engine.ID()
+	ep := pn.cfg.Control.Latest()
+	if ep.ID <= int(pn.epoch.Load()) || ep.ID == pn.ignored {
+		return nil
+	}
+	plan, err := ep.PlanFor(id)
 	if err != nil {
 		// The newest epoch excludes this node (evicted after a control-
 		// plane outage) or is malformed. Keep training on the current
 		// configuration: former neighbors have dropped us, so gathers run
 		// on straggler semantics until the caller notices and exits.
-		pn.logf("node %d: ignoring epoch: %v", pn.engine.ID(), err)
+		pn.ignored = ep.ID
+		pn.logf("node %d: ignoring epoch %d: %v", id, ep.ID, err)
 		return nil
 	}
-	if plan == nil || round < plan.StartRound {
-		return nil
-	}
-	id := pn.engine.ID()
 	start := pn.round.now()
 	oldSet := make(map[int]bool)
 	for _, nid := range pn.engine.Neighbors() {
@@ -438,7 +452,7 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 			pn.logf("node %d: epoch %d: connecting new links: %v (continuing)", id, plan.Epoch, err)
 		}
 	}
-	if err := pn.engine.Reconfigure(plan.WRow, plan.Neighbors); err != nil {
+	if err := pn.engine.Reconfigure(plan.Epoch, plan.WRow, plan.Neighbors); err != nil {
 		return err
 	}
 	pn.epoch.Store(int64(plan.Epoch))

@@ -1,12 +1,17 @@
 package core
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/snapml/snap/internal/controlplane"
+	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/model"
 	"github.com/snapml/snap/internal/obs"
 	"github.com/snapml/snap/internal/transport"
@@ -37,7 +42,6 @@ func joinElasticPeerNode(t *testing.T, coord *controlplane.Coordinator, m model.
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	client.ReportRound(plan.StartRound)
 	client.ReportEpoch(plan.Epoch)
 
 	ecfg := dataFor(client.ID())
@@ -50,7 +54,6 @@ func joinElasticPeerNode(t *testing.T, coord *controlplane.Coordinator, m model.
 		Listener:     ln,
 		Control:      client,
 		Epoch:        plan.Epoch,
-		StartRound:   plan.StartRound,
 		RoundTimeout: 2 * time.Second,
 		Logf:         t.Logf,
 	}
@@ -62,9 +65,6 @@ func joinElasticPeerNode(t *testing.T, coord *controlplane.Coordinator, m model.
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pn.Close() })
-	// A mid-training joiner holds the shared seed init while the cluster
-	// moved on; its first broadcast must be the full vector.
-	pn.Engine().RequestFullSend()
 	if err := pn.Connect(plan.Addrs); err != nil {
 		t.Logf("node %d: connect to epoch neighbors: %v (continuing)", client.ID(), err)
 	}
@@ -100,7 +100,6 @@ func TestElasticJoinSurvivesFaultyLink(t *testing.T) {
 	coord, err := controlplane.NewCoordinator(controlplane.CoordinatorConfig{
 		MinMembers:   founders,
 		AttachDegree: 2,
-		ApplyMargin:  3,
 		Logf:         t.Logf,
 	})
 	if err != nil {
@@ -220,3 +219,121 @@ func TestElasticJoinSurvivesFaultyLink(t *testing.T) {
 		t.Errorf("aggregate loss %v did not improve on initial %v", finalLoss, initLoss)
 	}
 }
+
+// TestEvictedNodeReportsIgnoredEpochOnce checks that a node the newest
+// epoch no longer lists says so once, not once per round. A stand-in
+// coordinator admits the node as the sole member of epoch 1 and, once
+// the node has trained five rounds, pushes an epoch 2 without it — what
+// a member evicted while its control connection survived sees.
+func TestEvictedNodeReportsIgnoredEpochOnce(t *testing.T) {
+	const rounds = 70
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Control frames are [len u32][type u32][JSON]; 2 and 7 are the
+	// join_ok and epoch message types.
+	push := func(conn net.Conn, typ uint32, payload any) {
+		body, err := json.Marshal(payload)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var h [8]byte
+		binary.BigEndian.PutUint32(h[:4], uint32(len(body)))
+		binary.BigEndian.PutUint32(h[4:], typ)
+		conn.Write(append(h[:], body...))
+	}
+	evict := make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var h [8]byte
+		if _, err := io.ReadFull(conn, h[:]); err != nil {
+			return
+		}
+		if _, err := io.CopyN(io.Discard, conn, int64(binary.BigEndian.Uint32(h[:4]))); err != nil {
+			return
+		}
+		push(conn, 2, map[string]int{"id": 0})
+		push(conn, 7, controlplane.Epoch{ID: 1, Members: []controlplane.EpochMember{{ID: 0, Addr: "a", Row: []float64{1}}}})
+		go io.Copy(io.Discard, conn) // heartbeats
+		<-evict
+		push(conn, 7, controlplane.Epoch{ID: 2, Members: []controlplane.EpochMember{{ID: 1, Addr: "b", Row: []float64{1}}}})
+		<-evict
+	}()
+
+	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := controlplane.Join(controlplane.ClientConfig{
+		Coordinator: ln.Addr().String(),
+		Advertise:   dataLn.Addr().String(),
+		JoinWait:    10 * time.Second,
+	})
+	if err != nil {
+		dataLn.Close()
+		t.Fatal(err)
+	}
+	_, parts := smallPartitions(t, 1, 20, 3)
+	m := model.NewLinearSVM(8)
+	var (
+		mu      sync.Mutex
+		ignored int
+	)
+	pn, err := NewPeerNode(PeerNodeConfig{
+		Engine: EngineConfig{
+			ID: 0, Model: m, Data: parts[0], Alpha: 0.1,
+			WRow: []float64{1}, Policy: SendAll, Init: m.InitParams(1),
+		},
+		Listener: dataLn,
+		Control:  client,
+		Epoch:    1,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "ignoring epoch") {
+				mu.Lock()
+				ignored++
+				mu.Unlock()
+			}
+		},
+		Feed: sinkFunc(func(round, _ int, _ linalg.Vector) {
+			if round != 5 {
+				return
+			}
+			evict <- struct{}{}
+			deadline := time.Now().Add(10 * time.Second)
+			for client.Latest().ID != 2 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		close(evict)
+		pn.Close()
+	}()
+	if _, err := pn.Run(rounds); err != nil {
+		t.Fatal(err)
+	}
+	if client.Latest().ID != 2 {
+		t.Fatal("the node never received epoch 2")
+	}
+	if pn.Epoch() != 1 {
+		t.Errorf("node applied epoch %d, which does not list it", pn.Epoch())
+	}
+	if ignored != 1 {
+		t.Errorf("%d rounds after its eviction the node reported the ignored epoch %d times, want 1", rounds-6, ignored)
+	}
+}
+
+// sinkFunc adapts a function to ParamSink.
+type sinkFunc func(round, epoch int, params linalg.Vector)
+
+func (f sinkFunc) Publish(round, epoch int, params linalg.Vector) { f(round, epoch, params) }

@@ -27,7 +27,7 @@ const (
 	EvLinkDrop       = "link_drop"       // neighbor removed by reconfiguration
 	EvMemberJoin     = "member_join"     // coordinator admitted a member (f: addr)
 	EvMemberLeave    = "member_leave"    // coordinator removed a member (f: reason)
-	EvEpochBroadcast = "epoch_broadcast" // coordinator published an epoch (f: epoch, members, apply_at_round, lambda_bar_max, objective)
+	EvEpochBroadcast = "epoch_broadcast" // coordinator published an epoch (f: epoch, members, lambda_bar_max, objective)
 	EvEpochApplied   = "epoch_applied"   // node switched to an epoch (f: epoch, neighbors, seconds)
 
 	// Distributed tracing.

@@ -199,7 +199,7 @@ func TestGatherStreamAbortKeepsFramesPending(t *testing.T) {
 	// Both frames are in flight; wait until they are buffered so the
 	// abort decision races nothing.
 	waitFor(t, 5*time.Second, "both frames pending", func() bool {
-		return peers[0].LatestRound() >= 0 && len(peers[0].Gather(0, 10*time.Millisecond)) == 2
+		return len(peers[0].Gather(0, 10*time.Millisecond)) == 2
 	})
 
 	calls := 0

@@ -114,15 +114,11 @@ type Peer struct {
 	// frame and stamps a trace block onto every outbound frame. Atomic so
 	// long-lived read loops observe a SetTracer issued after their
 	// connection was established.
-	tracer atomic.Pointer[trace.Tracer]
-	// latestRound tracks the highest round tag seen on any inbound frame:
-	// a node (re)joining an elastic cluster uses it to fast-forward its
-	// round counter to where the cluster actually is.
-	latestRound atomic.Int64
-	closed      chan struct{}
-	closeOnce   sync.Once
-	closeErr    error // set once inside closeOnce.Do, read after it
-	wg          sync.WaitGroup
+	tracer    atomic.Pointer[trace.Tracer]
+	closed    chan struct{}
+	closeOnce sync.Once
+	closeErr  error // set once inside closeOnce.Do, read after it
+	wg        sync.WaitGroup
 
 	// Observability. The handles are always valid: with no observer they
 	// are detached metrics, so hot paths record unconditionally.
@@ -269,11 +265,47 @@ func (p *Peer) SetFaults(f *FaultSet) {
 	p.mu.Unlock()
 }
 
-// LatestRound returns the highest round tag observed on any inbound
-// frame, or -1 before the first frame. An elastically joining node uses
-// it to fast-forward its round counter when the coordinator's view of the
-// cluster's progress was stale.
-func (p *Peer) LatestRound() int { return int(p.latestRound.Load()) - 1 }
+// FirstRound blocks until a frame from a registered neighbor (see
+// Connect) is buffered and returns the lowest round such a frame
+// carries: a node joining a running cluster starts its round counter
+// there. ok is false if no frame arrived within timeout or the peer
+// closed. Like GatherStream, it must not run concurrently with itself or
+// with GatherStream.
+func (p *Peer) FirstRound(timeout time.Duration) (round int, ok bool) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		if round, ok := p.lowestPendingRound(); ok {
+			return round, true
+		}
+		select {
+		case m := <-p.inbox:
+			p.storePending(m)
+		case <-p.membership:
+		case <-timer.C:
+			return 0, false
+		case <-p.closed:
+			return 0, false
+		}
+	}
+}
+
+// lowestPendingRound returns the lowest round of a buffered frame from a
+// registered neighbor.
+func (p *Peer) lowestPendingRound() (low int, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.pendingMu.Lock()
+	defer p.pendingMu.Unlock()
+	for r, byFrom := range p.pending {
+		for from := range byFrom {
+			if _, known := p.addrs[from]; known && (!ok || r < low) {
+				low, ok = r, true
+			}
+		}
+	}
+	return low, ok
+}
 
 // Drop removes neighbor nid from the peer's neighbor set: the connection
 // (if any) is closed, the stored address is forgotten so no dial loop
@@ -337,7 +369,6 @@ func (p *Peer) statsFor(nid int) *LinkStats {
 // listening later is still connected, and a link that dies later is
 // dialed again.
 func (p *Peer) Connect(neighbors map[int]string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	p.mu.Lock()
@@ -352,42 +383,32 @@ func (p *Peer) Connect(neighbors map[int]string, timeout time.Duration) error {
 		}
 	}
 	p.mu.Unlock()
-	// The dialed links first: addConn's membership nudge wakes the wait,
-	// and one nudge is passed on afterwards in case a GatherStream was
-	// blocked on it too.
-	for expired := false; !expired && p.missing(neighbors, p.id) > 0; {
+	// addConn's membership nudge wakes the wait, for dialed and accepted
+	// links alike; one nudge is passed on afterwards in case a
+	// GatherStream was blocked on it too.
+	defer p.notifyMembership()
+	for {
+		missing := p.missing(neighbors)
+		if missing == 0 {
+			return nil
+		}
 		select {
 		case <-p.membership:
 		case <-timer.C:
-			expired = true
+			return fmt.Errorf("transport: peer %d timed out waiting for %d neighbor connection(s)", p.id, missing)
 		case <-p.closed:
 			return fmt.Errorf("transport: peer %d closed while connecting", p.id)
 		}
 	}
-	p.notifyMembership()
-	// Then the accepted links, polled every 5 ms. An elastic joiner picks
-	// its start round from the frames buffered when Connect returns
-	// (core.PeerNode.Run); returning the instant its last accepted link
-	// registers would often beat its new neighbors' first frames.
-	for {
-		missing := p.missing(neighbors, -1)
-		if missing == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: peer %d timed out waiting for %d neighbor connection(s)", p.id, missing)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
-// missing counts the neighbors above id that have no connection.
-func (p *Peer) missing(neighbors map[int]string, above int) int {
+// missing counts the neighbors that have no connection.
+func (p *Peer) missing(neighbors map[int]string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := 0
 	for nid := range neighbors {
-		if _, ok := p.conns[nid]; !ok && nid > above {
+		if _, ok := p.conns[nid]; !ok {
 			n++
 		}
 	}
@@ -683,14 +704,6 @@ func (p *Peer) readLoop(from int, pc *peerConn) {
 		if traced {
 			p.tracer.Load().Recv(round, from, int(size), ctx, time.Now())
 		}
-		// Track the cluster's highest observed round (stored +1 so the
-		// zero value reads as "none seen" = -1).
-		for {
-			cur := p.latestRound.Load()
-			if int64(round)+1 <= cur || p.latestRound.CompareAndSwap(cur, int64(round)+1) {
-				break
-			}
-		}
 		select {
 		case p.inbox <- inFrame{from: from, round: round, frame: frame}:
 		case <-p.closed:
@@ -825,7 +838,10 @@ func (p *Peer) expectedConns() []int {
 // means stragglers).
 //
 // At most one frame per sender is delivered per call; frames from other
-// rounds are buffered for their own calls; frames from senders outside
+// rounds are buffered for their own calls. A sender with a frame for a
+// later round already buffered is not waited for: a link is FIFO and
+// rounds only grow, so its frame for this round is never coming (it
+// linked up after sending it, or the frame was dropped). Frames from senders outside
 // the expected neighbor set are withheld, left buffered for a later
 // epoch; the expected count is re-evaluated on every membership change,
 // so a neighbor that dies mid-round costs at most this one timeout —
@@ -877,20 +893,21 @@ func (p *Peer) gatherStream(round int, timeout time.Duration, deliver func(from 
 
 	got := 0
 	// flush hands every buffered, expected, not-yet-delivered frame to
-	// deliver (outside all locks) and reports the current want count.
-	flush := func() (want int, aborted bool) {
-		want, ready := p.readyFrames(round, seen)
+	// deliver (outside all locks) and reports the current want count and
+	// how many of those senders have moved past the round.
+	flush := func() (want, passed int, aborted bool) {
+		want, passed, ready := p.readyFrames(round, seen)
 		for _, m := range ready {
 			got++
 			if !deliver(m.from, m.frame) {
-				return want, true
+				return want, passed, true
 			}
 		}
-		return want, false
+		return want, passed, false
 	}
 	for {
-		want, aborted := flush()
-		if aborted || got >= want {
+		want, passed, aborted := flush()
+		if aborted || got+passed >= want {
 			return got, want
 		}
 		select {
@@ -899,10 +916,10 @@ func (p *Peer) gatherStream(round int, timeout time.Duration, deliver func(from 
 		case <-p.membership:
 			// Connection set changed; recompute want.
 		case <-deadline.C:
-			want, _ := flush()
+			want, _, _ := flush()
 			return got, want
 		case <-p.closed:
-			want, _ := flush()
+			want, _, _ := flush()
 			return got, want
 		}
 	}
@@ -910,11 +927,12 @@ func (p *Peer) gatherStream(round int, timeout time.Duration, deliver func(from 
 
 // readyFrames stages (into reusable scratch) the frames buffered for
 // round from expected senders not yet marked in seen, marking them, and
-// returns the current expected-sender count. Staged frames are sorted by
-// sender id so delivery order is deterministic when several frames are
-// already buffered. The frames themselves stay in the pending bucket
-// until ForgetRound.
-func (p *Peer) readyFrames(round int, seen map[int]bool) (int, []inFrame) {
+// returns the current expected-sender count and how many of the
+// still-unseen ones have a frame for a later round buffered. Staged
+// frames are sorted by sender id so delivery order is deterministic when
+// several frames are already buffered. The frames themselves stay in the
+// pending bucket until ForgetRound.
+func (p *Peer) readyFrames(round int, seen map[int]bool) (int, int, []inFrame) {
 	p.mu.Lock()
 	keep := p.streamKeep
 	if keep == nil {
@@ -932,11 +950,20 @@ func (p *Peer) readyFrames(round int, seen map[int]bool) (int, []inFrame) {
 	p.mu.Unlock()
 
 	ready := p.streamReady[:0]
+	passed := 0
 	p.pendingMu.Lock()
 	for from, frame := range p.pending[round] {
 		if keep[from] && !seen[from] {
 			seen[from] = true
 			ready = append(ready, inFrame{from: from, round: round, frame: frame})
+		}
+	}
+	for r, byFrom := range p.pending {
+		for from := range byFrom {
+			if r > round && keep[from] && !seen[from] {
+				keep[from] = false // count each sender once
+				passed++
+			}
 		}
 	}
 	p.pendingMu.Unlock()
@@ -947,7 +974,7 @@ func (p *Peer) readyFrames(round int, seen map[int]bool) (int, []inFrame) {
 		}
 	}
 	p.streamReady = ready
-	return want, ready
+	return want, passed, ready
 }
 
 func (p *Peer) storePending(m inFrame) {

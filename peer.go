@@ -134,8 +134,8 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 		return nil, fmt.Errorf("snap: peer config requires a model")
 	}
 	// Resolve the node's place first — id, weight row, neighbors, and in
-	// elastic mode the bound listener, the control client, the epoch and
-	// its start round — so one engine and node configuration serves both.
+	// elastic mode the bound listener, the control client and the epoch —
+	// so one engine and node configuration serves both.
 	var (
 		id     = cfg.ID
 		plan   *controlplane.Plan
@@ -184,7 +184,6 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 		Listener:       ln,
 		Control:        client,
 		Epoch:          plan.Epoch,
-		StartRound:     plan.StartRound,
 		RoundTimeout:   cfg.RoundTimeout,
 		ConnectTimeout: cfg.ConnectTimeout,
 		Logf:           cfg.Logf,
@@ -200,10 +199,6 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 		ln.Close()
 		return nil, err
 	}
-	// A node admitted mid-training holds the shared seed initialization
-	// while the cluster's iterates have moved on; its first broadcast must
-	// therefore be its complete parameter vector, whatever the policy.
-	pn.Engine().RequestFullSend()
 	if err := pn.Connect(plan.Addrs); err != nil {
 		// Unreached neighbors keep reconnecting in the background; the
 		// round loop treats them as stragglers meanwhile.
@@ -217,8 +212,7 @@ func NewPeerNode(cfg PeerConfig) (*PeerNode, error) {
 
 // staticPlan places a static-mode node from Topology/ID: its neighbors
 // and the Metropolis weight row, or the supplied WRow sized for the
-// topology (the engine checks its sum and support). Epoch and start round
-// stay 0.
+// topology (the engine checks its sum and support). The epoch stays 0.
 func staticPlan(cfg PeerConfig) (*controlplane.Plan, error) {
 	if cfg.Topology == nil {
 		return nil, fmt.Errorf("snap: peer config requires a topology")
@@ -267,7 +261,6 @@ func joinCluster(cfg PeerConfig) (net.Listener, *controlplane.Client, *controlpl
 		ln.Close()
 		return nil, nil, nil, err
 	}
-	client.ReportRound(plan.StartRound)
 	client.ReportEpoch(plan.Epoch)
 	return ln, client, plan, nil
 }
