@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"github.com/snapml/snap/internal/dataset"
@@ -146,90 +148,94 @@ type Cluster struct {
 	w       *linalg.Matrix
 	met     roundMetrics
 
-	// runners are the persistent per-engine worker goroutines: one
-	// long-lived goroutine per node driven over a command channel, so a
-	// round costs two channel round-trips per node instead of 2N
-	// goroutine spawns.
-	runners    []*engineRunner
+	// rounds holds each node's round body (round.go) over its place in
+	// the simulated network; nil until startRunners.
+	rounds []*nodeRound
+	// The worker pool: min(GOMAXPROCS, N) persistent goroutines that run
+	// one phase of every node per wake-up, pulling node indices from
+	// next, so a phase costs two channel operations per worker instead
+	// of two per node. phase, round and next are written by the driver
+	// before it hands out the wake-ups; errs[i] is node i's result.
+	wake, done   chan struct{}
+	workers      int
+	phase, round int
+	next         atomic.Int64
+	errs         []error
+
 	avgScratch linalg.Vector // reusable mean-parameter buffer for eval
 }
 
-// roundCmd tells a runner which half of which round to execute.
-type roundCmd struct {
-	phase int // 1 = send + gradient, 2 = receive
-	round int
-}
-
-// engineRunner is one node's persistent worker: its round body (round.go)
-// over the node's place in the simulated network.
-type engineRunner struct {
-	round *nodeRound
-	cmd   chan roundCmd
-	done  chan error
-}
-
-// startRunners launches the per-engine worker goroutines (idempotent).
+// startRunners builds the nodes' round bodies and starts the worker pool
+// (idempotent).
 func (c *Cluster) startRunners() {
-	if c.runners != nil {
+	if c.rounds != nil {
 		return
 	}
-	c.runners = make([]*engineRunner, len(c.engines))
+	c.rounds = make([]*nodeRound, len(c.engines))
 	for i, e := range c.engines {
-		r := &engineRunner{
-			round: newNodeRound(e, simLink{net: c.net, id: e.ID(), nbrs: c.net.Neighbors(e.ID())}, &c.met, nil),
-			cmd:   make(chan roundCmd),
-			done:  make(chan error),
-		}
-		c.runners[i] = r
+		c.rounds[i] = newNodeRound(e, simLink{net: c.net, id: e.ID(), nbrs: c.net.Neighbors(e.ID())}, &c.met, nil)
+	}
+	c.errs = make([]error, len(c.engines))
+	c.workers = min(runtime.GOMAXPROCS(0), len(c.engines))
+	c.wake, c.done = make(chan struct{}), make(chan struct{})
+	for w := 0; w < c.workers; w++ {
 		go func() {
-			for cmd := range r.cmd {
-				r.done <- r.run(cmd)
+			for range c.wake {
+				for i := int(c.next.Add(1)) - 1; i < len(c.rounds); i = int(c.next.Add(1)) - 1 {
+					c.errs[i] = c.runNode(i)
+				}
+				c.done <- struct{}{}
 			}
 		}()
 	}
 }
 
-// run executes one half of a round. The lockstep network delivers nothing
-// until every node has sent, so the gradient — which a real transport
-// overlaps with the in-flight gather (DESIGN.md §14) — is computed in the
-// slot that wait leaves, after the send and before the barrier. It reads
-// only the iterate, which neither half's ingest touches, so where it runs
-// does not change a bit of any iterate.
-func (r *engineRunner) run(cmd roundCmd) error {
-	nr := r.round
-	if cmd.phase == 1 {
-		if err := nr.send(cmd.round); err != nil {
+// runNode executes node i's half of the current phase. The lockstep
+// network delivers nothing until every node has sent, so the gradient —
+// which a real transport overlaps with the in-flight gather (DESIGN.md
+// §14) — is computed in the slot that wait leaves, after the send and
+// before the barrier. It reads only the iterate, which neither half's
+// ingest touches, so where it runs does not change a bit of any iterate.
+func (c *Cluster) runNode(i int) error {
+	nr := c.rounds[i]
+	if c.phase == 1 {
+		if err := nr.send(c.round); err != nil {
 			return err
 		}
-		nr.eng.ComputeGradient(cmd.round)
+		nr.eng.ComputeGradient(c.round)
 		return nil
 	}
-	_, err := nr.receive(cmd.round)
+	_, err := nr.receive(c.round)
 	return err
 }
 
-// stopRunners terminates the worker goroutines.
+// stopRunners terminates the worker pool.
 func (c *Cluster) stopRunners() {
-	for _, r := range c.runners {
-		close(r.cmd)
+	if c.rounds != nil {
+		close(c.wake)
+		c.rounds = nil
 	}
-	c.runners = nil
 }
 
-// runPhase executes one phase on every runner concurrently and returns
-// the first error (the remaining runners still finish the phase — the
-// barrier always drains).
+// runPhase executes one phase on every node, spread over the worker
+// pool, and returns the error of the lowest-index node that failed (the
+// other nodes still finish the phase — the barrier always drains).
 func (c *Cluster) runPhase(phase, round int) error {
-	for _, r := range c.runners {
-		r.cmd <- roundCmd{phase: phase, round: round}
+	c.phase, c.round = phase, round
+	c.next.Store(0)
+	for w := 0; w < c.workers; w++ {
+		c.wake <- struct{}{}
 	}
-	var firstErr error
-	for _, r := range c.runners {
-		if err := <-r.done; err != nil && firstErr == nil {
-			firstErr = err
+	for w := 0; w < c.workers; w++ {
+		<-c.done
+	}
+	for _, err := range c.errs {
+		if err != nil {
+			clear(c.errs)
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // NewCluster validates the configuration, builds (and optionally
@@ -353,7 +359,7 @@ func (c *Cluster) Run() (*Result, error) {
 }
 
 // runRound drives every node through one lockstep round and evaluates
-// the result. The runners must be started.
+// the result. The worker pool must be started.
 func (c *Cluster) runRound(round int) (metrics.IterationStat, error) {
 	cfg := c.cfg
 	var roundStart time.Time
@@ -366,7 +372,7 @@ func (c *Cluster) runRound(round int) (metrics.IterationStat, error) {
 
 	// Every node sends (and computes its gradient), then — once all
 	// frames are in the network — every node receives and steps. Each
-	// runner reports its own phase durations; the shared histograms
+	// node reports its own phase durations; the shared histograms
 	// aggregate them across nodes.
 	if err := c.runPhase(1, round); err != nil {
 		return metrics.IterationStat{}, err

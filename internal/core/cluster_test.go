@@ -3,7 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/snapml/snap/internal/dataset"
 	"github.com/snapml/snap/internal/graph"
@@ -472,5 +474,82 @@ func TestCorrectionSumConserved(t *testing.T) {
 	// RestartEvery restarts every node in the same round.
 	if sum, _ := run(SendAll, false, 0); sum <= 1e-6 {
 		t.Errorf("node 0 restarting alone: max |Σ_i ⟨s_i, r⟩| = %g, want > 1e-6", sum)
+	}
+}
+
+// poolRun trains a 20-node SVM cluster for 30 rounds at the given
+// GOMAXPROCS (so on that many pool workers) and returns every node's
+// final iterate and the loss trace.
+func poolRun(t *testing.T, procs int, failureRate float64) ([]linalg.Vector, []float64) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	const n, rounds = 20, 30
+	m, parts, _ := creditSetup(t, n, 2400, 13)
+	c, err := NewCluster(ClusterConfig{
+		Topology: graph.RandomConnected(n, 3, rand.New(rand.NewSource(14))),
+		Model:    m, Partitions: parts, Alpha: 0.1, Policy: SendSelected,
+		FailureRate: failureRate, Seed: 15, MaxIterations: rounds,
+		Convergence: metrics.ConvergenceDetector{Patience: rounds + 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.startRunners()
+	if want := min(procs, n); c.workers != want {
+		t.Fatalf("GOMAXPROCS %d: %d pool workers, want %d", procs, c.workers, want)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iterates := make([]linalg.Vector, n)
+	for i, e := range c.Engines() {
+		iterates[i] = e.Params().Clone()
+	}
+	losses := make([]float64, len(res.Trace.Stats))
+	for k, s := range res.Trace.Stats {
+		losses[k] = s.Loss
+	}
+	return iterates, losses
+}
+
+// TestClusterPoolSizeDoesNotChangeIterates runs one 20-node problem on
+// one, two and four pool workers, with and without link failures: which
+// worker runs which node is scheduling-dependent, but every node's
+// iterate and every round's loss must come out bit for bit the same.
+func TestClusterPoolSizeDoesNotChangeIterates(t *testing.T) {
+	for _, rate := range []float64{0, 0.1} {
+		wantX, wantLoss := poolRun(t, 1, rate)
+		for _, procs := range []int{2, 4} {
+			gotX, gotLoss := poolRun(t, procs, rate)
+			for i := range wantX {
+				for j := range wantX[i] {
+					if math.Float64bits(gotX[i][j]) != math.Float64bits(wantX[i][j]) {
+						t.Fatalf("failure rate %v, GOMAXPROCS %d: node %d param %d = %v, one worker gives %v",
+							rate, procs, i, j, gotX[i][j], wantX[i][j])
+					}
+				}
+			}
+			for k := range wantLoss {
+				if math.Float64bits(gotLoss[k]) != math.Float64bits(wantLoss[k]) {
+					t.Fatalf("failure rate %v, GOMAXPROCS %d: round %d loss %v, one worker gives %v",
+						rate, procs, k, gotLoss[k], wantLoss[k])
+				}
+			}
+		}
+	}
+}
+
+// TestClusterRunStopsItsWorkers checks that Run leaves no pool goroutine
+// behind.
+func TestClusterRunStopsItsWorkers(t *testing.T) {
+	start := runtime.NumGoroutine()
+	poolRun(t, 4, 0)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), start)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

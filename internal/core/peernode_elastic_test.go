@@ -114,6 +114,10 @@ func TestElasticJoinSurvivesFaultyLink(t *testing.T) {
 		Add(transport.FaultRule{Peer: 1, Round: 9, Action: transport.FaultDrop}).
 		Add(transport.FaultRule{Peer: 1, Round: 10, Action: transport.FaultDrop})
 	reg := obs.NewRegistry()
+	// Node 1's gathers for the dropped rounds wait out the round timeout
+	// (no later frame from node 0 is buffered yet to end them early), so a
+	// short one keeps the test from idling.
+	shortTimeout := func(cfg *PeerNodeConfig) { cfg.RoundTimeout = 250 * time.Millisecond }
 
 	var (
 		mu    sync.Mutex
@@ -157,6 +161,7 @@ func TestElasticJoinSurvivesFaultyLink(t *testing.T) {
 		// adjacent to member 1 on the founders' triangle, and it also
 		// carries the registry the main goroutine watches.
 		go runNode(i, func(cfg *PeerNodeConfig) {
+			shortTimeout(cfg)
 			if cfg.Engine.ID == 0 {
 				cfg.Faults = faults
 				cfg.Obs = &obs.Observer{Reg: reg}
@@ -173,7 +178,7 @@ func TestElasticJoinSurvivesFaultyLink(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	wg.Add(1)
-	go runNode(founders, nil)
+	go runNode(founders, shortTimeout)
 	wg.Wait()
 
 	for slot, err := range errs {

@@ -154,3 +154,35 @@ func benchDelayedRounds(b *testing.B, sequential bool) {
 		}
 	}
 }
+
+// BenchmarkClusterRoundSVM20 measures one lockstep round of the
+// simulated 20-node SVM cluster at the paper's large-scale shape: a
+// 30 000 × 24 credit corpus partitioned across a random(3) topology with
+// the optimized weight matrix and SNAP's selective send. One op is one
+// round (both phases on the worker pool, then the loss and consensus
+// evaluation).
+func BenchmarkClusterRoundSVM20(b *testing.B) {
+	const n = 20
+	rng := rand.New(rand.NewSource(1))
+	corpus := dataset.SyntheticCredit(dataset.CreditConfig{Samples: 30000, Features: 24}, rng)
+	parts, err := corpus.Partition(n, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := NewCluster(ClusterConfig{
+		Topology: graph.RandomConnected(n, 3, rng), Model: model.NewLinearSVM(24),
+		Partitions: parts, Alpha: 0.1, Policy: SendSelected, OptimizeWeights: true, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.startRunners()
+	defer c.stopRunners()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for round := 0; round < b.N; round++ {
+		if _, err := c.runRound(round); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -35,7 +35,8 @@ type Dataset struct {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Subset returns a Dataset viewing the samples at the given indices.
+// Subset returns a Dataset viewing the samples at the given indices: its
+// rows are d's rows, shared, not copied.
 func (d *Dataset) Subset(indices []int) *Dataset {
 	out := &Dataset{
 		Samples:    make([]Sample, len(indices)),
@@ -80,7 +81,8 @@ func (d *Dataset) BatchInto(buf []Sample, round, size int) []Sample {
 // Partition randomly assigns every sample to one of n partitions
 // (emulating the paper's "randomly allocate each training sample to one of
 // the servers") and returns the per-partition datasets. Every partition is
-// guaranteed at least one sample when n ≤ len(samples).
+// guaranteed at least one sample when n ≤ len(samples). The partitions own
+// their rows, as a server owns its shard: see ownedParts.
 func (d *Dataset) Partition(n int, rng *rand.Rand) ([]*Dataset, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset: partition count %d must be positive", n)
@@ -103,11 +105,32 @@ func (d *Dataset) Partition(n int, rng *rand.Rand) ([]*Dataset, error) {
 	for idx, part := range assign {
 		buckets[part] = append(buckets[part], idx)
 	}
-	out := make([]*Dataset, n)
-	for i, b := range buckets {
-		out[i] = d.Subset(b)
+	return d.ownedParts(buckets), nil
+}
+
+// ownedParts returns the datasets d.Subset(buckets[k]) with every row
+// copied into one backing array allocated for the call: part after
+// part, each part's rows laid end to end in sample order, each row
+// sliced with cap == len so an append to one row cannot overwrite the
+// next. A node's gradient then walks its shard front to back instead of
+// jumping across the pooled corpus, and a later write to d's rows does
+// not reach the parts.
+func (d *Dataset) ownedParts(buckets [][]int) []*Dataset {
+	total := 0 // every sample is in exactly one bucket
+	for _, s := range d.Samples {
+		total += len(s.X)
 	}
-	return out, nil
+	slab := make([]float64, total)
+	out := make([]*Dataset, len(buckets))
+	for k, b := range buckets {
+		part := d.Subset(b)
+		for i := range part.Samples {
+			n := copy(slab, part.Samples[i].X)
+			part.Samples[i].X, slab = slab[:n:n], slab[n:]
+		}
+		out[k] = part
+	}
+	return out
 }
 
 // Split divides the dataset into train/test parts with the given train
@@ -193,9 +216,10 @@ func SyntheticCredit(cfg CreditConfig, rng *rand.Rand) *Dataset {
 	// bill-amount columns of the real corpus.
 	ds := &Dataset{NumFeature: cfg.Features, NumClasses: 2}
 	ds.Samples = make([]Sample, cfg.Samples)
+	slab := make([]float64, cfg.Samples*cfg.Features)
 	for i := range ds.Samples {
 		latent := rng.NormFloat64()
-		x := make([]float64, cfg.Features)
+		x := slab[i*cfg.Features : (i+1)*cfg.Features : (i+1)*cfg.Features]
 		var score float64
 		for j := 0; j < informative; j++ {
 			x[j] = 0.7*rng.NormFloat64() + 0.3*latent
@@ -250,12 +274,13 @@ func SyntheticDigits(cfg DigitsConfig, rng *rand.Rand) (train, test *Dataset) {
 	gen := func(n int) *Dataset {
 		ds := &Dataset{NumFeature: cfg.Side * cfg.Side, NumClasses: 10}
 		ds.Samples = make([]Sample, n)
+		f := ds.NumFeature
+		slab := make([]float64, n*f)
 		for i := range ds.Samples {
 			label := rng.Intn(10)
-			ds.Samples[i] = Sample{
-				X:     renderDigit(protos[label], cfg, rng),
-				Label: label,
-			}
+			x := slab[i*f : (i+1)*f : (i+1)*f]
+			renderDigit(x, protos[label], cfg, rng)
+			ds.Samples[i] = Sample{X: x, Label: label}
 		}
 		return ds
 	}
@@ -298,18 +323,17 @@ func digitPrototypes(side int, rng *rand.Rand) [][]float64 {
 	return protos
 }
 
-// renderDigit produces one noisy, shifted instance of a prototype. Noise
-// is applied only where the prototype has ink: background pixels stay
-// exactly 0 across every sample, like MNIST's borders. This matters for
-// the paper's Fig. 2 — weights fanning in from always-zero pixels receive
-// exactly-zero gradients and are the "unchanged parameters" SNAP never
-// retransmits.
-func renderDigit(proto []float64, cfg DigitsConfig, rng *rand.Rand) []float64 {
+// renderDigit draws one noisy, shifted instance of a prototype into the
+// zeroed row out. Noise is applied only where the prototype has ink:
+// background pixels stay exactly 0 across every sample, like MNIST's
+// borders. This matters for the paper's Fig. 2 — weights fanning in from
+// always-zero pixels receive exactly-zero gradients and are the
+// "unchanged parameters" SNAP never retransmits.
+func renderDigit(out, proto []float64, cfg DigitsConfig, rng *rand.Rand) {
 	const inkThreshold = 0.02
 	side := cfg.Side
 	dx := rng.Intn(2*cfg.Shift+1) - cfg.Shift
 	dy := rng.Intn(2*cfg.Shift+1) - cfg.Shift
-	out := make([]float64, side*side)
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
 			sx, sy := x-dx, y-dy
@@ -329,7 +353,6 @@ func renderDigit(proto []float64, cfg DigitsConfig, rng *rand.Rand) []float64 {
 			out[y*side+x] = v
 		}
 	}
-	return out
 }
 
 func clip01(xs []float64) {
@@ -351,7 +374,8 @@ func logit(p float64) float64 { return math.Log(p / (1 - p)) }
 // with concentration alpha. Small alpha (e.g. 0.1) gives nearly
 // single-class shards — the heterogeneous edge-data regime that makes
 // decentralized mixing genuinely hard; large alpha approaches the IID
-// random split. Every partition is guaranteed at least one sample.
+// random split. Every partition is guaranteed at least one sample, and
+// the partitions own their rows as Partition's do.
 func (d *Dataset) PartitionNonIID(n int, alpha float64, rng *rand.Rand) ([]*Dataset, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("dataset: partition count %d must be positive", n)
@@ -397,11 +421,7 @@ func (d *Dataset) PartitionNonIID(n int, alpha float64, rng *rand.Rand) ([]*Data
 			buckets[largest] = buckets[largest][:last]
 		}
 	}
-	out := make([]*Dataset, n)
-	for k, b := range buckets {
-		out[k] = d.Subset(b)
-	}
-	return out, nil
+	return d.ownedParts(buckets), nil
 }
 
 // dirichlet draws one symmetric Dirichlet(alpha) sample of dimension n via

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSyntheticCreditShape(t *testing.T) {
@@ -245,5 +246,84 @@ func TestSubsetIndependentMetadata(t *testing.T) {
 	sub := ds.Subset([]int{1})
 	if sub.Len() != 1 || sub.Samples[0].Label != 0 {
 		t.Errorf("Subset wrong: %+v", sub.Samples)
+	}
+}
+
+// TestPartitionOwnsContiguousRows pins what Partition and
+// PartitionNonIID hand each server: the rows, labels and order of the
+// index lists the view-based partition produced at these seeds, copied
+// end to end into one array with cap == len per row, and untouched by a
+// later write to the source.
+func TestPartitionOwnsContiguousRows(t *testing.T) {
+	src := &Dataset{NumFeature: 3, NumClasses: 3}
+	for i := 0; i < 30; i++ {
+		f := float64(i)
+		src.Samples = append(src.Samples, Sample{X: []float64{f, -f, f + 0.25}, Label: i % 3})
+	}
+	iid, err := src.Partition(4, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nonIID, err := src.PartitionNonIID(4, 0.3, rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		parts []*Dataset
+		want  [][]int
+	}{
+		{"Partition", iid, [][]int{
+			{0, 1, 4, 16, 18, 22, 29},
+			{3, 8, 9, 13, 14, 17, 25},
+			{2, 5, 11, 15, 19, 20, 23, 26, 27},
+			{6, 7, 10, 12, 21, 24, 28},
+		}},
+		{"PartitionNonIID", nonIID, [][]int{
+			{5, 11, 26},
+			{9, 13, 24},
+			{2, 8, 14, 17, 20, 23, 29},
+			{0, 1, 3, 4, 6, 7, 10, 12, 15, 16, 18, 19, 21, 22, 25, 27, 28},
+		}},
+	} {
+		var prev []float64 // the previous row, across parts
+		for k, part := range tc.parts {
+			if len(part.Samples) != len(tc.want[k]) {
+				t.Fatalf("%s part %d: %d rows, want %d", tc.name, k, len(part.Samples), len(tc.want[k]))
+			}
+			for i, s := range part.Samples {
+				from := src.Samples[tc.want[k][i]]
+				if s.Label != from.Label || len(s.X) != len(from.X) || cap(s.X) != len(s.X) {
+					t.Fatalf("%s part %d row %d: label %d, len %d, cap %d; want source row %d (label %d, len %d) with cap == len",
+						tc.name, k, i, s.Label, len(s.X), cap(s.X), tc.want[k][i], from.Label, len(from.X))
+				}
+				for j := range s.X {
+					if s.X[j] != from.X[j] {
+						t.Fatalf("%s part %d row %d = %v, want source row %d = %v", tc.name, k, i, s.X, tc.want[k][i], from.X)
+					}
+				}
+				if &s.X[0] == &from.X[0] {
+					t.Fatalf("%s part %d row %d shares the source's storage", tc.name, k, i)
+				}
+				if prev != nil && uintptr(unsafe.Pointer(&prev[len(prev)-1]))+8 != uintptr(unsafe.Pointer(&s.X[0])) {
+					t.Fatalf("%s part %d row %d does not follow the previous row in one array", tc.name, k, i)
+				}
+				prev = s.X
+			}
+		}
+	}
+
+	// A later write to the source reaches no part.
+	for _, s := range src.Samples {
+		s.X[0] = -1
+	}
+	for _, parts := range [][]*Dataset{iid, nonIID} {
+		for k, part := range parts {
+			for i, s := range part.Samples {
+				if s.X[0] == -1 {
+					t.Fatalf("part %d row %d changed with the source", k, i)
+				}
+			}
+		}
 	}
 }

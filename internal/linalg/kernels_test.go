@@ -135,6 +135,7 @@ func TestKernelsAllocFree(t *testing.T) {
 		ScaleTo(dst, 2, v)
 		AXPYTo(dst, v, 3, w)
 		MixTo(dst, 0.5, v, ws, xs)
+		AXPY4(dst, 1, 2, 3, 4, v, w, xs[0], xs[1])
 		DistInf(v, w)
 		v.NormInf()
 		v.Sum()

@@ -38,6 +38,25 @@ func Dots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3, x []float64) (float64, fl
 	return z0, z1, z2, z3
 }
 
+// AXPY4 adds four scaled rows to d in order: per element,
+// d[j] = (((d[j] + c0·x0[j]) + c1·x1[j]) + c2·x2[j]) + c3·x3[j], which is
+// bitwise four AXPYInPlace calls one after the other with one load and
+// one store of d instead of four. No row may overlap d.
+func AXPY4(d []float64, c0, c1, c2, c3 float64, x0, x1, x2, x3 []float64) {
+	checkLen(x0, d)
+	checkLen(x1, d)
+	checkLen(x2, d)
+	checkLen(x3, d)
+	x0, x1, x2, x3 = x0[:len(d)], x1[:len(d)], x2[:len(d)], x3[:len(d)]
+	for j := range d {
+		s := d[j] + c0*x0[j]
+		s += c1 * x1[j]
+		s += c2 * x2[j]
+		s += c3 * x3[j]
+		d[j] = s
+	}
+}
+
 // Compact writes the non-zero entries of x, in order, to val and their
 // positions to idx, and returns how many there are. idx and val must be
 // at least as long as x. Dropping an exact zero (of either sign) from a

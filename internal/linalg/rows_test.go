@@ -99,6 +99,16 @@ func checkRowKernels(tc rowCase) string {
 		if !sameVec(gotS[:], wantS[:]) {
 			return "SparseDots4From"
 		}
+
+		// Four rows added to x in order: AXPY4 against AXPYInPlace.
+		dst, seq := append([]float64(nil), tc.x...), Vector(append([]float64(nil), tc.x...))
+		AXPY4(dst, tc.d[r], tc.d[r+1], tc.d[r+2], tc.d[r+3], row(tc.w, r), row(tc.w, r+1), row(tc.w, r+2), row(tc.w, r+3))
+		for q := 0; q < 4; q++ {
+			seq.AXPYInPlace(tc.d[r+q], row(tc.w, r+q))
+		}
+		if !sameVec(dst, seq) {
+			return "AXPY4"
+		}
 	}
 
 	out, outS := make([]float64, tc.rows), make([]float64, tc.rows)
@@ -235,11 +245,59 @@ func TestRowKernelsQuick(t *testing.T) {
 	}
 }
 
+// TestAXPY4MatchesSequentialAXPY pins AXPY4 bit for bit to four
+// AXPYInPlace calls in order, on every length of a short row, the SVM's
+// 24 features, a destination of −0s, and NaN and ±Inf coefficients.
+func TestAXPY4MatchesSequentialAXPY(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	inf, nan := math.Inf(1), math.NaN()
+	coeffs := [][4]float64{
+		{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()},
+		{0, math.Copysign(0, -1), 1, -1},
+		{nan, 1, 2, 3},
+		{1, inf, -inf, 2},
+		{-inf, 0.5, nan, inf},
+	}
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 24} {
+		for _, negZero := range []bool{false, true} {
+			for _, c := range coeffs {
+				d := make([]float64, n)
+				for j := range d {
+					if negZero {
+						d[j] = math.Copysign(0, -1)
+					} else {
+						d[j] = rng.NormFloat64()
+					}
+				}
+				var xs [4][]float64
+				for r := range xs {
+					xs[r] = make([]float64, n)
+					for j := range xs[r] {
+						xs[r][j] = rng.NormFloat64()
+					}
+				}
+				want := Vector(append([]float64(nil), d...))
+				for r, x := range xs {
+					want.AXPYInPlace(c[r], x)
+				}
+				AXPY4(d, c[0], c[1], c[2], c[3], xs[0], xs[1], xs[2], xs[3])
+				for j := range d {
+					if math.Float64bits(d[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("n=%d negZero=%v c=%v: element %d = %x, four AXPYInPlace give %x",
+							n, negZero, c, j, math.Float64bits(d[j]), math.Float64bits(want[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestRowKernelsPanicOnMismatch pins the dimension checks.
 func TestRowKernelsPanicOnMismatch(t *testing.T) {
 	v2, v3 := make([]float64, 2), make([]float64, 3)
 	for name, f := range map[string]func(){
 		"Dots4From":      func() { Dots4From(0, 0, 0, 0, v3, v3, v2, v3, v3) },
+		"AXPY4":          func() { AXPY4(v3, 1, 1, 1, 1, v3, v3, v3, v2) },
 		"AffineTo":       func() { AffineTo(v2, v3, v2, v2) },
 		"SparseAffineTo": func() { SparseAffineTo(v2, v3, v2, 2, nil, nil) },
 		"SparseOuterAdd": func() { SparseOuterAdd(v3, 2, v2, nil, nil) },

@@ -188,12 +188,38 @@ func oracleGradient(m Model, o oracle, p linalg.Vector, batch []dataset.Sample) 
 	return dst.AXPYInPlace(1/float64(len(batch)), partials[0])
 }
 
+// svmTailBatches returns, for each of 1, 2 and 3, the shortest one-shard
+// batch of data whose margin violators number that many more than a
+// multiple of four, so AccumGrad adds that many rows one by one after
+// its last four-row flush.
+func svmTailBatches(t *testing.T, m *LinearSVM, w linalg.Vector, data []dataset.Sample) []int {
+	t.Helper()
+	var sizes []int
+	for pending := 1; pending <= 3; pending++ {
+		violators := 0
+		for n := 1; n <= min(GradShardSize, len(data)); n++ {
+			if signedLabel(data[n-1].Label)*oracleDot(w, data[n-1].X) < 1 {
+				violators++
+			}
+			if violators >= 4 && violators%4 == pending {
+				sizes = append(sizes, n)
+				break
+			}
+		}
+		if len(sizes) != pending {
+			t.Fatalf("no one-shard batch leaves %d violators pending", pending)
+		}
+	}
+	return sizes
+}
+
 // TestModelsMatchOracles pins both models to the loops they replaced
 // on the benchmark's corpora (SyntheticDigits rows are mostly zeros,
 // SyntheticCredit rows are dense): gradient, loss and predictions are
 // bit-equal for batches of one shard and of several, at lengths that
-// leave every tail of the four-wide blocking; the loss GradientLossTo
-// returns equals Loss bitwise on one shard and to rounding on several.
+// leave every tail of the four-wide blocking and, for the SVM, of its
+// four-violator flush; the loss GradientLossTo returns equals Loss
+// bitwise on one shard and to rounding on several.
 func TestModelsMatchOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	digits, _ := dataset.SyntheticDigits(dataset.DigitsConfig{Train: 601, Test: 1, Side: 28}, rng)
@@ -215,7 +241,11 @@ func TestModelsMatchOracles(t *testing.T) {
 			p := tc.m.InitParams(3)
 			p.AXPYInPlace(-0.5, oracleGradient(tc.m, tc.o, p, tc.data[:64]))
 			var sc GradScratch
-			for _, n := range []int{0, 1, 2, 3, 7, 200, GradShardSize, 601} {
+			sizes := []int{0, 1, 2, 3, 7, 200, GradShardSize, 601}
+			if m, ok := tc.m.(*LinearSVM); ok {
+				sizes = append(sizes, svmTailBatches(t, m, p, tc.data)...)
+			}
+			for _, n := range sizes {
 				batch := tc.data[:n]
 				want := oracleGradient(tc.m, tc.o, p, batch)
 				got := linalg.NewVector(len(p))

@@ -59,32 +59,50 @@ func (m *LinearSVM) Loss(w linalg.Vector, batch []dataset.Sample) float64 {
 // a batch: it returns the unscaled hinge sum Σ max(0, 1−y·w·x)² and,
 // unless dst is nil (Loss), subtracts every violating sample's gradient
 // term 2·max(0, 1−y·w·x)·y·x from dst (GradientLossTo applies the 1/m).
-// The margins of four samples are computed side by side; the sums run
-// in batch order.
+// The margins of four samples are computed side by side and violators'
+// rows are added to dst four at a time; both sums run in batch order.
 func (m *LinearSVM) AccumGrad(dst, w linalg.Vector, batch []dataset.Sample, _ *Scratch) float64 {
 	var hinge float64
+	q := violators{dst: dst}
 	for ; len(batch) >= 4; batch = batch[4:] {
 		z0, z1, z2, z3 := linalg.Dots4From(0, 0, 0, 0, batch[0].X, batch[1].X, batch[2].X, batch[3].X, w)
-		hinge += svmTerm(dst, batch[0], z0)
-		hinge += svmTerm(dst, batch[1], z1)
-		hinge += svmTerm(dst, batch[2], z2)
-		hinge += svmTerm(dst, batch[3], z3)
+		hinge += q.term(batch[0], z0)
+		hinge += q.term(batch[1], z1)
+		hinge += q.term(batch[2], z2)
+		hinge += q.term(batch[3], z3)
 	}
 	for _, s := range batch {
-		hinge += svmTerm(dst, s, linalg.Vector(s.X).Dot(w))
+		hinge += q.term(s, linalg.Vector(s.X).Dot(w))
+	}
+	for k := 0; k < q.n; k++ {
+		dst.AXPYInPlace(q.c[k], q.x[k])
 	}
 	return hinge
 }
 
-// svmTerm is one sample's share of AccumGrad, given its score z = w·x.
-func svmTerm(dst linalg.Vector, s dataset.Sample, z float64) float64 {
+// violators queues the gradient rows of AccumGrad's margin violators in
+// batch order and adds them to dst four at a time; the caller adds the
+// 0–3 left at the end one by one.
+type violators struct {
+	dst linalg.Vector // nil: loss only, nothing is queued
+	n   int
+	c   [4]float64
+	x   [4][]float64
+}
+
+// term is one sample's share of AccumGrad, given its score z = w·x.
+func (q *violators) term(s dataset.Sample, z float64) float64 {
 	y := signedLabel(s.Label)
 	margin := y * z
 	if !(margin < 1) { // not `>= 1`: a NaN margin contributes nothing
 		return 0
 	}
-	if dst != nil {
-		dst.AXPYInPlace(-2*(1-margin)*y, s.X)
+	if q.dst != nil {
+		q.c[q.n], q.x[q.n] = -2*(1-margin)*y, s.X
+		if q.n++; q.n == 4 {
+			linalg.AXPY4(q.dst, q.c[0], q.c[1], q.c[2], q.c[3], q.x[0], q.x[1], q.x[2], q.x[3])
+			q.n = 0
+		}
 	}
 	return (1 - margin) * (1 - margin)
 }

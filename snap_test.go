@@ -71,7 +71,7 @@ func TestTrainThroughFacade(t *testing.T) {
 }
 
 // TestTrainValidatesThroughFacade checks that Train rejects what the
-// cluster cannot run as an error rather than a panic in a runner goroutine.
+// cluster cannot run as an error rather than a panic in a worker goroutine.
 func TestTrainValidatesThroughFacade(t *testing.T) {
 	model, parts, _ := facadeWorkload(t, 3)
 	topo := snap.RingTopology(3)
