@@ -42,7 +42,7 @@ func (cfg ClientConfig) withDefaults() ClientConfig {
 }
 
 // Client is the node-side control-plane handle: it joins the cluster,
-// heartbeats training progress, and surfaces the coordinator's epochs for
+// heartbeats its liveness, and surfaces the coordinator's epochs for
 // the node to apply at round boundaries.
 type Client struct {
 	cfg     ClientConfig
@@ -52,8 +52,6 @@ type Client struct {
 
 	mu     sync.Mutex
 	latest *Epoch // guarded by mu
-
-	appliedEpoch atomic.Int64 // highest epoch id the node has applied
 
 	// tracer, when set, has its completed round digests piggybacked onto
 	// heartbeats so the coordinator's aggregator sees every round.
@@ -142,9 +140,6 @@ func (c *Client) Latest() *Epoch {
 	defer c.mu.Unlock()
 	return c.latest
 }
-
-// ReportEpoch records the highest epoch id the node has applied.
-func (c *Client) ReportEpoch(id int) { c.appliedEpoch.Store(int64(id)) }
 
 // SetTracer attaches the node's round tracer: completed round digests
 // ride on heartbeats, and the client answers the coordinator's clock
@@ -296,10 +291,7 @@ func (c *Client) heartbeatLoop() {
 			return
 		case <-tick.C:
 		}
-		hb := heartbeat{
-			ID:    c.id,
-			Epoch: int(c.appliedEpoch.Load()),
-		}
+		hb := heartbeat{ID: c.id}
 		if tr := c.tracer.Load(); tr.Enabled() {
 			hb.Traces = tr.DigestsSince(lastPushed+1, maxDigestsPerBeat)
 			if n := len(hb.Traces); n > 0 {

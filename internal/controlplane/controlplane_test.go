@@ -337,8 +337,8 @@ func TestWireRoundTrip(t *testing.T) {
 		{msgJoinOK, joinResp{ID: 3}, `{"id":3}`},
 		{msgLeave, leaveReq{ID: 3}, `{"id":3}`},
 		{msgReject, rejectResp{Reason: "no"}, `{"reason":"no"}`},
-		{msgHeartbeat, heartbeat{ID: 3, Epoch: 2, Traces: []trace.RoundDigest{digest}},
-			`{"id":3,"epoch":2,"traces":[{"node":3,"round":9,"trace_id":5,"start":10,"end":20,` +
+		{msgHeartbeat, heartbeat{ID: 3, Traces: []trace.RoundDigest{digest}},
+			`{"id":3,"traces":[{"node":3,"round":9,"trace_id":5,"start":10,"end":20,` +
 				`"phases":[{"name":"build","start":10,"end":12}],` +
 				`"frames_sent":2,"bytes_sent":64,"bytes_full_send":256,"params_sent":4,"params_total":16}]}`},
 		{msgClockProbe, clockProbe{T0: 1}, `{"t0":1}`},

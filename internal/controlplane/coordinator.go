@@ -79,9 +79,8 @@ type member struct {
 	conn    net.Conn
 	writeMu sync.Mutex
 
-	// Progress bookkeeping, written by connection goroutines and read
+	// Liveness bookkeeping, written by connection goroutines and read
 	// by the eviction sweep.
-	epoch    int       // guarded by Coordinator.mu
 	lastBeat time.Time // guarded by Coordinator.mu
 
 	// offsetG exposes this member's estimated clock offset (labeled
@@ -374,7 +373,6 @@ func (c *Coordinator) beat(m *member, body []byte) {
 	}
 	c.mu.Lock()
 	m.lastBeat = time.Now()
-	m.epoch = hb.Epoch
 	c.mu.Unlock()
 	c.ingestTraces(m, hb.Traces)
 }

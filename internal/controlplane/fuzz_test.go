@@ -23,8 +23,8 @@ func frameBytes(t *testing.F, typ msgType, payload any) []byte {
 // parses must survive a write/read round trip unchanged.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(frameBytes(f, msgJoin, joinReq{Addr: "127.0.0.1:7000"}))
-	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3, Epoch: 2}))
-	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3, Epoch: 2,
+	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3}))
+	f.Add(frameBytes(f, msgHeartbeat, heartbeat{ID: 3,
 		Traces: []trace.RoundDigest{{
 			Node: 3, Round: 17, TraceID: trace.ID(3, 17),
 			StartUnixNanos: 100, EndUnixNanos: 900,

@@ -116,8 +116,6 @@ type rejectResp struct {
 
 type heartbeat struct {
 	ID int `json:"id"`
-	// Epoch is the highest epoch the node has applied.
-	Epoch int `json:"epoch"`
 	// Traces carries the node's completed round digests since the last
 	// heartbeat (empty when tracing is off). JSON keeps this forward- and
 	// backward-compatible: an old coordinator ignores the field, an old

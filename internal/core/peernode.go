@@ -456,7 +456,6 @@ func (pn *PeerNode) maybeReconfigure(round int) error {
 		return err
 	}
 	pn.epoch.Store(int64(plan.Epoch))
-	pn.cfg.Control.ReportEpoch(plan.Epoch)
 	pn.met.epoch.Set(float64(plan.Epoch))
 	pn.met.epochsApplied.Inc()
 	// The switch is timed on the round's clock, which runs only when

@@ -42,7 +42,6 @@ func joinElasticPeerNode(t *testing.T, coord *controlplane.Coordinator, m model.
 	if err != nil {
 		t.Fatalf("plan: %v", err)
 	}
-	client.ReportEpoch(plan.Epoch)
 
 	ecfg := dataFor(client.ID())
 	ecfg.ID = client.ID()

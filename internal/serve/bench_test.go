@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +119,83 @@ func BenchmarkServePredictMany(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHTTPPredictLoopback is POST /v1/predict over the socket: two
+// keep-alive clients in a closed loop against the HTTP handler on
+// loopback, each request one 24-feature SVM row, the gateway at shipped
+// defaults. The handler is unshaped (no pacer), so what it measures is
+// the cost of the socket path, not predictRate. One op is one request,
+// so ns/op is the wall time per request across both clients and req/s
+// its inverse.
+func BenchmarkHTTPPredictLoopback(b *testing.B) {
+	const clients = 2
+	m := model.NewLinearSVM(24)
+	g, err := NewGateway(Config{Model: m, Features: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	g.Feed().Publish(1, 0, m.InitParams(1))
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := &http.Server{Handler: newHTTPHandler(g, nil)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = srv.Serve(ln) // ErrServerClosed once srv.Close runs
+	}()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+	url := "http://" + ln.Addr().String() + "/v1/predict"
+
+	rows := benchRows(64)
+	bodies := make([][]byte, len(rows))
+	for i, row := range rows {
+		if bodies[i], err = json.Marshal(map[string][]float64{"features": row}); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	var next atomic.Int64
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr := &http.Transport{MaxIdleConnsPerHost: 1, MaxConnsPerHost: 1, DisableCompression: true}
+			defer tr.CloseIdleConnections()
+			client := &http.Client{Transport: tr}
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%int64(len(bodies))]))
+				if err == nil {
+					_, err = io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if err == nil && resp.StatusCode != http.StatusOK {
+						err = fmt.Errorf("status %d", resp.StatusCode)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	close(errs)
+	if err := <-errs; err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }
 
 // TestPredictSteadyStateAllocs pins the allocation budget of the

@@ -74,8 +74,13 @@ const (
 //	GET  /healthz     — process liveness (always 200)
 //	GET  /readyz      — 200 once a model snapshot is loaded, else 503
 func NewHTTPHandler(g *Gateway) http.Handler {
+	return newHTTPHandler(g, newPacer(g.cfg.Obs))
+}
+
+// newHTTPHandler is NewHTTPHandler with predict requests shaped by pace
+// (nil: unshaped).
+func newHTTPHandler(g *Gateway, pace *pacer) http.Handler {
 	mux := http.NewServeMux()
-	pace := newPacer(g.cfg.Obs)
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			writeError(w, http.StatusMethodNotAllowed, "POST only")

@@ -9,7 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/snapml/snap/internal/linalg"
 	"github.com/snapml/snap/internal/model"
@@ -144,6 +146,56 @@ func TestHTTPPredictRejects(t *testing.T) {
 	}
 	if _, err := requestRows(&predictRequest{Features: []float64{1, 2, 3, math.NaN()}}, 4); err == nil {
 		t.Error("requestRows accepted NaN")
+	}
+}
+
+// TestHTTPPredictOverload pins how POST /v1/predict reports load
+// shedding: with the one worker held inside the model and the one queue
+// slot taken, a further request is refused at once with 429 and
+// Retry-After; the queued request expires and answers 504 without one;
+// and once the gateway is closed a request answers 503 with Retry-After.
+func TestHTTPPredictOverload(t *testing.T) {
+	gm := newGateModel()
+	reg := obs.NewRegistry()
+	g := newTestGateway(t, Config{
+		Model:      gm,
+		Workers:    1,
+		QueueDepth: 1,
+		Deadline:   50 * time.Millisecond,
+		Obs:        &obs.Observer{Reg: reg},
+	})
+	publishN(g.Feed(), 0, 0, 4, 1)
+	release := sync.OnceFunc(func() { close(gm.gate) })
+	t.Cleanup(release) // before g.Close, which waits for the held worker
+	h := NewHTTPHandler(g)
+	const body = `{"features":[1,0,0,0]}`
+
+	held := make(chan *httptest.ResponseRecorder, 1)
+	go func() { held <- postPredict(h, body) }()
+	<-gm.entered // the worker is inside the gated model
+	queued := make(chan *httptest.ResponseRecorder, 1)
+	go func() { queued <- postPredict(h, body) }()
+	waitUntil(t, func() bool { return g.depth.Load() == 1 })
+
+	w := postPredict(h, body)
+	if w.Code != http.StatusTooManyRequests || w.Header().Get("Retry-After") != "1" {
+		t.Fatalf("full queue: status %d Retry-After %q, want 429 with Retry-After 1 (%s)", w.Code, w.Header().Get("Retry-After"), w.Body)
+	}
+	if got := reg.Counter(obs.Label(MServeRejects, LReason, ReasonQueueFull)).Value(); got != 1 {
+		t.Fatalf("queue_full rejects = %d, want 1", got)
+	}
+
+	w = <-queued
+	if w.Code != http.StatusGatewayTimeout || w.Header().Get("Retry-After") != "" {
+		t.Fatalf("expired in queue: status %d Retry-After %q, want 504 without Retry-After (%s)", w.Code, w.Header().Get("Retry-After"), w.Body)
+	}
+	release()
+	<-held
+
+	g.Close()
+	w = postPredict(h, body)
+	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") != "1" {
+		t.Fatalf("closed gateway: status %d Retry-After %q, want 503 with Retry-After 1 (%s)", w.Code, w.Header().Get("Retry-After"), w.Body)
 	}
 }
 

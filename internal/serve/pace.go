@@ -14,23 +14,30 @@ import (
 // occasional request — the edge caller the gateway is for — never waits.
 // A closed loop that would otherwise run as fast as the box's CPUs allow
 // is delayed (not refused) to the rate, which makes its throughput a
-// property of the clock instead of the host's speed of the minute.
-// In-process callers of Gateway.Predict are not shaped. DESIGN.md §13
-// "Ingress shaping" has the why, the cost and how to lift it.
+// property of the clock instead of the host's speed of the minute. The
+// rate sits below what two loopback connections sustain on two vCPUs
+// in a slow half second with one-row MLP bodies (the heaviest one-row
+// request), so a slow minute still reaches it. In-process callers of
+// Gateway.Predict are not shaped. DESIGN.md §13 "Ingress shaping" has
+// the why, the cost and how to lift it.
 const (
-	predictRate     = 8000
+	predictRate     = 16000
 	predictInterval = time.Second / predictRate
-	predictBurst    = 2 * time.Millisecond // 16 requests
+	predictBurst    = 2 * predictNap // 96 requests
 
 	// predictNap is the shortest wait admit asks a timer for. On a process
 	// with nothing else to run a Go timer fires a millisecond or so late
 	// however little it was asked for (the netpoller sleeps in whole
 	// milliseconds), and on time when another P happens to be awake;
-	// asking for the millisecond outright makes a wait cost the same
-	// either way. The slots that go by meanwhile are kept as credit
+	// asking for milliseconds outright makes a wait cost the same either
+	// way. The slots that go by meanwhile are kept as credit
 	// (predictBurst covers a nap and its lateness), so the requests right
-	// after a nap go through without one and the rate is unchanged.
-	predictNap = time.Millisecond
+	// after a nap go through without one and the rate is unchanged. A
+	// connection naps at most once per predictNap, so of predictRate
+	// requests a second at most 1/(predictRate·predictNap) per saturating
+	// connection nap — 2 % at 3 ms — and the nap stays beyond the p95 of
+	// up to two such connections.
+	predictNap = 3 * time.Millisecond
 )
 
 // pacer is a virtual-scheduling (GCRA) shaper: next is the earliest time

@@ -61,6 +61,19 @@ func TestPacerSchedule(t *testing.T) {
 	}
 }
 
+// TestPacerConstants pins the relations the constants' comments rely
+// on: the credit covers a nap and a millisecond of timer lateness, and
+// two saturating connections, each napping at most once per predictNap,
+// nap on fewer than one request in twenty.
+func TestPacerConstants(t *testing.T) {
+	if predictBurst < predictNap+time.Millisecond {
+		t.Fatalf("burst %v does not cover a %v nap and 1ms of lateness", predictBurst, predictNap)
+	}
+	if frac := 2 / (predictRate * predictNap.Seconds()); frac >= 0.05 {
+		t.Fatalf("two saturating connections may nap on %.3f of requests, want under 0.05", frac)
+	}
+}
+
 func TestPacerAdmit(t *testing.T) {
 	if err := (*pacer)(nil).admit(context.Background(), 0); err != nil {
 		t.Fatalf("nil pacer: %v", err)

@@ -261,6 +261,5 @@ func joinCluster(cfg PeerConfig) (net.Listener, *controlplane.Client, *controlpl
 		ln.Close()
 		return nil, nil, nil, err
 	}
-	client.ReportEpoch(plan.Epoch)
 	return ln, client, plan, nil
 }
