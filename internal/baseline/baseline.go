@@ -89,8 +89,9 @@ func RunCentralized(cfg Config) (*core.Result, error) {
 	}
 	x := cfg.Model.InitParams(cfg.Seed)
 	g := linalg.NewVector(len(x))
+	var sc model.GradScratch
 	return p.run(x, func(int) error {
-		model.GradientTo(cfg.Model, g, x, pooled, nil, 1)
+		model.GradientTo(cfg.Model, g, x, pooled, &sc, 1)
 		x.AXPYInPlace(-cfg.Alpha, g)
 		return nil
 	})
@@ -115,6 +116,9 @@ func RunPS(cfg Config) (*core.Result, error) {
 	dim := cfg.Model.NumParams()
 	x := cfg.Model.InitParams(cfg.Seed)
 	local := linalg.NewVector(dim)
+	// The workers run one after another, so they share one gradient
+	// workspace, reused every round.
+	var sc model.GradScratch
 
 	return p.run(x, func(round int) error {
 		// Workers compute local gradients at the shared parameters and
@@ -125,7 +129,7 @@ func RunPS(cfg Config) (*core.Result, error) {
 			if cfg.BatchSize > 0 {
 				batch = cfg.Partitions[i].Batch(round, cfg.BatchSize)
 			}
-			g := model.GradientTo(cfg.Model, local, x, batch, nil, 1)
+			g := model.GradientTo(cfg.Model, local, x, batch, &sc, 1)
 			if cfg.Ternary {
 				g = ternarize(g, rng)
 			}

@@ -6,7 +6,8 @@ import "math"
 // passes — dot products of parameter rows against one input and the
 // matching rank-one gradient updates — in a dense form and an
 // index-gathered form for inputs whose non-zeros were compacted into
-// (idx, val) by Compact.
+// (idx, val) by Compact. gather.go holds the same gathered sums and
+// updates for a matrix stored input-major.
 //
 // Contract (DESIGN.md §10): every accumulator is summed strictly left to
 // right starting from the value the caller seeds it with, exactly as the
@@ -94,29 +95,6 @@ func SparseDots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3 []float64, idx []int
 	return z0, z1, z2, z3
 }
 
-// SparseAXPY sets dst[idx[k]] += c·val[k] for every k. idx must not
-// repeat an index (Compact's never does), so the elements are
-// independent and each receives exactly one addition.
-func SparseAXPY(dst []float64, c float64, idx []int, val []float64) {
-	val = val[:len(idx)]
-	for k, j := range idx {
-		dst[j] += c * val[k]
-	}
-}
-
-// SparseAXPYs4 is four SparseAXPY calls sharing one walk over (idx, val):
-// d_r[idx[k]] += c_r·val[k]. The four destinations must not overlap.
-func SparseAXPYs4(d0, d1, d2, d3 []float64, c0, c1, c2, c3 float64, idx []int, val []float64) {
-	val = val[:len(idx)]
-	for k, j := range idx {
-		v := val[k]
-		d0[j] += c0 * v
-		d1[j] += c1 * v
-		d2[j] += c2 * v
-		d3[j] += c3 * v
-	}
-}
-
 // AffineTo sets out[r] = b[r] + Σ_i w[r·cols+i]·x[i] for the row-major
 // len(out)×len(x) matrix w, every row summed left to right from its
 // bias. Rows run four at a time; a last block of fewer than four repeats
@@ -151,18 +129,32 @@ func SparseAffineTo(out, w, b []float64, cols int, idx []int, val []float64) {
 }
 
 // SparseOuterAdd adds the rank-one update d·xᵀ of a compacted x to the
-// row-major len(d)×cols matrix w: w[r·cols+idx[k]] += d[r]·val[k].
+// row-major len(d)×cols matrix w: w[r·cols+idx[k]] += d[r]·val[k]. Rows
+// run four at a time, sharing one walk over (idx, val). idx must not
+// repeat an index (Compact's never does), so every element receives
+// exactly one addition.
 func SparseOuterAdd(w []float64, cols int, d []float64, idx []int, val []float64) {
 	rows := len(d)
 	if len(w) != rows*cols {
 		panic("linalg: SparseOuterAdd matrix size mismatch")
 	}
+	val = val[:len(idx)]
 	r := 0
 	for ; r+4 <= rows; r += 4 {
-		SparseAXPYs4(w[r*cols:(r+1)*cols], w[(r+1)*cols:(r+2)*cols], w[(r+2)*cols:(r+3)*cols], w[(r+3)*cols:(r+4)*cols],
-			d[r], d[r+1], d[r+2], d[r+3], idx, val)
+		d0, d1, d2, d3 := w[r*cols:(r+1)*cols], w[(r+1)*cols:(r+2)*cols], w[(r+2)*cols:(r+3)*cols], w[(r+3)*cols:(r+4)*cols]
+		c0, c1, c2, c3 := d[r], d[r+1], d[r+2], d[r+3]
+		for k, j := range idx {
+			v := val[k]
+			d0[j] += c0 * v
+			d1[j] += c1 * v
+			d2[j] += c2 * v
+			d3[j] += c3 * v
+		}
 	}
 	for ; r < rows; r++ {
-		SparseAXPY(w[r*cols:(r+1)*cols], d[r], idx, val)
+		dr, c := w[r*cols:(r+1)*cols], d[r]
+		for k, j := range idx {
+			dr[j] += c * val[k]
+		}
 	}
 }

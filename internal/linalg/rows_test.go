@@ -123,7 +123,10 @@ func checkRowKernels(tc rowCase) string {
 		}
 	}
 
-	// The scatter kernels accumulate into a copy of w.
+	// The scatter kernels accumulate into a copy of w: SparseOuterAdd in
+	// place, the input-major kernels on transposed copies whose rows are
+	// padded to a multiple of four lanes, once on the dispatched body
+	// (AVX2 where the CPU has it) and once on the Go body.
 	want := append([]float64(nil), tc.w...)
 	for r := 0; r < tc.rows; r++ {
 		naiveSparseAXPY(row(want, r), tc.d[r], idx, val)
@@ -133,19 +136,8 @@ func checkRowKernels(tc rowCase) string {
 	if !sameVec(got, want) {
 		return "SparseOuterAdd"
 	}
-	got = append(got[:0], tc.w...)
-	for r := 0; r < tc.rows; r++ {
-		SparseAXPY(row(got, r), tc.d[r], idx, val)
-	}
-	if !sameVec(got, want) {
-		return "SparseAXPY"
-	}
-	if tc.rows >= 4 {
-		got = append(got[:0], tc.w...)
-		SparseAXPYs4(row(got, 0), row(got, 1), row(got, 2), row(got, 3), tc.d[0], tc.d[1], tc.d[2], tc.d[3], idx, val)
-		if !sameVec(got[:4*tc.cols], want[:4*tc.cols]) {
-			return "SparseAXPYs4"
-		}
+	if bad := checkInputMajorKernels(tc, idx, val, want); bad != "" {
+		return bad
 	}
 
 	// Dropping the zeros is itself exact: with finite parameters and a
@@ -167,7 +159,7 @@ func checkRowKernels(tc rowCase) string {
 		Vector(dense).AXPYInPlace(tc.d[r], tc.x)
 		for i, v := range row(want, r) {
 			if !negZero(tc.w[r*tc.cols+i]) && !sameBits(v, dense[i]) {
-				return "SparseOuterAdd vs dense AXPY"
+				return "sparse vs dense AXPY"
 			}
 		}
 	}
@@ -301,6 +293,8 @@ func TestRowKernelsPanicOnMismatch(t *testing.T) {
 		"AffineTo":       func() { AffineTo(v2, v3, v2, v2) },
 		"SparseAffineTo": func() { SparseAffineTo(v2, v3, v2, 2, nil, nil) },
 		"SparseOuterAdd": func() { SparseOuterAdd(v3, 2, v2, nil, nil) },
+		"GatherAXPY":     func() { GatherAXPY(v3, v3, 2, nil, nil) },
+		"ScatterAXPY":    func() { ScatterAXPY(v3, 2, v2, nil, nil) },
 		"Compact":        func() { Compact(make([]int, 2), v3, v3) },
 	} {
 		func() {

@@ -36,3 +36,47 @@ func BenchmarkSVMGradientPartition(b *testing.B) {
 
 // benchLoss keeps the compiler from discarding a benchmarked result.
 var benchLoss float64
+
+// BenchmarkMLPGradientPartition measures one node's full-batch 784-30-10
+// gradient on its share of a 600-image digit corpus split across three
+// servers (~200 rows, one gradient shard), the per-node compute of a
+// tcp-mlp-k3 round. The batch is past the input-major break-even, so on
+// an AVX2 CPU the transposes of W1 and of its gradient block are
+// included.
+func BenchmarkMLPGradientPartition(b *testing.B) {
+	benchMLPGradient(b, 0)
+}
+
+// BenchmarkMLPGradientMinibatch measures the same node's gradient on an
+// eight-row minibatch, TernGrad's per-worker batch in figure 4: below the
+// input-major break-even, so W1 is walked in place.
+func BenchmarkMLPGradientMinibatch(b *testing.B) {
+	benchMLPGradient(b, 8)
+}
+
+// benchMLPGradient times the gradient on the first rows rows of a
+// tcp-mlp-k3 node's shard (all of it for 0) and reports ns/sample.
+func benchMLPGradient(b *testing.B, rows int) {
+	rng := rand.New(rand.NewSource(1))
+	corpus, _ := dataset.SyntheticDigits(dataset.DigitsConfig{Train: 600, Test: 1, Side: 28}, rng)
+	parts, err := corpus.Partition(3, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := NewMLP(28*28, 30, 10)
+	p, batch := m.InitParams(3), parts[0].Samples
+	if rows > 0 {
+		batch = batch[:rows]
+	}
+	dst := linalg.NewVector(len(p))
+	var sc GradScratch
+	GradientLossTo(m, dst, p, batch, &sc, 1) // size the scratch
+	var loss float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loss = GradientLossTo(m, dst, p, batch, &sc, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/sample")
+	benchLoss = loss
+}

@@ -15,22 +15,22 @@ import (
 // threshold: batches of at most one shard always run serially.
 const GradShardSize = 256
 
-// GradScratch holds the per-shard buffers GradientLossTo needs. One
-// scratch belongs to one gradient consumer (e.g. one engine) and is
-// reused across calls; the zero value is ready to use.
+// GradScratch holds the per-shard buffers GradientLossTo needs and one
+// model workspace per worker. One scratch belongs to one gradient
+// consumer (e.g. one engine) and is reused across calls; the zero value
+// is ready to use.
 type GradScratch struct {
 	shards []gradShard
+	work   []Scratch
 }
 
-// gradShard is one shard's partial gradient sum, partial loss sum and
-// the workspace the model's per-sample pass runs in.
+// gradShard is one shard's partial gradient sum and partial loss sum.
 type gradShard struct {
 	partial linalg.Vector
 	loss    float64
-	work    Scratch
 }
 
-func (sc *GradScratch) ensure(shards, p, floats, ints int) {
+func (sc *GradScratch) ensure(shards, workers, p, floats, ints int) {
 	for len(sc.shards) < shards {
 		sc.shards = append(sc.shards, gradShard{})
 	}
@@ -39,7 +39,12 @@ func (sc *GradScratch) ensure(shards, p, floats, ints int) {
 		if len(sh.partial) != p {
 			sh.partial = linalg.NewVector(p)
 		}
-		sh.work.ensure(floats, ints)
+	}
+	for len(sc.work) < workers {
+		sc.work = append(sc.work, Scratch{})
+	}
+	for w := range sc.work[:workers] {
+		sc.work[w].ensure(floats, ints)
 	}
 }
 
@@ -52,21 +57,21 @@ func (sc *GradScratch) accumParallel(m Model, params linalg.Vector, batch []data
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(work *Scratch) {
 			defer wg.Done()
 			for {
 				k := int(next.Add(1)) - 1
 				if k >= shards {
 					return
 				}
-				sc.accumShard(m, params, batch, k)
+				sc.accumShard(m, params, batch, k, work)
 			}
-		}()
+		}(&sc.work[w])
 	}
 	wg.Wait()
 }
 
-func (sc *GradScratch) accumShard(m Model, params linalg.Vector, batch []dataset.Sample, k int) {
+func (sc *GradScratch) accumShard(m Model, params linalg.Vector, batch []dataset.Sample, k int, work *Scratch) {
 	lo := k * GradShardSize
 	hi := lo + GradShardSize
 	if hi > len(batch) {
@@ -74,7 +79,7 @@ func (sc *GradScratch) accumShard(m Model, params linalg.Vector, batch []dataset
 	}
 	sh := &sc.shards[k]
 	sh.partial.Fill(0)
-	sh.loss = m.AccumGrad(sh.partial, params, batch[lo:hi], &sh.work)
+	sh.loss = m.AccumGrad(sh.partial, params, batch[lo:hi], work)
 }
 
 // GradientTo computes ∇Loss(params) on batch into dst and returns dst:
@@ -109,14 +114,12 @@ func GradientLossTo(m Model, dst, params linalg.Vector, batch []dataset.Sample, 
 	if sc == nil {
 		sc = &GradScratch{}
 	}
+	workers = max(min(workers, shards), 1)
 	floats, ints := m.ScratchSize()
-	sc.ensure(shards, len(dst), floats, ints)
-	if workers > shards {
-		workers = shards
-	}
-	if workers <= 1 {
+	sc.ensure(shards, workers, len(dst), floats, ints)
+	if workers == 1 {
 		for k := 0; k < shards; k++ {
-			sc.accumShard(m, params, batch, k)
+			sc.accumShard(m, params, batch, k, &sc.work[0])
 		}
 	} else {
 		// Kept out of line so the escaping WaitGroup/counter locals are

@@ -277,3 +277,77 @@ func TestModelsMatchOracles(t *testing.T) {
 		})
 	}
 }
+
+// TestMLPWalksBitIdentical runs the MLP's two first-layer walks — in
+// place and on input-major copies, whichever AccumGrad would pick — on
+// the same batches and asks for the same bits: the loss, and a gradient
+// accumulated into a non-zero dst, for Hidden on both sides of the
+// four-lane padding and batch lengths on both sides of the break-even.
+func TestMLPWalksBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, shape := range [][3]int{{784, 30, 10}, {20, 1, 3}, {20, 3, 2}, {20, 4, 4}, {21, 5, 3}, {19, 33, 2}} {
+		m := NewMLP(shape[0], shape[1], shape[2])
+		p := m.InitParams(4)
+		for i := range p {
+			p[i] += 0.1 * rng.NormFloat64() // generic biases
+		}
+		data := make([]dataset.Sample, 2*inputMajorGradRows)
+		for i := range data {
+			x := make([]float64, m.In)
+			for j := range x {
+				if rng.Intn(4) == 0 {
+					x[j] = rng.NormFloat64()
+				}
+			}
+			data[i] = dataset.Sample{X: x, Label: rng.Intn(m.Out)}
+		}
+		start := linalg.NewVector(len(p))
+		for i := range start {
+			start[i] = rng.NormFloat64()
+		}
+		for _, n := range []int{0, 1, 5, inputMajorLossRows, len(data)} {
+			var sc Scratch
+			sc.ensure(m.ScratchSize())
+			batch := data[:n]
+			var loss [2]float64
+			var grad [2]linalg.Vector
+			for w, inputMajor := range []bool{false, true} {
+				loss[w] = m.accumGrad(nil, p, batch, &sc, inputMajor)
+				grad[w] = append(linalg.Vector(nil), start...)
+				if ce := m.accumGrad(grad[w], p, batch, &sc, inputMajor); math.Float64bits(ce) != math.Float64bits(loss[w]) {
+					t.Fatalf("%s n=%d inputMajor=%v: gradient pass loss %v, loss pass %v", m.Name(), n, inputMajor, ce, loss[w])
+				}
+			}
+			if math.Float64bits(loss[0]) != math.Float64bits(loss[1]) {
+				t.Errorf("%s n=%d: loss %v in place, %v input-major", m.Name(), n, loss[0], loss[1])
+			}
+			if at := bitsDiffer(grad[0], grad[1]); at != len(p) {
+				t.Errorf("%s n=%d: gradient differs at %d: %v in place, %v input-major", m.Name(), n, at, grad[0][at], grad[1][at])
+			}
+		}
+	}
+}
+
+// TestMLPWalkChoice pins when AccumGrad copies W1: never without SIMD
+// kernels, and with them only from the break-even batch lengths on.
+func TestMLPWalkChoice(t *testing.T) {
+	m := NewMLP(784, 30, 10)
+	simd := linalg.InputMajorSIMD()
+	for _, tc := range []struct {
+		rows int
+		grad bool
+		want bool
+	}{
+		{1, true, false},
+		{inputMajorGradRows - 1, true, false},
+		{inputMajorGradRows, true, simd},
+		{GradShardSize, true, simd},
+		{1, false, false},
+		{inputMajorLossRows - 1, false, false},
+		{inputMajorLossRows, false, simd},
+	} {
+		if got := m.inputMajor(tc.rows, tc.grad); got != tc.want {
+			t.Errorf("inputMajor(%d, grad=%v) = %v, want %v", tc.rows, tc.grad, got, tc.want)
+		}
+	}
+}

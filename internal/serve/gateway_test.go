@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -34,20 +35,34 @@ func (m *signModel) PredictInto(_ linalg.Vector, x []float64, _ *model.Scratch) 
 	return 0
 }
 
-// gateModel blocks every PredictInto until the gate channel is closed,
-// letting tests hold a worker busy while they fill the queue. Each entry
-// into PredictInto is announced on entered first.
+// gateModel blocks every PredictInto until release closes the gate
+// channel, letting tests hold a worker busy while they fill the queue.
+// Each entry into PredictInto is announced on entered first.
 type gateModel struct {
 	signModel
 	gate    chan struct{}
 	entered chan struct{}
+	release func() // closes gate; idempotent
 }
 
 func newGateModel() *gateModel {
-	return &gateModel{
+	gm := &gateModel{
 		signModel: signModel{params: 4},
 		gate:      make(chan struct{}),
 		entered:   make(chan struct{}, 64),
+	}
+	gm.release = sync.OnceFunc(func() { close(gm.gate) })
+	return gm
+}
+
+// awaitEntry waits until a worker is inside the gated PredictInto,
+// failing the test after 2 s instead of blocking it forever.
+func (m *gateModel) awaitEntry(t *testing.T) {
+	t.Helper()
+	select {
+	case <-m.entered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("no worker entered the gated model in 2s")
 	}
 }
 
@@ -70,6 +85,12 @@ func newTestGateway(t *testing.T, cfg Config) *Gateway {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Close)
+	if gm, ok := cfg.Model.(*gateModel); ok {
+		// Cleanups run last-registered first: the gate opens before
+		// g.Close waits for a worker held in it, so a test that fails
+		// while holding the worker ends instead of hanging.
+		t.Cleanup(gm.release)
+	}
 	return g
 }
 
@@ -158,7 +179,7 @@ func TestGatewayOverload(t *testing.T) {
 		_, _, err := g.Predict(context.Background(), []float64{1, 0, 0, 0})
 		results <- err
 	}()
-	<-gm.entered // worker is now inside the gated Predict
+	gm.awaitEntry(t) // worker is now inside the gated Predict
 	go func() {
 		_, _, err := g.Predict(context.Background(), []float64{1, 0, 0, 0})
 		results <- err
@@ -173,7 +194,7 @@ func TestGatewayOverload(t *testing.T) {
 		t.Fatalf("queue_full rejects = %d, want 1", got)
 	}
 
-	close(gm.gate)
+	gm.release()
 	for i := 0; i < 2; i++ {
 		if err := <-results; err != nil {
 			t.Fatalf("blocked request %d failed: %v", i, err)
@@ -201,7 +222,7 @@ func TestGatewayDeadline(t *testing.T) {
 		_, _, err := g.Predict(context.Background(), []float64{1, 0, 0, 0})
 		first <- err
 	}()
-	<-gm.entered // worker is now inside the gated Predict
+	gm.awaitEntry(t) // worker is now inside the gated Predict
 
 	second := make(chan error, 1)
 	go func() {
@@ -211,7 +232,7 @@ func TestGatewayDeadline(t *testing.T) {
 	waitUntil(t, func() bool { return g.depth.Load() >= 1 }) // second parked in queue
 
 	time.Sleep(60 * time.Millisecond) // both deadlines lapse
-	close(gm.gate)
+	gm.release()
 
 	// The first was already executing; whether it finishes depends on
 	// scheduling, but the queued second must be shed with ErrDeadline.
@@ -249,7 +270,7 @@ func holdWorker(t *testing.T, gm *gateModel, cfg Config, n int) (*Gateway, <-cha
 		results <- err
 	}
 	go predict()
-	<-gm.entered // the worker is now inside the gated Predict
+	gm.awaitEntry(t) // the worker is now inside the gated Predict
 	for i := 0; i < n; i++ {
 		go predict()
 	}
@@ -273,7 +294,7 @@ func TestGatewayCoalescesBacklog(t *testing.T) {
 			gm := newGateModel()
 			reg := obs.NewRegistry()
 			_, results := holdWorker(t, gm, Config{MaxBatch: tc.maxBatch, Obs: &obs.Observer{Reg: reg}}, tc.queued)
-			close(gm.gate)
+			gm.release()
 			for i := 0; i <= tc.queued; i++ {
 				if err := <-results; err != nil {
 					t.Fatalf("request failed: %v", err)
@@ -338,7 +359,7 @@ func TestGatewayCloseFailsQueued(t *testing.T) {
 		defer g.closeMu.RUnlock()
 		return g.closed
 	})
-	close(gm.gate)
+	gm.release()
 	<-closed
 
 	failed := 0

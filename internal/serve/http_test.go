@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -165,14 +164,12 @@ func TestHTTPPredictOverload(t *testing.T) {
 		Obs:        &obs.Observer{Reg: reg},
 	})
 	publishN(g.Feed(), 0, 0, 4, 1)
-	release := sync.OnceFunc(func() { close(gm.gate) })
-	t.Cleanup(release) // before g.Close, which waits for the held worker
 	h := NewHTTPHandler(g)
 	const body = `{"features":[1,0,0,0]}`
 
 	held := make(chan *httptest.ResponseRecorder, 1)
 	go func() { held <- postPredict(h, body) }()
-	<-gm.entered // the worker is inside the gated model
+	gm.awaitEntry(t) // the worker is inside the gated model
 	queued := make(chan *httptest.ResponseRecorder, 1)
 	go func() { queued <- postPredict(h, body) }()
 	waitUntil(t, func() bool { return g.depth.Load() == 1 })
@@ -189,7 +186,7 @@ func TestHTTPPredictOverload(t *testing.T) {
 	if w.Code != http.StatusGatewayTimeout || w.Header().Get("Retry-After") != "" {
 		t.Fatalf("expired in queue: status %d Retry-After %q, want 504 without Retry-After (%s)", w.Code, w.Header().Get("Retry-After"), w.Body)
 	}
-	release()
+	gm.release()
 	<-held
 
 	g.Close()
