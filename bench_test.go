@@ -243,36 +243,6 @@ func BenchmarkMLPLoss(b *testing.B) {
 	benchSink = loss
 }
 
-// BenchmarkSparseDots4 measures the four-row gathered dot product at the
-// MLP's first-layer shape: 784-wide rows, about one input in six
-// non-zero.
-func BenchmarkSparseDots4(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	rows := make([][]float64, 4)
-	for r := range rows {
-		rows[r] = make([]float64, 784)
-		for i := range rows[r] {
-			rows[r][i] = rng.NormFloat64()
-		}
-	}
-	x := make([]float64, 784)
-	for i := range x {
-		if rng.Intn(6) == 0 {
-			x[i] = rng.Float64()
-		}
-	}
-	idx, val := make([]int, len(x)), make([]float64, len(x))
-	n := linalg.Compact(idx, val, x)
-	idx, val = idx[:n], val[:n]
-	var z0, z1, z2, z3 float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z0, z1, z2, z3 = linalg.SparseDots4From(0, 0, 0, 0, rows[0], rows[1], rows[2], rows[3], idx, val)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/nonzero")
-	benchSink = z0 + z1 + z2 + z3
-}
-
 // benchSink keeps the compiler from discarding a benchmarked result.
 var benchSink float64
 

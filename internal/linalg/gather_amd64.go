@@ -25,58 +25,80 @@ func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// The assembly bodies work on 32 lanes (eight YMM registers) or 4 lanes
-// (one) at the start of z or d, holding those lanes in registers for the
-// whole walk over idx. Each reports false, before touching the row, at
-// the first index that is not below rows.
+// The assembly bodies own the lanes of z or d they are given — 29 to 32
+// (seven YMM registers and a last one of 1–4 lanes) or 1 to 4 (that last
+// register alone) — at the same offset of every row of the matrix, whose
+// rows are stride lanes long, and hold them in registers for the whole
+// walk over idx, which must not be empty. Each reports false, before
+// touching the row, at the first index that is not below rows.
 
 //go:noescape
-func gatherAXPY32(z, wT []float64, stride, rows int, idx []int, val []float64) (ok bool)
+func gatherAXPY32(z, w []float64, stride, rows int, idx []int, val []float64) (ok bool)
 
 //go:noescape
-func gatherAXPY4(z, wT []float64, stride, rows int, idx []int, val []float64) (ok bool)
+func gatherAXPY4(z, w []float64, stride, rows int, idx []int, val []float64) (ok bool)
 
 //go:noescape
-func scatterAXPY32(gT []float64, stride int, d []float64, rows int, idx []int, val []float64) (ok bool)
+func scatterAXPY32(g []float64, stride int, d []float64, rows int, idx []int, val []float64) (ok bool)
 
 //go:noescape
-func scatterAXPY4(gT []float64, stride int, d []float64, rows int, idx []int, val []float64) (ok bool)
+func scatterAXPY4(g []float64, stride int, d []float64, rows int, idx []int, val []float64) (ok bool)
 
-// gatherAXPYSIMD runs GatherAXPY's lanes in blocks of 32, then 4, and
-// returns how many it did; the Go body does the rest.
-func gatherAXPYSIMD(z, wT []float64, stride, rows int, idx []int, val []float64) int {
+// blockLanes is how many of the left lanes the next body takes: 32, or
+// all of them from 29 to 31, for the 32-lane body; otherwise up to 4 for
+// the 4-lane body. At 30 hidden units one 32-lane pass does the row.
+func blockLanes(left int) int {
+	switch {
+	case left >= 32:
+		return 32
+	case left > 28:
+		return left
+	default:
+		return min(left, 4)
+	}
+}
+
+// gatherAXPYSIMD runs GatherAXPY on the AVX2 bodies, block by block, and
+// reports whether it did: false without AVX2.
+func gatherAXPYSIMD(z, w []float64, rows int, idx []int, val []float64) bool {
 	if !useAVX2 {
-		return 0
+		return false
 	}
-	h := 0
-	for ; h+32 <= len(z); h += 32 {
-		if !gatherAXPY32(z[h:h+32], wT[h:], stride, rows, idx, val) {
+	stride := len(z)
+	for h := 0; h < stride; {
+		n := blockLanes(stride - h)
+		var ok bool
+		if n > 4 {
+			ok = gatherAXPY32(z[h:h+n], w[h:], stride, rows, idx, val)
+		} else {
+			ok = gatherAXPY4(z[h:h+n], w[h:], stride, rows, idx, val)
+		}
+		if !ok {
 			badRow()
 		}
+		h += n
 	}
-	for ; h+4 <= len(z); h += 4 {
-		if !gatherAXPY4(z[h:h+4], wT[h:], stride, rows, idx, val) {
-			badRow()
-		}
-	}
-	return h
+	return true
 }
 
 // scatterAXPYSIMD is gatherAXPYSIMD for ScatterAXPY.
-func scatterAXPYSIMD(gT []float64, stride int, d []float64, rows int, idx []int, val []float64) int {
+func scatterAXPYSIMD(g, d []float64, rows int, idx []int, val []float64) bool {
 	if !useAVX2 {
-		return 0
+		return false
 	}
-	h := 0
-	for ; h+32 <= len(d); h += 32 {
-		if !scatterAXPY32(gT[h:], stride, d[h:h+32], rows, idx, val) {
+	stride := len(d)
+	for h := 0; h < stride; {
+		n := blockLanes(stride - h)
+		var ok bool
+		if n > 4 {
+			ok = scatterAXPY32(g[h:], stride, d[h:h+n], rows, idx, val)
+		} else {
+			ok = scatterAXPY4(g[h:], stride, d[h:h+n], rows, idx, val)
+		}
+		if !ok {
 			badRow()
 		}
+		h += n
 	}
-	for ; h+4 <= len(d); h += 4 {
-		if !scatterAXPY4(gT[h:], stride, d[h:h+4], rows, idx, val) {
-			badRow()
-		}
-	}
-	return h
+	return true
 }

@@ -4,8 +4,6 @@ package linalg
 
 const useAVX2 = false
 
-func gatherAXPYSIMD(z, wT []float64, stride, rows int, idx []int, val []float64) int { return 0 }
+func gatherAXPYSIMD(z, w []float64, rows int, idx []int, val []float64) bool { return false }
 
-func scatterAXPYSIMD(gT []float64, stride int, d []float64, rows int, idx []int, val []float64) int {
-	return 0
-}
+func scatterAXPYSIMD(g, d []float64, rows int, idx []int, val []float64) bool { return false }

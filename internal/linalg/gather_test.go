@@ -6,82 +6,107 @@ import (
 	"testing"
 )
 
-// inputMajor returns the rows×cols row-major w transposed to cols rows of
-// stride lanes, the lanes past rows set to pad.
-func inputMajor(w []float64, rows, cols, stride int, pad float64) []float64 {
-	wT := make([]float64, cols*stride)
-	for j := 0; j < cols; j++ {
-		for h := 0; h < stride; h++ {
-			if h < rows {
-				wT[j*stride+h] = w[h*cols+j]
-			} else {
-				wT[j*stride+h] = pad
+// guard is how many sentinel lanes the checks place right past the end
+// of every operand a kernel writes, to catch a store past it.
+const guard = 8
+
+// guarded returns a slice of n entries whose backing array runs on for
+// guard NaN sentinels past its end, and the sentinels' check.
+func guarded(n int) ([]float64, func() bool) {
+	buf := make([]float64, n+guard)
+	for i := n; i < len(buf); i++ {
+		buf[i] = math.NaN()
+	}
+	intact := func() bool {
+		for _, v := range buf[n:] {
+			if !math.IsNaN(v) {
+				return false
 			}
 		}
+		return true
 	}
-	return wT
+	return buf[:n:n], intact
+}
+
+// inputMajor returns the rows×cols row-major w transposed to cols rows of
+// exactly rows lanes, packed back to back, with guard sentinels past the
+// last row.
+func inputMajor(w []float64, rows, cols int) ([]float64, func() bool) {
+	wT, intact := guarded(cols * rows)
+	for j := 0; j < cols; j++ {
+		for h := 0; h < rows; h++ {
+			wT[j*rows+h] = w[h*cols+j]
+		}
+	}
+	return wT, intact
 }
 
 // checkInputMajorKernels pins GatherAXPY and ScatterAXPY, the dispatched
 // bodies and the Go bodies alike, to the naive row-major loops on tc: the
 // gather to naiveSparseDot from each row's bias, the scatter to want (w
-// after naiveSparseAXPY with tc.d). z and d are tried at the exact row
-// count and padded to the stride; the padding lanes may hold anything.
+// after naiveSparseAXPY with tc.d). The matrix has exactly tc.rows lanes
+// a row and nothing between rows, so every element of every row is
+// checked: a last register that reached past its lanes would show in the
+// next row's first ones, or in the sentinels past the matrix and z.
 func checkInputMajorKernels(tc rowCase, idx []int, val []float64, want []float64) string {
-	stride := (tc.rows + 3) &^ 3
-	if stride == 0 {
-		stride = 4
+	if tc.rows == 0 {
+		return "" // no lanes: no input-major matrix
 	}
-	wT := inputMajor(tc.w, tc.rows, tc.cols, stride, math.NaN())
 	bodies := []struct {
 		name    string
-		gather  func(z []float64)
+		gather  func(z, wT []float64)
 		scatter func(gT, d []float64)
 	}{
-		{"", func(z []float64) { GatherAXPY(z, wT, stride, idx, val) },
-			func(gT, d []float64) { ScatterAXPY(gT, stride, d, idx, val) }},
-		{" (Go body)", func(z []float64) { gatherAXPYGo(z, wT, stride, idx, val) },
-			func(gT, d []float64) { scatterAXPYGo(gT, stride, d, idx, val) }},
+		{"", func(z, wT []float64) { GatherAXPY(z, wT, idx, val) },
+			func(gT, d []float64) { ScatterAXPY(gT, d, idx, val) }},
+		{" (Go body)", func(z, wT []float64) { gatherAXPYGo(z, wT, idx, val) },
+			func(gT, d []float64) { scatterAXPYGo(gT, d, idx, val) }},
 	}
 	for _, body := range bodies {
-		for _, lanes := range []int{tc.rows, stride} {
-			z := make([]float64, lanes)
-			copy(z, tc.b)
-			body.gather(z)
-			for r := 0; r < tc.rows; r++ {
-				if !sameBits(z[r], naiveSparseDot(tc.b[r], tc.w[r*tc.cols:(r+1)*tc.cols], idx, val)) {
-					return "GatherAXPY" + body.name
-				}
+		wT, wIntact := inputMajor(tc.w, tc.rows, tc.cols)
+		z, zIntact := guarded(tc.rows)
+		copy(z, tc.b)
+		body.gather(z, wT)
+		for r := 0; r < tc.rows; r++ {
+			if !sameBits(z[r], naiveSparseDot(tc.b[r], tc.w[r*tc.cols:(r+1)*tc.cols], idx, val)) {
+				return "GatherAXPY" + body.name
 			}
+		}
+		if !zIntact() || !wIntact() {
+			return "GatherAXPY" + body.name + " past the end"
+		}
 
-			d := make([]float64, lanes)
-			copy(d, tc.d)
-			gT := inputMajor(tc.w, tc.rows, tc.cols, stride, math.NaN())
-			body.scatter(gT, d)
+		gT, gIntact := inputMajor(tc.w, tc.rows, tc.cols)
+		d := append([]float64(nil), tc.d...)
+		body.scatter(gT, d)
+		for j := 0; j < tc.cols; j++ {
 			for r := 0; r < tc.rows; r++ {
-				for j := 0; j < tc.cols; j++ {
-					if !sameBits(gT[j*stride+r], want[r*tc.cols+j]) {
-						return "ScatterAXPY" + body.name
-					}
+				if !sameBits(gT[j*tc.rows+r], want[r*tc.cols+j]) {
+					return "ScatterAXPY" + body.name
 				}
 			}
+		}
+		if !gIntact() {
+			return "ScatterAXPY" + body.name + " past the end"
 		}
 	}
 	return ""
 }
 
 // TestInputMajorKernelsWidths walks the hidden widths around the AVX2
-// blocks — one lane, a partial register, one register, one over, the
-// paper's 30 and one past the eight-register block — on ordinary values
-// and on NaN, ±Inf, −0 and denormals, with no non-zero input, a few and
-// all of them.
+// blocks — every width of a last register in the 4-lane body (1–4) and
+// the 32-lane body (29–32, the paper's 30 among them), one lane past a
+// block (5, 33), a 4-lane block after a full 32-lane one (35) and a
+// narrowed second 32-lane block (61, 64) — on ordinary values and on
+// NaN, ±Inf, −0 and denormals, with no non-zero input, a few and all of
+// them.
 func TestInputMajorKernelsWidths(t *testing.T) {
 	if !useAVX2 {
 		t.Log("no AVX2 on this CPU: the dispatched bodies are the Go bodies")
 	}
 	nonFinite := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	rng := rand.New(rand.NewSource(11))
-	for _, hidden := range []int{1, 3, 4, 5, 30, 33} {
+	for _, hidden := range []int{1, 2, 3, 4, 5, 29, 30, 31, 32, 33, 35, 61, 64} {
 		for _, cols := range []int{0, 1, 7, 40} {
 			for _, density := range []float64{0, 0.3, 1} {
 				for _, special := range []float64{0, 0.3} {
@@ -110,15 +135,17 @@ func TestInputMajorKernelsWidths(t *testing.T) {
 
 // TestInputMajorKernelsRowCheck pins the index check of the assembly
 // bodies and of the Go body: an index past the last row, or a negative
-// one, panics.
+// one, panics, at every last-register width of both bodies.
 func TestInputMajorKernelsRowCheck(t *testing.T) {
-	for _, lanes := range []int{2, 4, 32} {
+	for _, lanes := range []int{1, 2, 3, 4, 5, 29, 30, 31, 32, 33} {
 		for _, j := range []int{3, -1} {
 			z, m := make([]float64, lanes), make([]float64, 3*lanes)
 			idx, val := []int{0, j}, []float64{1, 1}
 			for name, f := range map[string]func(){
-				"GatherAXPY":  func() { GatherAXPY(z, m, lanes, idx, val) },
-				"ScatterAXPY": func() { ScatterAXPY(m, lanes, z, idx, val) },
+				"GatherAXPY":    func() { GatherAXPY(z, m, idx, val) },
+				"ScatterAXPY":   func() { ScatterAXPY(m, z, idx, val) },
+				"gatherAXPYGo":  func() { gatherAXPYGo(z, m, idx, val) },
+				"scatterAXPYGo": func() { scatterAXPYGo(m, z, idx, val) },
 			} {
 				func() {
 					defer func() {
@@ -134,17 +161,15 @@ func TestInputMajorKernelsRowCheck(t *testing.T) {
 }
 
 // BenchmarkInputMajorKernels runs the MLP's first layer at its shape — a
-// 784-input, 30-unit layer on a 32-lane stride, ~151 non-zero inputs
-// (digit images are ~19 % ink) — through the dispatched body and the Go
-// body, forward (GatherAXPY) and backward (ScatterAXPY).
+// 784-input, 30-unit layer, rows packed 30 lanes apart, ~151 non-zero
+// inputs (digit images are ~19 % ink) — through the dispatched body and
+// the Go body, forward (GatherAXPY) and backward (ScatterAXPY).
 func BenchmarkInputMajorKernels(b *testing.B) {
-	const in, hidden, stride = 784, 30, 32
+	const in, hidden = 784, 30
 	rng := rand.New(rand.NewSource(12))
-	wT := make([]float64, in*stride)
-	for j := 0; j < in; j++ {
-		for h := 0; h < hidden; h++ {
-			wT[j*stride+h] = rng.NormFloat64()
-		}
+	wT := make([]float64, in*hidden)
+	for i := range wT {
+		wT[i] = rng.NormFloat64()
 	}
 	var idx []int
 	var val []float64
@@ -153,8 +178,8 @@ func BenchmarkInputMajorKernels(b *testing.B) {
 			idx, val = append(idx, j), append(val, rng.Float64())
 		}
 	}
-	z, d := make([]float64, stride), make([]float64, stride)
-	for h := 0; h < hidden; h++ {
+	z, d := make([]float64, hidden), make([]float64, hidden)
+	for h := range d {
 		d[h] = rng.NormFloat64() * 1e-3
 	}
 	gT := make([]float64, len(wT))
@@ -162,10 +187,10 @@ func BenchmarkInputMajorKernels(b *testing.B) {
 		name string
 		run  func()
 	}{
-		{"gather/dispatch", func() { GatherAXPY(z, wT, stride, idx, val) }},
-		{"gather/go", func() { gatherAXPYGo(z, wT, stride, idx, val) }},
-		{"scatter/dispatch", func() { ScatterAXPY(gT, stride, d, idx, val) }},
-		{"scatter/go", func() { scatterAXPYGo(gT, stride, d, idx, val) }},
+		{"gather/dispatch", func() { GatherAXPY(z, wT, idx, val) }},
+		{"gather/go", func() { gatherAXPYGo(z, wT, idx, val) }},
+		{"scatter/dispatch", func() { ScatterAXPY(gT, d, idx, val) }},
+		{"scatter/go", func() { scatterAXPYGo(gT, d, idx, val) }},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			b.ReportAllocs()

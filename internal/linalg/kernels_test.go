@@ -132,14 +132,16 @@ func TestKernelsAllocFree(t *testing.T) {
 	ws := []float64{0.2, 0.3}
 	xs := []Vector{randVec(64, rng), randVec(64, rng)}
 	idx, val := []int{1, 5, 9}, []float64{0.5, -1, 2}
+	m30 := randVec(30*16, rng) // 16 input-major rows of 30 lanes, the MLP's width
 	if n := testing.AllocsPerRun(100, func() {
 		ScaleTo(dst, 2, v)
 		AXPYTo(dst, v, 3, w)
 		MixTo(dst, 0.5, v, ws, xs)
 		AXPY4(dst, 1, 2, 3, 4, v, w, xs[0], xs[1])
-		GatherAXPY(dst[:4], w, 4, idx, val)
-		ScatterAXPY(dst, 4, w[:4], idx, val)
-		SparseOuterAdd(dst, 16, w[:4], idx, val)
+		GatherAXPY(dst[:4], w, idx, val)
+		ScatterAXPY(dst, w[:4], idx, val)
+		GatherAXPY(dst[:30], m30, idx, val)
+		ScatterAXPY(m30, w[:30], idx, val)
 		DistInf(v, w)
 		v.NormInf()
 		v.Sum()

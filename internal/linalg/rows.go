@@ -2,12 +2,11 @@ package linalg
 
 import "math"
 
-// Row kernels: the inner loops of the models' forward and backward
-// passes — dot products of parameter rows against one input and the
-// matching rank-one gradient updates — in a dense form and an
-// index-gathered form for inputs whose non-zeros were compacted into
-// (idx, val) by Compact. gather.go holds the same gathered sums and
-// updates for a matrix stored input-major.
+// Row kernels: the inner loops of the models' dense forward and
+// backward passes — dot products of parameter rows against one input and
+// the matching scaled-row updates — and Compact, which turns a sparse
+// input into the (idx, val) pairs the input-major kernels of gather.go
+// walk.
 //
 // Contract (DESIGN.md §10): every accumulator is summed strictly left to
 // right starting from the value the caller seeds it with, exactly as the
@@ -18,8 +17,7 @@ import "math"
 // own chain, but not for the other three. No sum is ever split across
 // several accumulators or reordered.
 //
-// The dense kernels panic on a length mismatch like the rest of the
-// package; the gathered ones panic when an index falls outside a row.
+// The kernels panic on a length mismatch like the rest of the package.
 
 // Dots4From returns the four sums z_r + Σ_i a_r[i]·x[i], each summed left
 // to right: four rows against one shared x (four hidden units against one
@@ -81,20 +79,6 @@ func Compact(idx []int, val, x []float64) int {
 	return n
 }
 
-// SparseDots4From is Dots4From over a compacted x: the four sums
-// z_r + Σ_k a_r[idx[k]]·val[k], each summed left to right.
-func SparseDots4From(z0, z1, z2, z3 float64, a0, a1, a2, a3 []float64, idx []int, val []float64) (float64, float64, float64, float64) {
-	val = val[:len(idx)]
-	for k, j := range idx {
-		v := val[k]
-		z0 += a0[j] * v
-		z1 += a1[j] * v
-		z2 += a2[j] * v
-		z3 += a3[j] * v
-	}
-	return z0, z1, z2, z3
-}
-
 // AffineTo sets out[r] = b[r] + Σ_i w[r·cols+i]·x[i] for the row-major
 // len(out)×len(x) matrix w, every row summed left to right from its
 // bias. Rows run four at a time; a last block of fewer than four repeats
@@ -110,51 +94,5 @@ func AffineTo(out, w, b, x []float64) {
 		r1, r2, r3 := min(r+1, rows-1), min(r+2, rows-1), min(r+3, rows-1)
 		out[r], out[r1], out[r2], out[r3] = Dots4From(b[r], b[r1], b[r2], b[r3],
 			w[r*cols:(r+1)*cols], w[r1*cols:(r1+1)*cols], w[r2*cols:(r2+1)*cols], w[r3*cols:(r3+1)*cols], x)
-	}
-}
-
-// SparseAffineTo is AffineTo for a compacted x: out[r] = b[r] +
-// Σ_k w[r·cols+idx[k]]·val[k].
-func SparseAffineTo(out, w, b []float64, cols int, idx []int, val []float64) {
-	rows := len(out)
-	checkLen(out, b)
-	if len(w) != rows*cols {
-		panic("linalg: SparseAffineTo matrix size mismatch")
-	}
-	for r := 0; r < rows; r += 4 {
-		r1, r2, r3 := min(r+1, rows-1), min(r+2, rows-1), min(r+3, rows-1)
-		out[r], out[r1], out[r2], out[r3] = SparseDots4From(b[r], b[r1], b[r2], b[r3],
-			w[r*cols:(r+1)*cols], w[r1*cols:(r1+1)*cols], w[r2*cols:(r2+1)*cols], w[r3*cols:(r3+1)*cols], idx, val)
-	}
-}
-
-// SparseOuterAdd adds the rank-one update d·xᵀ of a compacted x to the
-// row-major len(d)×cols matrix w: w[r·cols+idx[k]] += d[r]·val[k]. Rows
-// run four at a time, sharing one walk over (idx, val). idx must not
-// repeat an index (Compact's never does), so every element receives
-// exactly one addition.
-func SparseOuterAdd(w []float64, cols int, d []float64, idx []int, val []float64) {
-	rows := len(d)
-	if len(w) != rows*cols {
-		panic("linalg: SparseOuterAdd matrix size mismatch")
-	}
-	val = val[:len(idx)]
-	r := 0
-	for ; r+4 <= rows; r += 4 {
-		d0, d1, d2, d3 := w[r*cols:(r+1)*cols], w[(r+1)*cols:(r+2)*cols], w[(r+2)*cols:(r+3)*cols], w[(r+3)*cols:(r+4)*cols]
-		c0, c1, c2, c3 := d[r], d[r+1], d[r+2], d[r+3]
-		for k, j := range idx {
-			v := val[k]
-			d0[j] += c0 * v
-			d1[j] += c1 * v
-			d2[j] += c2 * v
-			d3[j] += c3 * v
-		}
-	}
-	for ; r < rows; r++ {
-		dr, c := w[r*cols:(r+1)*cols], d[r]
-		for k, j := range idx {
-			dr[j] += c * val[k]
-		}
 	}
 }

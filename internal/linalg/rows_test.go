@@ -84,20 +84,14 @@ func checkRowKernels(tc rowCase) string {
 	}
 
 	for r := 0; r+4 <= tc.rows; r++ {
-		var got, want, gotS, wantS [4]float64
+		var got, want [4]float64
 		got[0], got[1], got[2], got[3] = Dots4From(tc.b[r], tc.b[r+1], tc.b[r+2], tc.b[r+3],
 			row(tc.w, r), row(tc.w, r+1), row(tc.w, r+2), row(tc.w, r+3), tc.x)
-		gotS[0], gotS[1], gotS[2], gotS[3] = SparseDots4From(tc.b[r], tc.b[r+1], tc.b[r+2], tc.b[r+3],
-			row(tc.w, r), row(tc.w, r+1), row(tc.w, r+2), row(tc.w, r+3), idx, val)
 		for q := 0; q < 4; q++ {
 			want[q] = naiveDot(tc.b[r+q], row(tc.w, r+q), tc.x)
-			wantS[q] = naiveSparseDot(tc.b[r+q], row(tc.w, r+q), idx, val)
 		}
 		if !sameVec(got[:], want[:]) {
 			return "Dots4From"
-		}
-		if !sameVec(gotS[:], wantS[:]) {
-			return "SparseDots4From"
 		}
 
 		// Four rows added to x in order: AXPY4 against AXPYInPlace.
@@ -111,30 +105,20 @@ func checkRowKernels(tc rowCase) string {
 		}
 	}
 
-	out, outS := make([]float64, tc.rows), make([]float64, tc.rows)
+	out := make([]float64, tc.rows)
 	AffineTo(out, tc.w, tc.b, tc.x)
-	SparseAffineTo(outS, tc.w, tc.b, tc.cols, idx, val)
 	for r := 0; r < tc.rows; r++ {
 		if !sameBits(out[r], naiveDot(tc.b[r], row(tc.w, r), tc.x)) {
 			return "AffineTo"
 		}
-		if !sameBits(outS[r], naiveSparseDot(tc.b[r], row(tc.w, r), idx, val)) {
-			return "SparseAffineTo"
-		}
 	}
 
-	// The scatter kernels accumulate into a copy of w: SparseOuterAdd in
-	// place, the input-major kernels on transposed copies whose rows are
-	// padded to a multiple of four lanes, once on the dispatched body
-	// (AVX2 where the CPU has it) and once on the Go body.
+	// The input-major kernels run on transposed copies of w, once on the
+	// dispatched body (AVX2 where the CPU has it) and once on the Go body;
+	// the scatter accumulates into its copy.
 	want := append([]float64(nil), tc.w...)
 	for r := 0; r < tc.rows; r++ {
 		naiveSparseAXPY(row(want, r), tc.d[r], idx, val)
-	}
-	got := append([]float64(nil), tc.w...)
-	SparseOuterAdd(got, tc.cols, tc.d, idx, val)
-	if !sameVec(got, want) {
-		return "SparseOuterAdd"
 	}
 	if bad := checkInputMajorKernels(tc, idx, val, want); bad != "" {
 		return bad
@@ -152,8 +136,8 @@ func checkRowKernels(tc rowCase) string {
 	}
 	negZero := func(v float64) bool { return math.Float64bits(v) == 1<<63 }
 	for r := 0; r < tc.rows; r++ {
-		if !negZero(tc.b[r]) && !sameBits(outS[r], out[r]) {
-			return "SparseAffineTo vs AffineTo"
+		if !negZero(tc.b[r]) && !sameBits(naiveSparseDot(tc.b[r], row(tc.w, r), idx, val), out[r]) {
+			return "sparse vs dense dot"
 		}
 		dense := append([]float64(nil), row(tc.w, r)...)
 		Vector(dense).AXPYInPlace(tc.d[r], tc.x)
@@ -288,14 +272,13 @@ func TestAXPY4MatchesSequentialAXPY(t *testing.T) {
 func TestRowKernelsPanicOnMismatch(t *testing.T) {
 	v2, v3 := make([]float64, 2), make([]float64, 3)
 	for name, f := range map[string]func(){
-		"Dots4From":      func() { Dots4From(0, 0, 0, 0, v3, v3, v2, v3, v3) },
-		"AXPY4":          func() { AXPY4(v3, 1, 1, 1, 1, v3, v3, v3, v2) },
-		"AffineTo":       func() { AffineTo(v2, v3, v2, v2) },
-		"SparseAffineTo": func() { SparseAffineTo(v2, v3, v2, 2, nil, nil) },
-		"SparseOuterAdd": func() { SparseOuterAdd(v3, 2, v2, nil, nil) },
-		"GatherAXPY":     func() { GatherAXPY(v3, v3, 2, nil, nil) },
-		"ScatterAXPY":    func() { ScatterAXPY(v3, 2, v2, nil, nil) },
-		"Compact":        func() { Compact(make([]int, 2), v3, v3) },
+		"Dots4From":    func() { Dots4From(0, 0, 0, 0, v3, v3, v2, v3, v3) },
+		"AXPY4":        func() { AXPY4(v3, 1, 1, 1, 1, v3, v3, v3, v2) },
+		"AffineTo":     func() { AffineTo(v2, v3, v2, v2) },
+		"GatherAXPY":   func() { GatherAXPY(v2, v3, nil, nil) },
+		"GatherAXPY 0": func() { GatherAXPY(nil, v2, nil, nil) },
+		"ScatterAXPY":  func() { ScatterAXPY(v3, v2, nil, nil) },
+		"Compact":      func() { Compact(make([]int, 2), v3, v3) },
 	} {
 		func() {
 			defer func() {

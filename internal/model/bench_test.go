@@ -40,16 +40,13 @@ var benchLoss float64
 // BenchmarkMLPGradientPartition measures one node's full-batch 784-30-10
 // gradient on its share of a 600-image digit corpus split across three
 // servers (~200 rows, one gradient shard), the per-node compute of a
-// tcp-mlp-k3 round. The batch is past the input-major break-even, so on
-// an AVX2 CPU the transposes of W1 and of its gradient block are
-// included.
+// tcp-mlp-k3 round.
 func BenchmarkMLPGradientPartition(b *testing.B) {
 	benchMLPGradient(b, 0)
 }
 
 // BenchmarkMLPGradientMinibatch measures the same node's gradient on an
-// eight-row minibatch, TernGrad's per-worker batch in figure 4: below the
-// input-major break-even, so W1 is walked in place.
+// eight-row minibatch, TernGrad's per-worker batch in figure 4.
 func BenchmarkMLPGradientMinibatch(b *testing.B) {
 	benchMLPGradient(b, 8)
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,9 +17,14 @@ import (
 // shipped to inference nodes.
 //
 //	magic "SNAP" | version u16 | dim u64 | dim × float64 | crc32 of payload
+//
+// Version 2 holds the MLP's W1 input-major (see MLP). A checkpoint carries
+// no model identity, so a version 1 file, which may hold an MLP's W1
+// row-major, is refused rather than loaded permuted; an SVM saved as
+// version 1 must be re-saved too.
 const (
 	checkpointMagic   = "SNAP"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
 
 // SaveParams writes params to w in the checkpoint format.
@@ -58,7 +64,11 @@ func LoadParams(r io.Reader) (linalg.Vector, error) {
 	if string(header[:4]) != checkpointMagic {
 		return nil, fmt.Errorf("model: bad checkpoint magic %q", header[:4])
 	}
-	if v := binary.BigEndian.Uint16(header[4:6]); v != checkpointVersion {
+	switch v := binary.BigEndian.Uint16(header[4:6]); v {
+	case checkpointVersion:
+	case 1:
+		return nil, errors.New("model: checkpoint version 1 predates the MLP's input-major parameter layout; re-save the model")
+	default:
 		return nil, fmt.Errorf("model: unsupported checkpoint version %d", v)
 	}
 	dim := binary.BigEndian.Uint64(header[6:14])

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -89,10 +90,25 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesVersion1: a version 1 stream, intact in every
+// other respect, is refused with the error that names the layout change.
+func TestCheckpointRefusesVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := SaveParams(&buf, linalg.Vector{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	v1 := buf.Bytes()
+	binary.BigEndian.PutUint16(v1[4:6], 1)
+	_, err := LoadParams(bytes.NewReader(v1))
+	if err == nil || !strings.Contains(err.Error(), "input-major parameter layout") || !strings.Contains(err.Error(), "re-save") {
+		t.Fatalf("version 1 checkpoint: err = %v, want the layout-change refusal", err)
+	}
+}
+
 func TestCheckpointRejectsHugeDim(t *testing.T) {
 	// Forged header claiming an absurd dimension must not allocate.
 	forged := []byte("SNAP")
-	forged = append(forged, 0, 1)                                           // version 1
+	forged = append(forged, 0, checkpointVersion)                           // current version
 	forged = append(forged, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF) // dim = 2^64-1
 	if _, err := LoadParams(bytes.NewReader(forged)); err == nil {
 		t.Error("absurd dimension accepted")
@@ -102,7 +118,7 @@ func TestCheckpointRejectsHugeDim(t *testing.T) {
 // hugeDimHeader is a 14-byte checkpoint header that claims the largest
 // accepted dimension (2 GiB of float64s) and is followed by no payload.
 func hugeDimHeader() []byte {
-	h := append([]byte("SNAP"), 0, 1)
+	h := append([]byte("SNAP"), 0, checkpointVersion)
 	return binary.BigEndian.AppendUint64(h, 1<<28)
 }
 

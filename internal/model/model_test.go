@@ -130,6 +130,36 @@ func TestInitParamsDeterministic(t *testing.T) {
 	}
 }
 
+// TestMLPInitParamsInputMajor pins where InitParams puts W1: the seed's
+// draws come hidden unit by hidden unit, and draw h·In+j, W1[h][j], sits
+// at j·Hidden+h; the rest follow in order.
+func TestMLPInitParamsInputMajor(t *testing.T) {
+	for _, shape := range [][3]int{{784, 30, 10}, {5, 3, 2}, {7, 1, 4}} {
+		m := NewMLP(shape[0], shape[1], shape[2])
+		p := m.InitParams(42)
+		rng := rand.New(rand.NewSource(42))
+		lim1 := math.Sqrt(6 / float64(m.In+m.Hidden))
+		for h := 0; h < m.Hidden; h++ {
+			for j := 0; j < m.In; j++ {
+				if want := lim1 * (2*rng.Float64() - 1); math.Float64bits(p[j*m.Hidden+h]) != math.Float64bits(want) {
+					t.Fatalf("%s: p[%d] = %v, want draw %d = %v", m.Name(), j*m.Hidden+h, p[j*m.Hidden+h], h*m.In+j, want)
+				}
+			}
+		}
+		_, b1, w2, b2 := m.offsets()
+		lim2 := math.Sqrt(6 / float64(m.Hidden+m.Out))
+		for i := range p[b1:] {
+			want := 0.0
+			if b1+i >= w2 && b1+i < b2 {
+				want = lim2 * (2*rng.Float64() - 1)
+			}
+			if math.Float64bits(p[b1+i]) != math.Float64bits(want) {
+				t.Fatalf("%s: p[%d] = %v, want %v", m.Name(), b1+i, p[b1+i], want)
+			}
+		}
+	}
+}
+
 func TestGradientDimensionPanics(t *testing.T) {
 	for _, m := range []Model{NewLinearSVM(5), NewMLP(4, 3, 2)} {
 		func() {

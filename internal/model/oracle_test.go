@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,13 +12,36 @@ import (
 
 // The oracles below are the per-model loops the linalg row kernels
 // replaced, kept verbatim: scalar dot products, dense walks over every
-// input (zeros included), one allocation per intermediate. The shipped
-// models must reproduce their gradient, loss and predictions bit for bit.
+// input (zeros included), one allocation per intermediate, the MLP's W1
+// row-major. The shipped models must reproduce their gradient, loss and
+// predictions bit for bit, up to where each parameter sits.
 
 type oracle struct {
 	loss    func(p linalg.Vector, batch []dataset.Sample) float64
 	accum   func(dst, p linalg.Vector, batch []dataset.Sample)
 	predict func(p linalg.Vector, x []float64) int
+	// place[i] is where the oracle's parameter i sits in the model's
+	// vector; nil when the layouts agree.
+	place []int
+}
+
+// toOracle returns v, laid out as the model's parameters, in the
+// oracle's layout.
+func (o oracle) toOracle(v linalg.Vector) linalg.Vector {
+	out := append(linalg.Vector(nil), v...)
+	for i, at := range o.place {
+		out[i] = v[at]
+	}
+	return out
+}
+
+// toModel is toOracle's inverse.
+func (o oracle) toModel(v linalg.Vector) linalg.Vector {
+	out := append(linalg.Vector(nil), v...)
+	for i, at := range o.place {
+		out[at] = v[i]
+	}
+	return out
 }
 
 func oracleDot(w linalg.Vector, x []float64) float64 {
@@ -94,7 +118,18 @@ func svmOracle(m *LinearSVM) oracle {
 	}
 }
 
+// mlpOracle's parameters hold W1 row-major (W1[h][j] at h·In+j); place
+// maps each to the MLP's input-major j·Hidden+h.
 func mlpOracle(m *MLP) oracle {
+	place := make([]int, m.NumParams())
+	for i := range place {
+		place[i] = i
+	}
+	for h := 0; h < m.Hidden; h++ {
+		for j := 0; j < m.In; j++ {
+			place[h*m.In+j] = j*m.Hidden + h
+		}
+	}
 	forward := func(p linalg.Vector, x []float64) (hidden, logits []float64) {
 		w1o, b1o, w2o, b2o := m.offsets()
 		hidden = make([]float64, m.Hidden)
@@ -163,6 +198,7 @@ func mlpOracle(m *MLP) oracle {
 			_, logits := forward(p, x)
 			return oracleArgmax(logits)
 		},
+		place: place,
 	}
 }
 
@@ -215,33 +251,49 @@ func svmTailBatches(t *testing.T, m *LinearSVM, w linalg.Vector, data []dataset.
 
 // TestModelsMatchOracles pins both models to the loops they replaced
 // on the benchmark's corpora (SyntheticDigits rows are mostly zeros,
-// SyntheticCredit rows are dense): gradient, loss and predictions are
-// bit-equal for batches of one shard and of several, at lengths that
-// leave every tail of the four-wide blocking and, for the SVM, of its
-// four-violator flush; the loss GradientLossTo returns equals Loss
-// bitwise on one shard and to rounding on several.
+// SyntheticCredit rows are dense), the MLP at the paper's 30 hidden units
+// and at widths around the kernels' register blocks: gradient, loss and
+// predictions are bit-equal through the parameter layout, for batches of
+// one shard and of several, at lengths that leave every tail of the
+// four-wide blocking and, for the SVM, of its four-violator flush; a
+// gradient accumulated into a non-zero vector is bit-equal too; the loss
+// GradientLossTo returns equals Loss bitwise on one shard and to
+// rounding on several.
 func TestModelsMatchOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	digits, _ := dataset.SyntheticDigits(dataset.DigitsConfig{Train: 601, Test: 1, Side: 28}, rng)
 	credit := dataset.SyntheticCredit(dataset.CreditConfig{Samples: 601, Features: 24}, rng)
-	svm, mlp := NewLinearSVM(24), NewMLP(784, 30, 10)
-	cases := []struct {
+	svm := NewLinearSVM(24)
+	type modelCase struct {
 		name string
 		m    Model
 		o    oracle
 		data []dataset.Sample
-	}{
-		{"svm", svm, svmOracle(svm), credit.Samples},
-		{"mlp", mlp, mlpOracle(mlp), digits.Samples},
+	}
+	cases := []modelCase{{"svm", svm, svmOracle(svm), credit.Samples}}
+	for _, hidden := range []int{30, 1, 3, 4, 5, 33} {
+		mlp, name := NewMLP(784, hidden, 10), "mlp"
+		if hidden != 30 {
+			name = fmt.Sprintf("mlp-hidden%d", hidden)
+		}
+		cases = append(cases, modelCase{name, mlp, mlpOracle(mlp), digits.Samples})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			// One oracle step away from the initial point, so biases and
-			// every weight are generic.
-			p := tc.m.InitParams(3)
+			// every weight are generic. p is in the oracle's layout, mp
+			// the same point in the model's.
+			p := tc.o.toOracle(tc.m.InitParams(3))
 			p.AXPYInPlace(-0.5, oracleGradient(tc.m, tc.o, p, tc.data[:64]))
+			mp := tc.o.toModel(p)
+			start := linalg.NewVector(len(p))
+			for i := range start {
+				start[i] = rng.NormFloat64()
+			}
 			var sc GradScratch
-			sizes := []int{0, 1, 2, 3, 7, 200, GradShardSize, 601}
+			var one Scratch
+			one.ensure(tc.m.ScratchSize())
+			sizes := []int{0, 1, 2, 3, 5, 7, 8, 200, GradShardSize, 601}
 			if m, ok := tc.m.(*LinearSVM); ok {
 				sizes = append(sizes, svmTailBatches(t, m, p, tc.data)...)
 			}
@@ -249,11 +301,17 @@ func TestModelsMatchOracles(t *testing.T) {
 				batch := tc.data[:n]
 				want := oracleGradient(tc.m, tc.o, p, batch)
 				got := linalg.NewVector(len(p))
-				fused := GradientLossTo(tc.m, got, p, batch, &sc, 2)
-				if at := bitsDiffer(want, got); at != len(p) {
-					t.Fatalf("n=%d: gradient differs from the oracle at %d: %v != %v", n, at, got[at], want[at])
+				fused := GradientLossTo(tc.m, got, mp, batch, &sc, 2)
+				if at := bitsDiffer(want, tc.o.toOracle(got)); at != len(p) {
+					t.Fatalf("n=%d: gradient differs from the oracle at %d", n, at)
 				}
-				wantLoss, loss := tc.o.loss(p, batch), tc.m.Loss(p, batch)
+				acc, accWant := tc.o.toModel(start), append(linalg.Vector(nil), start...)
+				tc.m.AccumGrad(acc, mp, batch, &one)
+				tc.o.accum(accWant, p, batch)
+				if at := bitsDiffer(accWant, tc.o.toOracle(acc)); at != len(p) {
+					t.Fatalf("n=%d: AccumGrad into a non-zero vector differs from the oracle at %d", n, at)
+				}
+				wantLoss, loss := tc.o.loss(p, batch), tc.m.Loss(mp, batch)
 				if math.Float64bits(loss) != math.Float64bits(wantLoss) {
 					t.Errorf("n=%d: Loss = %v, oracle %v", n, loss, wantLoss)
 				}
@@ -268,86 +326,12 @@ func TestModelsMatchOracles(t *testing.T) {
 			for i := range xs {
 				xs[i] = tc.data[i].X
 			}
-			labels := PredictBatchInto(tc.m, make([]int, len(xs)), p, xs, nil)
+			labels := PredictBatchInto(tc.m, make([]int, len(xs)), mp, xs, nil)
 			for i, x := range xs {
 				if want := tc.o.predict(p, x); labels[i] != want {
 					t.Fatalf("row %d: PredictBatchInto = %d, oracle %d", i, labels[i], want)
 				}
 			}
 		})
-	}
-}
-
-// TestMLPWalksBitIdentical runs the MLP's two first-layer walks — in
-// place and on input-major copies, whichever AccumGrad would pick — on
-// the same batches and asks for the same bits: the loss, and a gradient
-// accumulated into a non-zero dst, for Hidden on both sides of the
-// four-lane padding and batch lengths on both sides of the break-even.
-func TestMLPWalksBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, shape := range [][3]int{{784, 30, 10}, {20, 1, 3}, {20, 3, 2}, {20, 4, 4}, {21, 5, 3}, {19, 33, 2}} {
-		m := NewMLP(shape[0], shape[1], shape[2])
-		p := m.InitParams(4)
-		for i := range p {
-			p[i] += 0.1 * rng.NormFloat64() // generic biases
-		}
-		data := make([]dataset.Sample, 2*inputMajorGradRows)
-		for i := range data {
-			x := make([]float64, m.In)
-			for j := range x {
-				if rng.Intn(4) == 0 {
-					x[j] = rng.NormFloat64()
-				}
-			}
-			data[i] = dataset.Sample{X: x, Label: rng.Intn(m.Out)}
-		}
-		start := linalg.NewVector(len(p))
-		for i := range start {
-			start[i] = rng.NormFloat64()
-		}
-		for _, n := range []int{0, 1, 5, inputMajorLossRows, len(data)} {
-			var sc Scratch
-			sc.ensure(m.ScratchSize())
-			batch := data[:n]
-			var loss [2]float64
-			var grad [2]linalg.Vector
-			for w, inputMajor := range []bool{false, true} {
-				loss[w] = m.accumGrad(nil, p, batch, &sc, inputMajor)
-				grad[w] = append(linalg.Vector(nil), start...)
-				if ce := m.accumGrad(grad[w], p, batch, &sc, inputMajor); math.Float64bits(ce) != math.Float64bits(loss[w]) {
-					t.Fatalf("%s n=%d inputMajor=%v: gradient pass loss %v, loss pass %v", m.Name(), n, inputMajor, ce, loss[w])
-				}
-			}
-			if math.Float64bits(loss[0]) != math.Float64bits(loss[1]) {
-				t.Errorf("%s n=%d: loss %v in place, %v input-major", m.Name(), n, loss[0], loss[1])
-			}
-			if at := bitsDiffer(grad[0], grad[1]); at != len(p) {
-				t.Errorf("%s n=%d: gradient differs at %d: %v in place, %v input-major", m.Name(), n, at, grad[0][at], grad[1][at])
-			}
-		}
-	}
-}
-
-// TestMLPWalkChoice pins when AccumGrad copies W1: never without SIMD
-// kernels, and with them only from the break-even batch lengths on.
-func TestMLPWalkChoice(t *testing.T) {
-	m := NewMLP(784, 30, 10)
-	simd := linalg.InputMajorSIMD()
-	for _, tc := range []struct {
-		rows int
-		grad bool
-		want bool
-	}{
-		{1, true, false},
-		{inputMajorGradRows - 1, true, false},
-		{inputMajorGradRows, true, simd},
-		{GradShardSize, true, simd},
-		{1, false, false},
-		{inputMajorLossRows - 1, false, false},
-		{inputMajorLossRows, false, simd},
-	} {
-		if got := m.inputMajor(tc.rows, tc.grad); got != tc.want {
-			t.Errorf("inputMajor(%d, grad=%v) = %v, want %v", tc.rows, tc.grad, got, tc.want)
-		}
 	}
 }

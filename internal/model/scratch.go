@@ -7,25 +7,11 @@ import "sync"
 // compacted input positions. The caller sizes it from the model's
 // ScratchSize; a Scratch belongs to one goroutine at a time and carries
 // nothing from one call to the next. The linear SVM needs none and
-// accepts nil.
-//
-// T holds the per-call weight copies a batch pass walks (the MLP's
-// input-major W1 and gradient block). AccumGrad grows it on first use
-// and reuses it after; PredictInto never touches it, so a serving
-// Scratch never holds one.
+// accepts nil. The MLP walks its weights in place, so nothing in a
+// Scratch grows with the parameter count.
 type Scratch struct {
 	F []float64
 	I []int
-	T []float64
-}
-
-// sizeT returns T resized to n entries, growing it only when it is too small.
-func (sc *Scratch) sizeT(n int) []float64 {
-	if cap(sc.T) < n {
-		sc.T = make([]float64, n)
-	}
-	sc.T = sc.T[:n]
-	return sc.T
 }
 
 func (sc *Scratch) ensure(floats, ints int) *Scratch {

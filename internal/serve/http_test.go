@@ -290,9 +290,10 @@ func TestHTTPModelLifecycle(t *testing.T) {
 		t.Fatalf("PUT garbage checkpoint: status %d, want 400", w.Code)
 	}
 
-	// A header claiming 2^28 params with no payload behind it is refused
-	// as a decode failure (model.LoadParams allocates only what arrives).
-	huge := binary.BigEndian.AppendUint64(append([]byte("SNAP"), 0, 1), 1<<28)
+	// A current-version (2) header claiming 2^28 params with no payload
+	// behind it is refused as a decode failure (model.LoadParams
+	// allocates only what arrives).
+	huge := binary.BigEndian.AppendUint64(append([]byte("SNAP"), 0, 2), 1<<28)
 	req = httptest.NewRequest(http.MethodPut, "/v1/model", bytes.NewReader(huge))
 	w = httptest.NewRecorder()
 	h.ServeHTTP(w, req)
